@@ -13,8 +13,8 @@ Two measurements:
 
 import pytest
 
+from repro.core.conditional import mine_conditional_block
 from repro.parallel import conditional_tasks, lpt_partition, mine_parallel
-from repro.parallel.executor import _mine_task_batch
 
 from conftest import abs_support
 
@@ -27,7 +27,9 @@ def task_times(sparse_plt):
     times = []
     for t in tasks:
         start = time.perf_counter()
-        _mine_task_batch(([(t.rank, t.support, t.prefixes)], sparse_plt.min_support, None))
+        mine_conditional_block(
+            t.prefixes, t.rank, sparse_plt.min_support, lambda *_: None
+        )
         times.append(time.perf_counter() - start)
     return times
 

@@ -6,7 +6,7 @@ easy to partition the mining process into several separate tasks; each can
 be accomplished separately."  This example shows both decompositions:
 
 * the conditional miner partitioned by top-level item, and
-* the top-down pass partitioned by seed vector,
+* the top-down pass partitioned by stored path,
 
 verifying that the parallel results are bit-identical to the serial ones.
 
@@ -26,12 +26,11 @@ Run:  python examples/parallel_mining.py
 import os
 import time
 
-from repro.core.conditional import mine_conditional
+from repro.core.conditional import mine_conditional, mine_conditional_block
 from repro.core.plt import PLT
 from repro.core.topdown import topdown_subset_frequencies
 from repro.data.datasets import load
 from repro.parallel import conditional_tasks, lpt_partition, mine_parallel, topdown_parallel
-from repro.parallel.executor import _mine_task_batch
 
 
 def main() -> None:
@@ -64,7 +63,7 @@ def main() -> None:
     per_task = []
     for t in tasks:
         t0 = time.perf_counter()
-        _mine_task_batch(([(t.rank, t.support, t.prefixes)], min_support, None))
+        mine_conditional_block(t.prefixes, t.rank, min_support, lambda *_: None)
         per_task.append(time.perf_counter() - t0)
     total = sum(per_task)
     print(f"\nmakespan model (total task CPU {total:.2f}s):")

@@ -140,8 +140,8 @@ def run_b7() -> None:
     speedup cannot exceed 1; the makespan model — per-task CPU times
     binned by LPT — shows what a k-core machine would see.
     """
+    from repro.core.conditional import mine_conditional_block
     from repro.parallel import conditional_tasks, lpt_partition, mine_parallel
-    from repro.parallel.executor import _mine_task_batch
 
     db = scaled_db("T10.I4.D10K")
     min_support = max(1, int(0.002 * len(db)))
@@ -151,7 +151,7 @@ def run_b7() -> None:
     per_task = []
     for t in tasks:
         secs, _ = time_call(
-            _mine_task_batch, ([(t.rank, t.support, t.prefixes)], min_support, None)
+            mine_conditional_block, t.prefixes, t.rank, min_support, lambda *_: None
         )
         per_task.append(secs)
     total = sum(per_task)

@@ -108,13 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of returning a partial result",
     )
     p_mine.add_argument(
-        "--transport",
-        choices=["pickle", "shm"],
-        default=None,
-        help="worker transport for --method plt-parallel (shm: zero-copy "
-        "shared-memory columns; pickle: classic per-task serialization)",
-    )
-    p_mine.add_argument(
         "--backend",
         choices=["sim", "process"],
         default=None,
@@ -183,13 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BASELINE.json",
         help="fail (exit 1) if any workload's speedup ratio regressed "
         "more than the tolerance vs this committed baseline",
-    )
-    p_bench.add_argument(
-        "--transport",
-        choices=["both", "pickle", "shm"],
-        default="both",
-        help="which transports the parallel workloads exercise "
-        "(default: both, which also checks the ipc_bytes_sent gate)",
     )
 
     p_chaos = sub.add_parser(
@@ -498,8 +484,6 @@ def _cmd_mine(args) -> int:
         or args.max_itemsets is not None
         or args.memory_budget is not None
     )
-    if args.transport is not None and args.method != "plt-parallel":
-        raise ReproError("--transport only applies to --method plt-parallel")
     cluster_flags = args.backend is not None or args.n_nodes is not None
     if cluster_flags and args.method != "plt-distributed":
         raise ReproError(
@@ -538,8 +522,6 @@ def _cmd_mine(args) -> int:
                 "--degrade requires a budget flag "
                 "(--deadline/--max-itemsets/--memory-budget)"
             )
-        if args.transport is not None:
-            kwargs["transport"] = args.transport
         if args.backend is not None:
             kwargs["backend"] = args.backend
         if args.n_nodes is not None:
@@ -670,7 +652,6 @@ def _cmd_bench(args) -> int:
         repeat=args.repeat,
         output=args.output,
         compare=args.compare,
-        transport=args.transport,
     )
 
 

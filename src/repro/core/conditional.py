@@ -40,11 +40,12 @@ than recursion, so arbitrarily long frequent itemsets need no
 ``sys.setrecursionlimit`` games and frame overhead stays off the hot loop.
 
 The delta-vector kernels (:func:`rank_supports_of_vectors`,
-:func:`build_conditional_buckets`, :func:`_consume_bucket`, :func:`_mine`)
-remain as the compatibility surface for callers that hold position vectors
-— the task partitioner, the on-disk store, closed/top-k/constraint miners
-and the tests; ``_mine`` converts to rank paths once at entry and runs the
-same engine.
+:func:`build_conditional_buckets`, :func:`_consume_bucket`,
+:func:`mine_conditional_block`) remain as the compatibility surface for
+callers that hold position vectors — the task partitioner, the on-disk
+store, the distributed nodes, closed/top-k/constraint miners and the
+tests; ``mine_conditional_block`` converts to rank paths once at entry
+and runs the same engine.
 
 Anti-monotone pruning is fully exploited: a conditional structure only
 ever contains items that are frequent *together with* the current suffix.
@@ -53,7 +54,7 @@ ever contains items that are frequent *together with* the current suffix.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from itertools import accumulate, combinations as _combinations, compress as _compress
 
 try:  # optional acceleration for the top-level pass; see _mine_top_matrix
@@ -224,28 +225,6 @@ def _consume_bucket(
             parent = buckets.setdefault(sum(prefix), {})
             parent[prefix] = parent.get(prefix, 0) + freq
             cd[prefix] = cd.get(prefix, 0) + freq
-    return cd, support
-
-
-def _consume_path_bucket(
-    bucket: dict[RankPath, int], buckets: PathBuckets
-) -> tuple[dict[RankPath, int], int]:
-    """Rank-path form of :func:`_consume_bucket` (prefix key is ``path[-2]``)."""
-    support = 0
-    cd: dict[RankPath, int] = {}
-    cd_get = cd.get
-    buckets_get = buckets.get
-    for path, freq in bucket.items():
-        support += freq
-        prefix = path[:-1]
-        if prefix:
-            key = prefix[-1]
-            parent = buckets_get(key)
-            if parent is None:
-                buckets[key] = {prefix: freq}
-            else:
-                parent[prefix] = parent.get(prefix, 0) + freq
-            cd[prefix] = cd_get(prefix, 0) + freq
     return cd, support
 
 
@@ -486,36 +465,6 @@ def _mine_paths(
             return
         buckets, order, idx, suffix, row = stack.pop()
         n = len(order)
-
-
-def _mine(
-    buckets: Buckets,
-    suffix: tuple[int, ...],
-    min_support: int,
-    emit: Emit,
-    max_len: int | None,
-) -> None:
-    """Delta-vector entry point: convert to rank paths once, then mine.
-
-    Kept for callers that aggregate position vectors themselves (the
-    parallel partitioner's task bundles, the on-disk store's streamed
-    buckets).  The conversion is a single ``accumulate`` pass per distinct
-    vector; everything after runs on the rank-path engine.
-    """
-    ranks: set[int] = set()
-    path_buckets: PathBuckets = {}
-    for s, bucket in buckets.items():
-        pb: dict[RankPath, int] = {}
-        for vec, freq in bucket.items():
-            path = tuple(accumulate(vec))
-            pb[path] = freq
-            ranks.update(path)
-        path_buckets[s] = pb
-    # the schedule must cover every rank migration can surface as a bucket
-    # key — the union of ranks on all paths, NOT just the initial keys
-    _mine_paths(
-        path_buckets, sorted(ranks, reverse=True), suffix, min_support, emit, max_len
-    )
 
 
 def mine_conditional_block(
@@ -798,12 +747,13 @@ def _mine_flat_matrix(
 def _consume_path_bucket_from(
     bucket: dict[RankPath, int], buckets: PathBuckets, lo: int
 ) -> tuple[dict[RankPath, int], int]:
-    """:func:`_consume_path_bucket` variant for range-restricted sweeps.
+    """Rank-path form of :func:`_consume_bucket` for range-restricted sweeps.
 
-    Prefix migrations whose destination key falls below ``lo`` are
-    dropped — the range miner never consumes those buckets, so feeding
-    them is pure waste.  ``CD_j`` still receives *every* prefix
-    (conditional supports must stay exact regardless of the range).
+    A prefix's destination bucket is ``path[-2]``.  Prefix migrations
+    whose destination key falls below ``lo`` are dropped — the range
+    miner never consumes those buckets, so feeding them is pure waste.
+    ``CD_j`` still receives *every* prefix (conditional supports must
+    stay exact regardless of the range).
     """
     support = 0
     cd: dict[RankPath, int] = {}
@@ -836,12 +786,13 @@ def mine_conditional_flat_range(
     """Mine every frequent itemset whose maximal rank lies in ``[lo, hi)``.
 
     Operates directly on a :class:`~repro.core.flat.FlatPLT`'s columns —
-    the worker side of the shared-memory transport.  Itemsets partition
-    exactly by their maximal (top-level) rank, so disjoint ranges mined by
-    different workers concatenate into the complete answer with no
-    reconciliation, and each range's counts are exact because the sweep
-    still *migrates* prefixes from every bucket above ``lo`` (consuming
-    a rank ``>= hi`` contributes its prefixes without emitting).
+    the worker side of the shared-memory parallel miner.  Itemsets
+    partition exactly by their maximal (top-level) rank, so disjoint
+    ranges mined by different workers concatenate into the complete
+    answer with no reconciliation, and each range's counts are exact
+    because the sweep still *migrates* prefixes from every bucket above
+    ``lo`` (consuming a rank ``>= hi`` contributes its prefixes without
+    emitting).
 
     Prefers the vectorised co-occurrence matrix restricted to the range;
     falls back to a bucket sweep that materialises path dicts only for
@@ -893,7 +844,6 @@ def mine_conditional(
     min_support: int | None = None,
     *,
     max_len: int | None = None,
-    ranks: Iterator[int] | None = None,
     governor=None,
 ) -> list[tuple[tuple[int, ...], int]]:
     """Mine all frequent itemsets from a PLT (Algorithm 3).
@@ -906,10 +856,6 @@ def mine_conditional(
         Absolute count; defaults to the threshold the PLT was built with.
     max_len:
         Optional cap on itemset length (a standard practical extension).
-    ranks:
-        Restrict the *top-level* loop to these ranks (used by the parallel
-        executor's task partitioning).  Prefix migration for higher ranks
-        is still performed so counts stay exact.
     governor:
         Optional :class:`~repro.robustness.governor.ResourceGovernor`.
         When its budget trips (or its token is cancelled) the raised
@@ -946,36 +892,14 @@ def mine_conditional(
             results.append((itemset, support))
 
     try:
-        if ranks is None:
-            if _mine_top_matrix(plt, min_support, emit, max_len, governor=governor):
-                return results
-            buckets = plt.rank_path_index()
-            if buckets:
-                _mine_paths(
-                    buckets, range(max(buckets), 0, -1), (), min_support,
-                    emit, max_len, governor=governor, track_top=True,
-                )
+        if _mine_top_matrix(plt, min_support, emit, max_len, governor=governor):
             return results
         buckets = plt.rank_path_index()
-        wanted = set(ranks)
-        for j in range(max(buckets, default=0), 0, -1):
-            bucket = buckets.pop(j, None)
-            if bucket is None:
-                continue
-            if governor is not None:
-                governor.progress["mining_rank"] = j
-                governor.tick(len(bucket))
-            cd, support = _consume_path_bucket(bucket, buckets)
-            if j not in wanted or support < min_support:
-                continue
-            emit((j,), support)
-            if cd and (max_len is None or max_len > 1):
-                sub, sub_order = _build_path_buckets(cd, min_support)
-                if sub:
-                    _mine_paths(
-                        sub, sub_order, (j,), min_support, emit, max_len,
-                        governor=governor,
-                    )
+        if buckets:
+            _mine_paths(
+                buckets, range(max(buckets), 0, -1), (), min_support,
+                emit, max_len, governor=governor, track_top=True,
+            )
         return results
     except MiningInterrupted as exc:
         # everything emitted has its exact support; ranks strictly above

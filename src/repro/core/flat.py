@@ -341,6 +341,8 @@ class FlatPLT:
         The handle's ``flat`` attribute is a twin of this instance backed
         by the segment itself.  The caller owns cleanup: call
         :meth:`SharedFlatPLT.close` (and ``unlink``) in a ``finally``.
+        Raises :class:`OSError` when the segment cannot be created or its
+        pages reserved; no segment is left behind in that case.
         """
         from multiprocessing import shared_memory
 
@@ -359,8 +361,17 @@ class FlatPLT:
         shm = shared_memory.SharedMemory(
             create=True, size=max(offset, 1), name=name or _segment_name()
         )
-        for off, blob in blobs:
-            shm.buf[off : off + len(blob)] = blob
+        try:
+            if hasattr(os, "posix_fallocate"):
+                # reserve the pages now: a full /dev/shm raises ENOSPC
+                # here instead of SIGBUS on the first write below
+                os.posix_fallocate(shm._fd, 0, shm.size)
+            for off, blob in blobs:
+                shm.buf[off : off + len(blob)] = blob
+        except BaseException:
+            shm.close()
+            shm.unlink()
+            raise
         meta = {"name": shm.name, "layout": tuple(layout), **self._meta_scalars()}
         return SharedFlatPLT(shm, self._from_buffer(shm, meta), meta)
 

@@ -417,27 +417,20 @@ def _mine_count_distribution(transactions, abs_support, order, max_len, **kwargs
     )
 
 
-def _mine_plt_parallel(transactions, abs_support, order, max_len, **kwargs):
+def _mine_plt_parallel(
+    transactions, abs_support, order, max_len, *, governor=None, **options
+):
     from repro.parallel.executor import mine_parallel
 
-    governor = kwargs.get("governor")
     plt = PLT.from_transactions(transactions, abs_support, order=order)
     if governor is not None:
         governor.admit(plt, method="conditional")
-    parallel_kwargs = {
-        key: kwargs[key]
-        for key in ("timeout", "retry", "transport")
-        if key in kwargs
-    }
     table = plt.rank_table
     try:
+        # n_workers / timeout / retry pass straight through; anything
+        # else is a TypeError rather than a silently ignored option
         pairs = mine_parallel(
-            plt,
-            abs_support,
-            max_len=max_len,
-            n_workers=kwargs.get("n_workers"),
-            governor=governor,
-            **parallel_kwargs,
+            plt, abs_support, max_len=max_len, governor=governor, **options
         )
     except MiningInterrupted as exc:
         _decode_partial(exc, table)

@@ -158,10 +158,10 @@ def topdown_flat_slice(
     is ever materialised.  Returns the packed per-length table (partial
     sums; slices over the same structure merge by addition).
 
-    Workers on the shared-memory transport pass ``singletons=False``:
-    their partial length-1 sums are redundant — the driver reconstitutes
-    that level exactly from :meth:`FlatPLT.rank_supports` — and dropping
-    them cuts the widest level of the lattice out of every result pickle.
+    Shared-memory parallel workers pass ``singletons=False``: their
+    partial length-1 sums are redundant — the driver reconstitutes that
+    level exactly from :meth:`FlatPLT.rank_supports` — and dropping them
+    cuts the widest level of the lattice out of every result pickle.
     """
     off, ranks, freqs = flat.path_offsets, flat.ranks, flat.freqs
 

@@ -106,8 +106,8 @@ register("DENSE-50", lambda: generate_dense(2_000, 50, 15, seed=202))
 register("DENSE-75", lambda: generate_dense(2_000, 75, 18, seed=203))
 # 5k transactions over a narrow alphabet: big enough to satisfy the
 # parallel bench's transaction floor, dense enough that the top-down
-# lattice (and thus the worker payload on the pickle transport) is the
-# dominant cost rather than PLT construction.
+# lattice (and thus the workers' result tables) is the dominant cost
+# rather than PLT construction.
 register("DENSE-16.D5K", lambda: generate_dense(5_000, 16, 7, seed=204))
 
 # Null models (B4, B8)

@@ -8,18 +8,13 @@ from repro.parallel.count_distribution import (
 from repro.parallel.distributed import mine_distributed, owner_of_rank
 from repro.parallel.executor import default_workers, mine_parallel, topdown_parallel
 from repro.parallel.faults import FaultPlan
-from repro.parallel.shm import (
-    SharedMemoryExecutor,
-    mine_parallel_shm,
-    topdown_parallel_shm,
-)
+from repro.parallel.shm import SharedMemoryExecutor
 from repro.parallel.processcluster import ProcessCluster
 from repro.parallel.simcluster import ClusterStats, NodeContext, SimCluster
 from repro.parallel.partitioner import (
     ConditionalTask,
     conditional_tasks,
     lpt_partition,
-    split_vectors,
 )
 
 __all__ = [
@@ -32,8 +27,6 @@ __all__ = [
     "owner_of_rank",
     "FaultPlan",
     "SharedMemoryExecutor",
-    "mine_parallel_shm",
-    "topdown_parallel_shm",
     "SimCluster",
     "ProcessCluster",
     "ClusterBackend",
@@ -45,5 +38,4 @@ __all__ = [
     "ConditionalTask",
     "conditional_tasks",
     "lpt_partition",
-    "split_vectors",
 ]

@@ -840,6 +840,13 @@ def mine_distributed(
     db = [frozenset(t) for t in transactions]
     if min_support < 1:
         raise ParallelExecutionError("min_support must be >= 1")
+    if fault_plan is not None:
+        outside = sorted(n for n in fault_plan.crashes if not 0 <= n < n_nodes)
+        if outside:
+            raise InvalidParameterError(
+                f"crash plan names node(s) {outside} outside the "
+                f"{n_nodes}-node cluster (valid ids: 0..{n_nodes - 1})"
+            )
     from repro.baselines.partition import split_database
 
     partitions = split_database(db, n_nodes) if db else []

@@ -1,30 +1,24 @@
 """Multiprocessing executors for PLT mining — hardened against bad pools.
 
-Two exact (not approximate) parallel schemes, following the task
-decompositions in :mod:`repro.parallel.partitioner`:
+Two exact (not approximate) parallel schemes, both over one shared-memory
+:class:`~repro.core.flat.FlatPLT` segment (see :mod:`repro.parallel.shm`):
 
-* :func:`mine_parallel` — parallel **conditional** mining.  A sequential
-  sweep builds every top-level item's conditional database (cheap), then
-  the recursive mining of those databases — where all the time goes — is
-  farmed out.  Results concatenate; no reconciliation is needed because
-  itemsets are partitioned by their maximal item.
+* :func:`mine_parallel` — parallel **conditional** mining.  Workers mine
+  disjoint top-level rank ranges straight off the shared columns; results
+  concatenate with no reconciliation because itemsets are partitioned by
+  their maximal item (the paper's §6 partitioning).
 * :func:`topdown_parallel` — parallel **top-down** subset propagation.
-  Workers expand disjoint slices of the vector table; the partial subset
+  Workers expand disjoint slices of the stored paths; the partial subset
   frequency tables merge by addition.
 
-Both fall back to in-process execution for one worker (or tiny inputs),
-so results and code paths stay testable without process overhead.  The
-pool uses the default start method; tasks and results are plain
-picklable dicts/tuples.
-
-Both drivers take ``transport="pickle"`` (ship each task's conditional
-database / vector slice through the pool pipe — the default) or
-``transport="shm"`` (lower the PLT once into shared-memory columns and
-dispatch index ranges; see :mod:`repro.parallel.shm`).  Output is
-identical either way; the shm transport exists purely to eliminate the
-serialisation copy that dominates pickle dispatch on non-trivial
-databases.  Dispatch volume is measured on both transports through the
-``ipc_bytes_sent`` perf counter when collection is enabled.
+Both run in-process for one worker or a PLT with at most one vector, so
+results and code paths stay testable without process overhead.  When the
+platform cannot create the segment (no ``/dev/shm``, or too little room)
+they run in-process as well, under a
+:class:`~repro.errors.DegradedExecutionWarning`, with the same answer.
+With perf counters enabled, ``ipc_bytes_sent`` measures what dispatch
+pushes through the pool pipes and ``shm_segment_bytes`` what the shared
+segment holds instead.
 
 Failure handling (see ``docs/FAULT_TOLERANCE.md``): every batch result is
 collected with a per-batch **timeout** instead of a blocking ``pool.map``
@@ -45,28 +39,35 @@ import os
 import pickle
 import time
 import warnings
+from array import array
 from collections.abc import Callable, Sequence
 
-from repro.core.conditional import mine_conditional_block
+from repro.core.conditional import mine_conditional
+from repro.core.flat import FlatPLT
 from repro.core.plt import PLT
-from repro.core.position import PositionVector
-from repro.core.topdown import DEFAULT_WORK_LIMIT, estimate_topdown_work
+from repro.core.position import PositionVector, path_to_vector
+from repro.core.topdown import (
+    DEFAULT_WORK_LIMIT,
+    _decode_path,
+    _subset_byte_frequencies,
+    estimate_topdown_work,
+)
 from repro.errors import (
     BudgetExceeded,
     Cancelled,
     DegradedExecutionWarning,
-    InvalidParameterError,
     MiningInterrupted,
     ParallelExecutionError,
     TopDownExplosionError,
     WorkerLostError,
 )
 from repro.perf.counters import COUNTERS as _COUNTERS
-from repro.parallel.partitioner import (
-    ConditionalTask,
-    conditional_tasks,
-    lpt_partition,
-    split_vectors,
+from repro.parallel.shm import (
+    SharedMemoryExecutor,
+    _shm_cond_range,
+    _shm_topdown_slice,
+    plan_path_slices,
+    plan_rank_ranges,
 )
 from repro.robustness.governor import ResourceGovernor
 from repro.robustness.retry import RetryPolicy
@@ -94,82 +95,6 @@ def default_workers() -> int:
 
 
 # ---------------------------------------------------------------------------
-# worker entry points (module level: picklable)
-# ---------------------------------------------------------------------------
-def _mine_task_batch(
-    args: tuple[list[tuple[int, int, dict]], int, int | None]
-) -> list[tuple[tuple[int, ...], int]]:
-    """Mine a batch of conditional tasks; returns (ranks, support) pairs."""
-    batch, min_support, max_len = args
-    results: list[tuple[tuple[int, ...], int]] = []
-
-    # the path engine emits itemsets already sorted ascending — append raw
-    def emit(itemset: tuple[int, ...], support: int) -> None:
-        results.append((itemset, support))
-
-    for rank, support, prefixes in batch:
-        emit((rank,), support)
-        if prefixes and (max_len is None or max_len > 1):
-            mine_conditional_block(prefixes, rank, min_support, emit, max_len)
-    return results
-
-
-def _mine_task_batch_governed(
-    args: tuple[list[tuple[int, int, dict]], int, int | None, object]
-) -> tuple[str, list[tuple[tuple[int, ...], int]], str | None]:
-    """Governed worker entry: mine under a shipped :class:`MiningBudget`.
-
-    Cancellation tokens cannot cross process boundaries, so workers get a
-    picklable budget copy carrying the driver's *remaining* deadline and
-    enforce it with their own governor.  Budget trips never propagate as
-    exceptions (custom kwargs don't survive unpickling); the return is
-    always ``(status, pairs, reason)`` with ``status`` one of ``"ok"`` /
-    ``"partial"`` — every pair carries its exact support either way.
-    """
-    batch, min_support, max_len, budget = args
-    if budget is None or budget.unlimited():
-        return ("ok", _mine_task_batch((batch, min_support, max_len)), None)
-    governor = ResourceGovernor(budget).start()
-    results: list[tuple[tuple[int, ...], int]] = []
-
-    def emit(itemset: tuple[int, ...], support: int) -> None:
-        governor.note_itemsets()
-        results.append((itemset, support))
-
-    try:
-        for rank, support, prefixes in batch:
-            governor.progress["mining_rank"] = rank
-            governor.tick()
-            emit((rank,), support)
-            if prefixes and (max_len is None or max_len > 1):
-                mine_conditional_block(
-                    prefixes, rank, min_support, emit, max_len, governor=governor
-                )
-    except MiningInterrupted as exc:
-        return ("partial", results, exc.reason)
-    return ("ok", results, None)
-
-
-def _topdown_slice(
-    args: tuple[dict, int]
-) -> dict[int, dict[PositionVector, int]]:
-    """Expand a vector-table slice; returns partial subset frequencies."""
-    vectors, _ = args
-    from repro.core.topdown import topdown_subset_frequencies
-
-    return topdown_subset_frequencies(_shell_plt(vectors), work_limit=None)
-
-
-def _shell_plt(vectors: dict[PositionVector, int]) -> PLT:
-    """A label-less PLT carrying only vectors (enough for top-down)."""
-    from repro.core.rank import RankTable
-
-    max_rank = max((sum(v) for v in vectors), default=0)
-    table = RankTable(list(range(1, max_rank + 1)), order="shell")
-    return PLT.from_vectors(table, vectors, min_support=1)
-
-
-# ---------------------------------------------------------------------------
 # the hardened batch runner
 # ---------------------------------------------------------------------------
 def _raise_if_tripped(governor: ResourceGovernor, what: str, results: list) -> None:
@@ -192,16 +117,15 @@ def _raise_if_tripped(governor: ResourceGovernor, what: str, results: list) -> N
 
 
 def _batch_rank(batch) -> int | None:
-    """First top-level item rank of a mining batch, for error reports.
+    """Lowest top-level rank of a conditional batch, for error reports.
 
-    Mining batches are ``([(rank, support, prefixes), ...], ...)``;
-    top-down batches carry a vector table instead and yield ``None``.
+    Conditional batches are rank ranges ``(meta, lo, hi, min_support,
+    max_len, budget)`` and report ``lo``; top-down batches ``(meta, start,
+    end)`` carry stored-path indices, not ranks, and yield ``None``.
     """
-    try:
-        rank = batch[0][0][0]
-    except (TypeError, LookupError):
-        return None
-    return rank if isinstance(rank, int) else None
+    if isinstance(batch, tuple) and len(batch) == 6:
+        return batch[1]
+    return None
 
 
 def _run_batches(
@@ -228,10 +152,9 @@ def _run_batches(
     a :class:`DegradedExecutionWarning`; an error even then is a genuine
     bug in the batch and is re-raised as :class:`ParallelExecutionError`.
 
-    ``pool_factory`` (``n_processes -> pool``) lets transports customise
-    pool construction (the shm transport installs an initializer that
-    attaches workers to the shared segment); the default is a plain
-    ``mp.Pool``.  When perf counters are enabled, every dispatched batch's
+    ``pool_factory`` (``n_processes -> pool``) customises pool
+    construction (the drivers install an initializer that attaches
+    workers to the shared segment); the default is a plain ``mp.Pool``.  When perf counters are enabled, every dispatched batch's
     pickled size is charged to ``ipc_bytes_sent`` — re-sent batches count
     again, because they are in fact sent again.
 
@@ -354,11 +277,20 @@ def _run_batches(
 # ---------------------------------------------------------------------------
 # drivers
 # ---------------------------------------------------------------------------
-def _check_transport(transport: str) -> None:
-    if transport not in ("pickle", "shm"):
-        raise InvalidParameterError(
-            f"unknown transport {transport!r}: expected 'pickle' or 'shm'"
+def _open_segment(flat: FlatPLT, what: str) -> SharedMemoryExecutor | None:
+    """Place ``flat`` in a shared segment, or return ``None`` — under a
+    :class:`DegradedExecutionWarning` — when the platform cannot provide
+    one, so the caller mines in-process instead."""
+    try:
+        return SharedMemoryExecutor(flat)
+    except OSError as exc:
+        warnings.warn(
+            f"{what}: cannot create a shared-memory segment ({exc}); "
+            "degrading to in-process execution",
+            DegradedExecutionWarning,
+            stacklevel=3,
         )
+        return None
 
 
 def mine_parallel(
@@ -370,17 +302,15 @@ def mine_parallel(
     timeout: float | None = DEFAULT_BATCH_TIMEOUT,
     retry: RetryPolicy | None = None,
     governor: ResourceGovernor | None = None,
-    transport: str = "pickle",
 ) -> list[tuple[tuple[int, ...], int]]:
     """Parallel conditional mining; same output as ``mine_conditional``.
 
+    Workers mine top-level rank ranges off a shared-memory FlatPLT.
     ``timeout`` bounds each batch attempt (seconds; ``None`` disables) and
     ``retry`` sets how many pool retries failed batches get before the
-    in-process fallback.  ``transport="shm"`` dispatches rank ranges over
-    a shared-memory :class:`~repro.core.flat.FlatPLT` instead of pickling
-    conditional databases (identical output; see
-    :mod:`repro.parallel.shm`); single-worker and trivial inputs run
-    in-process on either transport.
+    in-process fallback.  One worker, a PLT with at most one vector, or
+    frequent ranks that fit one range run ``mine_conditional``
+    in-process.
 
     With a ``governor``: workers receive a budget copy carrying the
     *remaining* deadline and trip themselves; the driver additionally
@@ -393,81 +323,56 @@ def mine_parallel(
         min_support = plt.min_support
     if n_workers is None:
         n_workers = default_workers()
-    _check_transport(transport)
-    if transport == "shm" and n_workers > 1 and plt.n_vectors() > 1:
-        from repro.parallel.shm import mine_parallel_shm
-
-        return mine_parallel_shm(
-            plt,
-            min_support,
-            n_workers=n_workers,
-            max_len=max_len,
-            timeout=timeout,
-            retry=retry,
-            governor=governor,
-        )
-    tasks = conditional_tasks(plt, min_support)
-    if not tasks:
-        return []
-    if n_workers <= 1 or len(tasks) == 1:
-        batch = [(t.rank, t.support, t.prefixes) for t in tasks]
-        if governor is None:
-            return _mine_task_batch((batch, min_support, max_len))
-        return _mine_inprocess_governed(batch, min_support, max_len, governor)
-    sizes = [t.cost_estimate() for t in tasks]
-    bins = lpt_partition(tasks, sizes, n_workers)
-    packed = [
-        [(t.rank, t.support, t.prefixes) for t in bin_tasks]
-        for bin_tasks in bins
-        if bin_tasks
-    ]
-    if governor is None:
-        results: list[tuple[tuple[int, ...], int]] = []
-        for part in _run_batches(
-            _mine_task_batch,
-            [(b, min_support, max_len) for b in packed],
-            timeout=timeout,
-            retry=retry,
-            what="mine_parallel",
-        ):
-            results.extend(part)
-        return results
-    governor.start()
-    governor.check_now()
-    ship_budget = governor.budget.with_deadline(governor.remaining_time())
-    batches = [(b, min_support, max_len, ship_budget) for b in packed]
+    if governor is not None:
+        governor.start()
+        governor.check_now()
+    executor = None
+    if n_workers > 1 and plt.n_vectors() > 1:
+        flat = FlatPLT.from_plt(plt)
+        ranges = plan_rank_ranges(flat, min_support, n_workers)
+        if len(ranges) > 1:
+            # one driver-side bincount pass; every range worker reads the
+            # matrix off the segment instead of recomputing it
+            flat.compute_pair_support()
+            executor = _open_segment(flat, "mine_parallel")
+    if executor is None:
+        return mine_conditional(plt, min_support, max_len=max_len, governor=governor)
     try:
-        parts = _run_batches(
-            _mine_task_batch_governed,
-            batches,
-            timeout=timeout,
-            retry=retry,
-            what="mine_parallel",
-            governor=governor,
-        )
-    except MiningInterrupted as exc:
-        exc.partial = _trim_to_cap(_pairs_from_raw(exc), governor)
-        raise
-    return _merge_governed_parts(parts, governor, "mine_parallel")
-
-
-def _pairs_from_raw(exc: MiningInterrupted) -> list[tuple[tuple[int, ...], int]]:
-    """Salvage mined pairs from the ``(status, pairs, reason)`` results a
-    driver-side trip had already collected before raising."""
-    pairs: list[tuple[tuple[int, ...], int]] = []
-    for entry in getattr(exc, "raw_results", []):
-        pairs.extend(entry[1])
-    return pairs
+        ship_budget = None
+        if governor is not None:
+            ship_budget = governor.budget.with_deadline(governor.remaining_time())
+        batches = [
+            (executor.meta, lo, hi, min_support, max_len, ship_budget)
+            for lo, hi in ranges
+        ]
+        try:
+            parts = _run_batches(
+                _shm_cond_range,
+                batches,
+                timeout=timeout,
+                retry=retry,
+                what="mine_parallel",
+                governor=governor,
+                pool_factory=executor.pool_factory,
+            )
+        except MiningInterrupted as exc:
+            # a driver-side trip: salvage the (status, pairs, reason)
+            # results collected so far, capped like a completed merge
+            exc.partial = [
+                pair for _status, part, _reason in exc.raw_results for pair in part
+            ][: governor.budget.max_itemsets]
+            raise
+        if governor is None:
+            return [pair for _status, part, _reason in parts for pair in part]
+        return _merge_governed_parts(parts, governor, "mine_parallel")
+    finally:
+        executor.close()
 
 
 def _merge_governed_parts(
     parts: list, governor: ResourceGovernor, what: str
 ) -> list[tuple[tuple[int, ...], int]]:
-    """Merge governed worker returns; enforce the cap; raise on any trip.
-
-    Shared by both transports, so budget semantics cannot drift between
-    them: same trim, same ``reason`` precedence, same exception class.
-    """
+    """Merge governed worker returns; enforce the cap; raise on any trip."""
     results: list[tuple[tuple[int, ...], int]] = []
     stop_reason: str | None = None
     for status, part, reason in parts:
@@ -490,44 +395,6 @@ def _merge_governed_parts(
     return results
 
 
-def _mine_inprocess_governed(
-    batch: list[tuple[int, int, dict]],
-    min_support: int,
-    max_len: int | None,
-    governor: ResourceGovernor,
-) -> list[tuple[tuple[int, ...], int]]:
-    """Single-worker path under the caller's own governor (shared object)."""
-    governor.start()
-    results: list[tuple[tuple[int, ...], int]] = []
-
-    def emit(itemset: tuple[int, ...], support: int) -> None:
-        governor.note_itemsets()
-        results.append((itemset, support))
-
-    try:
-        for rank, support, prefixes in batch:
-            governor.progress["mining_rank"] = rank
-            governor.tick()
-            emit((rank,), support)
-            if prefixes and (max_len is None or max_len > 1):
-                mine_conditional_block(
-                    prefixes, rank, min_support, emit, max_len, governor=governor
-                )
-    except MiningInterrupted as exc:
-        exc.partial = results
-        raise
-    return results
-
-
-def _trim_to_cap(
-    pairs: list[tuple[tuple[int, ...], int]], governor: ResourceGovernor
-) -> list[tuple[tuple[int, ...], int]]:
-    cap = governor.budget.max_itemsets
-    if cap is not None and len(pairs) > cap:
-        del pairs[cap:]
-    return pairs
-
-
 def topdown_parallel(
     plt: PLT,
     *,
@@ -536,13 +403,12 @@ def topdown_parallel(
     timeout: float | None = DEFAULT_BATCH_TIMEOUT,
     retry: RetryPolicy | None = None,
     governor: ResourceGovernor | None = None,
-    transport: str = "pickle",
 ) -> dict[int, dict[PositionVector, int]]:
     """Parallel top-down pass; same output as ``topdown_subset_frequencies``.
 
-    ``timeout``/``retry``/``transport`` behave as in :func:`mine_parallel`
-    (``"shm"`` dispatches stored-path slices over a shared FlatPLT instead
-    of pickled vector tables).
+    Workers expand stored-path slices of a shared-memory FlatPLT;
+    ``timeout``/``retry`` behave as in :func:`mine_parallel`, and one
+    worker or a PLT with at most one vector runs in-process.
 
     Governance is driver-level only, and a trip raises with **no**
     partial attached: each worker's table holds partial *sums* for
@@ -552,7 +418,6 @@ def topdown_parallel(
     """
     if n_workers is None:
         n_workers = default_workers()
-    _check_transport(transport)
     if work_limit is not None:
         estimate = estimate_topdown_work(plt)
         if estimate > work_limit:
@@ -563,55 +428,66 @@ def topdown_parallel(
     if governor is not None:
         governor.start()
         governor.check_now()
-    if transport == "shm" and n_workers > 1 and plt.n_vectors() > 1:
-        from repro.parallel.shm import topdown_parallel_shm
-
-        return topdown_parallel_shm(
-            plt,
-            n_workers=n_workers,
-            timeout=timeout,
-            retry=retry,
-            governor=governor,
-        )
-    slices = [s for s in split_vectors(plt, n_workers) if s]
-    if len(slices) <= 1 or n_workers <= 1:
-        if governor is None:
-            from repro.core.topdown import topdown_subset_frequencies
-
-            return topdown_subset_frequencies(plt, work_limit=None)
-        from repro.core.position import path_to_vector
-        from repro.core.topdown import _decode_path, _subset_byte_frequencies
-
+    executor = None
+    if n_workers > 1 and plt.n_vectors() > 1:
+        flat = FlatPLT.from_plt(plt)
+        executor = _open_segment(flat, "topdown_parallel")
+    if executor is None:
         try:
-            counts = _subset_byte_frequencies(plt, governor=governor)
+            return _unpack(_subset_byte_frequencies(plt, governor=governor))
         except MiningInterrupted as exc:
-            governor.progress.pop("_topdown_counts", None)
             exc.partial = []
             raise
-        governor.progress.pop("_topdown_counts", None)
-        return {
-            length: {
-                path_to_vector(_decode_path(pb)): freq for pb, freq in bucket.items()
-            }
-            for length, bucket in counts.items()
-        }
-    merged: dict[int, dict[PositionVector, int]] = {}
+        finally:
+            if governor is not None:
+                governor.progress.pop("_topdown_counts", None)
     try:
-        parts = _run_batches(
-            _topdown_slice,
-            [(s, 0) for s in slices],
-            timeout=timeout,
-            retry=retry,
-            what="topdown_parallel",
-            governor=governor,
-        )
-    except MiningInterrupted as exc:
-        exc.raw_results = []
-        exc.partial = []
-        raise
-    for partial in parts:
-        for length, bucket in partial.items():
-            target = merged.setdefault(length, {})
-            for vec, freq in bucket.items():
-                target[vec] = target.get(vec, 0) + freq
-    return merged
+        batches = [
+            (executor.meta, start, end)
+            for start, end in plan_path_slices(flat, n_workers)
+        ]
+        try:
+            parts = _run_batches(
+                _shm_topdown_slice,
+                batches,
+                timeout=timeout,
+                retry=retry,
+                what="topdown_parallel",
+                governor=governor,
+                pool_factory=executor.pool_factory,
+            )
+        except MiningInterrupted as exc:
+            exc.raw_results = []
+            exc.partial = []
+            raise
+        packed: dict[int, dict[bytes, int]] = {}
+        for part in parts:
+            for length, bucket in part.items():
+                target = packed.setdefault(length, {})
+                target_get = target.get
+                for pb, freq in bucket.items():
+                    target[pb] = target_get(pb, 0) + freq
+        # the workers all dropped length 1; one vectorised column pass
+        # rebuilds the level exactly (singleton subset frequency == rank
+        # support), instead of merging the lattice's widest level from
+        # every worker's result pickle
+        ones = {
+            array("I", (rank,)).tobytes(): s
+            for rank, s in enumerate(flat.rank_supports())
+            if s
+        }
+        if ones:
+            packed[1] = ones
+        return _unpack(packed)
+    finally:
+        executor.close()
+
+
+def _unpack(
+    packed: dict[int, dict[bytes, int]]
+) -> dict[int, dict[PositionVector, int]]:
+    """Packed-path subset table -> the delta-vector result shape."""
+    return {
+        length: {path_to_vector(_decode_path(pb)): freq for pb, freq in bucket.items()}
+        for length, bucket in packed.items()
+    }

@@ -10,11 +10,12 @@ tasks; each can be accomplished separately."  Concretely:
   :func:`conditional_tasks` produces them.
 * **Top-down mining** decomposes by *seed vector*: every stored vector's
   subset expansion is independent and partial frequency tables merge by
-  addition.  :func:`split_vectors` slices the vector table.
+  addition.  The executors slice the stored paths of a shared FlatPLT
+  (:func:`~repro.parallel.shm.plan_path_slices`).
 
-Load balancing uses LPT (longest-processing-time-first greedy) with a task
-size estimate; LPT is within 4/3 of optimal for makespan, plenty for the
-coarse tasks here.
+:func:`lpt_partition` balances explicit task lists (LPT:
+longest-processing-time-first greedy, within 4/3 of optimal for
+makespan, plenty for the coarse tasks here).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.core.plt import PLT
 from repro.core.position import PositionVector
 from repro.errors import InvalidParameterError
 
-__all__ = ["ConditionalTask", "conditional_tasks", "lpt_partition", "split_vectors"]
+__all__ = ["ConditionalTask", "conditional_tasks", "lpt_partition"]
 
 T = TypeVar("T")
 
@@ -88,17 +89,3 @@ def lpt_partition(items: Sequence[T], sizes: Sequence[int], n_bins: int) -> list
         bins[b].append(items[idx])
         heappush(heap, (load + sizes[idx], b))
     return bins
-
-
-def split_vectors(
-    plt: PLT, n_parts: int
-) -> list[dict[PositionVector, int]]:
-    """Slice the vector table for parallel top-down expansion.
-
-    Each vector's expansion cost is ~``2^len``, which the LPT sizes use, so
-    long vectors spread across workers instead of clumping.
-    """
-    pairs = list(plt.iter_vectors())
-    sizes = [1 << min(len(vec), 30) for vec, _ in pairs]
-    bins = lpt_partition(pairs, sizes, n_parts)
-    return [dict(b) for b in bins]

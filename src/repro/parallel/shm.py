@@ -1,10 +1,8 @@
-"""Zero-copy shared-memory transport for the multiprocessing executors.
+"""The shared-memory segment behind the multiprocessing executors.
 
-The pickle transport ships every task's conditional database (or vector
-slice) through the pool's result pipe — for a 5k-transaction database
-that is hundreds of kilobytes per dispatch round, and profiling shows the
-copy, not the mining, dominating wall clock on moderate databases.  This
-transport eliminates the copy instead of tuning it:
+Every multi-worker run in :mod:`repro.parallel.executor` mines one
+shared copy of the PLT instead of shipping conditional databases through
+the pool pipe:
 
 1. the driver lowers the PLT once into a
    :class:`~repro.core.flat.FlatPLT` and places its columns in a single
@@ -32,11 +30,10 @@ outlive the call.  Workers attach *untracked* (see
 :meth:`FlatPLT.attach`), so the resource tracker never double-registers a
 segment it does not own and never warns at exit.
 
-Failure handling is inherited unchanged from
-:func:`~repro.parallel.executor._run_batches` (timeouts, pool-reuse
-retries, in-process degraded fallback) — the driver's cache is seeded
-with the owner's own view, so even the degraded path mines the flat
-columns without a second attach.
+Failure handling lives in :func:`~repro.parallel.executor._run_batches`
+(timeouts, pool-reuse retries, in-process degraded fallback) — the
+driver's cache is seeded with the owner's own view, so even the degraded
+path mines the flat columns without a second attach.
 """
 
 from __future__ import annotations
@@ -44,27 +41,16 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-from array import array
 
 from repro.core.conditional import mine_conditional_flat_range
 from repro.core.flat import FlatPLT
-from repro.core.position import PositionVector, path_to_vector
-from repro.core.topdown import _decode_path, topdown_flat_slice
+from repro.core.topdown import topdown_flat_slice
 from repro.errors import MiningInterrupted
-from repro.parallel.executor import (
-    _merge_governed_parts,
-    _pairs_from_raw,
-    _run_batches,
-    _trim_to_cap,
-)
 from repro.perf.counters import COUNTERS as _COUNTERS
 from repro.robustness.governor import ResourceGovernor
-from repro.robustness.retry import RetryPolicy
 
 __all__ = [
     "SharedMemoryExecutor",
-    "mine_parallel_shm",
-    "topdown_parallel_shm",
     "plan_rank_ranges",
     "plan_path_slices",
 ]
@@ -118,9 +104,11 @@ def _pool_attach(meta: dict) -> None:
 def _shm_cond_range(args) -> tuple[str, list, str | None]:
     """Mine one top-level rank range off the shared columns.
 
-    Mirrors ``_mine_task_batch_governed``'s return contract —
-    ``(status, pairs, reason)`` — on both the governed and ungoverned
-    paths, so the driver merges one shape.
+    Returns ``(status, pairs, reason)`` on both the governed and
+    ungoverned paths, so the driver merges one shape.  Budget trips never
+    propagate as exceptions (custom kwargs don't survive unpickling):
+    ``status`` is ``"partial"`` and ``reason`` names the trip, and every
+    pair carries its exact support either way.
     """
     meta, lo, hi, min_support, max_len, budget = args
     _maybe_chaos_kill(lo)
@@ -214,7 +202,7 @@ def _balanced_split(
 
 
 # ---------------------------------------------------------------------------
-# the executor and its drivers
+# the segment owner
 # ---------------------------------------------------------------------------
 class SharedMemoryExecutor:
     """Owns one shared FlatPLT segment plus the pool plumbing to mine it.
@@ -226,12 +214,18 @@ class SharedMemoryExecutor:
     attaches every worker before its first task.  :meth:`close` is
     idempotent and must run in a ``finally`` — it unmaps, unlinks, and
     evicts the cache entry, so no segment can leak on any exit path.
+
+    Raises :class:`OSError` when the platform cannot provide the segment
+    (no ``/dev/shm``, or too little room for the columns).
     """
 
     def __init__(self, flat: FlatPLT) -> None:
         self._shared = flat.to_shared_memory()
         self.meta = self._shared.meta
         _FLAT_CACHE[self.meta["name"]] = self._shared.flat
+        # the denominator of the bench's ipc gate: dispatch traffic is
+        # judged against the bytes the segment spares the pipe
+        _COUNTERS.add("shm_segment_bytes", self._shared.shm.size)
 
     @property
     def name(self) -> str:
@@ -256,128 +250,3 @@ class SharedMemoryExecutor:
         _FLAT_CACHE.pop(self.meta["name"], None)
         self._shared.close()
         self._shared.unlink()
-
-
-def mine_parallel_shm(
-    plt,
-    min_support: int,
-    *,
-    n_workers: int,
-    max_len: int | None = None,
-    timeout: float | None = None,
-    retry: RetryPolicy | None = None,
-    governor: ResourceGovernor | None = None,
-) -> list[tuple[tuple[int, ...], int]]:
-    """Conditional mining over rank ranges on the shm transport.
-
-    Called through ``mine_parallel(transport="shm")``; output and budget
-    semantics are identical to the pickle transport (the governed merge
-    is literally the same function).
-    """
-    flat = FlatPLT.from_plt(plt)
-    ranges = plan_rank_ranges(flat, min_support, n_workers)
-    if not ranges:
-        return []
-    # one driver-side bincount pass; every range worker reads the matrix
-    # off the segment instead of recomputing it over all stored paths
-    flat.compute_pair_support()
-    if governor is not None:
-        governor.start()
-        governor.check_now()
-        ship_budget = governor.budget.with_deadline(governor.remaining_time())
-    else:
-        ship_budget = None
-    executor = SharedMemoryExecutor(flat)
-    try:
-        batches = [
-            (executor.meta, lo, hi, min_support, max_len, ship_budget)
-            for lo, hi in ranges
-        ]
-        try:
-            parts = _run_batches(
-                _shm_cond_range,
-                batches,
-                timeout=timeout,
-                retry=retry,
-                what="mine_parallel[shm]",
-                governor=governor,
-                pool_factory=executor.pool_factory,
-            )
-        except MiningInterrupted as exc:
-            exc.partial = (
-                _trim_to_cap(_pairs_from_raw(exc), governor)
-                if governor is not None
-                else _pairs_from_raw(exc)
-            )
-            raise
-        if governor is None:
-            results: list[tuple[tuple[int, ...], int]] = []
-            for _status, part, _reason in parts:
-                results.extend(part)
-            return results
-        return _merge_governed_parts(parts, governor, "mine_parallel")
-    finally:
-        executor.close()
-
-
-def topdown_parallel_shm(
-    plt,
-    *,
-    n_workers: int,
-    timeout: float | None = None,
-    retry: RetryPolicy | None = None,
-    governor: ResourceGovernor | None = None,
-) -> dict[int, dict[PositionVector, int]]:
-    """Top-down pass over stored-path slices on the shm transport.
-
-    Called through ``topdown_parallel(transport="shm")`` after its
-    work-limit guard and governor arming; like the pickle transport,
-    governance is driver-level only and a trip raises with no partial
-    (merged tables would hold under-counted sums).
-    """
-    flat = FlatPLT.from_plt(plt)
-    slices = plan_path_slices(flat, n_workers)
-    executor = SharedMemoryExecutor(flat)
-    try:
-        batches = [(executor.meta, start, end) for start, end in slices]
-        try:
-            parts = _run_batches(
-                _shm_topdown_slice,
-                batches,
-                timeout=timeout,
-                retry=retry,
-                what="topdown_parallel[shm]",
-                governor=governor,
-                pool_factory=executor.pool_factory,
-            )
-        except MiningInterrupted as exc:
-            exc.raw_results = []
-            exc.partial = []
-            raise
-        packed: dict[int, dict[bytes, int]] = {}
-        for part in parts:
-            for length, bucket in part.items():
-                target = packed.setdefault(length, {})
-                target_get = target.get
-                for pb, freq in bucket.items():
-                    target[pb] = target_get(pb, 0) + freq
-        # the workers all dropped length 1; one vectorised column pass
-        # rebuilds the level exactly (singleton subset frequency == rank
-        # support), instead of merging the lattice's widest level from
-        # every worker's result pickle
-        ones = {
-            array("I", (rank,)).tobytes(): s
-            for rank, s in enumerate(flat.rank_supports())
-            if s
-        }
-        if ones:
-            packed[1] = ones
-        return {
-            length: {
-                path_to_vector(_decode_path(pb)): freq
-                for pb, freq in bucket.items()
-            }
-            for length, bucket in packed.items()
-        }
-    finally:
-        executor.close()

@@ -8,12 +8,13 @@ same prebuilt PLT.  Every workload is verified (the two generations must
 emit identical ``(itemset, support)`` sets) before it is timed, so a
 benchmark number can never come from a wrong answer.
 
-The ``parallel-*`` workloads compare the two multiprocessing transports
-on the same PLT instead: classic per-task pickling against the zero-copy
-shared-memory columns (:mod:`repro.parallel.shm`).  Both are verified
-against the single-process miner before timing, and the report also
-records ``ipc_bytes_sent`` per transport so CI can gate the copy
-elimination itself, not just the wall clock
+The ``parallel-*`` workloads time the multiprocessing executors (two
+workers over one shared-memory FlatPLT, :mod:`repro.parallel.shm`)
+against the in-process miner on the same PLT instead; ``speedup`` is
+``serial_s / shm_s``.  The parallel result is verified against the
+in-process one before timing, and the report also records
+``ipc_bytes_sent`` next to the segment's size (``shm_segment_bytes``) so
+CI can gate the copy elimination itself, not just the wall clock
 (:func:`ipc_gate_problems`).
 
 The ``stream-ingest`` workload times the one-pass sketch frontend
@@ -23,8 +24,8 @@ it carries no ``speedup`` and the ratio gate skips it; instead
 :func:`stream_gate_problems` fails the run whenever the sketch outgrows
 its pinned byte budget — the bounded-memory promise, enforced in CI.
 
-The JSON written to ``BENCH_PR9.json`` records per-workload wall-clock
-for both generations (or transports), the speedup ratio, and the
+The JSON written to ``BENCH_PR13.json`` records per-workload wall-clock
+for both generations (or both executions), the speedup ratio, and the
 optimized engine's phase counters.  The *ratio* is the tracked quantity:
 both sides run on the same machine, so it is hardware-independent enough
 for CI to regress against (``--compare`` fails when a workload's current
@@ -32,9 +33,7 @@ ratio drops more than ``REGRESSION_TOLERANCE`` below the committed
 baseline).
 
 ``--quick`` runs the one-workload-per-group subset that the ``bench-
-smoke`` CI job uses; ``--repeat`` controls the best-of noise filter;
-``--transport`` restricts the parallel workloads to one transport (the
-ipc gate only applies when both run).
+smoke`` CI job uses; ``--repeat`` controls the best-of noise filter.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ __all__ = [
     "main",
 ]
 
-DEFAULT_OUTPUT = "BENCH_PR9.json"
+DEFAULT_OUTPUT = "BENCH_PR13.json"
 
 #: A workload "regresses" when its current legacy/optimized ratio falls
 #: more than this fraction below the committed baseline ratio.
@@ -77,15 +76,15 @@ REGRESSION_TOLERANCE = 0.25
 #: a micro-workload flake would fail CI without any real regression.
 MIN_GATE_SECONDS = 0.010
 
-#: The shm transport must ship less than this fraction of the pickle
-#: transport's ``ipc_bytes_sent`` on every parallel workload — the gate
-#: that keeps the transport actually zero-copy as the dispatch protocol
-#: evolves.
+#: Parallel dispatch must push less than this fraction of the shared
+#: segment's bytes through the pool pipes on every parallel workload —
+#: the gate that keeps the executors actually zero-copy as the dispatch
+#: protocol evolves (shipping the data itself would cost ~100%).
 IPC_REDUCTION_FACTOR = 0.1
 
 #: Pool size for the ``parallel-*`` workloads.  Pinned (not
-#: ``default_workers()``) so the transport comparison exercises a real
-#: multi-worker dispatch even on small CI boxes.
+#: ``default_workers()``) so the cells exercise a real multi-worker
+#: dispatch even on small CI boxes.
 PARALLEL_WORKLOAD_WORKERS = 2
 
 #: The ``stream-ingest`` workload's sketch must finish under this many
@@ -184,14 +183,12 @@ def run_workload(workload: Workload, repeat: int) -> dict:
     }
 
 
-def run_parallel_workload(
-    workload: Workload, repeat: int, transports: tuple[str, ...]
-) -> dict:
-    """Time one parallel cell on the requested transports.
+def run_parallel_workload(workload: Workload, repeat: int) -> dict:
+    """Time one parallel cell against the in-process miner.
 
-    Every transport's output is verified against the single-process miner
-    first, so the byte-identical-results contract is re-proven on each
-    bench run, not just in the test suite.
+    The parallel output is verified against the in-process miner first,
+    so the byte-identical-results contract is re-proven on each bench
+    run, not just in the test suite.
     """
     from repro.core.conditional import mine_conditional
     from repro.core.plt import PLT
@@ -205,40 +202,39 @@ def run_parallel_workload(
     workers = PARALLEL_WORKLOAD_WORKERS
 
     if workload.kind == "parallel-cond":
-        canonical = sorted(mine_conditional(plt, ms))
+        def serial():
+            return mine_conditional(plt, ms)
+
+        def parallel():
+            return mine_parallel(plt, ms, n_workers=workers)
+
+        canonical = sorted(serial())
         n_itemsets = len(canonical)
-
-        def run(transport):
-            return mine_parallel(
-                plt, ms, n_workers=workers, transport=transport
-            )
-
-        def check(transport, result):
-            if sorted(result) != canonical:
-                raise AssertionError(
-                    f"{workload.name}: {transport} transport disagrees with "
-                    f"the single-process miner "
-                    f"({len(result)} vs {n_itemsets} itemsets)"
-                )
-
+        agrees = sorted(parallel()) == canonical
     elif workload.kind == "parallel-topdown":
-        canonical = topdown_subset_frequencies(plt)
+        def serial():
+            return topdown_subset_frequencies(plt)
+
+        def parallel():
+            return topdown_parallel(plt, n_workers=workers)
+
+        canonical = serial()
         n_itemsets = sum(len(bucket) for bucket in canonical.values())
-
-        def run(transport):
-            return topdown_parallel(plt, n_workers=workers, transport=transport)
-
-        def check(transport, result):
-            if result != canonical:
-                raise AssertionError(
-                    f"{workload.name}: {transport} transport disagrees with "
-                    f"the single-process top-down pass"
-                )
-
+        agrees = parallel() == canonical
     else:
         raise ValueError(f"unknown parallel workload kind {workload.kind!r}")
+    if not agrees:
+        raise AssertionError(
+            f"{workload.name}: the parallel executor disagrees with the "
+            f"in-process miner"
+        )
 
-    record = {
+    with collecting():
+        parallel()
+        counters = COUNTERS.snapshot()
+    serial_s, _ = best_of(serial, repeat=repeat)
+    shm_s, _ = best_of(parallel, repeat=repeat)
+    return {
         "name": workload.name,
         "kind": workload.kind,
         "dataset": workload.dataset,
@@ -246,25 +242,12 @@ def run_parallel_workload(
         "transactions": len(db),
         "itemsets": n_itemsets,
         "n_workers": workers,
-        "ipc_bytes_sent": {},
+        "serial_s": serial_s,
+        "shm_s": shm_s,
+        "speedup": serial_s / shm_s if shm_s else float("inf"),
+        "ipc_bytes_sent": counters.get("ipc_bytes_sent", 0),
+        "shm_segment_bytes": counters.get("shm_segment_bytes", 0),
     }
-    for transport in transports:
-        check(transport, run(transport))
-        with collecting():
-            run(transport)
-            counters = COUNTERS.snapshot()
-        record["ipc_bytes_sent"][transport] = counters.get("ipc_bytes_sent", 0)
-        record[f"{transport}_s"], _ = best_of(run, transport, repeat=repeat)
-    if "pickle" in transports and "shm" in transports:
-        shm_s = record["shm_s"]
-        record["speedup"] = (
-            record["pickle_s"] / shm_s if shm_s else float("inf")
-        )
-        sent = record["ipc_bytes_sent"]
-        record["ipc_reduction"] = (
-            1.0 - sent["shm"] / sent["pickle"] if sent["pickle"] else 0.0
-        )
-    return record
 
 
 def run_stream_workload(workload: Workload, repeat: int) -> dict:
@@ -315,16 +298,13 @@ def _describe(record: dict) -> str:
             f"  sketch {record['sketch_bytes']} / {record['sketch_budget']} B"
         )
     if record["kind"].startswith("parallel-"):
-        parts = [
-            f"  {transport} {record[f'{transport}_s'] * 1e3:8.1f} ms"
-            for transport in ("pickle", "shm")
-            if f"{transport}_s" in record
-        ]
-        if "speedup" in record:
-            parts.append(f"  speedup {record['speedup']:.2f}x")
-        if "ipc_reduction" in record:
-            parts.append(f"  ipc -{record['ipc_reduction']:.1%}")
-        return f"  {record['name']}:" + "".join(parts)
+        return (
+            f"  {record['name']}: serial {record['serial_s'] * 1e3:8.1f} ms"
+            f"  shm {record['shm_s'] * 1e3:8.1f} ms"
+            f"  speedup {record['speedup']:.2f}x"
+            f"  ipc {record['ipc_bytes_sent']} B"
+            f" / segment {record['shm_segment_bytes']} B"
+        )
     return (
         f"  {record['name']}: legacy {record['legacy_s'] * 1e3:8.1f} ms"
         f"  optimized {record['optimized_s'] * 1e3:8.1f} ms"
@@ -332,19 +312,14 @@ def _describe(record: dict) -> str:
     )
 
 
-def run_bench(
-    *,
-    quick: bool = False,
-    repeat: int = 3,
-    transports: tuple[str, ...] = ("pickle", "shm"),
-) -> dict:
+def run_bench(*, quick: bool = False, repeat: int = 3) -> dict:
     """Run the (full or quick) matrix and return the report document."""
     records = []
     for workload in WORKLOADS:
         if quick and not workload.quick:
             continue
         if workload.kind.startswith("parallel-"):
-            record = run_parallel_workload(workload, repeat, transports)
+            record = run_parallel_workload(workload, repeat)
         elif workload.kind == "stream-ingest":
             record = run_stream_workload(workload, repeat)
         else:
@@ -362,15 +337,13 @@ def run_bench(
         if any(r["kind"] == kind for r in records)
     }
     parallel_speedups = [
-        r["speedup"]
-        for r in records
-        if r["kind"].startswith("parallel-") and "speedup" in r
+        r["speedup"] for r in records if r["kind"].startswith("parallel-")
     ]
     if parallel_speedups:
         summary["parallel_shm_speedup"] = round(_geomean(parallel_speedups), 3)
     return {
-        "schema": 2,
-        "pr": "PR9",
+        "schema": 3,
+        "pr": "PR13",
         "quick": quick,
         "repeat": repeat,
         "python": platform.python_version(),
@@ -397,7 +370,7 @@ def compare_against_baseline(
             continue
         # documents without timing fields stay gated (ratio-only
         # baselines); any ``*_s`` wall-clock key counts, so the check
-        # covers legacy/optimized and pickle/shm records alike
+        # covers legacy/optimized and serial/shm records alike
         timings = [
             value
             for doc in (record, base)
@@ -419,23 +392,23 @@ def compare_against_baseline(
 def ipc_gate_problems(
     report: dict, factor: float = IPC_REDUCTION_FACTOR
 ) -> list[str]:
-    """One message per parallel workload whose shm dispatch traffic is
-    not under ``factor`` of the pickle transport's.
+    """One message per parallel workload whose dispatch traffic is not
+    under ``factor`` of its shared segment's size.
 
-    Only records that measured *both* transports are gated; a
-    single-transport run has nothing to compare.
+    Records without a ``shm_segment_bytes`` field (non-parallel cells,
+    or documents from before the segment was measured) are not gated.
     """
     problems = []
     for record in report.get("workloads", ()):
-        sent = record.get("ipc_bytes_sent") or {}
-        if "pickle" not in sent or "shm" not in sent:
+        segment = record.get("shm_segment_bytes")
+        if segment is None:
             continue
-        limit = factor * sent["pickle"]
-        if sent["shm"] >= limit:
+        limit = factor * segment
+        if record["ipc_bytes_sent"] >= limit:
             problems.append(
-                f"{record['name']}: shm sent {sent['shm']} bytes, "
-                f"expected < {limit:.0f} ({factor:.0%} of pickle's "
-                f"{sent['pickle']})"
+                f"{record['name']}: dispatch sent {record['ipc_bytes_sent']} "
+                f"bytes, expected < {limit:.0f} ({factor:.0%} of the "
+                f"{segment}-byte shared segment)"
             )
     return problems
 
@@ -467,13 +440,11 @@ def main(
     repeat: int | None = None,
     output: str | None = None,
     compare: str | None = None,
-    transport: str = "both",
 ) -> int:
     """Driver behind ``python -m repro bench``; returns an exit status."""
     if repeat is None:
         repeat = 2 if quick else 3
-    transports = ("pickle", "shm") if transport == "both" else (transport,)
-    report = run_bench(quick=quick, repeat=repeat, transports=transports)
+    report = run_bench(quick=quick, repeat=repeat)
     for key, value in report["summary"].items():
         print(f"{key}: {value}x", file=sys.stderr)
 

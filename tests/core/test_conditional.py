@@ -104,16 +104,28 @@ class TestMineConditional:
         keys = [r for r, _ in pairs]
         assert len(keys) == len(set(keys))
 
+    @staticmethod
+    def _mine_rank(plt, rank):
+        from repro.core.conditional import mine_conditional_flat_range
+        from repro.core.flat import FlatPLT
+
+        pairs = []
+        mine_conditional_flat_range(
+            FlatPLT.from_plt(plt), rank, rank + 1, 2,
+            lambda itemset, support: pairs.append((itemset, support)),
+        )
+        return pairs
+
     def test_rank_restriction_partitions_output(self, paper_plt):
         all_pairs = sorted(mine_conditional(paper_plt, 2))
         by_parts = []
         for rank in (4, 3, 2, 1):
-            by_parts.extend(mine_conditional(paper_plt, 2, ranks=[rank]))
+            by_parts.extend(self._mine_rank(paper_plt, rank))
         assert sorted(by_parts) == all_pairs
 
     def test_rank_restriction_selects_by_max_item(self, paper_plt):
-        pairs = mine_conditional(paper_plt, 2, ranks=[3])
-        assert all(max(r) == 3 for r, _ in pairs)
+        pairs = self._mine_rank(paper_plt, 3)
+        assert pairs and all(max(r) == 3 for r, _ in pairs)
 
     def test_long_single_path_with_max_len(self):
         # a 60-item transaction: recursion depth equals max_len, and the

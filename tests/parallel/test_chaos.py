@@ -10,7 +10,7 @@ recoverable faults never change the output, unrecoverable ones raise.
 import pytest
 
 from repro.core.mining import mine_frequent_itemsets
-from repro.errors import CrashedNodeError
+from repro.errors import CrashedNodeError, InvalidParameterError
 from repro.parallel.distributed import mine_distributed
 from repro.parallel.faults import FaultPlan
 from repro.robustness.checkpoint import CheckpointStore
@@ -135,6 +135,13 @@ class TestCrashSweep:
         with pytest.raises(CrashedNodeError):
             mine_distributed(
                 DB, MIN_SUPPORT, n_nodes=3, fault_plan=FaultPlan(crashes={0: 2})
+            )
+
+    def test_crash_outside_cluster_rejected(self):
+        # a crash that could never fire is a mistyped plan, not a no-op
+        with pytest.raises(InvalidParameterError, match=r"\[3\] outside"):
+            mine_distributed(
+                DB, MIN_SUPPORT, n_nodes=3, fault_plan=FaultPlan(crashes={3: 2})
             )
 
     def test_sole_node_crash_raises(self):

@@ -171,10 +171,12 @@ class TestHardening:
         from repro.errors import WorkerLostError
         from repro.parallel.executor import _batch_rank
 
-        # mining batches: ([(rank, support, prefixes), ...], min_sup, max_len)
-        assert _batch_rank(([(7, 3, {})], 2, None)) == 7
-        # top-down batches carry a vector table: no rank to report
-        assert _batch_rank(({(1, 2): 3}, 0)) is None
+        meta = {"name": "plt_shm_test", "layout": ()}
+        # conditional batches are rank ranges:
+        # (meta, lo, hi, min_support, max_len, budget) -> report lo
+        assert _batch_rank((meta, 7, 9, 2, None, None)) == 7
+        # top-down batches carry stored-path indices, not ranks
+        assert _batch_rank((meta, 0, 40)) is None
         err = WorkerLostError("lost", rank=7)
         assert err.rank == 7 and err.node_id == 7
 

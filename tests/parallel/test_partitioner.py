@@ -8,7 +8,6 @@ from repro.parallel.partitioner import (
     ConditionalTask,
     conditional_tasks,
     lpt_partition,
-    split_vectors,
 )
 from tests.conftest import random_database
 
@@ -86,7 +85,7 @@ class TestConditionalTasks:
     @pytest.mark.parametrize("seed", range(5))
     def test_tasks_reconstruct_full_mining(self, seed):
         """Mining each task independently reproduces the serial result."""
-        from repro.core.conditional import _mine, build_conditional_buckets
+        from repro.core.conditional import mine_conditional_block
 
         db = random_database(seed + 600, max_items=9, max_transactions=35)
         plt = PLT.from_transactions(db, 2)
@@ -94,32 +93,10 @@ class TestConditionalTasks:
         collected = []
         for task in conditional_tasks(plt, 2):
             collected.append(((task.rank,), task.support))
-            buckets = build_conditional_buckets(task.prefixes, 2)
-            if buckets:
-                _mine(
-                    buckets,
-                    (task.rank,),
-                    2,
-                    lambda s, sup: collected.append((tuple(sorted(s)), sup)),
-                    None,
-                )
+            mine_conditional_block(
+                task.prefixes,
+                task.rank,
+                2,
+                lambda s, sup: collected.append((s, sup)),
+            )
         assert sorted(collected) == serial
-
-
-class TestSplitVectors:
-    def test_union_is_whole_table(self, paper_plt):
-        parts = split_vectors(paper_plt, 3)
-        merged = {}
-        for part in parts:
-            for vec, freq in part.items():
-                assert vec not in merged
-                merged[vec] = freq
-        assert merged == paper_plt.vectors()
-
-    def test_single_part(self, paper_plt):
-        parts = split_vectors(paper_plt, 1)
-        assert parts[0] == paper_plt.vectors()
-
-    def test_empty_plt(self):
-        parts = split_vectors(PLT.from_transactions([], 1), 2)
-        assert all(p == {} for p in parts)

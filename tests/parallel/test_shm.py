@@ -1,10 +1,11 @@
-"""Differential and chaos tests for the shared-memory transport.
+"""Differential and chaos tests for the shared-memory parallel executors.
 
-The contract under test: ``transport="shm"`` is *indistinguishable* from
-``transport="pickle"`` and from single-process mining — identical
-itemsets, identical budget-trip behaviour, identical partial results —
-while shipping orders of magnitude fewer bytes and leaking no
-``/dev/shm`` segment on any exit path.
+The contract under test: multi-worker mining over a shared FlatPLT is
+*indistinguishable* from in-process mining — identical itemsets,
+identical budget-trip behaviour, identical partial results — while
+shipping a small fraction of the segment's bytes through the pool pipes,
+leaking no ``/dev/shm`` segment on any exit path, and degrading to
+in-process mining when no segment can be created.
 """
 
 import os
@@ -14,11 +15,15 @@ import textwrap
 
 import pytest
 
-from repro.core.conditional import mine_conditional
+from repro.core.conditional import mine_conditional, mine_conditional_flat_range
 from repro.core.flat import FlatPLT
 from repro.core.plt import PLT
-from repro.core.topdown import topdown_subset_frequencies
-from repro.errors import BudgetExceeded, Cancelled, InvalidParameterError
+from repro.core.topdown import (
+    _subset_byte_frequencies,
+    topdown_flat_slice,
+    topdown_subset_frequencies,
+)
+from repro.errors import BudgetExceeded, Cancelled, DegradedExecutionWarning
 from repro.parallel.executor import mine_parallel, topdown_parallel
 from repro.parallel.shm import plan_path_slices, plan_rank_ranges
 from repro.perf.counters import COUNTERS, collecting
@@ -40,25 +45,33 @@ needs_dev_shm = pytest.mark.skipif(
 
 
 class TestDifferential:
-    """shm == pickle == single-process, across many seeded databases."""
+    """shm workers == the flat kernels in-process == the PLT miners, across
+    many seeded databases."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_conditional_three_ways(self, seed):
         db = random_database(seed + 1000, max_items=11, max_transactions=60)
         plt = PLT.from_transactions(db, 2)
         serial = sorted(mine_conditional(plt, 2))
-        pickle_r = sorted(mine_parallel(plt, 2, n_workers=2, transport="pickle"))
-        shm_r = sorted(mine_parallel(plt, 2, n_workers=2, transport="shm"))
-        assert shm_r == pickle_r == serial
+        flat = FlatPLT.from_plt(plt)
+        kernel = []
+        mine_conditional_flat_range(
+            flat, 1, flat.max_rank + 1, 2,
+            lambda itemset, support: kernel.append((itemset, support)),
+        )
+        shm_r = sorted(mine_parallel(plt, 2, n_workers=2))
+        assert shm_r == sorted(kernel) == serial
 
     @pytest.mark.parametrize("seed", range(6))
     def test_topdown_three_ways(self, seed):
         db = random_database(seed + 1100, max_items=9, max_transactions=40)
         plt = PLT.from_transactions(db, 2)
-        serial = topdown_subset_frequencies(plt)
-        pickle_r = topdown_parallel(plt, n_workers=2, transport="pickle")
-        shm_r = topdown_parallel(plt, n_workers=2, transport="shm")
-        assert shm_r == pickle_r == serial
+        flat = FlatPLT.from_plt(plt)
+        assert topdown_flat_slice(flat, 0, flat.n_paths) == (
+            _subset_byte_frequencies(plt)
+        )
+        shm_r = topdown_parallel(plt, n_workers=2)
+        assert shm_r == topdown_subset_frequencies(plt)
 
     @pytest.mark.parametrize("seed", [3, 9])
     def test_sweep_fallback_range_miner(self, seed, monkeypatch):
@@ -70,37 +83,39 @@ class TestDifferential:
         db = random_database(seed + 1200, max_items=10, max_transactions=50)
         plt = PLT.from_transactions(db, 2)
         serial = sorted(mine_conditional(plt, 2))
-        shm_r = sorted(mine_parallel(plt, 2, n_workers=2, transport="shm"))
+        shm_r = sorted(mine_parallel(plt, 2, n_workers=2))
         assert shm_r == serial
 
     def test_max_len_respected(self):
         db = random_database(1300, max_items=10, max_transactions=50)
         plt = PLT.from_transactions(db, 2)
-        shm_r = mine_parallel(plt, 2, n_workers=2, transport="shm", max_len=2)
+        shm_r = mine_parallel(plt, 2, n_workers=2, max_len=2)
         assert shm_r and all(len(i) <= 2 for i, _ in shm_r)
-        pickle_r = mine_parallel(
-            plt, 2, n_workers=2, transport="pickle", max_len=2
-        )
-        assert sorted(shm_r) == sorted(pickle_r)
+        assert sorted(shm_r) == sorted(mine_conditional(plt, 2, max_len=2))
 
     def test_empty_and_single_worker(self):
-        assert mine_parallel(
-            PLT.from_transactions([], 1), 1, n_workers=2, transport="shm"
-        ) == []
-        # one worker never leaves the process regardless of transport
+        assert mine_parallel(PLT.from_transactions([], 1), 1, n_workers=2) == []
+        # one worker never leaves the process
         db = random_database(1301, max_items=8, max_transactions=30)
         plt = PLT.from_transactions(db, 2)
-        assert sorted(
-            mine_parallel(plt, 2, n_workers=1, transport="shm")
-        ) == sorted(mine_conditional(plt, 2))
+        assert sorted(mine_parallel(plt, 2, n_workers=1)) == sorted(
+            mine_conditional(plt, 2)
+        )
 
     def test_unknown_transport_rejected(self):
+        # there is one transport: the old selector is not silently ignored
+        from repro.core.mining import mine_frequent_itemsets
+
         db = random_database(1302, max_items=8, max_transactions=30)
         plt = PLT.from_transactions(db, 2)
-        with pytest.raises(InvalidParameterError, match="transport"):
-            mine_parallel(plt, 2, n_workers=2, transport="tcp")
-        with pytest.raises(InvalidParameterError, match="transport"):
-            topdown_parallel(plt, n_workers=2, transport="tcp")
+        with pytest.raises(TypeError, match="transport"):
+            mine_parallel(plt, 2, n_workers=2, transport="shm")
+        with pytest.raises(TypeError, match="transport"):
+            topdown_parallel(plt, n_workers=2, transport="shm")
+        with pytest.raises(TypeError, match="transport"):
+            mine_frequent_itemsets(
+                db, 2, method="plt-parallel", n_workers=2, transport="shm"
+            )
 
 
 class TestPlanning:
@@ -132,7 +147,8 @@ class TestPlanning:
 
 
 class TestGoverned:
-    """Budget trips must be transport-invariant."""
+    """Budget trips must not depend on the worker count: one worker mines
+    in-process, two mine over the shared segment."""
 
     def _plt(self):
         db = random_database(1500, max_items=11, max_transactions=70)
@@ -141,56 +157,49 @@ class TestGoverned:
     def test_max_itemsets_trip_parity(self):
         plt = self._plt()
         outcomes = {}
-        for transport in ("pickle", "shm"):
+        for n_workers in (1, 2):
             governor = ResourceGovernor(MiningBudget(max_itemsets=8))
             with pytest.raises(BudgetExceeded) as info:
-                mine_parallel(
-                    plt, 2, n_workers=2, transport=transport, governor=governor
-                )
-            outcomes[transport] = (info.value.reason, len(info.value.partial))
-        assert outcomes["shm"] == outcomes["pickle"]
-        assert outcomes["shm"][0] == "max_itemsets"
-        assert outcomes["shm"][1] == 8
+                mine_parallel(plt, 2, n_workers=n_workers, governor=governor)
+            outcomes[n_workers] = (info.value.reason, len(info.value.partial))
+        assert outcomes[2] == outcomes[1]
+        assert outcomes[2][0] == "max_itemsets"
+        assert outcomes[2][1] == 8
 
     def test_partial_results_are_real_itemsets(self):
         plt = self._plt()
         serial = dict(mine_conditional(plt, 2))
         governor = ResourceGovernor(MiningBudget(max_itemsets=8))
         with pytest.raises(BudgetExceeded) as info:
-            mine_parallel(
-                plt, 2, n_workers=2, transport="shm", governor=governor
-            )
+            mine_parallel(plt, 2, n_workers=2, governor=governor)
         for itemset, support in info.value.partial:
             assert serial[itemset] == support
 
     def test_precancelled_token_parity(self):
         plt = self._plt()
-        for transport in ("pickle", "shm"):
+        for n_workers in (1, 2):
             token = CancellationToken()
             token.cancel("stop requested")
             governor = ResourceGovernor(cancel=token)
             with pytest.raises(Cancelled):
-                mine_parallel(
-                    plt, 2, n_workers=2, transport=transport, governor=governor
-                )
+                mine_parallel(plt, 2, n_workers=n_workers, governor=governor)
 
     def test_facade_partial_result_parity(self):
         from repro.core.mining import PartialResult, mine_frequent_itemsets
 
         db = random_database(1501, max_items=11, max_transactions=70)
         markers = {}
-        for transport in ("pickle", "shm"):
+        for n_workers in (1, 2):
             result = mine_frequent_itemsets(
                 db,
                 2,
                 method="plt-parallel",
-                n_workers=2,
-                transport=transport,
+                n_workers=n_workers,
                 max_itemsets=8,
             )
             assert isinstance(result, PartialResult)
-            markers[transport] = (result.stop_reason, len(result))
-        assert markers["shm"] == markers["pickle"]
+            markers[n_workers] = (result.stop_reason, len(result))
+        assert markers[2] == markers[1]
 
     @needs_dev_shm
     def test_no_segment_leak_after_trip(self):
@@ -202,18 +211,16 @@ class TestGoverned:
 
 class TestIpcAccounting:
     def test_shm_ships_far_fewer_bytes(self):
-        # needs a database big enough that pickled conditional tasks are
-        # the dominant traffic (on toy inputs the shm meta dict wins)
+        # needs a database big enough that the segment dwarfs the fixed
+        # per-task meta dict (on toy inputs the two are comparable)
         from repro.data.datasets import load
 
         db = load("T10.I4.D1K")
         plt = PLT.from_transactions(db, min_support=10)
-        sent = {}
-        for transport in ("pickle", "shm"):
-            with collecting():
-                mine_parallel(plt, 10, n_workers=2, transport=transport)
-                sent[transport] = COUNTERS.snapshot().get("ipc_bytes_sent", 0)
-        assert 0 < sent["shm"] < sent["pickle"] / 10
+        with collecting():
+            mine_parallel(plt, 10, n_workers=2)
+            counts = COUNTERS.snapshot()
+        assert 0 < counts["ipc_bytes_sent"] < counts["shm_segment_bytes"] / 10
 
 
 @needs_dev_shm
@@ -222,8 +229,25 @@ class TestCleanup:
         before = set(_segments())
         db = random_database(1700, max_items=10, max_transactions=50)
         plt = PLT.from_transactions(db, 2)
-        mine_parallel(plt, 2, n_workers=2, transport="shm")
-        topdown_parallel(plt, n_workers=2, transport="shm")
+        mine_parallel(plt, 2, n_workers=2)
+        topdown_parallel(plt, n_workers=2)
+        assert set(_segments()) == before
+
+    def test_unreservable_segment_degrades_without_leak(self, monkeypatch):
+        # a /dev/shm too small for the columns: page reservation fails
+        # after the segment exists, which must still be unlinked
+        import errno
+
+        def full(fd, offset, length):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "posix_fallocate", full, raising=False)
+        before = set(_segments())
+        db = random_database(1701, max_items=10, max_transactions=50)
+        plt = PLT.from_transactions(db, 2)
+        with pytest.warns(DegradedExecutionWarning, match="No space left"):
+            got = sorted(mine_parallel(plt, 2, n_workers=2))
+        assert got == sorted(mine_conditional(plt, 2))
         assert set(_segments()) == before
 
     def test_chaos_sigkilled_worker(self, tmp_path):
@@ -256,7 +280,7 @@ class TestCleanup:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # expected degrade warning
                 got = sorted(mine_parallel(
-                    plt, 2, n_workers=2, transport="shm", timeout=2.0,
+                    plt, 2, n_workers=2, timeout=2.0,
                     retry=RetryPolicy(
                         max_retries=1, base_delay=0.0, max_delay=0.0
                     ),
@@ -285,3 +309,30 @@ class TestCleanup:
         assert "CHAOS_OK" in proc.stdout
         for needle in ("resource_tracker", "leaked", "KeyError"):
             assert needle not in proc.stderr, proc.stderr
+
+
+class TestNoSegment:
+    """Without a creatable segment, multi-worker mining runs in-process."""
+
+    @pytest.fixture
+    def no_dev_shm(self, monkeypatch):
+        from multiprocessing import shared_memory
+
+        def unavailable(*args, **kwargs):
+            raise FileNotFoundError(2, "No such file or directory", "/dev/shm")
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", unavailable)
+
+    def test_conditional_degrades_to_in_process(self, no_dev_shm):
+        db = random_database(1901, max_items=10, max_transactions=50)
+        plt = PLT.from_transactions(db, 2)
+        with pytest.warns(DegradedExecutionWarning, match="shared-memory"):
+            got = sorted(mine_parallel(plt, 2, n_workers=2))
+        assert got == sorted(mine_conditional(plt, 2))
+
+    def test_topdown_degrades_to_in_process(self, no_dev_shm):
+        db = random_database(1901, max_items=9, max_transactions=40)
+        plt = PLT.from_transactions(db, 2)
+        with pytest.warns(DegradedExecutionWarning, match="shared-memory"):
+            got = topdown_parallel(plt, n_workers=2)
+        assert got == topdown_subset_frequencies(plt)

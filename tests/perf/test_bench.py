@@ -38,7 +38,7 @@ class TestWorkloadMatrix:
         }
 
     def test_parallel_workloads_have_enough_transactions(self):
-        # the transport-comparison claim is only meaningful at scale
+        # the parallel-vs-in-process claim is only meaningful at scale
         from repro.data.datasets import load
 
         for w in WORKLOADS:
@@ -55,7 +55,7 @@ class TestWorkloadMatrix:
             run_workload(bad, repeat=1)
         bad_parallel = Workload("parallel-sideways", "T10.I4.D5K", 100, False)
         with pytest.raises(ValueError):
-            run_parallel_workload(bad_parallel, 1, ("pickle", "shm"))
+            run_parallel_workload(bad_parallel, 1)
 
 
 class TestRunWorkload:
@@ -72,28 +72,24 @@ class TestRunWorkload:
 
 
 class TestRunParallelWorkload:
-    def test_record_shape_both_transports(self):
+    def test_record_shape(self):
         w = Workload("parallel-cond", "paper-example", 2, False)
-        record = run_parallel_workload(w, 1, ("pickle", "shm"))
+        record = run_parallel_workload(w, 1)
         assert record["itemsets"] > 0
-        assert record["pickle_s"] >= 0.0 and record["shm_s"] >= 0.0
+        assert record["serial_s"] >= 0.0 and record["shm_s"] >= 0.0
         assert record["speedup"] > 0.0
-        assert set(record["ipc_bytes_sent"]) == {"pickle", "shm"}
-
-    def test_single_transport_skips_comparison_fields(self):
-        w = Workload("parallel-cond", "paper-example", 2, False)
-        record = run_parallel_workload(w, 1, ("shm",))
-        assert "shm_s" in record and "pickle_s" not in record
-        assert "speedup" not in record and "ipc_reduction" not in record
+        assert 0 < record["ipc_bytes_sent"]
+        assert 0 < record["shm_segment_bytes"]
 
 
 class TestIpcGate:
     @staticmethod
-    def _doc(pickle_bytes, shm_bytes):
+    def _doc(segment_bytes, sent_bytes):
         return {
             "workloads": [{
                 "name": "parallel-cond/X@1",
-                "ipc_bytes_sent": {"pickle": pickle_bytes, "shm": shm_bytes},
+                "ipc_bytes_sent": sent_bytes,
+                "shm_segment_bytes": segment_bytes,
             }]
         }
 
@@ -106,6 +102,8 @@ class TestIpcGate:
         assert len(problems) == 1 and "parallel-cond/X@1" in problems[0]
 
     def test_single_transport_records_not_gated(self):
+        # records without a measured segment (here a two-transport-era
+        # record, and a kernel cell) have nothing to gate against
         doc = {
             "workloads": [
                 {"name": "parallel-cond/X@1", "ipc_bytes_sent": {"shm": 5}},
@@ -166,12 +164,12 @@ class TestCompare:
 
     def test_parallel_records_gate_on_transport_timings(self):
         # the micro-workload exclusion reads *any* `*_s` key, so the
-        # pickle/shm records participate with no special-casing
+        # serial/shm records participate with no special-casing
         def doc(speedup, seconds):
             return {
                 "workloads": [{
                     "name": "parallel-cond/X@25", "speedup": speedup,
-                    "pickle_s": seconds, "shm_s": seconds,
+                    "serial_s": seconds, "shm_s": seconds,
                 }]
             }
 

@@ -230,6 +230,11 @@ class TestFailurePaths:
         assert code == 1
         assert "invalid --crash" in capsys.readouterr().err
 
+    def test_chaos_crash_outside_cluster_is_runtime_error(self, capsys):
+        code = main(["chaos", "--n-nodes", "3", "--crash", "5:2"])
+        assert code == 1
+        assert "outside the 3-node cluster" in capsys.readouterr().err
+
     def test_mine_tolerates_dirty_input(self, tmp_path, capsys):
         # robust parsing end to end: junk lines are skipped, not fatal
         path = tmp_path / "dirty.dat"

@@ -907,8 +907,7 @@ def _cmd_serve(args) -> int:
             )
             report = ParseReport(path=str(args.input))
             # one pass, no TransactionDatabase: the sketch is the whole state
-            for transaction in iter_dat_lines(args.input, report=report):
-                summary.push(transaction)
+            summary.extend(iter_dat_lines(args.input, report=report))
         state = summary
         engine = SketchEngine(summary)
         ready = (

@@ -517,8 +517,7 @@ def _degrade(
             capacity=policy.hh_capacity,
             seed=policy.seed,
         )
-        for t in transactions:
-            summary.push(t)
+        summary.extend(transactions)
         sketched = summary.as_result(abs_support, method=method + "+approx-sketch")
         itemsets = list(sketched)
         disclaimer = (

@@ -265,8 +265,7 @@ def run_stream_workload(workload: Workload, repeat: int) -> dict:
 
     def ingest():
         summary = StreamSummary(epsilon=0.005, delta=0.01, capacity=256, seed=0)
-        for t in transactions:
-            summary.push(t)
+        summary.extend(transactions)
         return summary
 
     sketch_bytes = ingest().memory_bytes()

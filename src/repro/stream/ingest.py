@@ -16,10 +16,11 @@ right class without the caller remembering which one it saved.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
+from itertools import islice
 
 from repro.errors import CheckpointError, InvalidParameterError
 from repro.robustness.checkpoint import CheckpointStore
-from repro.stream.summary import StreamSummary
+from repro.stream.summary import INGEST_BATCH, StreamSummary
 from repro.stream.window import SlidingWindowSketch
 
 __all__ = [
@@ -194,8 +195,7 @@ def _window_from_bytes(blob: bytes) -> SlidingWindowSketch:
             tail_rows = json.loads(sections[-1].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"damaged exact-tail section: {exc}") from exc
-        for row in tail_rows:
-            sketch._tail.push(row)
+        sketch._tail.extend(tail_rows)
     return sketch
 
 
@@ -262,15 +262,26 @@ class StreamIngestor:
         return True
 
     def feed(self, transactions: Iterable[Iterable]) -> int:
-        """Ingest transactions (no final snapshot); returns the count fed."""
+        """Ingest transactions (no final snapshot); returns the count fed.
+
+        Transactions go to the sketch in blocks of at most
+        :data:`~repro.stream.summary.INGEST_BATCH` that end on every
+        report tick, so ticks land on the same transaction counts.
+        """
+        it = iter(transactions)
         fed = 0
-        for t in transactions:
-            self.sketch.push(t)
-            self.n_ingested += 1
-            fed += 1
+        while True:
+            size = INGEST_BATCH
+            if self.report_every:
+                size = min(size, self.report_every - self.n_ingested % self.report_every)
+            block = list(islice(it, size))
+            if not block:
+                return fed
+            self.sketch.extend(block)
+            self.n_ingested += len(block)
+            fed += len(block)
             if self.report_every and self.n_ingested % self.report_every == 0:
                 self._tick()
-        return fed
 
     def run(self, transactions: Iterator[Iterable]) -> int:
         """Ingest to exhaustion, then snapshot once more (if configured)."""

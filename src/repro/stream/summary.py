@@ -17,10 +17,17 @@ Ranks are assigned in arrival order by a shared :class:`RankRegistry`
 (the same device :class:`~repro.core.incremental.IncrementalPLT` uses:
 existing ranks never shift as new items appear), and rank *pairs* are
 keyed low-to-high — the canonical increasing rank-path order of the
-PLT.  The registry grows with the number of **distinct items**, not
-with stream length; for itemset streams that is the fixed dimension of
-the problem, and it is the only unbounded-in-theory state the summary
-holds.
+PLT — as one packed integer (:func:`~repro.stream.cms.pack_pair`) in
+both the pair sketch and the pair summary.  The registry grows with the
+number of **distinct items**, not with stream length; for itemset
+streams that is the fixed dimension of the problem, and it is the only
+unbounded-in-theory state the summary holds.
+
+Ingest is batched: :meth:`StreamSummary.extend` aggregates each block
+of :data:`INGEST_BATCH` transactions into distinct keys with counts and
+merges them into every sketch at once (``push`` is ``extend`` of one),
+so the state is deterministic given the seed and the sequence of
+``push``/``extend`` calls.
 
 Every public answer is an explicitly labeled
 :class:`~repro.core.mining.ApproximateResult` carrying its error bound
@@ -33,21 +40,47 @@ import hashlib
 import json
 import struct
 from collections.abc import Hashable, Iterable
+from itertools import chain, islice
+
+import numpy as np
 
 from repro.core.mining import ApproximateResult, FrequentItemset
 from repro.core.rank import sort_key
 from repro.data.transaction_db import resolve_min_support
 from repro.errors import CheckpointError, InvalidParameterError
-from repro.stream.cms import CountMinSketch, pack_pair
+from repro.stream.cms import _PAIR_SHIFT, CountMinSketch, pack_pair, unpack_pair
 from repro.stream.spacesaving import SpaceSaving
 
 __all__ = ["RankRegistry", "StreamSummary"]
 
 Item = Hashable
 
+#: Transactions per batched update.  Caps the transient key arrays of
+#: one block (a Quest T10 transaction yields about 50 rank pairs).
+INGEST_BATCH = 64
+
 #: Serialization section prefix: 4-byte little-endian length per section.
 _SECTION = struct.Struct("<I")
 _MAGIC = b"STRS"
+
+
+def _pair_keys(ranks: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """:func:`~repro.stream.cms.pack_pair` keys of every within-transaction
+    rank pair, for transactions laid end to end in ``ranks`` (each sorted
+    ascending, ``lengths[i]`` ranks long)."""
+    n = len(ranks)
+    position = np.arange(1, n + 1)
+    partners = np.repeat(np.cumsum(lengths), lengths)
+    partners -= position  # ranks after each one in its own transaction
+    keys = np.repeat(ranks << np.uint64(_PAIR_SHIFT), partners)
+    # element i pairs with elements i+1 .. i+partners[i]; its pairs start
+    # at offset cumsum(partners)[i] - partners[i] in ``keys``
+    position -= np.cumsum(partners)
+    position += partners
+    index = np.arange(len(keys))
+    index += np.repeat(position, partners)
+    keys |= ranks[index]
+    return keys
 
 
 def _pack_sections(*sections: bytes) -> bytes:
@@ -95,6 +128,11 @@ class RankRegistry:
             rank = len(self._items)
             self._item_to_rank[item] = rank
         return rank
+
+    def rank_sets(self, transactions: Iterable[Iterable[Item]]) -> list[list[int]]:
+        """Each transaction's sorted distinct ranks, interning new items."""
+        get, rank_for = self._item_to_rank.get, self.rank_for
+        return [sorted({get(item) or rank_for(item) for item in t}) for t in transactions]
 
     def item(self, rank: int) -> Item:
         return self._items[rank - 1]
@@ -203,24 +241,37 @@ class StreamSummary:
     # ingestion
     # ------------------------------------------------------------------
     def push(self, transaction: Iterable[Item]) -> None:
-        """Ingest one transaction (single pass, no buffering)."""
-        ranks = sorted({self.registry.rank_for(item) for item in transaction})
-        self.n_transactions += 1
-        for r in ranks:
-            self.items_cms.add(r)
-            self.items_hh.add(r)
-        if self.track_pairs and len(ranks) > 1:
-            for i, r1 in enumerate(ranks):
-                for r2 in ranks[i + 1 :]:
-                    self.pairs_cms.add(pack_pair(r1, r2))
-                    self.pairs_hh.add((r1, r2))
+        """Ingest one transaction: ``extend((transaction,))``."""
+        self.extend((transaction,))
 
     def extend(self, transactions: Iterable[Iterable[Item]]) -> int:
+        """Ingest transactions in blocks of :data:`INGEST_BATCH`; returns
+        the count ingested.  The state depends on the block boundaries, so
+        it is deterministic given the seed and the sequence of
+        ``push``/``extend`` calls."""
+        it = iter(transactions)
         count = 0
-        for t in transactions:
-            self.push(t)
-            count += 1
+        while block := list(islice(it, INGEST_BATCH)):
+            self._ingest(block)
+            count += len(block)
         return count
+
+    def _ingest(self, block: list[Iterable[Item]]) -> None:
+        """One batched update: aggregate the block's rank and rank-pair
+        keys, then merge them into each sketch and summary once."""
+        rank_sets = self.registry.rank_sets(block)
+        self.n_transactions += len(block)
+        lengths = np.fromiter(map(len, rank_sets), dtype=np.intp, count=len(rank_sets))
+        ranks = np.fromiter(chain.from_iterable(rank_sets), dtype=np.uint64, count=lengths.sum())
+        if not ranks.size:
+            return
+        keys, counts = np.unique(ranks, return_counts=True)
+        self.items_cms.add_many(keys, counts)
+        self.items_hh.update(keys, counts)
+        if self.track_pairs:
+            keys, counts = np.unique(_pair_keys(ranks, lengths), return_counts=True)
+            self.pairs_cms.add_many(keys, counts)
+            self.pairs_hh.update(keys, counts)
 
     # ------------------------------------------------------------------
     # point queries
@@ -323,21 +374,19 @@ class StreamSummary:
         Estimates come from the CMS (tighter than the space-saving count);
         ``guaranteed`` is the space-saving lower bound ``count - error``.
         """
+        item = self.registry.item
         rows: list[tuple[tuple[Item, ...], int, int]] = []
-        for rank, count, error in self.items_hh.entries():
-            items = (self.registry.item(rank),)
-            rows.append((items, self.items_cms.estimate(rank), count - error))
+        entries = self.items_hh.entries()
+        estimates = self.items_cms.estimate_many([rank for rank, _c, _e in entries])
+        for (rank, count, error), est in zip(entries, estimates.tolist()):
+            rows.append(((item(rank),), est, count - error))
         if self.track_pairs:
-            for (r1, r2), count, error in self.pairs_hh.entries():
-                items = tuple(
-                    sorted(
-                        (self.registry.item(r1), self.registry.item(r2)),
-                        key=sort_key,
-                    )
-                )
-                rows.append(
-                    (items, self.pairs_cms.estimate(pack_pair(r1, r2)), count - error)
-                )
+            entries = self.pairs_hh.entries()
+            estimates = self.pairs_cms.estimate_many([key for key, _c, _e in entries])
+            for (key, count, error), est in zip(entries, estimates.tolist()):
+                r1, r2 = unpack_pair(key)
+                items = tuple(sorted((item(r1), item(r2)), key=sort_key))
+                rows.append((items, est, count - error))
         return rows
 
     def top_k(self, k: int) -> ApproximateResult:
@@ -345,8 +394,12 @@ class StreamSummary:
         if k < 1:
             raise InvalidParameterError(f"k must be >= 1, got {k}")
         rows = self._candidate_rows()
-        rows.sort(key=lambda row: (-row[1], len(row[0]), [sort_key(i) for i in row[0]]))
-        top = rows[:k]
+        top = rows
+        if len(rows) > k:  # only rows tying the k-th estimate or above can rank
+            cutoff = sorted((row[1] for row in rows), reverse=True)[k - 1]
+            top = [row for row in rows if row[1] >= cutoff]
+        top.sort(key=lambda row: (-row[1], len(row[0]), [sort_key(i) for i in row[0]]))
+        top = top[:k]
         return ApproximateResult(
             [FrequentItemset(items, est) for items, est, _guaranteed in top],
             n_transactions=self.n_transactions,
@@ -397,8 +450,11 @@ class StreamSummary:
             total += self.pairs_cms.memory_bytes() + self.pairs_hh.memory_bytes()
         return total
 
-    def _hh_bytes(self, hh: SpaceSaving) -> bytes:
-        rows = [[list(k) if isinstance(k, tuple) else k, c, e] for k, c, e in hh.entries()]
+    @staticmethod
+    def _hh_bytes(hh: SpaceSaving, *, pairs: bool = False) -> bytes:
+        """JSON rows ``[key, count, error]``; a pair key is written as its
+        ``[r1, r2]`` ranks."""
+        rows = [[list(unpack_pair(k)) if pairs else k, c, e] for k, c, e in hh.entries()]
         doc = {"capacity": hh.capacity, "total": hh.total, "rows": rows}
         return json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
@@ -411,11 +467,11 @@ class StreamSummary:
         hh = SpaceSaving(doc["capacity"])
         for key, count, error in doc["rows"]:
             if isinstance(key, list):
-                key = tuple(key)
+                key = pack_pair(*key)
             hh._counts[key] = count
             hh._errors[key] = error
         hh.total = doc["total"]
-        hh._rebuild_heap()
+        hh._heap = None  # as after a batch update: built when the scalar path needs it
         return hh
 
     def to_bytes(self) -> bytes:
@@ -440,7 +496,7 @@ class StreamSummary:
         ]
         if self.track_pairs:
             sections.append(self.pairs_cms.to_bytes())
-            sections.append(self._hh_bytes(self.pairs_hh))
+            sections.append(self._hh_bytes(self.pairs_hh, pairs=True))
         return _pack_sections(*sections)
 
     @classmethod

@@ -31,14 +31,15 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Hashable, Iterable
+from itertools import islice
 
 from repro.core.mining import ApproximateResult, FrequentItemset
 from repro.core.rank import sort_key
 from repro.core.window import SlidingWindowPLT
 from repro.data.transaction_db import resolve_min_support
 from repro.errors import InvalidParameterError
-from repro.stream.cms import pack_pair
-from repro.stream.summary import RankRegistry, StreamSummary
+from repro.stream.cms import unpack_pair
+from repro.stream.summary import INGEST_BATCH, RankRegistry, StreamSummary
 
 __all__ = ["SlidingWindowSketch"]
 
@@ -130,23 +131,33 @@ class SlidingWindowSketch:
         return gen
 
     def push(self, transaction: Iterable[Item]) -> None:
-        """Ingest one transaction; evicts an old generation when due."""
-        t = tuple(transaction) if not isinstance(transaction, (tuple, frozenset)) else transaction
-        if not self._generations or self._generations[-1].n_transactions >= self.bucket_span:
-            self._new_generation()
-        self._generations[-1].push(t)
-        self._pushed += 1
-        while self.covered() > self.window and len(self._generations) > 1:
-            self._generations.popleft()
-        if self._tail is not None:
-            self._tail.push(t)
+        """Ingest one transaction: ``extend((transaction,))``."""
+        self.extend((transaction,))
 
     def extend(self, transactions: Iterable[Iterable[Item]]) -> int:
+        """Ingest transactions in blocks that end on generation
+        boundaries; evicts old generations when due.  Returns the count."""
+        it = iter(transactions)
         count = 0
-        for t in transactions:
-            self.push(t)
-            count += 1
-        return count
+        while True:
+            newest = self._generations[-1] if self._generations else None
+            full = newest is None or newest.n_transactions >= self.bucket_span
+            room = self.bucket_span - (0 if full else newest.n_transactions)
+            block = [
+                t if isinstance(t, (tuple, frozenset)) else tuple(t)
+                for t in islice(it, min(room, INGEST_BATCH))
+            ]
+            if not block:
+                return count
+            if full:
+                newest = self._new_generation()
+            newest.extend(block)
+            self._pushed += len(block)
+            count += len(block)
+            while self.covered() > self.window and len(self._generations) > 1:
+                self._generations.popleft()
+            if self._tail is not None:
+                self._tail.extend(block)
 
     # ------------------------------------------------------------------
     def covered(self) -> int:
@@ -226,19 +237,19 @@ class SlidingWindowSketch:
         """Union of monitored candidates across generations, re-estimated
         with the summed sketches so every row uses the same estimator."""
         single_ranks: set[int] = set()
-        pair_ranks: set[tuple[int, int]] = set()
+        pair_keys: set[int] = set()
         for g in self._generations:
             for rank, _count, _error in g.items_hh.entries():
                 single_ranks.add(rank)
             if self.track_pairs:
-                for pair, _count, _error in g.pairs_hh.entries():
-                    pair_ranks.add(pair)
+                for key, _count, _error in g.pairs_hh.entries():
+                    pair_keys.add(key)
         rows: list[tuple[tuple[Item, ...], int]] = []
         for rank in single_ranks:
             est = sum(g.items_cms.estimate(rank) for g in self._generations)
             rows.append(((self.registry.item(rank),), est))
-        for r1, r2 in pair_ranks:
-            key = pack_pair(r1, r2)
+        for key in pair_keys:
+            r1, r2 = unpack_pair(key)
             est = sum(g.pairs_cms.estimate(key) for g in self._generations)
             items = tuple(
                 sorted((self.registry.item(r1), self.registry.item(r2)), key=sort_key)

@@ -100,8 +100,7 @@ def test_degradation_policy_sketch_matches_direct_summary():
     assert result.info["stop_reason"] == "max_itemsets"
 
     direct = StreamSummary(epsilon=0.02, delta=0.01, capacity=256, seed=0)
-    for t in db:
-        direct.push(t)
+    direct.extend(db)  # fed the way the fallback feeds it: one extend call
     assert result.as_dict() == direct.as_result(20).as_dict()
 
     exact = mine_frequent_itemsets(db, 20).as_dict()

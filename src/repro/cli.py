@@ -120,6 +120,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="cluster size for --method plt-distributed (default 4)",
     )
+    p_mine.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        metavar="N",
+        help="worker processes for --method plt-parallel "
+        "(default: one per CPU, at most 8)",
+    )
 
     p_rules = sub.add_parser("rules", help="mine association rules")
     p_rules.add_argument("--input", required=True)
@@ -496,6 +504,13 @@ def _cmd_mine(args) -> int:
             "budget flags are not supported on the process backend "
             "(governors cannot span worker processes)"
         )
+    if args.workers is not None:
+        if args.method != "plt-parallel":
+            raise ReproError("--workers only applies to --method plt-parallel")
+        if args.kind != "all":
+            raise ReproError("--workers only applies to --kind all")
+        if args.workers < 1:
+            raise ReproError(f"--workers must be >= 1, got {args.workers}")
     db = read_dat(args.input)
     if args.kind in ("closed", "maximal"):
         if governed or args.degrade:
@@ -526,9 +541,12 @@ def _cmd_mine(args) -> int:
             kwargs["backend"] = args.backend
         if args.n_nodes is not None:
             kwargs["n_nodes"] = args.n_nodes
-        result = mine_frequent_itemsets(
-            db, args.min_support, method=args.method, max_len=args.max_len, **kwargs
-        )
+        if args.method == "plt-parallel":
+            result = _mine_parallel(db, args, kwargs)
+        else:
+            result = mine_frequent_itemsets(
+                db, args.min_support, method=args.method, max_len=args.max_len, **kwargs
+            )
     header = (
         f"# {len(result)} itemsets  method={result.method}  "
         f"min_support={result.min_support}/{result.n_transactions}"
@@ -542,6 +560,37 @@ def _cmd_mine(args) -> int:
         header = f"# APPROXIMATE: {result.disclaimer}\n" + header
     _write(header + "\n" + render_itemsets(result, relative=args.relative), args.output)
     return 0
+
+
+def _mine_parallel(db, args, kwargs):
+    """``mine --method plt-parallel``: forwards ``--workers`` and says on
+    stderr when the run falls back to mining in-process."""
+    import warnings
+
+    from repro.core.mining import mine_frequent_itemsets
+    from repro.errors import DegradedExecutionWarning
+    from repro.parallel.executor import default_workers
+
+    n_workers = args.workers if args.workers is not None else default_workers()
+    if n_workers == 1:
+        why = "--workers 1" if args.workers is not None else "this host has one CPU"
+        print(f"note: plt-parallel is mining in-process with one worker ({why})", file=sys.stderr)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DegradedExecutionWarning)
+        result = mine_frequent_itemsets(
+            db,
+            args.min_support,
+            method=args.method,
+            max_len=args.max_len,
+            n_workers=n_workers,
+            **kwargs,
+        )
+    for w in caught:
+        if issubclass(w.category, DegradedExecutionWarning):
+            print(f"note: {w.message}", file=sys.stderr)
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return result
 
 
 def _cmd_rules(args) -> int:

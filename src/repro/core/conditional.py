@@ -519,19 +519,25 @@ def _pair_support_matrix(arrays, width: int):
     these counts, so the matrix can be computed once and shared (the shm
     driver precomputes it into the segment rather than paying the
     bincount in every worker).
+
+    Every length's lower-triangle ``(j, k)`` cell codes and row weights
+    are written into one preallocated pair of columns for a single
+    ``bincount``; its float64 result is the segment's column type.
     """
-    cells = width * width
-    total = _np.zeros(cells)
+    pairs = {length: length * (length + 1) // 2 for length in arrays}
+    size = sum(len(mat) * pairs[length] for length, (mat, _) in arrays.items())
+    codes = _np.empty(size, dtype=_np.int64)
+    weights = _np.empty(size, dtype=_np.float64)
+    start = 0
     for length, (mat, ifreqs) in arrays.items():
-        freqs = ifreqs.astype(_np.float64)
-        if length == 1:
-            codes = (mat[:, 0] * width + mat[:, 0]).ravel()
-            total += _np.bincount(codes, weights=freqs, minlength=cells)
-            continue
         iidx, kidx = _np.tril_indices(length)
-        codes = (mat[:, iidx] * width + mat[:, kidx]).ravel()
-        weights = _np.repeat(freqs, len(iidx))
-        total += _np.bincount(codes, weights=weights, minlength=cells)
+        stop = start + len(mat) * pairs[length]
+        block = codes[start:stop].reshape(len(mat), pairs[length])
+        _np.multiply(mat[:, iidx], width, out=block)
+        block += mat[:, kidx]
+        weights[start:stop].reshape(block.shape)[...] = ifreqs[:, None]
+        start = stop
+    total = _np.bincount(codes, weights=weights, minlength=width * width)
     return total.reshape(width, width)
 
 

@@ -74,6 +74,53 @@ class FrequentItemset:
         return self.support / n_transactions
 
 
+def _canonical_order(itemsets: Iterable[FrequentItemset]) -> list[FrequentItemset]:
+    """Sort by length, then by the items' ``sort_key`` sequence."""
+    # items repeat across many itemsets — memoize their sort keys so
+    # canonical ordering stays cheap even for six-figure result sets
+    cache: dict = {}
+
+    def canonical(fi: FrequentItemset):
+        keys = []
+        for item in fi.items:
+            key = cache.get(item)
+            if key is None:
+                key = cache[item] = sort_key(item)
+            keys.append(key)
+        return (len(keys), keys)
+
+    return sorted(itemsets, key=canonical)
+
+
+def _length_then_ranks(pair: tuple[tuple[int, ...], int]) -> tuple:
+    return (len(pair[0]), pair[0])
+
+
+def _decode_pairs(pairs, table) -> list[FrequentItemset]:
+    """A PLT miner's ``(ascending ranks, support)`` pairs as itemsets, in
+    :class:`MiningResult`'s canonical order — the only place the ``mine``
+    pipeline goes back from ranks to labels.
+
+    The canonical order is (length, items in ``sort_key`` order).  A
+    lexicographic table (:meth:`RankTable.from_supports`) hands out ranks
+    in ``sort_key`` order, so an ascending rank tuple already lists its
+    labels in order and sorting the pairs by ``(len, ranks)`` *is* the
+    canonical sort: labels come from a ``rank -> label`` tuple and no
+    ``sort_key`` is computed per itemset.  Other order policies keep the
+    generic sort.
+    """
+    if table.order != "lexicographic":
+        return _canonical_order(
+            FrequentItemset(tuple(sorted(table.decode_ranks(ranks), key=sort_key)), sup)
+            for ranks, sup in pairs
+        )
+    label = ((None,) + table.items()).__getitem__
+    return [
+        FrequentItemset(tuple(map(label, ranks)), sup)
+        for ranks, sup in sorted(pairs, key=_length_then_ranks)
+    ]
+
+
 class MiningResult(Sequence):
     """Ordered collection of frequent itemsets plus run metadata.
 
@@ -99,23 +146,18 @@ class MiningResult(Sequence):
         min_support: int,
         method: str,
     ) -> None:
-        # items repeat across many itemsets — memoize their sort keys so
-        # canonical ordering stays cheap even for six-figure result sets
-        cache: dict = {}
-
-        def canonical(fi: FrequentItemset):
-            keys = []
-            for item in fi.items:
-                key = cache.get(item)
-                if key is None:
-                    key = cache[item] = sort_key(item)
-                keys.append(key)
-            return (len(keys), keys)
-
-        self._itemsets = sorted(itemsets, key=canonical)
+        self._itemsets = _canonical_order(itemsets)
         self.n_transactions = n_transactions
         self.min_support = min_support
         self.method = method
+
+    @classmethod
+    def _from_canonical(cls, itemsets: list[FrequentItemset], **meta) -> "MiningResult":
+        """Wrap a list already in canonical order (what :func:`_decode_pairs`
+        returns) without sorting it again."""
+        result = cls((), **meta)
+        result._itemsets = itemsets
+        return result
 
     # -- Sequence protocol ------------------------------------------------
     def __len__(self) -> int:
@@ -282,41 +324,12 @@ class ApproximateResult(MiningResult):
 # ---------------------------------------------------------------------------
 # method registry
 # ---------------------------------------------------------------------------
-def _decode_partial(exc: MiningInterrupted, table) -> None:
-    """Decode a miner's rank-pair ``partial`` into item space, in place.
-
-    Kept lean (no set construction, one sort per itemset) — partials can
-    hold tens of thousands of pairs and this runs *after* the deadline
-    already expired, so it is pure latency on top of the budget.
-    """
-    # rank -> label and rank -> sort position, computed once; per-pair work
-    # is then a list-indexed sort plus a tuple build
-    labels = (None,) + table.items()
-    order = sorted(range(1, len(labels)), key=lambda r: sort_key(labels[r]))
-    position = [0] * len(labels)
-    for pos, r in enumerate(order):
-        position[r] = pos
-    key = position.__getitem__
-    exc.partial_items = [
-        (tuple(labels[r] for r in sorted(ranks, key=key)), sup)
-        for ranks, sup in exc.partial
-    ]
-
-
 def _mine_plt(transactions, abs_support, order, max_len, **kwargs):
     governor = kwargs.get("governor")
     plt = PLT.from_transactions(transactions, abs_support, order=order)
     if governor is not None:
         governor.admit(plt, method="conditional")
-    table = plt.rank_table
-    try:
-        pairs = mine_conditional(
-            plt, abs_support, max_len=max_len, governor=governor
-        )
-    except MiningInterrupted as exc:
-        _decode_partial(exc, table)
-        raise
-    return {frozenset(table.decode_ranks(ranks)): sup for ranks, sup in pairs}
+    return _decoded(mine_conditional, plt, abs_support, max_len=max_len, governor=governor)
 
 
 def _mine_plt_topdown(transactions, abs_support, order, max_len, **kwargs):
@@ -326,19 +339,28 @@ def _mine_plt_topdown(transactions, abs_support, order, max_len, **kwargs):
     plt = PLT.from_transactions(transactions, abs_support, order=order)
     if governor is not None:
         governor.admit(plt, method="topdown")
-    table = plt.rank_table
+    return _decoded(
+        mine_topdown,
+        plt,
+        abs_support,
+        max_len=max_len,
+        work_limit=kwargs.get("work_limit", DEFAULT_WORK_LIMIT),
+        governor=governor,
+    )
+
+
+def _decoded(miner, plt: PLT, *args, **kwargs) -> list[FrequentItemset]:
+    """Run a rank-space PLT miner on ``plt`` and decode its pairs once.
+
+    A budget trip's rank-pair ``partial`` is decoded the same way into
+    ``partial_items`` before the interruption propagates.
+    """
     try:
-        pairs = mine_topdown(
-            plt,
-            abs_support,
-            max_len=max_len,
-            work_limit=kwargs.get("work_limit", DEFAULT_WORK_LIMIT),
-            governor=governor,
-        )
+        pairs = miner(plt, *args, **kwargs)
     except MiningInterrupted as exc:
-        _decode_partial(exc, table)
+        exc.partial_items = _decode_pairs(exc.partial, plt.rank_table)
         raise
-    return {frozenset(table.decode_ranks(ranks)): sup for ranks, sup in pairs}
+    return _decode_pairs(pairs, plt.rank_table)
 
 
 def _mine_bruteforce(transactions, abs_support, order, max_len, **kwargs):
@@ -425,17 +447,11 @@ def _mine_plt_parallel(
     plt = PLT.from_transactions(transactions, abs_support, order=order)
     if governor is not None:
         governor.admit(plt, method="conditional")
-    table = plt.rank_table
-    try:
-        # n_workers / timeout / retry pass straight through; anything
-        # else is a TypeError rather than a silently ignored option
-        pairs = mine_parallel(
-            plt, abs_support, max_len=max_len, governor=governor, **options
-        )
-    except MiningInterrupted as exc:
-        _decode_partial(exc, table)
-        raise
-    return {frozenset(table.decode_ranks(ranks)): sup for ranks, sup in pairs}
+    # n_workers / timeout / retry pass straight through; anything else is
+    # a TypeError rather than a silently ignored option
+    return _decoded(
+        mine_parallel, plt, abs_support, max_len=max_len, governor=governor, **options
+    )
 
 
 def _mine_plt_distributed(transactions, abs_support, order, max_len, **kwargs):
@@ -452,6 +468,10 @@ def _mine_plt_distributed(transactions, abs_support, order, max_len, **kwargs):
     return {frozenset(items): sup for items, sup in pairs}
 
 
+#: Each runner takes ``(transactions, abs_support, order, max_len,
+#: **options)``.  The rank-space PLT miners return a list of
+#: :class:`FrequentItemset` already in canonical order (:func:`_decode_pairs`);
+#: the others return ``{frozenset(items): support}``.
 METHODS: dict[str, Callable] = {
     "plt": _mine_plt,
     "plt-conditional": _mine_plt,
@@ -494,14 +514,9 @@ def _degrade(
 
         plt = PLT.from_transactions(transactions, abs_support, order=order)
         pairs = mine_top_k(plt, policy.k, max_len=max_len)
-        table = plt.rank_table
-        itemsets = [
-            FrequentItemset(
-                tuple(sorted(table.decode_ranks(ranks), key=sort_key)), sup
-            )
-            for ranks, sup in pairs
-            if sup >= abs_support
-        ]
+        itemsets = _decode_pairs(
+            [pair for pair in pairs if pair[1] >= abs_support], plt.rank_table
+        )
         disclaimer = (
             f"approximate result: supports are exact but only the "
             f"{policy.k} most frequent itemsets were mined "
@@ -678,7 +693,7 @@ def mine_frequent_itemsets(
         transactions = TransactionDatabase(transactions)
     abs_support = resolve_min_support(min_support, len(transactions))
     try:
-        table = METHODS[method](transactions, abs_support, order, max_len, **kwargs)
+        found = METHODS[method](transactions, abs_support, order, max_len, **kwargs)
     except AdmissionRejected:
         if degradation is None:
             raise
@@ -694,13 +709,11 @@ def mine_frequent_itemsets(
                 transactions, abs_support, order, max_len, degradation, method,
                 exc.reason,
             )
-        partial_items = getattr(exc, "partial_items", [])
-        itemsets = [FrequentItemset(items, sup) for items, sup in partial_items]
         progress = dict(governor.progress) if governor is not None else {}
         progress.update(exc.progress)
         progress = {k: v for k, v in progress.items() if not k.startswith("_")}
-        return PartialResult(
-            itemsets,
+        return PartialResult._from_canonical(
+            getattr(exc, "partial_items", []),
             n_transactions=len(transactions),
             min_support=abs_support,
             method=method,
@@ -708,15 +721,12 @@ def mine_frequent_itemsets(
             elapsed=governor.elapsed() if governor is not None else 0.0,
             progress=progress,
         )
-    itemsets = [
-        FrequentItemset(tuple(sorted(items, key=sort_key)), sup)
-        for items, sup in table.items()
-    ]
+    meta = dict(n_transactions=len(transactions), min_support=abs_support, method=method)
+    if isinstance(found, list):  # the PLT miners decode in canonical order
+        return MiningResult._from_canonical(found, **meta)
     return MiningResult(
-        itemsets,
-        n_transactions=len(transactions),
-        min_support=abs_support,
-        method=method,
+        (FrequentItemset(tuple(sorted(items, key=sort_key)), sup) for items, sup in found.items()),
+        **meta,
     )
 
 
@@ -728,16 +738,8 @@ def _mine_condensed(transactions, min_support, order, kind):
     abs_support = resolve_min_support(min_support, len(transactions))
     plt = PLT.from_transactions(transactions, abs_support, order=order)
     miner = mine_closed if kind == "closed" else mine_maximal
-    pairs = miner(plt, abs_support)
-    table = plt.rank_table
-    itemsets = [
-        FrequentItemset(
-            tuple(sorted(table.decode_ranks(ranks), key=sort_key)), sup
-        )
-        for ranks, sup in pairs
-    ]
-    return MiningResult(
-        itemsets,
+    return MiningResult._from_canonical(
+        _decode_pairs(miner(plt, abs_support), plt.rank_table),
         n_transactions=len(transactions),
         min_support=abs_support,
         method=f"plt-{kind}",

@@ -25,6 +25,7 @@ aggregated "matrix" representation (Figure 3a) cheap.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Iterable, Iterator, Sequence
 
 from repro.errors import InvalidVectorError
@@ -116,14 +117,7 @@ def path_to_vector(path: RankPath) -> PositionVector:
     >>> path_to_vector((1, 3, 4))
     (1, 2, 1)
     """
-    if not path:
-        return ()
-    prev = 0
-    out = []
-    for r in path:
-        out.append(r - prev)
-        prev = r
-    return tuple(out)
+    return tuple(map(operator.sub, path, (0,) + path[:-1]))
 
 
 def vector_sum(vector: PositionVector) -> int:

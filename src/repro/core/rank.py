@@ -183,6 +183,10 @@ class RankTable:
         """The valid rank values ``1..n``."""
         return range(1, len(self._rank_to_item) + 1)
 
+    def rank_map(self) -> Mapping[Item, int]:
+        """The ``label -> rank`` dict itself (scan 2's lookup; do not mutate)."""
+        return self._item_to_rank
+
     def encode_itemset(self, itemset: Iterable[Item], *, skip_unknown: bool = False) -> tuple[int, ...]:
         """Map an itemset to its sorted tuple of ranks.
 

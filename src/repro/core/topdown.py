@@ -57,7 +57,7 @@ result shape by converting the path table once at the end.
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Mapping
 
 from repro.core.plt import PLT
@@ -99,9 +99,10 @@ def estimate_topdown_work(plt: PLT) -> int:
     reporting a partially-accumulated total as if it covered every
     partition.
     """
+    lengths = Counter(len(path) for path, _ in plt.iter_rank_paths())
     total = 0
-    for length, bucket in plt.partitions.items():
-        total += (2**length - 1) * len(bucket)
+    for length, count in lengths.items():
+        total += (2**length - 1) * count
         if total > WORK_ESTIMATE_CAP:
             return WORK_ESTIMATE_CAP
     return total

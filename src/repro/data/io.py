@@ -149,7 +149,13 @@ def _iter_dat_fh(
         if not tokens:
             continue
         report.n_transactions += 1
-        yield tuple(_parse_token(tok) for tok in tokens)
+        # FIMI files are all-integer: one C-level pass, and only a line
+        # that fails it pays the per-token fallback
+        try:
+            items = tuple(map(int, tokens))
+        except ValueError:
+            items = tuple(map(_parse_token, tokens))
+        yield items
 
 
 def iter_dat_lines(

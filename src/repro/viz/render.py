@@ -122,13 +122,19 @@ def render_subset_table(
 
 
 def render_itemsets(result, *, relative: bool = False) -> str:
-    """A :class:`~repro.core.mining.MiningResult` as an aligned table."""
-    rows = []
-    for fi in result:
-        sup = (
-            f"{fi.support / result.n_transactions:.3f}"
-            if relative
-            else str(fi.support)
-        )
-        rows.append(("{" + ", ".join(map(str, fi.items)) + "}", sup))
-    return _format_rows(rows, ("itemset", "support"))
+    """A :class:`~repro.core.mining.MiningResult` as an aligned table.
+
+    Same layout as :func:`_format_rows`, but each row is formatted once:
+    the support column is last, so only the itemset column is padded.
+    """
+    cells = ["{" + ", ".join(map(str, fi.items)) + "}" for fi in result]
+    if relative:
+        n = result.n_transactions
+        sups = [f"{fi.support / n:.3f}" for fi in result]
+    else:
+        sups = [str(fi.support) for fi in result]
+    width = max(len("itemset"), max(map(len, cells), default=0))
+    sup_width = max(len("support"), max(map(len, sups), default=0))
+    lines = [f"{'itemset':<{width}}  support", "-" * width + "  " + "-" * sup_width]
+    lines += [f"{cell:<{width}}  {sup}" for cell, sup in zip(cells, sups)]
+    return "\n".join(lines)

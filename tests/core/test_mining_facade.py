@@ -6,6 +6,7 @@ from repro.core.mining import (
     METHODS,
     FrequentItemset,
     MiningResult,
+    PartialResult,
     mine_frequent_itemsets,
 )
 from repro.data.transaction_db import TransactionDatabase
@@ -168,3 +169,51 @@ class TestMaximalAndClosed:
         result = mine_frequent_itemsets(small_random_db, 2)
         assert result.maximal().method.endswith("+maximal")
         assert result.closed().method.endswith("+closed")
+
+
+class TestRankSpaceDecode:
+    """The PLT miners decode ranks straight into canonical order; the
+    result must list exactly what the generic label sort lists."""
+
+    @staticmethod
+    def _mixed_db(seed):
+        import random
+
+        rng = random.Random(seed)
+        labels = list(range(-2, 9)) + ["a", "b", "7", "é", "z z"]
+        return [rng.sample(labels, rng.randint(0, 6)) for _ in range(40)]
+
+    @staticmethod
+    def _rows(result):
+        return [(fi.items, fi.support) for fi in result]
+
+    @pytest.mark.parametrize("order", ["lexicographic", "support_asc", "support_desc"])
+    @pytest.mark.parametrize("method", ["plt", "plt-topdown", "plt-parallel"])
+    def test_same_list_as_generic_sort(self, method, order):
+        for seed in range(6):
+            db = self._mixed_db(seed)
+            reference = mine_frequent_itemsets(db, 3, method="fpgrowth")
+            result = mine_frequent_itemsets(db, 3, method=method, order=order)
+            assert self._rows(result) == self._rows(reference)
+            assert self._rows(result) == self._rows(
+                MiningResult(list(result), n_transactions=40, min_support=3, method=method)
+            )
+
+    @pytest.mark.parametrize("order", ["lexicographic", "support_desc"])
+    def test_condensed_kinds(self, order):
+        from repro.core.mining import mine_closed_itemsets, mine_maximal_itemsets
+
+        db = self._mixed_db(11)
+        full = mine_frequent_itemsets(db, 3, method="fpgrowth")
+        assert self._rows(mine_closed_itemsets(db, 3, order=order)) == self._rows(full.closed())
+        assert self._rows(mine_maximal_itemsets(db, 3, order=order)) == self._rows(full.maximal())
+
+    def test_partial_result_in_canonical_order(self):
+        import random
+
+        rng = random.Random(2)
+        db = [rng.sample(range(24), 12) for _ in range(300)]
+        result = mine_frequent_itemsets(db, 4, max_itemsets=500)
+        assert isinstance(result, PartialResult) and len(result) > 0
+        keys = [(len(fi), fi.items) for fi in result]
+        assert keys == sorted(keys)

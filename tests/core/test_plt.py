@@ -1,11 +1,20 @@
 """Unit tests for the PLT structure and Algorithm 1 (construction)."""
 
+from collections import Counter
+from itertools import accumulate
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import position
 from repro.core.plt import PLT, build_plt
-from repro.core.rank import RankTable
-from repro.data.transaction_db import TransactionDatabase
+from repro.core.rank import ORDER_POLICIES, RankTable
+from repro.data.transaction_db import (
+    TransactionDatabase,
+    item_supports,
+    resolve_min_support,
+)
 from repro.errors import InvalidSupportError, InvalidVectorError
 
 
@@ -176,3 +185,74 @@ class TestSupportOfConsistencyRandom:
         for r in range(1, 4):
             for combo in itertools.combinations(frequent_items, r):
                 assert plt.support_of(combo) == db.support_of(combo), combo
+
+
+class TestRankPathChecks:
+    """The constructor's C-level checks on the rank paths it indexes."""
+
+    @pytest.mark.parametrize(
+        "paths",
+        [{(): 1}, {(0, 2): 1}, {(-1,): 1}, {(1, 1): 1}, {(1, 2, 2): 1}, {(1,): 0}],
+        ids=["empty", "zero-rank", "negative", "repeat", "repeat-tail", "zero-freq"],
+    )
+    def test_rejected(self, paths):
+        with pytest.raises(InvalidVectorError):
+            PLT(RankTable(["A", "B"]), paths, min_support=1, n_transactions=1)
+
+    def test_delta_views_are_derived_lazily(self, paper_db):
+        plt = PLT.from_transactions(paper_db, 2)
+        assert plt._partitions is None and plt._sum_index is None
+        plt.n_vectors(), plt.stats(), plt.rank_path_index(), plt == plt
+        assert plt._partitions is None
+        assert plt.partition(3)[(1, 1, 1)] == 2
+        assert plt.partitions is plt.partitions  # cached
+
+
+# ---------------------------------------------------------------------------
+# construction differential: scan 2 in rank space vs. the encode path
+# ---------------------------------------------------------------------------
+# mixed int/str labels, "7" and 7 distinct items; duplicates within a
+# transaction and empty transactions both occur
+_labels = st.one_of(st.integers(-3, 12), st.sampled_from(["a", "b", "7", "é", "x y", ""]))
+_databases = st.lists(st.lists(_labels, max_size=7), max_size=25)
+_supports = st.one_of(st.integers(1, 4), st.sampled_from([0.05, 0.2, 0.5, 1.0]))
+
+
+def _encode_path_oracle(transactions, min_support, order):
+    """Algorithm 1 through the per-transaction encode path: label set ->
+    ``encode_itemset`` -> ``position.encode``, aggregated as vectors."""
+    supports = item_supports(transactions)
+    abs_support = resolve_min_support(min_support, len(transactions))
+    table = RankTable.from_supports(supports, min_support=abs_support, order=order)
+    vectors = Counter()
+    for t in transactions:
+        ranks = table.encode_itemset(t, skip_unknown=True)
+        if ranks:
+            vectors[position.encode(ranks)] += 1
+    return vectors, PLT.from_vectors(
+        table, vectors, min_support=abs_support, n_transactions=len(transactions)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_databases, _supports, st.sampled_from(ORDER_POLICIES), st.booleans())
+def test_construction_matches_encode_path(db, min_support, order, one_shot):
+    vectors, oracle = _encode_path_oracle(db, min_support, order)
+    plt = PLT.from_transactions(iter(db) if one_shot else db, min_support, order=order)
+    assert plt == oracle
+    assert plt.rank_table.order == order
+    # every view, against the oracle and against dicts built straight from
+    # the encoded vectors
+    by_length, by_sum, paths = {}, {}, {}
+    for vec, freq in vectors.items():
+        by_length.setdefault(len(vec), {})[vec] = freq
+        by_sum.setdefault(sum(vec), {})[vec] = freq
+        paths.setdefault(sum(vec), {})[tuple(accumulate(vec))] = freq
+    assert plt.partitions == oracle.partitions == by_length
+    assert plt.sum_index() == oracle.sum_index() == by_sum
+    assert plt.rank_path_index() == oracle.rank_path_index() == paths
+    assert list(plt.iter_vectors()) == list(oracle.iter_vectors())
+    assert sorted(plt.iter_vectors()) == sorted(vectors.items())
+    assert plt.vectors() == dict(vectors)
+    assert plt.stats() == oracle.stats()
+    assert plt.n_transactions == len(db)

@@ -328,3 +328,76 @@ class TestIterDatStream:
             count = sum(1 for _ in iter_dat_stream(fh))
         os.waitpid(writer_pid, 0)
         assert count == n_lines
+
+
+class TestParseFastPath:
+    """All-integer lines take one ``map(int, ...)`` pass; any other line
+    falls back to ``_parse_token`` per token — with the same result."""
+
+    LINES = [
+        "1 2 3",
+        "-3 +4 007",
+        "1_000 42",
+        "1.5 2",
+        "a 7 b",
+        "café 3 é",
+        "３ ٣ 12",  # non-ASCII digits parse as ints
+        "² 5",  # superscript two is not a decimal digit
+        "-3 +4 007 1_000 1.5 a é",
+        "9" * 40 + " 0",
+        "_1 1_ 1__0",  # misplaced underscores stay strings
+    ]
+
+    @staticmethod
+    def _expected(line):
+        from repro.data.io import _parse_token
+
+        return tuple(_parse_token(tok) for tok in line.split())
+
+    @pytest.mark.parametrize("line", LINES)
+    def test_line_matches_token_parse(self, line, tmp_path):
+        path = tmp_path / "one.dat"
+        path.write_text(line + "\n", encoding="utf-8")
+        (got,) = list(iter_dat_lines(path))
+        assert got == self._expected(line)
+        assert [type(x) for x in got] == [type(x) for x in self._expected(line)]
+
+    def test_mixed_file(self, tmp_path):
+        path = tmp_path / "mixed.dat"
+        path.write_text("\n".join(self.LINES) + "\n", encoding="utf-8")
+        assert list(iter_dat_lines(path)) == [self._expected(x) for x in self.LINES]
+
+    def _dirty(self, tmp_path):
+        payload = b"1 2\n-3 a\n7 \xff 8\n\n4 +5\nx\x00y 1\n007 1.5\n"
+        path = tmp_path / "dirty.dat"
+        path.write_bytes(payload)
+        return payload, path
+
+    def test_garbage_lines_tolerant(self, tmp_path):
+        _, path = self._dirty(tmp_path)
+        db, report = read_dat_report(path)
+        assert list(db) == [
+            frozenset(t) for t in [(1, 2), (-3, "a"), (4, 5), (7, "1.5")]
+        ]
+        assert (report.n_lines, report.n_transactions, report.n_skipped) == (7, 4, 2)
+        assert report.errors == ["line 3: undecodable bytes", "line 6: undecodable bytes"]
+
+    def test_garbage_lines_strict(self, tmp_path):
+        _, path = self._dirty(tmp_path)
+        with pytest.raises(DatasetError, match=r"dirty.dat:3: line contains undecodable"):
+            read_dat(path, strict=True)
+
+    def test_stream_parity(self, tmp_path):
+        from repro.data.io import iter_dat_stream
+
+        payload, path = self._dirty(tmp_path)
+        file_report = ParseReport(path=str(path))
+        file_txs = list(iter_dat_lines(path, report=file_report))
+        stream_report = ParseReport(path="<stream>")
+        with TestIterDatStream._pipe(payload) as fh:
+            stream_txs = list(iter_dat_stream(fh, report=stream_report))
+        assert stream_txs == file_txs == [(1, 2), (-3, "a"), (4, 5), (7, "1.5")]
+        assert stream_report.errors == file_report.errors
+        with TestIterDatStream._pipe(payload) as fh:
+            with pytest.raises(DatasetError, match="<stream>:3"):
+                list(iter_dat_stream(fh, strict=True))

@@ -196,6 +196,85 @@ class TestMineGoverned:
         assert "governance" in capsys.readouterr().err
 
 
+class TestMineWorkers:
+    """``--workers`` on ``mine``: forwarded, validated, fallback reported."""
+
+    @pytest.fixture
+    def wide_file(self, tmp_path):
+        import random
+
+        rng = random.Random(5)
+        db = [tuple(rng.sample(range(10), 4)) for _ in range(60)]
+        path = tmp_path / "wide.dat"
+        write_dat(db, path)
+        return str(path)
+
+    @staticmethod
+    def _rows(out):
+        return [line for line in out.splitlines() if not line.startswith("#")]
+
+    def _mine(self, path, *extra):
+        return main(["mine", "--input", path, "--min-support", "3", *extra])
+
+    def test_workers_rejected_for_other_methods(self, wide_file, capsys):
+        assert self._mine(wide_file, "--workers", "2") == 1
+        assert "--workers only applies to --method plt-parallel" in capsys.readouterr().err
+
+    def test_workers_rejected_for_condensed_kinds(self, wide_file, capsys):
+        code = self._mine(
+            wide_file, "--method", "plt-parallel", "--workers", "2", "--kind", "closed"
+        )
+        assert code == 1
+        assert "--workers only applies to --kind all" in capsys.readouterr().err
+
+    def test_workers_must_be_positive(self, wide_file, capsys):
+        assert self._mine(wide_file, "--method", "plt-parallel", "--workers", "0") == 1
+        assert "--workers must be >= 1" in capsys.readouterr().err
+
+    def test_workers_forwarded(self, wide_file, capsys, monkeypatch):
+        from repro.core import mining
+
+        seen = {}
+        real = mining.METHODS["plt-parallel"]
+
+        def spy(*args, **kwargs):
+            seen.update(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setitem(mining.METHODS, "plt-parallel", spy)
+        assert self._mine(wide_file, "--method", "plt-parallel", "--workers", "2") == 0
+        assert seen["n_workers"] == 2
+        captured = capsys.readouterr()
+        assert "note:" not in captured.err
+        assert self._mine(wide_file) == 0
+        assert self._rows(capsys.readouterr().out) == self._rows(captured.out)
+
+    def test_one_worker_reported(self, wide_file, capsys):
+        assert self._mine(wide_file, "--method", "plt-parallel", "--workers", "1") == 0
+        err = capsys.readouterr().err
+        assert "in-process with one worker (--workers 1)" in err
+
+    def test_one_cpu_default_reported(self, wide_file, capsys, monkeypatch):
+        import repro.parallel.executor as executor
+
+        monkeypatch.setattr(executor, "default_workers", lambda: 1)
+        assert self._mine(wide_file, "--method", "plt-parallel") == 0
+        assert "in-process with one worker (this host has one CPU)" in capsys.readouterr().err
+
+    def test_missing_segment_reported(self, wide_file, capsys, monkeypatch):
+        from multiprocessing import shared_memory
+
+        def unavailable(*args, **kwargs):
+            raise FileNotFoundError(2, "No such file or directory", "/dev/shm")
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", unavailable)
+        assert self._mine(wide_file, "--method", "plt-parallel", "--workers", "2") == 0
+        captured = capsys.readouterr()
+        assert "note: mine_parallel: cannot create a shared-memory segment" in captured.err
+        assert self._mine(wide_file) == 0
+        assert self._rows(capsys.readouterr().out) == self._rows(captured.out)
+
+
 class TestFailurePaths:
     def test_no_command_is_argparse_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -73,9 +73,10 @@ def main() -> None:
         print(f"  {workers} workers: projected {makespan:.2f}s  speedup x{total / makespan:.2f}")
 
     # Top-down decomposition on a dense slice (where top-down is viable).
-    # NOTE: partitioning the top-down pass trades away cross-transaction
-    # (vector, cursor) aggregation, so workers duplicate shared expansions
-    # on dense data — the honest caveat to the paper's partitioning claim.
+    # NOTE: each worker aggregates only its own slice of paths, so subsets
+    # shared across slices are counted in several partial tables and merged
+    # again by the driver — the honest caveat to the paper's partitioning
+    # claim, which holds for the conditional approach.
     dense = load("DENSE-30")
     plt_dense = PLT.from_transactions(dense, max(1, int(0.02 * len(dense))))
     print(f"\ntop-down pass on DENSE-30 ({plt_dense.n_vectors()} vectors):")

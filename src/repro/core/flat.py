@@ -179,11 +179,6 @@ class FlatPLT:
         """Stored path ``p`` as a plain rank tuple."""
         return tuple(self.ranks[self.path_offsets[p] : self.path_offsets[p + 1]])
 
-    def packed_path(self, p: int) -> bytes:
-        """Stored path ``p`` in the top-down byte engine's key encoding."""
-        off = self.path_offsets
-        return self.ranks[off[p] : off[p + 1]].tobytes()
-
     def iter_paths(self) -> Iterator[tuple[RankPath, int]]:
         """All ``(path, frequency)`` pairs, bucket-major (storage order)."""
         ranks, off, freqs = self.ranks, self.path_offsets, self.freqs
@@ -254,26 +249,32 @@ class FlatPLT:
                 cost[ranks[c]] += c - base
         return cost
 
-    def paths_by_length(self):
-        """Stored paths grouped by length as ``{length: (mat, ifreqs)}``.
+    def paths_by_length(self, start: int = 0, end: int | None = None):
+        """Stored paths ``[start, end)`` grouped by length as
+        ``{length: (mat, ifreqs)}``.
 
         ``mat`` is an int64 ``(n, length)`` matrix of rank paths and
         ``ifreqs`` the matching int64 frequency column — exactly the input
-        shape of the vectorised conditional top level.  Returns ``None``
-        without NumPy (callers fall back to the sweep formulation).
+        shape of the vectorised conditional top level and of the top-down
+        subset-lattice kernel.  Returns ``None`` without NumPy (callers
+        fall back to the sweep formulation).
         """
         views = self.as_numpy()
         if views is None:
             return None
-        if self.n_paths == 0:
+        if end is None:
+            end = self.n_paths
+        if end <= start:
             return {}
-        offsets = views["path_offsets"].astype(_np.int64)
+        offsets = views["path_offsets"][start : end + 1].astype(_np.int64)
         lengths = _np.diff(offsets)
         starts = offsets[:-1]
         ranks64 = views["ranks"].astype(_np.int64)
-        ifreqs = views["freqs"].astype(_np.int64)
+        ifreqs = views["freqs"][start:end].astype(_np.int64)
         out = {}
-        for length in _np.unique(lengths):
+        # distinct lengths via bincount: np.unique's first call in a
+        # process imports numpy.ma (~15 ms), paid again by every pool worker
+        for length in _np.flatnonzero(_np.bincount(lengths)):
             size = int(length)
             rows = _np.nonzero(lengths == length)[0]
             idx = starts[rows][:, None] + _np.arange(size, dtype=_np.int64)

@@ -7,61 +7,53 @@ very low support thresholds on short-transaction data, where the frequent
 set approaches the full subset lattice anyway and anti-monotone pruning
 buys nothing.
 
-No-duplication discipline
--------------------------
-A subset of transaction ``T = {x0 < ... < x_{k-1}}`` is generated exactly
-once by composing the paper's two subset rules (Lemma 4.1.3) canonically:
+Subset-lattice kernel
+---------------------
+By Lemma 4.1.1 a stored rank path *is* its itemset, so the kernel keys
+every itemset by a bitmask: rank ``r`` is bit ``r - 1`` of a key of
+``W = ceil(top / 64)`` ``uint64`` words.  A path of ``L`` items has its
+``2^L`` subset masks written into one row by doubling::
 
-1. *Prefix seeding* ("part A", folded into construction exactly as the
-   paper suggests): for every stored vector, all of its prefixes are
-   seeded.  The prefix ending at the subset's **maximal** item is the
-   subset's unique ancestor.
-2. *Left-shifting merges* ("part B", Algorithm 2's shift discipline):
-   interior items are removed by consecutive-position merges at strictly
-   **decreasing** indices.  Every work item carries a merge *cursor*
-   ``limit`` — merges are only allowed at 0-based indices ``< limit``; a
-   child created by merging at index ``i`` gets ``limit = i``.
+    sub[0] = 0;   sub[n:2n] = sub[:n] | bit_j   (n = 2^j, j = 0 .. L-1)
 
-Any subset has exactly one (prefix, decreasing-merge-sequence)
-decomposition, so every (transaction, subset) pair contributes its
-frequency exactly once.
+After step ``j`` the cell at index ``k < 2^(j+1)`` is the union of the
+path's items ``i <= j`` whose bit ``i`` is set in ``k``: the row is
+binary counting over the path's positions.  Index and subset are in
+bijection (the items are distinct, so distinct ``k`` select distinct
+subsets), hence every (transaction, subset) pair is generated exactly
+once and carries the path's frequency — the guarantee Lemma 4.1.3's shift
+discipline gave by pairing each subset with one (prefix, decreasing-merge)
+decomposition.  Index 0, the empty set, is dropped.
 
-Hot-path engine
----------------
-:func:`_subset_byte_frequencies` runs the pass on **rank paths**
-(cumulative-sum tuples, Lemma 4.1.1, precomputed at PLT construction)
-packed into native-int ``bytes`` keys: removing item ``i`` is a
-two-slice memcpy instead of the delta-space merge's three-part
-concatenation with an addition, and key hashing is one pass over a flat
-buffer rather than per-element integer hashing.  Three further
-structural savings over the seed-era two-part formulation:
+Paths are processed by length in descending order, in chunks of at most
+``_CHUNK_SUBSETS`` generated subsets written into one preallocated
+``(rows, 2^L, W)`` array.  Each chunk is aggregated by one ``argsort``
+and an ``np.add.reduceat`` over the runs of equal keys (exact ``int64``
+sums), and chunk tables are merged into the lattice only once the
+unmerged entries outnumber the merged table, so merging stays
+``O(N log N)`` overall.  Only keys that survive the support (and
+``max_len``) filter are decoded back to rank tuples, vectorised per length.
 
-* **Fused parts** — prefix seeding threads through the same
-  descending-length sweep as merge expansion (a per-length *chain* table),
-  so stored vectors that share a prefix converge *before* shorter prefixes
-  are sliced and each shared prefix tuple is materialised once, not once
-  per ancestor.
-* **Cursor grouping** — work items are aggregated ``vector -> {cursor ->
-  frequency}``; a vector reached with several different cursors expands
-  its children once, each child receiving the suffix-summed frequency of
-  every cursor that allows it (identical aggregation semantics, far fewer
-  tuple constructions and table updates).
-* **Local binding** — the per-length target tables are bound to locals
-  around the hot loops; no ``setdefault`` or closure calls remain on the
-  per-subset path.
+A path of length ``L`` has no subset longer than ``L``: once every path
+longer than ``L`` has been swept, all subset counts of length ``> L`` are
+final.  That is the governed-partial guarantee (``sweep_length``,
+``complete_min_len``); the governor is checked between chunks.
 
-:func:`topdown_subset_frequencies` keeps the historical delta-vector
-result shape by converting the path table once at the end.
+Shared-memory workers run the same kernel over a
+:class:`~repro.core.flat.FlatPLT` path slice
+(:func:`topdown_flat_slice`); their ``(keys, counts)`` tables merge by the
+same aggregation.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter, defaultdict
 from collections.abc import Mapping
 
+import numpy as np
+
 from repro.core.plt import PLT
-from repro.core.position import PositionVector, RankPath, path_to_vector
+from repro.core.position import PositionVector, RankPath
 from repro.errors import InvalidSupportError, MiningInterrupted, TopDownExplosionError
 from repro.perf.counters import COUNTERS as _COUNTERS
 
@@ -84,12 +76,24 @@ DEFAULT_WORK_LIMIT = 20_000_000
 #: "at least this much", never as an exact count.
 WORK_ESTIMATE_CAP = 1 << 62
 
+#: Subsets generated per chunk: a chunk of length-``L`` paths holds
+#: ``max(1, _CHUNK_SUBSETS >> L)`` rows, which bounds the kernel's
+#: temporaries independently of the input size.
+_CHUNK_SUBSETS = 1 << 16
+
+#: SWAR popcount constants (see :func:`_popcount`).
+_M1, _M2, _M4, _H01 = map(
+    np.uint64,
+    (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101),
+)
+
 
 def estimate_topdown_work(plt: PLT) -> int:
-    """Upper bound on subset generation events: sum of 2^len per vector.
+    """Subset generation events: ``2^len - 1`` summed over stored vectors.
 
-    Aggregation across identical ``(vector, cursor)`` work items usually
-    keeps the real cost far below this, but the bound is what protects the
+    This is exactly the number of (path, subset) occurrences the lattice
+    kernel generates (the ``topdown_work_items`` counter) before they
+    aggregate into distinct itemsets, and the bound that protects the
     process from pathological inputs.
 
     Saturates at :data:`WORK_ESTIMATE_CAP`: once the running bound crosses
@@ -120,191 +124,192 @@ def _check_work_limit(plt: PLT, work_limit: int | None) -> None:
         )
 
 
-#: Byte width of one rank in the packed-path keys of the byte engine.
-_RANK_ITEMSIZE = array("I").itemsize
+def _aggregate(keys, counts, words: int, kind: str = "quicksort"):
+    """Sum ``counts`` per distinct key: ``(sorted unique keys, int64 sums)``."""
+    if len(keys) == 0:
+        return keys, counts
+    order = keys.argsort(kind=kind)
+    keys = keys[order]
+    masks = keys.view(np.uint64).reshape(-1, words)
+    first = np.ones(len(keys), bool)
+    first[1:] = (masks[1:] != masks[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    return keys[starts], np.add.reduceat(counts[order], starts)
 
 
-def _decode_path(pb: bytes) -> RankPath:
-    """Unpack a packed-path key back into a rank-path tuple."""
-    return tuple(array("I", pb))
+class _Lattice:
+    """A ``(keys, counts)`` subset table fed chunk by chunk.
 
-
-def _subset_byte_frequencies(plt: PLT, governor=None) -> dict[int, dict[bytes, int]]:
-    """The top-down engine on packed-``bytes`` path keys.
-
-    Rank paths are packed into native unsigned-int ``bytes`` strings: a
-    child deletion is then one slice-and-concatenate memcpy, hashing is a
-    single pass over the buffer instead of per-element integer hashing,
-    and merge cursors live directly in byte units so the hot loop does no
-    index arithmetic at all.  The result maps ``length -> {packed path ->
-    frequency}``; callers that need tuples decode with
-    :func:`_decode_path` (ideally after support filtering, so only
-    survivors pay the decode).
+    Keys are 1-D: ``uint64`` masks when ``W == 1``, otherwise ``8 W``-byte
+    ``np.void`` records, so one ``argsort`` serves every key width.
     """
 
-    def packed():
-        for path, freq in plt.iter_rank_paths():
-            yield array("I", path).tobytes(), freq
+    def __init__(self, max_rank: int) -> None:
+        self.words = max(1, -(-max_rank // 64))
+        self.dtype = np.dtype(np.uint64 if self.words == 1 else (np.void, 8 * self.words))
+        self._keys = np.empty(0, self.dtype)
+        self._counts = np.empty(0, np.int64)
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
+        self._pending_n = 0
 
-    return _subset_byte_frequencies_packed(packed(), governor=governor)
+    def add(self, keys: np.ndarray, counts: np.ndarray) -> None:
+        """Queue one table; merge once the queue outgrows the merged table."""
+        self._pending.append((keys, counts))
+        self._pending_n += len(keys)
+        if self._pending_n > len(self._keys):
+            self._merge()
+
+    def _merge(self) -> None:
+        if self._pending:
+            parts = [(self._keys, self._counts), *self._pending]
+            # concatenated sorted runs: a stable (merging) sort is cheapest
+            self._keys, self._counts = _aggregate(
+                np.concatenate([k for k, _ in parts]),
+                np.concatenate([c for _, c in parts]),
+                self.words,
+                kind="stable",
+            )
+            self._pending, self._pending_n = [], 0
+
+    def table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The merged ``(keys, counts)`` arrays (sorted keys, int64 counts)."""
+        self._merge()
+        return self._keys, self._counts
+
+    def blocks(self, min_support=1, *, min_len=1, max_len=None):
+        """Yield ``(length, rank matrix, supports)`` for every key with
+        ``count >= min_support`` and ``min_len <= length <= max_len``,
+        decoded one length at a time by :func:`_rank_matrix`."""
+        keys, counts = self.table()
+        if min_support > 1:
+            keep = counts >= min_support
+            keys, counts = keys[keep], counts[keep]
+        masks = keys.view(np.uint64).reshape(-1, self.words)
+        lengths = _popcount(masks)
+        for length in np.flatnonzero(np.bincount(lengths)).tolist():
+            if length < min_len or (max_len is not None and length > max_len):
+                continue
+            rows = lengths == length
+            yield length, _rank_matrix(masks[rows], length), counts[rows].tolist()
+
+    def paths(self) -> dict[int, dict[RankPath, int]]:
+        """The whole lattice as ``length -> {rank path -> frequency}``."""
+        return {
+            length: dict(zip(_tuples(ranks), supports))
+            for length, ranks, supports in self.blocks()
+        }
+
+    def vectors(self) -> dict[int, dict[PositionVector, int]]:
+        """The whole lattice in the delta-vector shape: each rank path's
+        first differences, taken on the rank matrix."""
+        return {
+            length: dict(zip(_tuples(np.diff(ranks, axis=1, prepend=0)), supports))
+            for length, ranks, supports in self.blocks()
+        }
 
 
-def topdown_flat_slice(
-    flat, start: int, end: int, *, governor=None, singletons: bool = True
-) -> dict[int, dict[bytes, int]]:
-    """Top-down engine over stored paths ``[start, end)`` of a FlatPLT.
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    """Set bits per row of a ``(rows, W)`` ``uint64`` mask matrix."""
+    x = masks - ((masks >> 1) & _M1)
+    x = (x & _M2) + ((x >> 2) & _M2)
+    x = (x + (x >> 4)) & _M4
+    return ((x * _H01) >> 56).sum(axis=1, dtype=np.int64)
 
-    The flat ``ranks`` column uses the engine's own key encoding, so a
-    seed is one ``tobytes()`` slice off shared memory — no RankPath tuple
-    is ever materialised.  Returns the packed per-length table (partial
-    sums; slices over the same structure merge by addition).
 
-    Shared-memory parallel workers pass ``singletons=False``: their
-    partial length-1 sums are redundant — the driver reconstitutes that
-    level exactly from :meth:`FlatPLT.rank_supports` — and dropping them
-    cuts the widest level of the lattice out of every result pickle.
+def _rank_matrix(masks: np.ndarray, length: int) -> np.ndarray:
+    """The ``(rows, length)`` ascending rank matrix of masks that all have
+    ``length`` bits set.
+
+    Vectorised over the rows: step ``k`` isolates every row's lowest set
+    bit (``x & -x``), clears it, and turns it into rank
+    ``64 * word + exponent`` (``frexp(2^b)`` has exponent ``b + 1``), which
+    fills column ``k``.  ``masks`` is consumed.
     """
-    off, ranks, freqs = flat.path_offsets, flat.ranks, flat.freqs
+    rows = np.arange(len(masks))
+    ranks = np.empty((len(masks), length), np.int64)
+    for k in range(length):
+        word = (masks != 0).argmax(axis=1)
+        low = masks[rows, word]
+        low &= -low
+        masks[rows, word] ^= low
+        ranks[:, k] = np.frexp(low.astype(np.float64))[1] + 64 * word
+    return ranks
 
-    def packed():
-        for p in range(start, end):
-            yield ranks[off[p] : off[p + 1]].tobytes(), freqs[p]
 
-    counts = _subset_byte_frequencies_packed(packed(), governor=governor)
-    if not singletons:
-        counts.pop(1, None)
-    return counts
+def _tuples(matrix: np.ndarray):
+    """The rows of an integer matrix as tuples of Python ints."""
+    return zip(*matrix.T.tolist())
 
 
-def _subset_byte_frequencies_packed(
-    packed_pairs, governor=None
-) -> dict[int, dict[bytes, int]]:
-    """Engine core, seeded from an iterable of ``(packed path, freq)``.
+def _plt_groups(plt: PLT) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The PLT's stored paths as ``length -> (int64 rank matrix, freqs)``
+    (the shape of :meth:`FlatPLT.paths_by_length`)."""
+    by_len: dict[int, tuple[list, list]] = defaultdict(lambda: ([], []))
+    for path, freq in plt.iter_rank_paths():
+        paths, freqs = by_len[len(path)]
+        paths.append(path)
+        freqs.append(freq)
+    return {
+        length: (np.array(paths, dtype=np.int64), np.array(freqs, dtype=np.int64))
+        for length, (paths, freqs) in by_len.items()
+    }
 
-    Packed paths must be distinct (both sources — the PLT's interned
-    index and a FlatPLT path slice — guarantee it).
-    """
+
+def _plt_lattice(plt: PLT, governor=None) -> _Lattice:
+    """The whole subset lattice of a PLT's stored paths."""
+    return _sweep(_plt_groups(plt), _Lattice(plt.max_rank()), governor)
+
+
+def _sweep(groups, lattice: _Lattice, governor=None) -> _Lattice:
+    """Add every non-empty subset of every grouped path to ``lattice``."""
     counters = _COUNTERS
-    counts: dict[int, dict[bytes, int]] = defaultdict(dict)
-    if governor is not None:
-        # expose the live table so mine_topdown can salvage the lengths
-        # already finalized if a budget trips mid-sweep (private key,
-        # popped by the driver before progress reaches any caller)
-        governor.start()
-        governor.progress["_topdown_counts"] = counts
-    # merge work: length -> {path -> {cursor -> frequency}}; cursors are
-    # byte offsets — a child cut at offset o inherits the summed
-    # frequency of every cursor > o and carries cursor o itself
-    merge_work: dict[int, dict[bytes, dict[int, int]]] = defaultdict(dict)
-    # prefix chains: length -> {path -> frequency}; entries are already
-    # counted and owe (a) their full merge fan-out, (b) their next prefix
-    chain_work: dict[int, dict[bytes, int]] = defaultdict(dict)
-
-    isz = _RANK_ITEMSIZE
-    top = 0
-    for pb, freq in packed_pairs:
-        length = len(pb) // isz
-        counts[length][pb] = freq  # packed paths are distinct
-        if length >= 2:
-            chain = chain_work[length]
-            chain[pb] = chain.get(pb, 0) + freq
-        if length > top:
-            top = length
-
-    tick = governor.tick if governor is not None else None
-    length = top
-    while length >= 2:
+    words, dtype = lattice.words, lattice.dtype
+    for length in sorted(groups, reverse=True):
+        mat, freqs = groups[length]
         if governor is not None:
-            # counts[L] for L >= the in-flight length are final: processing
-            # this length only writes into counts[length - 1]
-            governor.progress["sweep_length"] = length
-            governor.tick()
-        child_len = length - 1
-        # byte offset of the last item — also the full-freedom cursor
-        # (every deletion offset is strictly below it)
-        cut = isz * child_len
-        chain = chain_work.pop(length, None)
-        if chain:
-            if tick is not None:
-                tick(len(chain))
-            if counters.enabled:
-                counters.add("topdown_chain_prefixes", len(chain))
-            mw = merge_work[length]
-            mw_get = mw.get
-            ccounts = counts[child_len]
-            ccounts_get = ccounts.get
-            cchain = chain_work[child_len] if child_len >= 2 else None
-            for pb, freq in chain.items():
-                # (a) full-freedom merges for this prefix
-                cursors = mw_get(pb)
-                if cursors is None:
-                    mw[pb] = {cut: freq}
-                else:
-                    cursors[cut] = cursors.get(cut, 0) + freq
-                # (b) the next-shorter prefix: counted here, chained on
-                prefix = pb[:cut]
-                ccounts[prefix] = ccounts_get(prefix, 0) + freq
-                if cchain is not None:
-                    cchain[prefix] = cchain.get(prefix, 0) + freq
-        bucket = merge_work.pop(length, None)
-        if bucket:
-            if counters.enabled:
-                counters.add("topdown_work_vectors", len(bucket))
-                counters.add(
-                    "topdown_work_items", sum(len(c) for c in bucket.values())
+            # subsets longer than `length` come only from the longer paths
+            # already swept, so their counts are final from here on
+            governor.progress["sweep_length"] = length + 1
+        n, span = len(mat), 1 << length
+        pos = mat - 1
+        bits = np.zeros((n, length, words), np.uint64)
+        rows, cols = np.indices(mat.shape)
+        bits[rows, cols, pos >> 6] = np.uint64(1) << (pos & 63).astype(np.uint64)
+        step = max(1, _CHUNK_SUBSETS >> length)
+        buf = np.empty((min(step, n), span, words), np.uint64)
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            work = (stop - start) * (span - 1)
+            if governor is not None:
+                governor.tick(work)
+            sub = buf[: stop - start]
+            sub[:, 0] = 0
+            for j in range(length):
+                half = 1 << j
+                np.bitwise_or(
+                    sub[:, :half], bits[start:stop, j, None, :], out=sub[:, half : 2 * half]
                 )
-            ccounts = counts[child_len]
-            ccounts_get = ccounts.get
-            # child_len >= 2 whenever the o > 0 push below can trigger
-            # (length == 2 only ever cuts at offset 0), so cmw is never
-            # dereferenced while None
-            cmw = merge_work[child_len] if child_len >= 2 else None
-            cmw_get = cmw.get if cmw is not None else None
-            for pb, cursors in bucket.items():
-                # expand once per vector: the child cut at offset o gets
-                # the total frequency of every cursor allowing it (> o);
-                # the o == 0 child is peeled off the loops since it is
-                # never pushed (no merge freedom left) and needs no
-                # prefix slice
-                if tick is not None:
-                    tick(child_len)
-                if len(cursors) == 1:
-                    ((limit, running),) = cursors.items()
-                    for o in range(limit - isz, 0, -isz):
-                        child = pb[:o] + pb[o + isz :]
-                        ccounts[child] = ccounts_get(child, 0) + running
-                        ccursors = cmw_get(child)
-                        if ccursors is None:
-                            cmw[child] = {o: running}
-                        else:
-                            ccursors[o] = ccursors.get(o, 0) + running
-                else:
-                    ordered = sorted(cursors.items(), reverse=True)
-                    limit, running = ordered[0]
-                    starts = ordered[1:]
-                    ptr = 0
-                    n_starts = len(starts)
-                    for o in range(limit - isz, 0, -isz):
-                        while ptr < n_starts and starts[ptr][0] > o:
-                            running += starts[ptr][1]
-                            ptr += 1
-                        child = pb[:o] + pb[o + isz :]
-                        ccounts[child] = ccounts_get(child, 0) + running
-                        ccursors = cmw_get(child)
-                        if ccursors is None:
-                            cmw[child] = {o: running}
-                        else:
-                            ccursors[o] = ccursors.get(o, 0) + running
-                    # every cursor is a positive byte offset, so all
-                    # stragglers apply at o == 0
-                    while ptr < n_starts:
-                        running += starts[ptr][1]
-                        ptr += 1
-                child = pb[isz:]
-                ccounts[child] = ccounts_get(child, 0) + running
-        length -= 1
-    # drop defaultdict behaviour and any bucket the sweep only peeked at
-    return {length: bucket for length, bucket in counts.items() if bucket}
+            keys, counts = _aggregate(
+                sub.reshape(-1, words).view(dtype).ravel(),
+                np.repeat(freqs[start:stop], span),
+                words,
+            )
+            # the all-zero key (the empty set) sorts first
+            lattice.add(keys[1:], counts[1:])
+            if counters.enabled:
+                counters.add("topdown_work_items", work)
+    return lattice
+
+
+def topdown_flat_slice(flat, start: int, end: int):
+    """Subset lattice of stored paths ``[start, end)`` of a FlatPLT.
+
+    Returns the ``(keys, counts)`` arrays of the kernel's table: partial
+    sums over this slice, which merge with other slices of the same
+    structure by the same aggregation (:class:`_Lattice.add`).
+    """
+    lattice = _Lattice(flat.max_rank)
+    return _sweep(flat.paths_by_length(start, end), lattice).table()
 
 
 def topdown_subset_path_frequencies(
@@ -314,19 +319,15 @@ def topdown_subset_path_frequencies(
 
     The result maps ``length -> {rank path -> frequency}`` and contains
     every non-empty subset of every encoded transaction with its exact
-    support — the state of Figure 4, keyed by rank paths.  Runs
-    :func:`_subset_byte_frequencies` and decodes every key; support-
-    filtering callers should prefer :func:`mine_topdown`, which decodes
-    only the frequent survivors.
+    support — the state of Figure 4, keyed by rank paths.  This decodes
+    the whole lattice; support-filtering callers should prefer
+    :func:`mine_topdown`, which decodes only the frequent survivors.
 
     Raises :class:`TopDownExplosionError` when the estimated work exceeds
     ``work_limit`` (pass ``None`` to disable the guard).
     """
     _check_work_limit(plt, work_limit)
-    return {
-        length: {_decode_path(pb): freq for pb, freq in bucket.items()}
-        for length, bucket in _subset_byte_frequencies(plt).items()
-    }
+    return _plt_lattice(plt).paths()
 
 
 def topdown_subset_frequencies(
@@ -334,16 +335,13 @@ def topdown_subset_frequencies(
 ) -> dict[int, dict[PositionVector, int]]:
     """Top-down pass with the historical delta-vector result shape.
 
-    Runs :func:`topdown_subset_path_frequencies` and converts each rank
-    path back to its position vector (first differences) once at the end.
+    Same lattice as :func:`topdown_subset_path_frequencies`, with each
+    rank path converted back to its position vector (first differences).
     Callers that only filter by support should prefer the path form — it
     is what :func:`mine_topdown` consumes directly.
     """
-    path_counts = topdown_subset_path_frequencies(plt, work_limit=work_limit)
-    return {
-        length: {path_to_vector(path): freq for path, freq in bucket.items()}
-        for length, bucket in path_counts.items()
-    }
+    _check_work_limit(plt, work_limit)
+    return _plt_lattice(plt).vectors()
 
 
 def mine_topdown(
@@ -358,9 +356,8 @@ def mine_topdown(
 
     Returns ``(rank_tuple, support)`` pairs like
     :func:`~repro.core.conditional.mine_conditional`, so the two miners are
-    interchangeable behind the facade.  Works on the packed table
-    directly — a decoded rank path *is* the sorted rank tuple — and only
-    the frequent survivors pay the decode.
+    interchangeable behind the facade.  Only the frequent survivors of
+    the lattice are decoded — a decoded mask *is* the sorted rank tuple.
 
     When ``governor`` trips mid-sweep, the raised
     :class:`~repro.errors.MiningInterrupted` carries in ``partial`` the
@@ -373,47 +370,34 @@ def mine_topdown(
     if min_support < 1:
         raise InvalidSupportError(f"absolute min_support must be >= 1, got {min_support}")
     _check_work_limit(plt, work_limit)
-    try:
-        counts = _subset_byte_frequencies(plt, governor=governor)
-    except MiningInterrupted as exc:
-        raw = governor.progress.pop("_topdown_counts", {}) if governor else {}
-        sweep_length = governor.progress.get("sweep_length") if governor else None
-        pairs: list[tuple[tuple[int, ...], int]] = []
-        if sweep_length is not None:
-            for length, bucket in raw.items():
-                if length < sweep_length:
-                    continue  # still receiving contributions — not exact
-                if max_len is not None and length > max_len:
-                    continue
-                pairs.extend(
-                    (_decode_path(pb), freq)
-                    for pb, freq in bucket.items()
-                    if freq >= min_support
-                )
-            exc.progress.setdefault("complete_min_len", sweep_length)
-        exc.partial = pairs
-        raise
+    lattice = _Lattice(plt.max_rank())
     if governor is not None:
-        governor.progress.pop("_topdown_counts", None)
-    results: list[tuple[tuple[int, ...], int]] = []
-    if governor is None:
-        extend = results.extend
-        for length, bucket in counts.items():
-            if max_len is not None and length > max_len:
-                continue
-            extend(
-                (_decode_path(pb), freq)
-                for pb, freq in bucket.items()
-                if freq >= min_support
+        governor.start()
+    try:
+        _sweep(_plt_groups(plt), lattice, governor)
+    except MiningInterrupted as exc:
+        sweep_length = governor.progress["sweep_length"]
+        exc.partial = [
+            pair
+            for _, ranks, supports in lattice.blocks(
+                min_support, min_len=sweep_length, max_len=max_len
             )
+            for pair in zip(_tuples(ranks), supports)
+        ]
+        exc.progress.setdefault("complete_min_len", sweep_length)
+        raise
+    results: list[tuple[tuple[int, ...], int]] = []
+    blocks = lattice.blocks(min_support, max_len=max_len)
+    if governor is None:
+        for _, ranks, supports in blocks:
+            results.extend(zip(_tuples(ranks), supports))
         return results
     try:
-        for length, bucket in counts.items():
-            for pb, freq in bucket.items():
-                if freq >= min_support and (max_len is None or length <= max_len):
-                    # cap check first so partials never exceed max_itemsets
-                    governor.note_itemsets()
-                    results.append((_decode_path(pb), freq))
+        for _, ranks, supports in blocks:
+            for pair in zip(_tuples(ranks), supports):
+                # cap check first so partials never exceed max_itemsets
+                governor.note_itemsets()
+                results.append(pair)
     except MiningInterrupted as exc:
         exc.partial = results
         raise

@@ -7,9 +7,10 @@ Two exact (not approximate) parallel schemes, both over one shared-memory
   disjoint top-level rank ranges straight off the shared columns; results
   concatenate with no reconciliation because itemsets are partitioned by
   their maximal item (the paper's §6 partitioning).
-* :func:`topdown_parallel` — parallel **top-down** subset propagation.
-  Workers expand disjoint slices of the stored paths; the partial subset
-  frequency tables merge by addition.
+* :func:`topdown_parallel` — parallel **top-down** subset lattice.
+  Workers run the lattice kernel over disjoint slices of the stored
+  paths; the driver merges their ``(keys, counts)`` tables with the same
+  aggregation.
 
 Both run in-process for one worker or a PLT with at most one vector, so
 results and code paths stay testable without process overhead.  When the
@@ -39,17 +40,16 @@ import os
 import pickle
 import time
 import warnings
-from array import array
 from collections.abc import Callable, Sequence
 
 from repro.core.conditional import mine_conditional
 from repro.core.flat import FlatPLT
 from repro.core.plt import PLT
-from repro.core.position import PositionVector, path_to_vector
+from repro.core.position import PositionVector
 from repro.core.topdown import (
     DEFAULT_WORK_LIMIT,
-    _decode_path,
-    _subset_byte_frequencies,
+    _Lattice,
+    _plt_lattice,
     estimate_topdown_work,
 )
 from repro.errors import (
@@ -434,13 +434,10 @@ def topdown_parallel(
         executor = _open_segment(flat, "topdown_parallel")
     if executor is None:
         try:
-            return _unpack(_subset_byte_frequencies(plt, governor=governor))
+            return _plt_lattice(plt, governor).vectors()
         except MiningInterrupted as exc:
             exc.partial = []
             raise
-        finally:
-            if governor is not None:
-                governor.progress.pop("_topdown_counts", None)
     try:
         batches = [
             (executor.meta, start, end)
@@ -460,34 +457,10 @@ def topdown_parallel(
             exc.raw_results = []
             exc.partial = []
             raise
-        packed: dict[int, dict[bytes, int]] = {}
-        for part in parts:
-            for length, bucket in part.items():
-                target = packed.setdefault(length, {})
-                target_get = target.get
-                for pb, freq in bucket.items():
-                    target[pb] = target_get(pb, 0) + freq
-        # the workers all dropped length 1; one vectorised column pass
-        # rebuilds the level exactly (singleton subset frequency == rank
-        # support), instead of merging the lattice's widest level from
-        # every worker's result pickle
-        ones = {
-            array("I", (rank,)).tobytes(): s
-            for rank, s in enumerate(flat.rank_supports())
-            if s
-        }
-        if ones:
-            packed[1] = ones
-        return _unpack(packed)
+        lattice = _Lattice(flat.max_rank)
+        for keys, counts in parts:
+            lattice.add(keys, counts)
+        return lattice.vectors()
     finally:
         executor.close()
 
-
-def _unpack(
-    packed: dict[int, dict[bytes, int]]
-) -> dict[int, dict[PositionVector, int]]:
-    """Packed-path subset table -> the delta-vector result shape."""
-    return {
-        length: {path_to_vector(_decode_path(pb)): freq for pb, freq in bucket.items()}
-        for length, bucket in packed.items()
-    }

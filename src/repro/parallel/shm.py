@@ -17,11 +17,10 @@ the pool pipe:
      itemsets partition exactly by maximal rank, so per-range results
      concatenate with no reconciliation;
    * top-down tasks are stored-**path slices** ``[start, end)`` run
-     through the packed byte engine
-     (:func:`~repro.core.topdown.topdown_flat_slice`); partial tables
-     merge by addition, and workers drop their (redundant, widest)
-     length-1 level — the driver reconstitutes it exactly from the
-     vectorised :meth:`FlatPLT.rank_supports` column pass.
+     through the subset-lattice kernel
+     (:func:`~repro.core.topdown.topdown_flat_slice`); each returns its
+     partial ``(keys, counts)`` arrays, which the driver merges with the
+     kernel's own aggregation.
 
 Segment lifecycle: the driver owns the segment and guarantees
 ``close``/``unlink`` in a ``finally`` — success, worker crash, budget
@@ -135,12 +134,12 @@ def _shm_cond_range(args) -> tuple[str, list, str | None]:
     return ("ok", results, None)
 
 
-def _shm_topdown_slice(args) -> dict[int, dict[bytes, int]]:
-    """Expand one stored-path slice; returns the packed partial table."""
+def _shm_topdown_slice(args):
+    """Expand one stored-path slice; returns its ``(keys, counts)`` table."""
     meta, start, end = args
     _maybe_chaos_kill(start)
     flat = _attached_flat(meta)
-    return topdown_flat_slice(flat, start, end, singletons=False)
+    return topdown_flat_slice(flat, start, end)
 
 
 # ---------------------------------------------------------------------------

@@ -77,8 +77,9 @@ _BYTES_PER_BLOCK = 64
 #: tuple plus its share of dict overhead) in the conditional engine.
 _BYTES_PER_COND_CELL = 120
 
-#: Estimated resident bytes per generated subset entry (packed-bytes key
-#: plus dict slot) in the top-down engine.
+#: Estimated resident bytes per generated subset entry in the top-down
+#: pass (a conservative figure: the lattice kernel keeps an 8-byte-per-word
+#: key and an 8-byte count per distinct subset, plus bounded chunk buffers).
 _BYTES_PER_SUBSET = 90
 
 
@@ -284,8 +285,7 @@ def estimate_topdown_memory(plt) -> int:
 
     The top-down pass materialises every subset of every stored vector;
     :func:`~repro.core.topdown.estimate_topdown_work` bounds that count
-    (saturating), and each entry costs roughly a packed key plus a dict
-    slot.
+    (saturating), and each entry is charged :data:`_BYTES_PER_SUBSET`.
     """
     from repro.core.topdown import WORK_ESTIMATE_CAP, estimate_topdown_work
 

@@ -62,14 +62,18 @@ class TestLowering:
         assert flat.rank_supports() == [0] * (flat.max_rank + 1)
         assert flat.paths_by_length() in (None, {})
 
-    def test_packed_path_is_engine_encoding(self):
-        from array import array
-
+    def test_paths_by_length_slices(self):
         db = random_database(904, max_items=9, max_transactions=40)
-        plt = PLT.from_transactions(db, 2)
-        flat = FlatPLT.from_plt(plt)
-        for p in range(flat.n_paths):
-            assert flat.packed_path(p) == array("I", flat.path(p)).tobytes()
+        flat = FlatPLT.from_plt(PLT.from_transactions(db, 2))
+        n = flat.n_paths
+        for start, end in ((0, n), (0, n // 2), (n // 3, n), (n // 2, n // 2)):
+            want = sorted(flat.path(p) + (flat.freqs[p],) for p in range(start, end))
+            got = sorted(
+                tuple(row) + (freq,)
+                for mat, freqs in flat.paths_by_length(start, end).values()
+                for row, freq in zip(mat.tolist(), freqs.tolist())
+            )
+            assert got == want
 
 
 class TestNoNumpyFallback:

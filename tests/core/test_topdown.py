@@ -1,20 +1,27 @@
 """Unit tests for Algorithm 2 (top-down mining)."""
 
 import itertools
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import repro.core.topdown as topdown
 from repro.baselines.bruteforce import support_counts_bruteforce
+from repro.baselines.fpgrowth import mine_fpgrowth
 from repro.core.plt import PLT
-from repro.core.position import decode
+from repro.core.position import decode, path_to_vector
 from repro.core.topdown import (
     DEFAULT_WORK_LIMIT,
     estimate_topdown_work,
     mine_topdown,
     subset_frequencies_flat,
     topdown_subset_frequencies,
+    topdown_subset_path_frequencies,
 )
 from repro.errors import InvalidSupportError, TopDownExplosionError
+from repro.perf.counters import collecting
 from tests.conftest import random_database
 
 
@@ -135,3 +142,91 @@ class TestAgainstConditional:
             a = sorted(mine_topdown(plt, min_support))
             b = sorted(mine_conditional(plt, min_support))
             assert a == b
+
+
+# -- subset-lattice kernel differentials ------------------------------------
+#: Chunk sizes under test: one subset (one row per chunk), an odd size
+#: that splits short-path groups mid-way, and the module default.
+CHUNKS = [1, 7, topdown._CHUNK_SUBSETS]
+
+
+def _databases(max_items=130, max_len=6, max_tx=40):
+    """Short transactions over up to ``max_items`` item ids (so top-down
+    stays cheap while the key width crosses one and two 64-bit words)."""
+    return st.integers(1, max_items).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, n - 1), max_size=max_len), max_size=max_tx
+        )
+    )
+
+
+def _bruteforce_paths(plt):
+    """Every non-empty subset of every stored rank path, with its support."""
+    truth = Counter()
+    for path, freq in plt.iter_rank_paths():
+        for size in range(1, len(path) + 1):
+            for sub in itertools.combinations(path, size):
+                truth[sub] += freq
+    return truth
+
+
+#: A wide run: 130 distinct items (three key words), each in three short
+#: transactions.
+_WIDE = [[i, (i + 1) % 130, (i + 57) % 130] for i in range(130)]
+
+
+class TestLatticeKernel:
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @settings(max_examples=40, deadline=None)
+    @given(db=_databases())
+    @example(db=[])
+    @example(db=[[3, 1, 4, 5, 9, 2]])
+    @example(db=[[i] for i in range(100)])
+    @example(db=_WIDE)
+    def test_threshold_one_lattice_is_bruteforce(self, chunk, db):
+        plt = PLT.from_transactions(db, 1)
+        truth = _bruteforce_paths(plt)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(topdown, "_CHUNK_SUBSETS", chunk)
+            paths = topdown_subset_path_frequencies(plt)
+            vectors = topdown_subset_frequencies(plt)
+        assert {p: f for bucket in paths.values() for p, f in bucket.items()} == truth
+        assert all(len(p) == size for size, bucket in paths.items() for p in bucket)
+        assert vectors == {
+            size: {path_to_vector(p): f for p, f in bucket.items()}
+            for size, bucket in paths.items()
+        }
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        db=_databases(),
+        min_support=st.integers(1, 4),
+        max_len=st.one_of(st.none(), st.integers(1, 4)),
+    )
+    @example(db=_WIDE, min_support=2, max_len=None)
+    @example(db=[[5]] * 3 + [[7]] * 2, min_support=2, max_len=1)
+    def test_mine_topdown_matches_fpgrowth(self, chunk, db, min_support, max_len):
+        plt = PLT.from_transactions(db, min_support)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(topdown, "_CHUNK_SUBSETS", chunk)
+            pairs = mine_topdown(plt, min_support, max_len=max_len)
+        decode_ranks = plt.rank_table.decode_ranks
+        got = {frozenset(decode_ranks(ranks)): sup for ranks, sup in pairs}
+        assert len(got) == len(pairs)
+        assert got == mine_fpgrowth(db, min_support, max_len=max_len)
+
+    def test_wide_keys_use_several_words(self):
+        plt = PLT.from_transactions(_WIDE, 1)
+        assert plt.max_rank() == 130
+        assert topdown._Lattice(plt.max_rank()).words == 3
+        pairs = dict(mine_topdown(plt, 2))
+        assert len(pairs) == 130  # only the singletons reach support 2
+        assert set(pairs.values()) == {3}
+
+    def test_work_items_count_generated_subsets(self):
+        db = random_database(77, max_items=10, max_transactions=40)
+        plt = PLT.from_transactions(db, 1)
+        with collecting() as counts:
+            mine_topdown(plt, 1)
+        assert counts["topdown_work_items"] == estimate_topdown_work(plt)

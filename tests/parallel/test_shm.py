@@ -19,7 +19,7 @@ from repro.core.conditional import mine_conditional, mine_conditional_flat_range
 from repro.core.flat import FlatPLT
 from repro.core.plt import PLT
 from repro.core.topdown import (
-    _subset_byte_frequencies,
+    _plt_lattice,
     topdown_flat_slice,
     topdown_subset_frequencies,
 )
@@ -67,9 +67,10 @@ class TestDifferential:
         db = random_database(seed + 1100, max_items=9, max_transactions=40)
         plt = PLT.from_transactions(db, 2)
         flat = FlatPLT.from_plt(plt)
-        assert topdown_flat_slice(flat, 0, flat.n_paths) == (
-            _subset_byte_frequencies(plt)
-        )
+        keys, counts = topdown_flat_slice(flat, 0, flat.n_paths)
+        want_keys, want_counts = _plt_lattice(plt).table()
+        assert keys.tolist() == want_keys.tolist()
+        assert counts.tolist() == want_counts.tolist()
         shm_r = topdown_parallel(plt, n_workers=2)
         assert shm_r == topdown_subset_frequencies(plt)
 

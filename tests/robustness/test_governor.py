@@ -280,24 +280,58 @@ class TestVerifiedCompleteRegion:
                 assert mined.get(ranks) == support
 
 
+class _CancelAfter(CancellationToken):
+    """A token that cancels itself on its ``polls + 1``-th poll."""
+
+    def __init__(self, polls: int) -> None:
+        super().__init__()
+        self.polls = polls
+
+    @property
+    def cancelled(self) -> bool:
+        self.polls -= 1
+        if self.polls < 0:
+            self.cancel("tripped")
+        return super().cancelled
+
+
 class TestOtherMiners:
-    def test_topdown_partial_complete_min_len(self, small_db):
-        plt = PLT.from_transactions(small_db, 3)
-        token = CancellationToken()
-        token.cancel("now")
-        governor = ResourceGovernor(
-            MiningBudget(check_interval=1), cancel=token
-        )
-        with pytest.raises(Cancelled) as info:
-            mine_topdown(plt, 3, governor=governor)
-        exc = info.value
-        marker = exc.progress.get("complete_min_len")
-        assert marker is not None
-        db_sets = [frozenset(t) for t in small_db]
+    def test_topdown_partial_complete_min_len(self, small_db, monkeypatch):
+        """Trips before and all through the sweep: every frequent itemset
+        of length >= the marker is in the partial with its full support."""
+        import repro.core.topdown as topdown
+
+        # paths of lengths 2..8, so the sweep crosses several length groups
+        db = [t[: 2 + i % 7] for i, t in enumerate(small_db)]
+        plt = PLT.from_transactions(db, 3)
+        full = dict(mine_topdown(plt, 3))
+        # one subset per chunk: the sweep polls the token once per path
+        monkeypatch.setattr(topdown, "_CHUNK_SUBSETS", 1)
+        db_sets = [frozenset(t) for t in db]
         decode = plt.rank_table.decode_ranks
-        for ranks, support in exc.partial:
-            assert len(ranks) >= marker
-            assert support == _support_of(decode(ranks), db_sets)
+        markers, salvaged = [], 0
+        for polls in range(0, plt.n_vectors(), 4):
+            governor = ResourceGovernor(
+                MiningBudget(check_interval=1), cancel=_CancelAfter(polls)
+            )
+            with pytest.raises(Cancelled) as info:
+                mine_topdown(plt, 3, governor=governor)
+            exc = info.value
+            marker = exc.progress.get("complete_min_len")
+            assert marker is not None
+            markers.append(marker)
+            mined = dict(exc.partial)
+            salvaged = max(salvaged, len(mined))
+            for ranks, support in exc.partial:
+                assert len(ranks) >= marker
+                assert support == _support_of(decode(ranks), db_sets)
+            for ranks, support in full.items():
+                if len(ranks) >= marker:
+                    assert mined.get(ranks) == support
+        assert markers == sorted(markers, reverse=True)
+        assert markers[0] == max(map(len, db)) + 1  # tripped before any path
+        assert len(set(markers)) >= 4  # and inside several length groups
+        assert salvaged > 0
 
     def test_facade_topdown_governed(self, small_db):
         result = mine_frequent_itemsets(

@@ -47,11 +47,12 @@ same aggregation.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Mapping
 
 import numpy as np
 
+from repro.core.flat import FlatPLT
 from repro.core.plt import PLT
 from repro.core.position import PositionVector, RankPath
 from repro.errors import InvalidSupportError, MiningInterrupted, TopDownExplosionError
@@ -171,6 +172,12 @@ class _Lattice:
             )
             self._pending, self._pending_n = [], 0
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held in the merged and queued tables."""
+        parts = [(self._keys, self._counts), *self._pending]
+        return sum(keys.nbytes + counts.nbytes for keys, counts in parts)
+
     def table(self) -> tuple[np.ndarray, np.ndarray]:
         """The merged ``(keys, counts)`` arrays (sorted keys, int64 counts)."""
         self._merge()
@@ -241,23 +248,10 @@ def _tuples(matrix: np.ndarray):
     return zip(*matrix.T.tolist())
 
 
-def _plt_groups(plt: PLT) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """The PLT's stored paths as ``length -> (int64 rank matrix, freqs)``
-    (the shape of :meth:`FlatPLT.paths_by_length`)."""
-    by_len: dict[int, tuple[list, list]] = defaultdict(lambda: ([], []))
-    for path, freq in plt.iter_rank_paths():
-        paths, freqs = by_len[len(path)]
-        paths.append(path)
-        freqs.append(freq)
-    return {
-        length: (np.array(paths, dtype=np.int64), np.array(freqs, dtype=np.int64))
-        for length, (paths, freqs) in by_len.items()
-    }
-
-
 def _plt_lattice(plt: PLT, governor=None) -> _Lattice:
     """The whole subset lattice of a PLT's stored paths."""
-    return _sweep(_plt_groups(plt), _Lattice(plt.max_rank()), governor)
+    groups = FlatPLT.from_plt(plt).paths_by_length()
+    return _sweep(groups, _Lattice(plt.max_rank()), governor)
 
 
 def _sweep(groups, lattice: _Lattice, governor=None) -> _Lattice:
@@ -281,6 +275,7 @@ def _sweep(groups, lattice: _Lattice, governor=None) -> _Lattice:
             stop = min(start + step, n)
             work = (stop - start) * (span - 1)
             if governor is not None:
+                governor.hold(lattice.nbytes + buf.nbytes + bits.nbytes)
                 governor.tick(work)
             sub = buf[: stop - start]
             sub[:, 0] = 0
@@ -374,7 +369,7 @@ def mine_topdown(
     if governor is not None:
         governor.start()
     try:
-        _sweep(_plt_groups(plt), lattice, governor)
+        _sweep(FlatPLT.from_plt(plt).paths_by_length(), lattice, governor)
     except MiningInterrupted as exc:
         sweep_length = governor.progress["sweep_length"]
         exc.partial = [

@@ -13,7 +13,10 @@ Two exact (not approximate) parallel schemes, both over one shared-memory
   aggregation.
 
 Both run in-process for one worker or a PLT with at most one vector, so
-results and code paths stay testable without process overhead.  When the
+results and code paths stay testable without process overhead.  The
+worker pool outlives the call: a call that ends with every worker
+healthy keeps it for the next one (see :mod:`repro.parallel.shm`), so
+repeated calls fork once.  When the
 platform cannot create the segment (no ``/dev/shm``, or too little room)
 they run in-process as well, under a
 :class:`~repro.errors.DegradedExecutionWarning`, with the same answer.
@@ -64,6 +67,8 @@ from repro.errors import (
 from repro.perf.counters import COUNTERS as _COUNTERS
 from repro.parallel.shm import (
     SharedMemoryExecutor,
+    borrow_pool,
+    keep_pool,
     _shm_cond_range,
     _shm_topdown_slice,
     plan_path_slices,
@@ -137,6 +142,7 @@ def _run_batches(
     what: str,
     governor: ResourceGovernor | None = None,
     pool_factory: Callable | None = None,
+    keep_pool: Callable | None = None,
 ) -> list:
     """Run ``worker(batch)`` for every batch on worker processes, reliably.
 
@@ -153,8 +159,11 @@ def _run_batches(
     bug in the batch and is re-raised as :class:`ParallelExecutionError`.
 
     ``pool_factory`` (``n_processes -> pool``) customises pool
-    construction (the drivers install an initializer that attaches
-    workers to the shared segment); the default is a plain ``mp.Pool``.  When perf counters are enabled, every dispatched batch's
+    construction; the default is a plain ``mp.Pool``.  The pool is
+    terminated at the end unless ``keep_pool`` is given and the call
+    finished with every worker healthy: then ``keep_pool(pool)`` takes it
+    (the drivers hand it back to :func:`~repro.parallel.shm.keep_pool`
+    for the next call).  When perf counters are enabled, every dispatched batch's
     pickled size is charged to ``ipc_bytes_sent`` — re-sent batches count
     again, because they are in fact sent again.
 
@@ -177,6 +186,7 @@ def _run_batches(
     last_error: BaseException | None = None
     pool = None
     pool_dirty = False
+    finished = False
     try:
         for attempt in range(retry.max_retries + 1):
             if not remaining:
@@ -252,10 +262,15 @@ def _run_batches(
                         last_error = exc
                         break
             remaining = failed
+        finished = True
     finally:
         if pool is not None:
-            pool.terminate()
-            pool.join()
+            if finished and not pool_dirty and keep_pool is not None:
+                # every dispatched batch came back: no worker is busy
+                keep_pool(pool)
+            else:
+                pool.terminate()
+                pool.join()
     if remaining:
         warnings.warn(
             f"{what}: {len(remaining)} of {len(batches)} batches failed on "
@@ -353,7 +368,8 @@ def mine_parallel(
                 retry=retry,
                 what="mine_parallel",
                 governor=governor,
-                pool_factory=executor.pool_factory,
+                pool_factory=borrow_pool,
+                keep_pool=keep_pool,
             )
         except MiningInterrupted as exc:
             # a driver-side trip: salvage the (status, pairs, reason)
@@ -451,7 +467,8 @@ def topdown_parallel(
                 retry=retry,
                 what="topdown_parallel",
                 governor=governor,
-                pool_factory=executor.pool_factory,
+                pool_factory=borrow_pool,
+                keep_pool=keep_pool,
             )
         except MiningInterrupted as exc:
             exc.raw_results = []

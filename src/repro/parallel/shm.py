@@ -7,8 +7,8 @@ the pool pipe:
 1. the driver lowers the PLT once into a
    :class:`~repro.core.flat.FlatPLT` and places its columns in a single
    ``multiprocessing.shared_memory`` segment;
-2. worker processes attach on pool start (a page-table mapping, not a
-   copy) and cache the attached view per segment name;
+2. every task attaches the segment (a page-table mapping, not a copy)
+   and detaches when it returns, so one pool can serve call after call;
 3. tasks shrink to ``(meta, lo, hi, ...)`` tuples — a few hundred bytes —
    and workers mine *index ranges* straight off the shared columns:
 
@@ -29,6 +29,16 @@ outlive the call.  Workers attach *untracked* (see
 :meth:`FlatPLT.attach`), so the resource tracker never double-registers a
 segment it does not own and never warns at exit.
 
+Worker pool lifecycle: forking a pool costs more than a small top-down
+pass, so the executors borrow one kept pool (:func:`borrow_pool`) and
+hand it back when a call ends with every worker healthy
+(:func:`keep_pool`).  A call that saw a dead or wedged worker, or was
+stopped by its governor, terminates the pool instead, and the next call
+forks a fresh one.  A forked worker drops the segment mappings it
+inherits from the driver (:func:`_pool_init`), so a kept pool pins no
+segment after its call returns.  The kept pool is terminated at
+interpreter exit, or by :func:`shutdown_pool`.
+
 Failure handling lives in :func:`~repro.parallel.executor._run_batches`
 (timeouts, pool-reuse retries, in-process degraded fallback) — the
 driver's cache is seeded with the owner's own view, so even the degraded
@@ -37,9 +47,11 @@ path mines the flat columns without a second attach.
 
 from __future__ import annotations
 
+import atexit
 import os
-import pickle
 import signal
+import threading
+from contextlib import contextmanager
 
 from repro.core.conditional import mine_conditional_flat_range
 from repro.core.flat import FlatPLT
@@ -50,6 +62,9 @@ from repro.robustness.governor import ResourceGovernor
 
 __all__ = [
     "SharedMemoryExecutor",
+    "borrow_pool",
+    "keep_pool",
+    "shutdown_pool",
     "plan_rank_ranges",
     "plan_path_slices",
 ]
@@ -59,14 +74,20 @@ __all__ = [
 #: ``<range-start>`` SIGKILLs itself — unless it *is* the driver process,
 #: because the in-process degraded fallback must survive to produce the
 #: answer (and the retry rounds re-kill replacement workers, exercising
-#: the whole detection → retry → degrade chain).
+#: the whole detection → retry → degrade chain).  Workers read the
+#: environment they were forked with, so set it before the pool starts.
 CHAOS_KILL_ENV = "REPRO_SHM_CHAOS_KILL"
 
-#: Per-worker cache of attached flat structures, keyed by segment name.
-#: Lives for the pool's lifetime; the driver seeds its own entry for the
-#: degraded in-process fallback (forked workers inheriting it is harmless
-#: — the inherited views map the same shared pages).
+#: The driver's own views of the segments it owns, keyed by segment name:
+#: the degraded in-process fallback mines them without a second attach.
+#: Forked workers unmap what they inherit of it (:func:`_pool_init`).
 _FLAT_CACHE: dict[str, FlatPLT] = {}
+
+#: The pool kept between calls (at most one); see :func:`borrow_pool`.
+_KEPT: list = []
+_KEPT_LOCK = threading.Lock()
+#: Pools a forked child inherited: the parent's, never used or finalised.
+_INHERITED: list = []
 
 
 def _maybe_chaos_kill(key: int) -> None:
@@ -78,23 +99,94 @@ def _maybe_chaos_kill(key: int) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _attached_flat(meta: dict) -> FlatPLT:
-    name = meta["name"]
-    flat = _FLAT_CACHE.get(name)
-    if flat is None:
-        flat = FlatPLT.attach(meta)
-        _FLAT_CACHE[name] = flat
-    return flat
-
-
-def _pool_attach(meta: dict) -> None:
-    """Pool initializer: map the segment once per worker process."""
+@contextmanager
+def _attached_flat(meta: dict):
+    """The segment's FlatPLT for one task: the driver's own view when it
+    runs the task in-process, else an attach that is released on exit."""
+    flat = _FLAT_CACHE.get(meta["name"])
+    if flat is not None:
+        yield flat
+        return
+    flat = FlatPLT.attach(meta)
     try:
-        _attached_flat(meta)
-    except Exception:
-        # leave the failure to the first task, where the driver sees it
-        # as a batch error and can retry / degrade
-        _FLAT_CACHE.pop(meta["name"], None)
+        yield flat
+    finally:
+        flat.detach()
+
+
+def _pool_init() -> None:
+    """Pool initializer: unmap the driver's segments a forked worker
+    inherits, which would otherwise stay mapped for the pool's lifetime."""
+    for flat in _FLAT_CACHE.values():
+        try:
+            flat.detach()
+        except BufferError:  # pragma: no cover - a view escaped; exit unmaps
+            pass
+    _FLAT_CACHE.clear()
+
+
+# ---------------------------------------------------------------------------
+# the kept worker pool
+# ---------------------------------------------------------------------------
+def borrow_pool(n_processes: int):
+    """A pool of at least ``n_processes`` workers.
+
+    Takes the kept pool when it is large enough (terminating it when it
+    is not) and otherwise forks a new one.  The caller owns the pool
+    until it returns it with :func:`keep_pool` or terminates it.
+    """
+    import multiprocessing as mp
+
+    with _KEPT_LOCK:
+        pool = _KEPT.pop() if _KEPT else None
+    if pool is not None:
+        if pool._processes >= n_processes:
+            return pool
+        _terminate(pool)
+    return mp.Pool(processes=n_processes, initializer=_pool_init)
+
+
+def keep_pool(pool) -> None:
+    """Keep a pool borrowed from :func:`borrow_pool` for the next call.
+
+    Only a pool whose workers are all idle and healthy may be kept.  A
+    pool kept earlier (by a concurrent caller) is terminated.
+    """
+    with _KEPT_LOCK:
+        old = _KEPT.pop() if _KEPT else None
+        _KEPT.append(pool)
+    if old is not None:
+        _terminate(old)
+
+
+def shutdown_pool() -> None:
+    """Terminate the kept pool, if any (runs at interpreter exit)."""
+    with _KEPT_LOCK:
+        pool = _KEPT.pop() if _KEPT else None
+    if pool is not None:
+        _terminate(pool)
+
+
+def _terminate(pool) -> None:
+    pool.terminate()
+    pool.join()
+
+
+def _forget_kept_pool() -> None:
+    """After ``fork``, in the child: the kept pool's workers and pipes
+    belong to the parent, so the child must neither dispatch to it nor
+    tear it down."""
+    global _KEPT, _KEPT_LOCK
+    _INHERITED.extend(_KEPT)
+    _KEPT, _KEPT_LOCK = [], threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_kept_pool)
+# terminate() before multiprocessing's own exit hook: that hook stops the
+# workers but leaves the pool object marked running, and its __del__
+# then fails noisily during interpreter teardown
+atexit.register(shutdown_pool)
 
 
 # ---------------------------------------------------------------------------
@@ -111,26 +203,26 @@ def _shm_cond_range(args) -> tuple[str, list, str | None]:
     """
     meta, lo, hi, min_support, max_len, budget = args
     _maybe_chaos_kill(lo)
-    flat = _attached_flat(meta)
     results: list[tuple[tuple[int, ...], int]] = []
-    if budget is None or budget.unlimited():
+    with _attached_flat(meta) as flat:
+        if budget is None or budget.unlimited():
+            def emit(itemset: tuple[int, ...], support: int) -> None:
+                results.append((itemset, support))
+
+            mine_conditional_flat_range(flat, lo, hi, min_support, emit, max_len)
+            return ("ok", results, None)
+        governor = ResourceGovernor(budget).start()
+
         def emit(itemset: tuple[int, ...], support: int) -> None:
+            governor.note_itemsets()
             results.append((itemset, support))
 
-        mine_conditional_flat_range(flat, lo, hi, min_support, emit, max_len)
-        return ("ok", results, None)
-    governor = ResourceGovernor(budget).start()
-
-    def emit(itemset: tuple[int, ...], support: int) -> None:
-        governor.note_itemsets()
-        results.append((itemset, support))
-
-    try:
-        mine_conditional_flat_range(
-            flat, lo, hi, min_support, emit, max_len, governor=governor
-        )
-    except MiningInterrupted as exc:
-        return ("partial", results, exc.reason)
+        try:
+            mine_conditional_flat_range(
+                flat, lo, hi, min_support, emit, max_len, governor=governor
+            )
+        except MiningInterrupted as exc:
+            return ("partial", results, exc.reason)
     return ("ok", results, None)
 
 
@@ -138,8 +230,8 @@ def _shm_topdown_slice(args):
     """Expand one stored-path slice; returns its ``(keys, counts)`` table."""
     meta, start, end = args
     _maybe_chaos_kill(start)
-    flat = _attached_flat(meta)
-    return topdown_flat_slice(flat, start, end)
+    with _attached_flat(meta) as flat:
+        return topdown_flat_slice(flat, start, end)
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +296,11 @@ def _balanced_split(
 # the segment owner
 # ---------------------------------------------------------------------------
 class SharedMemoryExecutor:
-    """Owns one shared FlatPLT segment plus the pool plumbing to mine it.
+    """Owns one shared FlatPLT segment for the workers to mine.
 
     Construction copies the columns into the segment once and seeds the
-    driver's attach cache with the owning view (so the degraded
-    in-process fallback runs with no extra mapping).  ``pool_factory``
-    plugs into :func:`_run_batches` and builds pools whose initializer
-    attaches every worker before its first task.  :meth:`close` is
+    driver's cache with the owning view (so the degraded in-process
+    fallback runs with no extra mapping).  :meth:`close` is
     idempotent and must run in a ``finally`` — it unmaps, unlinks, and
     evicts the cache entry, so no segment can leak on any exit path.
 
@@ -229,21 +319,6 @@ class SharedMemoryExecutor:
     @property
     def name(self) -> str:
         return self.meta["name"]
-
-    def pool_factory(self, n_processes: int):
-        import multiprocessing as mp
-
-        if _COUNTERS.enabled:
-            # the initargs tuple is pickled into every spawned worker —
-            # that is real dispatch traffic, charged per process
-            _COUNTERS.add(
-                "ipc_bytes_sent",
-                n_processes
-                * len(pickle.dumps((self.meta,), pickle.HIGHEST_PROTOCOL)),
-            )
-        return mp.Pool(
-            processes=n_processes, initializer=_pool_attach, initargs=(self.meta,)
-        )
 
     def close(self) -> None:
         _FLAT_CACHE.pop(self.meta["name"], None)

@@ -35,9 +35,12 @@ that cannot fit, so hopeless work is refused instead of started.
 
 Memory accounting note: exact live-set tracking would cost more than the
 mining itself, so the runtime check uses ``sys.getallocatedblocks()``
-deltas scaled by a rough bytes-per-block constant.  It is an *estimate*,
-deliberately biased to trip early rather than late; treat the cap as an
-order-of-magnitude guard, not an rlimit.
+deltas scaled by a rough bytes-per-block constant.  NumPy data buffers
+are allocated outside the sampled allocator, so kernels that keep their
+state in arrays (the top-down lattice) declare those bytes with
+:meth:`ResourceGovernor.hold`.  It is an *estimate*, deliberately biased
+to trip early rather than late; treat the cap as an order-of-magnitude
+guard, not an rlimit.
 """
 
 from __future__ import annotations
@@ -321,6 +324,7 @@ class ResourceGovernor:
         "_started_at",
         "_deadline_at",
         "_mem_base",
+        "_held",
         "_max_itemsets",
     )
 
@@ -338,6 +342,7 @@ class ResourceGovernor:
         self._started_at: float | None = None
         self._deadline_at: float | None = None
         self._mem_base: int | None = None
+        self._held = 0
         self._max_itemsets = self.budget.max_itemsets
 
     # -- lifecycle ---------------------------------------------------------
@@ -367,7 +372,8 @@ class ResourceGovernor:
         """Estimated bytes allocated since :meth:`start` (see module note)."""
         if self._mem_base is None:
             return 0
-        return max(0, _allocated_blocks() - self._mem_base) * _BYTES_PER_BLOCK
+        blocks = max(0, _allocated_blocks() - self._mem_base)
+        return blocks * _BYTES_PER_BLOCK + self._held
 
     # -- admission control -------------------------------------------------
     def admit(self, plt, *, method: str = "conditional") -> None:
@@ -396,6 +402,11 @@ class ResourceGovernor:
             )
 
     # -- the hot-path hooks ------------------------------------------------
+    def hold(self, nbytes: int) -> None:
+        """Declare the bytes the run holds in buffers the allocator sample
+        cannot see (NumPy arrays); each call replaces the last figure."""
+        self._held = nbytes
+
     def tick(self, work: int = 1) -> None:
         """Charge ``work`` units; every ``check_interval`` units, really check."""
         self._countdown -= work

@@ -13,6 +13,7 @@ from repro.errors import (
     ParallelExecutionError,
     TopDownExplosionError,
 )
+from repro.parallel import shm
 from repro.parallel.executor import (
     _run_batches,
     default_workers,
@@ -272,3 +273,116 @@ class TestPoolReuse:
             )
         assert results == [2, 4]
         assert factory.count == 2
+
+
+class TestKeptPool:
+    """One pool serves consecutive calls; it never pins a segment, and a
+    call that may leave a worker busy or dead terminates it instead."""
+
+    @pytest.fixture(autouse=True)
+    def no_kept_pool(self):
+        shm.shutdown_pool()
+        yield
+        shm.shutdown_pool()
+
+    @pytest.fixture
+    def pools_built(self, monkeypatch):
+        import multiprocessing
+
+        built = []
+        real = multiprocessing.Pool
+
+        def counting(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(multiprocessing, "Pool", counting)
+        return built
+
+    def batches(self, n=2):
+        return [(os.getpid(), v) for v in range(1, n + 1)]
+
+    def run(self, worker, n=2, timeout=30.0, retry=NO_WAIT, governor=None):
+        return _run_batches(
+            worker, self.batches(n), timeout=timeout, retry=retry,
+            what="kept-test", governor=governor,
+            pool_factory=shm.borrow_pool, keep_pool=shm.keep_pool,
+        )
+
+    def test_consecutive_calls_share_one_pool(self, pools_built):
+        db = random_database(2101, max_items=10, max_transactions=60)
+        plt = PLT.from_transactions(db, 2)
+        for _ in range(3):
+            assert topdown_parallel(plt, n_workers=2) == topdown_subset_frequencies(plt)
+            assert sorted(mine_parallel(plt, 2, n_workers=2)) == sorted(
+                mine_conditional(plt, 2)
+            )
+        assert len(pools_built) == 1
+        assert shm._KEPT == pools_built
+
+    def test_larger_request_replaces_the_kept_pool(self, pools_built):
+        assert self.run(_double) == [2, 4]
+        assert self.run(_double, n=3) == [2, 4, 6]
+        assert len(pools_built) == 2
+        assert shm._KEPT == [pools_built[1]]
+        assert self.run(_double) == [2, 4]  # 3 workers >= 2: reused
+        assert len(pools_built) == 2
+
+    def test_raising_worker_keeps_the_pool(self, pools_built):
+        with pytest.warns(DegradedExecutionWarning, match="flaky worker"):
+            assert self.run(_raise_in_child) == [2, 4]
+        assert shm._KEPT == pools_built
+
+    def test_dead_worker_drops_the_pool(self, pools_built):
+        with pytest.warns(DegradedExecutionWarning):
+            assert self.run(
+                _die_in_child, timeout=0.75,
+                retry=RetryPolicy(max_retries=0, base_delay=0.0, max_delay=0.0),
+            ) == [2, 4]
+        assert shm._KEPT == []
+
+    def test_driver_trip_drops_the_pool(self, pools_built):
+        from repro.errors import BudgetExceeded
+        from repro.robustness.governor import MiningBudget, ResourceGovernor
+
+        governor = ResourceGovernor(MiningBudget(deadline=0.2)).start()
+        with pytest.raises(BudgetExceeded):
+            self.run(_wedge_in_child, governor=governor)
+        assert shm._KEPT == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_kept_workers_map_no_segment(self):
+        # the pool is forked while the driver maps the call's segment;
+        # its workers must not keep that (unlinked) mapping alive
+        db = random_database(2102, max_items=10, max_transactions=60)
+        plt = PLT.from_transactions(db, 1)
+        topdown_parallel(plt, n_workers=2)
+        pids = [proc.pid for proc in shm._KEPT[0]._pool]
+        deadline = time.monotonic() + 10.0
+        while True:
+            mapped = []
+            for pid in pids:
+                with open(f"/proc/{pid}/maps") as fh:
+                    mapped += [line for line in fh if "plt_shm_" in line]
+            if not mapped or time.monotonic() > deadline:
+                break
+            time.sleep(0.05)  # a worker may still be running its initializer
+        assert mapped == []
+
+    def test_forked_child_does_not_inherit_the_kept_pool(self):
+        import multiprocessing
+
+        assert self.run(_double) == [2, 4]
+        assert len(shm._KEPT) == 1
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.SimpleQueue()
+        child = ctx.Process(target=_report_kept, args=(queue,))
+        child.start()
+        child.join(30)
+        assert queue.get() == (0, 1)
+        assert len(shm._KEPT) == 1  # the parent's pool is untouched
+        assert self.run(_double) == [2, 4]
+
+
+def _report_kept(queue):
+    queue.put((len(shm._KEPT), len(shm._INHERITED)))

@@ -333,6 +333,20 @@ class TestOtherMiners:
         assert len(set(markers)) >= 4  # and inside several length groups
         assert salvaged > 0
 
+    def test_topdown_memory_trip_counts_lattice_arrays(self):
+        """The lattice lives in NumPy buffers, which the allocator sample
+        does not see: the kernel declares them, so the memory budget
+        trips mid-sweep, not only at admission."""
+        # three 16-item paths: ~2^16 distinct subsets, a 1 MiB key table
+        db = [tuple(range(16)), tuple(range(1, 17)), tuple(range(2, 18))]
+        plt = PLT.from_transactions(db, 1)
+        governor = ResourceGovernor(MiningBudget(memory_budget=256 * 1024))
+        # nothing is frequent at 4, so only the sweep allocates much
+        with pytest.raises(BudgetExceeded) as info:
+            mine_topdown(plt, 4, governor=governor)
+        assert info.value.reason == "memory"
+        assert info.value.progress["complete_min_len"] > 1
+
     def test_facade_topdown_governed(self, small_db):
         result = mine_frequent_itemsets(
             small_db, 3, method="plt-topdown", max_itemsets=20

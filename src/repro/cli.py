@@ -8,7 +8,6 @@ Subcommands
 ``encode``    build a PLT from a ``.dat`` file and serialize it
 ``info``      dataset and PLT statistics
 ``datasets``  list the built-in benchmark workloads
-``bench``     time the optimized kernels against the frozen references
 ``chaos``     run distributed mining under injected faults and verify it
 ``serve``     long-lived pattern-serving daemon (framed JSON over TCP)
 ``stream``    one-pass bounded-memory sketch ingestion with snapshots
@@ -157,34 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_info.add_argument("--min-support", type=_support_value, default=None)
 
     sub.add_parser("datasets", help="list built-in benchmark workloads")
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the pinned kernel benchmark matrix (legacy vs optimized)",
-    )
-    p_bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="one workload per group (the CI smoke subset)",
-    )
-    p_bench.add_argument(
-        "--repeat",
-        type=int,
-        default=None,
-        help="best-of repeat count (default: 3, or 2 with --quick)",
-    )
-    p_bench.add_argument(
-        "--output",
-        default=None,
-        help="write the JSON report here (e.g. BENCH_PR2.json)",
-    )
-    p_bench.add_argument(
-        "--compare",
-        default=None,
-        metavar="BASELINE.json",
-        help="fail (exit 1) if any workload's speedup ratio regressed "
-        "more than the tolerance vs this committed baseline",
-    )
 
     p_chaos = sub.add_parser(
         "chaos",
@@ -691,17 +662,6 @@ def _cmd_datasets(args) -> int:
             f"avg {db.avg_transaction_length():5.1f}  density {db.density():.3f}"
         )
     return 0
-
-
-def _cmd_bench(args) -> int:
-    from repro.perf.bench import main as bench_main
-
-    return bench_main(
-        quick=args.quick,
-        repeat=args.repeat,
-        output=args.output,
-        compare=args.compare,
-    )
 
 
 def _serve_chaos(args) -> int:
@@ -1212,7 +1172,6 @@ _COMMANDS = {
     "encode": _cmd_encode,
     "info": _cmd_info,
     "datasets": _cmd_datasets,
-    "bench": _cmd_bench,
     "chaos": _cmd_chaos,
     "serve": _cmd_serve,
     "stream": _cmd_stream,

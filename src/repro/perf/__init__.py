@@ -1,21 +1,10 @@
-"""Performance harness: timers, phase counters, the bench CLI and the
-frozen pre-optimization reference miners.
+"""Kernel work counters: what each mining phase did, read by perfbench's
+per-layer metrics and by the IPC accounting of the parallel executors.
 
-Only the dependency-free primitives are exported eagerly; the bench driver
-(:mod:`repro.perf.bench`) and the reference miners (:mod:`repro.perf.legacy`)
-import the core mining stack and are therefore imported lazily by their
-users (``python -m repro bench``, the differential tests) to keep
-``repro.core`` ← ``repro.perf.counters`` free of cycles.
+Dependency-free, so ``repro.core`` can import :mod:`repro.perf.counters`
+without cycles.
 """
 
 from repro.perf.counters import COUNTERS, PhaseCounters, collecting
-from repro.perf.timer import PhaseTimes, Stopwatch, best_of
 
-__all__ = [
-    "COUNTERS",
-    "PhaseCounters",
-    "collecting",
-    "PhaseTimes",
-    "Stopwatch",
-    "best_of",
-]
+__all__ = ["COUNTERS", "PhaseCounters", "collecting"]

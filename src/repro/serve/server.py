@@ -88,7 +88,9 @@ class PatternServer:
         """Drain and stop: join handler threads, force-close stragglers.
 
         Sets the drain flag (new requests on live connections are
-        answered with ``shutting_down``), closes the listener, then joins
+        answered with ``shutting_down``), waits for the accept loop to
+        see it (at most :data:`ACCEPT_TICK`) and closes the listener, so
+        the port is free to rebind when this returns.  It then joins
         every handler thread against one shared ``timeout`` deadline.
         Handlers still alive at the deadline — clients sitting silently
         on an open socket — have their sockets shut down (unblocking the
@@ -98,7 +100,9 @@ class PatternServer:
         self._stop.set()
         deadline = time.monotonic() + max(timeout, 0.0)
         if self._accept_thread is not None:
-            self._accept_thread.join(timeout)
+            # not bounded by ``timeout``: a listener closed while the loop
+            # still polls it stays bound until that poll returns
+            self._accept_thread.join()
             self._accept_thread = None
         if self._sock is not None:
             self._sock.close()

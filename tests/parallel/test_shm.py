@@ -223,6 +223,16 @@ class TestIpcAccounting:
             counts = COUNTERS.snapshot()
         assert 0 < counts["ipc_bytes_sent"] < counts["shm_segment_bytes"] / 10
 
+    def test_topdown_at_scale_matches_serial_and_ships_few_bytes(self):
+        from repro.data.datasets import load
+
+        plt = PLT.from_transactions(load("DENSE-16.D5K"), min_support=250)
+        with collecting():
+            got = topdown_parallel(plt, n_workers=2)
+            counts = COUNTERS.snapshot()
+        assert got == topdown_subset_frequencies(plt)
+        assert 0 < counts["ipc_bytes_sent"] < counts["shm_segment_bytes"] / 10
+
 
 @needs_dev_shm
 class TestCleanup:

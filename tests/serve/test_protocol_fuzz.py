@@ -341,3 +341,16 @@ class TestDrainAndStop:
             assert client.ping() is True
         assert srv.stop(timeout=5.0) == 0
         assert srv.stats()["abandoned"] == 0
+
+    def test_stop_releases_the_port_at_once(self):
+        """A restart on the same port right after ``stop`` must bind: the
+        listener is fully closed when ``stop`` returns, even with a zero
+        drain deadline."""
+        srv = _fresh_server(9840)
+        port = srv.port
+        try:
+            for _ in range(20):
+                srv.stop(timeout=0)
+                srv = PatternServer(srv.engine, port=port).start()
+        finally:
+            srv.stop(timeout=0)

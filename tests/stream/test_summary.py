@@ -148,6 +148,15 @@ class TestMemoryAndSerialization:
             s.push(t)
         assert s.memory_bytes() <= cap
 
+    def test_sketch_of_a_full_dataset_stays_within_256_kib(self):
+        # perfbench's stream-ingest (epsilon, delta, capacity); the budget
+        # is the one perfbench's worker also counts as a wrong answer
+        from repro.data.datasets import load
+
+        s = StreamSummary(epsilon=0.005, delta=0.01, capacity=256, seed=0)
+        s.extend(tuple(t) for t in load("T10.I4.D5K"))
+        assert s.memory_bytes() <= 256 * 1024
+
     def test_round_trip_byte_identical(self):
         s = StreamSummary(epsilon=0.02, capacity=32, seed=5)
         for t in _transactions(5):

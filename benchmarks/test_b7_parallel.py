@@ -13,7 +13,7 @@ Two measurements:
 
 import pytest
 
-from repro.core.conditional import mine_conditional_block
+from repro.core.conditional import mine_conditional_paths
 from repro.parallel import conditional_tasks, lpt_partition, mine_parallel
 
 from conftest import abs_support
@@ -27,7 +27,7 @@ def task_times(sparse_plt):
     times = []
     for t in tasks:
         start = time.perf_counter()
-        mine_conditional_block(
+        mine_conditional_paths(
             t.prefixes, t.rank, sparse_plt.min_support, lambda *_: None
         )
         times.append(time.perf_counter() - start)

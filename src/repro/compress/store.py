@@ -25,14 +25,16 @@ with ``seek`` on demand.
 from __future__ import annotations
 
 import io
+from itertools import accumulate
 from pathlib import Path
 
 from repro.compress.plt_codec import decode_label, encode_label
 from repro.compress.varint import decode_uvarint, encode_uvarint
-from repro.core.conditional import _consume_bucket, mine_conditional_block
+from repro.core.conditional import _consume_path_bucket, mine_conditional_paths
 from repro.core.plt import PLT
-from repro.core.position import PositionVector
+from repro.core.position import PositionVector, RankPath
 from repro.core.rank import RankTable
+from repro.data.transaction_db import check_max_len
 from repro.errors import CodecError, InvalidSupportError, MiningInterrupted
 
 __all__ = ["PLTStore"]
@@ -201,6 +203,12 @@ class PLTStore:
             raise CodecError(f"{self._path}: bucket {s} has trailing bytes")
         return out
 
+    def _read_path_bucket(self, s: int) -> dict[RankPath, int]:
+        """:meth:`read_bucket` converted once to cumulative-sum rank paths."""
+        # accumulate() is injective on delta vectors: plain assignment
+        bucket = self.read_bucket(s)
+        return {tuple(accumulate(vec)): freq for vec, freq in bucket.items()}
+
     def iter_rank_paths(self):
         """Stream ``(rank path, frequency)`` pairs bucket by bucket.
 
@@ -211,20 +219,14 @@ class PLTStore:
         the stream without materialising the full vector table first.
         Buckets arrive in descending sum order (the mining order).
         """
-        from itertools import accumulate
-
         for s in self.sums():
-            for vec, freq in self.read_bucket(s).items():
-                yield tuple(accumulate(vec)), freq
+            yield from self._read_path_bucket(s).items()
 
     def to_plt(self) -> PLT:
         """Load the whole structure into memory (for small stores)."""
-        vectors: dict[PositionVector, int] = {}
-        for s in self._directory:
-            vectors.update(self.read_bucket(s))
-        return PLT.from_vectors(
+        return PLT(
             self.rank_table,
-            vectors,
+            dict(self.iter_rank_paths()),
             min_support=self.min_support,
             n_transactions=self.n_transactions,
         )
@@ -239,9 +241,10 @@ class PLTStore:
     ) -> list[tuple[tuple[int, ...], int]]:
         """Algorithm 3 streaming buckets from disk, descending sum.
 
-        Each on-disk bucket is read exactly once; migrated prefixes (which
-        are strictly shorter than their sources) are the only mining state
-        held in memory.  Output format matches
+        Each on-disk bucket is read exactly once and converted to rank
+        paths as it is read; migrated prefixes (which are strictly shorter
+        than their sources) are the only mining state held in memory.
+        Output format matches
         :func:`repro.core.conditional.mine_conditional`.
 
         With a ``governor``, a budget trip raises
@@ -255,6 +258,7 @@ class PLTStore:
             raise InvalidSupportError(
                 f"absolute min_support must be >= 1, got {min_support}"
             )
+        check_max_len(max_len)
         results: list[tuple[tuple[int, ...], int]] = []
 
         # the path engine emits itemsets already sorted ascending — append raw
@@ -268,15 +272,15 @@ class PLTStore:
                 governor.note_itemsets()
                 results.append((itemset, support))
 
-        migrated: dict[int, dict[PositionVector, int]] = {}
+        migrated: dict[int, dict[RankPath, int]] = {}
         top = max(self._directory, default=0)
         try:
             for j in range(top, 0, -1):
                 bucket = migrated.pop(j, None)
-                disk = self.read_bucket(j) if j in self._directory else {}
+                disk = self._read_path_bucket(j) if j in self._directory else {}
                 if bucket:
-                    for vec, freq in disk.items():
-                        bucket[vec] = bucket.get(vec, 0) + freq
+                    for path, freq in disk.items():
+                        bucket[path] = bucket.get(path, 0) + freq
                 else:
                     bucket = disk
                 if not bucket:
@@ -284,14 +288,12 @@ class PLTStore:
                 if governor is not None:
                     governor.progress["mining_rank"] = j
                     governor.tick(len(bucket))
-                cd, support = _consume_bucket(bucket, migrated)
+                cd, support = _consume_path_bucket(bucket, migrated)
                 if support < min_support:
                     continue
                 emit((j,), support)
-                if cd and (max_len is None or max_len > 1):
-                    mine_conditional_block(
-                        cd, j, min_support, emit, max_len, governor=governor
-                    )
+                if cd:
+                    mine_conditional_paths(cd, j, min_support, emit, max_len, governor)
         except MiningInterrupted as exc:
             exc.partial = results
             mining_rank = governor.progress.get("mining_rank") if governor else None

@@ -20,7 +20,7 @@ without materialising the full frequent set.
 
 from __future__ import annotations
 
-from repro.core.conditional import _consume_bucket, build_conditional_buckets
+from repro.core.conditional import iter_conditional
 from repro.core.plt import PLT
 from repro.errors import InvalidSupportError
 
@@ -72,27 +72,15 @@ class _MaximalIndex:
         return list(self._sets)
 
 
-def _iter_conditional(buckets, suffix, min_support, visit):
-    """Shared Algorithm 3 recursion; ``visit`` decides recursion/pruning.
-
-    ``visit(itemset_ranks, support, local_items)`` is called for every
-    frequent pattern in suffix-extension order, where ``local_items`` is
-    the number of distinct frequent ranks in the pattern's conditional
-    database (0 means the pattern cannot be extended).  Returning False
-    prunes the recursion below the pattern.
-    """
-    for j in range(max(buckets, default=0), 0, -1):
-        bucket = buckets.pop(j, None)
-        if bucket is None:
-            continue
-        cd, support = _consume_bucket(bucket, buckets)
-        if support < min_support:
-            continue
-        itemset = suffix + (j,)
-        sub_buckets = build_conditional_buckets(cd, min_support) if cd else {}
-        if visit(itemset, support, sub_buckets):
-            if sub_buckets:
-                _iter_conditional(sub_buckets, itemset, min_support, visit)
+def _visit_frequent(plt: PLT, min_support: int, visit) -> None:
+    """Run ``visit`` over every frequent pattern (see ``iter_conditional``)."""
+    iter_conditional(
+        plt.rank_path_index(),
+        range(plt.max_rank(), 0, -1),
+        (),
+        lambda: min_support,
+        visit,
+    )
 
 
 def mine_closed(
@@ -120,11 +108,9 @@ def mine_closed(
         # closed superset is emitted when the recursion reaches it.
         supports: dict[int, int] = {}
         for bucket in sub_buckets.values():
-            for vec, freq in bucket.items():
-                total = 0
-                for p in vec:
-                    total += p
-                    supports[total] = supports.get(total, 0) + freq
+            for path, freq in bucket.items():
+                for r in path:
+                    supports[r] = supports.get(r, 0) + freq
         has_closure_item = any(s == support for s in supports.values())
         fs = frozenset(itemset)
         # Supersets visited earlier (non-descendants) are caught by the
@@ -133,8 +119,7 @@ def mine_closed(
             index.add(fs, support)
         return True
 
-    buckets = plt.sum_index()
-    _iter_conditional(buckets, (), min_support, visit)
+    _visit_frequent(plt, min_support, visit)
     return sorted(
         (tuple(sorted(itemset)), support) for itemset, support in index.items()
     )
@@ -168,8 +153,7 @@ def mine_maximal(
                 supports[fs] = support
         return True
 
-    buckets = plt.sum_index()
-    _iter_conditional(buckets, (), min_support, visit)
+    _visit_frequent(plt, min_support, visit)
     # prune sets subsumed by later-found longer patterns
     result = []
     final = index.items()

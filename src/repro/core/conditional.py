@@ -21,13 +21,12 @@ order.  For item ``j``:
    ``CD_j`` by removing locally-infrequent items from every vector
    and the procedure descends.
 
-Rank-path hot path
-------------------
-The mining engine works on **rank paths** — each vector's cumulative-sum
-tuple (Lemma 4.1.1), precomputed once at PLT construction and carried
-through every conditional level (see :meth:`~repro.core.plt.PLT.rank_path_index`).
-On this representation every per-vector quantity Algorithm 3 needs is
-O(1) instead of O(k):
+Rank paths
+----------
+Every kernel here works on **rank paths** — each vector's cumulative-sum
+tuple (Lemma 4.1.1), which the PLT stores directly.  On this
+representation every per-vector quantity Algorithm 3 needs is O(1)
+instead of O(k):
 
 * the sum-index bucket key is ``path[-1]`` (no ``sum(vec)``),
 * a prefix's destination bucket is ``path[-2]`` (no re-summing after the
@@ -35,17 +34,16 @@ O(1) instead of O(k):
 * removing locally-infrequent items is a plain membership filter over the
   path (no consecutive-position merging arithmetic).
 
-The engine itself is an explicit work-stack (:func:`_mine_paths`) rather
-than recursion, so arbitrarily long frequent itemsets need no
-``sys.setrecursionlimit`` games and frame overhead stays off the hot loop.
-
-The delta-vector kernels (:func:`rank_supports_of_vectors`,
-:func:`build_conditional_buckets`, :func:`_consume_bucket`,
-:func:`mine_conditional_block`) remain as the compatibility surface for
-callers that hold position vectors — the task partitioner, the on-disk
-store, the distributed nodes, closed/top-k/constraint miners and the
-tests; ``mine_conditional_block`` converts to rank paths once at entry
-and runs the same engine.
+One consume step (:func:`_consume_path_bucket`) serves every sweep; one
+engine (:func:`_mine_paths`, an explicit work-stack, so arbitrarily long
+itemsets need no recursion-limit games) mines every conditional
+database; and one top level (:func:`mine_conditional_flat_range`) runs
+both the serial miner and the shared-memory workers.  The closed,
+maximal, top-k and constraint miners share the visitor
+:func:`iter_conditional`.  Delta vectors appear only at the edges where
+the paper puts them: :func:`conditional_database` returns Figure 5's
+delta view, and :func:`mine_conditional_block` converts the delta-keyed
+conditional databases that the distributed slice exchange ships.
 
 Anti-monotone pruning is fully exploited: a conditional structure only
 ever contains items that are frequent *together with* the current suffix.
@@ -57,85 +55,33 @@ from collections import defaultdict
 from collections.abc import Callable
 from itertools import accumulate, combinations as _combinations, compress as _compress
 
-try:  # optional acceleration for the top-level pass; see _mine_top_matrix
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+import numpy as _np
 
+from repro.core.flat import FlatPLT
 from repro.core.plt import PLT
-from repro.core.position import PositionVector, RankPath, restrict_to_ranks
+from repro.core.position import PositionVector, RankPath, path_to_vector
+from repro.data.transaction_db import check_max_len
 from repro.errors import InvalidSupportError, MiningInterrupted
 from repro.perf.counters import COUNTERS as _COUNTERS
 
 __all__ = [
     "mine_conditional",
+    "mine_conditional_paths",
     "mine_conditional_block",
     "mine_conditional_flat_range",
     "conditional_database",
-    "build_conditional_buckets",
-    "build_conditional_path_buckets",
-    "rank_supports_of_vectors",
-    "rank_supports_of_paths",
+    "iter_conditional",
 ]
 
-Buckets = dict[int, dict[PositionVector, int]]
 PathBuckets = dict[int, dict[RankPath, int]]
 Emit = Callable[[tuple[int, ...], int], None]
 
 
-# ---------------------------------------------------------------------------
-# delta-vector kernels (compatibility surface; see module docstring)
-# ---------------------------------------------------------------------------
-def rank_supports_of_vectors(vectors: dict[PositionVector, int]) -> dict[int, int]:
-    """Support of every rank appearing in an aggregated vector table.
-
-    Decodes each vector's cumulative sums once; the frequency of the vector
-    contributes to every rank on its path (Lemma 4.1.1).
-    """
-    supports: dict[int, int] = defaultdict(int)
-    for vec, freq in vectors.items():
-        total = 0
-        for p in vec:
-            total += p
-            supports[total] += freq
-    return dict(supports)
-
-
-def rank_supports_of_paths(paths: dict[RankPath, int]) -> dict[int, int]:
-    """Rank-path form of :func:`rank_supports_of_vectors` — no decoding."""
-    supports: dict[int, int] = defaultdict(int)
-    for path, freq in paths.items():
-        for r in path:
-            supports[r] += freq
-    return dict(supports)
-
-
-def build_conditional_buckets(
-    prefixes: dict[PositionVector, int], min_support: int
-) -> Buckets:
-    """Build a conditional PLT (as sum-indexed buckets) from prefix vectors.
-
-    Locally infrequent ranks are removed from every vector by projection
-    (equivalent to the paper's consecutive-position merging); surviving
-    vectors are re-aggregated and bucketed by sum.
-    """
-    supports = rank_supports_of_vectors(prefixes)
-    frequent = {r for r, s in supports.items() if s >= min_support}
-    if not frequent:
-        return {}
-    buckets: Buckets = defaultdict(dict)
-    if len(frequent) == len(supports):
-        # nothing to filter: bucket the prefixes as-is (keys stay distinct)
-        for vec, freq in prefixes.items():
-            buckets[sum(vec)][vec] = freq
-        return dict(buckets)
-    for vec, freq in prefixes.items():
-        kept = restrict_to_ranks(vec, frequent)
-        if not kept:
-            continue
-        bucket = buckets[sum(kept)]
-        bucket[kept] = bucket.get(kept, 0) + freq
-    return dict(buckets)
+def _check_min_support(min_support: int) -> None:
+    if min_support < 1:
+        raise InvalidSupportError(
+            f"absolute min_support must be >= 1, got {min_support}"
+        )
 
 
 def _build_path_buckets(
@@ -175,21 +121,39 @@ def _build_path_buckets(
     return dict(buckets), sorted(frequent, reverse=True)
 
 
-def build_conditional_path_buckets(
-    prefixes: dict[RankPath, int], min_support: int
-) -> PathBuckets:
-    """Rank-path form of :func:`build_conditional_buckets`.
+def _consume_path_bucket(
+    bucket: dict[RankPath, int], buckets: PathBuckets, lo: int = 1
+) -> tuple[dict[RankPath, int], int]:
+    """Migrate a bucket's prefixes into ``buckets``; return ``(CD_j, support)``.
 
-    The projection that removes locally-infrequent items degenerates to a
-    membership filter over each path, and the destination bucket key is the
-    filtered path's last element — no delta re-encoding, no re-summing.
+    A prefix's destination bucket is ``path[-2]``.  Prefix migrations
+    whose destination key falls below ``lo`` are dropped — a range sweep
+    never consumes those buckets, so feeding them is pure waste.
+    ``CD_j`` still receives *every* prefix (conditional supports must
+    stay exact regardless of the range).
     """
-    return _build_path_buckets(prefixes, min_support)[0]
+    support = 0
+    cd: dict[RankPath, int] = {}
+    cd_get = cd.get
+    buckets_get = buckets.get
+    for path, freq in bucket.items():
+        support += freq
+        prefix = path[:-1]
+        if prefix:
+            key = prefix[-1]
+            if key >= lo:
+                parent = buckets_get(key)
+                if parent is None:
+                    buckets[key] = {prefix: freq}
+                else:
+                    parent[prefix] = parent.get(prefix, 0) + freq
+            cd[prefix] = cd_get(prefix, 0) + freq
+    return cd, support
 
 
 def conditional_database(
     plt: PLT, rank: int
-) -> tuple[dict[PositionVector, int], int, Buckets]:
+) -> tuple[dict[PositionVector, int], int, dict[int, dict[PositionVector, int]]]:
     """Stand-alone form of the paper's ``Conditional_Construct`` for tests.
 
     Returns ``(CD_rank, support(rank), remaining_buckets)`` where
@@ -197,35 +161,21 @@ def conditional_database(
     ``rank`` was consumed and its prefixes migrated — i.e. the state of
     Figure 5(b).  Higher-ranked buckets must already have been processed
     for the support to be the true support; for the top rank this holds
-    trivially.
+    trivially.  The sweep runs on rank paths; only the returned values
+    are delta vectors, the paper's notation for the figure.
     """
-    buckets = plt.sum_index()
-    for j in range(max(buckets, default=0), rank - 1, -1):
+    buckets = plt.rank_path_index()
+    for j in range(max(buckets, default=0), rank, -1):
         bucket = buckets.pop(j, None)
-        if bucket is None:
-            if j == rank:
-                return {}, 0, buckets
-            continue
-        cd, support = _consume_bucket(bucket, buckets)
-        if j == rank:
-            return cd, support, buckets
-    return {}, 0, buckets
-
-
-def _consume_bucket(
-    bucket: dict[PositionVector, int], buckets: Buckets
-) -> tuple[dict[PositionVector, int], int]:
-    """Migrate a bucket's prefixes into ``buckets``; return (CD_j, support)."""
-    support = 0
-    cd: dict[PositionVector, int] = {}
-    for vec, freq in bucket.items():
-        support += freq
-        prefix = vec[:-1]
-        if prefix:
-            parent = buckets.setdefault(sum(prefix), {})
-            parent[prefix] = parent.get(prefix, 0) + freq
-            cd[prefix] = cd.get(prefix, 0) + freq
-    return cd, support
+        if bucket is not None:
+            _consume_path_bucket(bucket, buckets)
+    bucket = buckets.pop(rank, None)
+    cd, support = _consume_path_bucket(bucket, buckets) if bucket else ({}, 0)
+    return (
+        {path_to_vector(p): f for p, f in cd.items()},
+        support,
+        {k: {path_to_vector(p): f for p, f in b.items()} for k, b in buckets.items()},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +190,6 @@ def _mine_paths(
     max_len: int | None,
     row: list[float] | None = None,
     governor=None,
-    track_top: bool = False,
 ) -> None:
     """Depth-first conditional mining over rank-path buckets, no recursion.
 
@@ -254,16 +203,16 @@ def _mine_paths(
     child's first-level row, so the child's singletons are emitted here
     with their exact supports and every conditional structure at every
     depth stays singleton-free.  ``row`` is ``None`` only for structures
-    built externally with their singletons intact (the no-NumPy top level,
-    the rank-partition mode, the delta-vector wrapper).
+    that :func:`_build_path_buckets` built with their singletons intact
+    (:func:`mine_conditional_paths`, the wide-rank sweep).
 
     Algorithm 3's ``for j = Max down to 1`` loop, driven by an explicit
     descending *schedule* of candidate ranks rather than an integer
     countdown: migration only ever inserts buckets at keys strictly below
     the one being consumed and never outside the schedule, so walking the
     schedule visits every bucket exactly once, including freshly created
-    ones.  The top level passes a ``range``; conditional structures pass
-    the exact frequent-rank list from :func:`_build_path_buckets`.
+    ones.  Every structure passes the exact frequent-rank list: from
+    :func:`_build_path_buckets`, or from the pair-support row.
 
     Descents into conditional structures are handled by an explicit frame
     stack — each frame is ``(buckets, order, resume_index, suffix)`` and
@@ -291,11 +240,8 @@ def _mine_paths(
 
     When a :class:`~repro.robustness.governor.ResourceGovernor` is given
     it is charged one amortized tick per consumed bucket (weighted by
-    bucket size); with ``track_top`` the currently-mined *top-level* rank
-    is recorded in ``governor.progress["mining_rank"]`` — each top-level
-    rank's entire subtree completes before the loop advances, so on a
-    budget trip every rank above the marker is verified complete.  Cost
-    when ``governor is None``: a single predicate test per bucket.
+    bucket size); the caller's top level records the rank in flight.
+    Cost when ``governor is None``: a single predicate test per bucket.
     """
     counters = _COUNTERS
     stack: list[
@@ -321,8 +267,6 @@ def _mine_paths(
             if bucket is None:
                 continue
             if governor is not None:
-                if track_top and not stack:
-                    governor.progress["mining_rank"] = j
                 governor.tick(len(bucket))
             if counters.enabled:
                 counters.add("cond_buckets_touched")
@@ -467,6 +411,40 @@ def _mine_paths(
         n = len(order)
 
 
+def mine_conditional_paths(
+    prefixes: dict[RankPath, int],
+    rank: int,
+    min_support: int,
+    emit: Emit,
+    max_len: int | None = None,
+    governor=None,
+) -> None:
+    """Mine one rank's conditional database on the path engine.
+
+    ``prefixes`` is ``CD_rank`` as aggregated rank paths — what
+    :func:`_consume_path_bucket` returns, what the parallel partitioner
+    bundles into tasks, and what the serving engine reads off its
+    postings.  The projection that drops locally-infrequent ranks runs in
+    path space, and the descent uses the exact frequent-rank schedule.
+    Itemsets reach ``emit`` already sorted ascending (the engine prepends
+    strictly smaller ranks), so callers need no per-emit re-sort.
+
+    Does *not* emit ``(rank,)`` itself — top-level supports are known to
+    the caller before the conditional database exists.
+    """
+    check_max_len(max_len)
+    if max_len == 1:
+        return
+    if governor is not None:
+        governor.tick(len(prefixes))
+    buckets, schedule = _build_path_buckets(prefixes, min_support)
+    if buckets:
+        _mine_paths(
+            buckets, schedule, (rank,), min_support, emit, max_len,
+            governor=governor,
+        )
+
+
 def mine_conditional_block(
     prefixes: dict[PositionVector, int],
     rank: int,
@@ -475,33 +453,46 @@ def mine_conditional_block(
     max_len: int | None = None,
     governor=None,
 ) -> None:
-    """Mine one top-level rank's conditional database on the path engine.
+    """:func:`mine_conditional_paths` over a delta-keyed ``CD_rank``.
 
-    ``prefixes`` is the delta-keyed conditional database of ``rank`` — the
-    shape the parallel partitioner bundles into tasks and the distributed
-    slice exchange ships between nodes.  Each distinct vector is converted
-    to its rank path with a single ``accumulate`` pass, the projection
-    that drops locally-infrequent ranks runs in path space, and the
-    descent uses the exact frequent-rank schedule instead of counting down
-    through every integer rank.  Itemsets reach ``emit`` already sorted
-    ascending (the engine prepends strictly smaller ranks), so callers
-    need no per-emit re-sort.
-
-    Does *not* emit ``(rank,)`` itself — top-level supports are known to
-    the caller before the conditional database exists.
+    The shape the distributed slice exchange ships between nodes;
+    ``accumulate`` is injective on delta vectors, so plain assignment
+    converts them.
     """
-    path_prefixes: dict[RankPath, int] = {}
-    for vec, freq in prefixes.items():
-        # accumulate() is injective on delta vectors: plain assignment
-        path_prefixes[tuple(accumulate(vec))] = freq
-    if governor is not None:
-        governor.tick(len(path_prefixes))
-    buckets, schedule = _build_path_buckets(path_prefixes, min_support)
-    if buckets:
-        _mine_paths(
-            buckets, schedule, (rank,), min_support, emit, max_len,
-            governor=governor,
-        )
+    paths = {tuple(accumulate(vec)): freq for vec, freq in prefixes.items()}
+    mine_conditional_paths(paths, rank, min_support, emit, max_len, governor)
+
+
+def iter_conditional(
+    buckets: PathBuckets,
+    order: "range | list[int]",
+    suffix: tuple[int, ...],
+    floor: Callable[[], int],
+    visit: Callable[[tuple[int, ...], int, PathBuckets], bool],
+) -> None:
+    """Algorithm 3 as a visitor, for miners that judge every pattern.
+
+    Walks ``order`` (descending ranks) over ``buckets``, consuming each
+    bucket with :func:`_consume_path_bucket`.  Every pattern
+    ``(j,) + suffix`` whose support reaches ``floor()`` gets its
+    conditional structure built at ``floor()`` and is passed to
+    ``visit(itemset, support, sub_buckets)``; an empty ``sub_buckets``
+    means the pattern has no frequent extension.  Returning False prunes
+    the descent below the pattern.  ``floor`` is re-read at every bucket,
+    so a threshold that rises while mining (top-k) prunes immediately.
+    The closed, maximal, top-k and constraint miners are visits.
+    """
+    for j in order:
+        bucket = buckets.pop(j, None)
+        if bucket is None:
+            continue
+        cd, support = _consume_path_bucket(bucket, buckets)
+        if support < floor():
+            continue
+        itemset = (j,) + suffix
+        sub, sub_order = _build_path_buckets(cd, floor()) if cd else ({}, [])
+        if visit(itemset, support, sub) and sub:
+            iter_conditional(sub, sub_order, itemset, floor, visit)
 
 
 #: Rank-space ceiling for the pairwise co-occurrence matrix: the dense
@@ -552,12 +543,22 @@ def _matrix_mine(
     governor=None,
     pair_support=None,
 ) -> None:
-    """Core of the vectorised top level over length-grouped path matrices.
+    """The vectorised top level of Algorithm 3 over length-grouped paths.
+
+    The local rank supports the top-level loop needs are, by Lemma 4.1.1,
+    exactly the pairwise co-occurrence counts: when bucket ``j`` is
+    consumed it holds every stored path truncated at ``j``, so the local
+    support of rank ``k`` in ``CD_j`` is ``support({j, k})``.  That whole
+    matrix is a single ``bincount`` (:func:`_pair_support_matrix`), which
+    replaces both the top-level migration cascade and the per-bucket
+    Python supports scan — the two quadratic costs of sparse mining.
+    Conditional structures for each frequent ``j`` are then projected
+    straight from the path matrices and descended with
+    :func:`_mine_paths`.
 
     ``arrays`` maps path length -> ``(mat, ifreqs)`` where ``mat`` is an
     int64 ``(n, length)`` matrix of stored rank paths and ``ifreqs`` the
-    matching frequency column (the shape :meth:`FlatPLT.paths_by_length`
-    and :func:`_mine_top_matrix` both produce).  Mines every frequent
+    matching frequency column (:meth:`FlatPLT.paths_by_length`).  Mines every frequent
     itemset whose *maximal* rank lies in ``[lo, hi)`` — itemsets partition
     exactly by maximal rank, so disjoint ranges concatenate into the full
     answer (the shared-memory workers' decomposition).  ``pair_support``
@@ -663,125 +664,8 @@ def _matrix_mine(
             )
 
 
-def _mine_top_matrix(
-    plt: PLT,
-    min_support: int,
-    emit: Emit,
-    max_len: int | None,
-    governor=None,
-) -> bool:
-    """Vectorised top level of Algorithm 3; returns False when inapplicable.
-
-    The local rank supports the top-level loop needs are, by Lemma 4.1.1,
-    exactly the pairwise co-occurrence counts: when bucket ``j`` is
-    consumed it holds every stored path truncated at ``j``, so the local
-    support of rank ``k`` in ``CD_j`` is ``support({j, k})``.  That whole
-    matrix is computable in a handful of NumPy ``bincount`` passes
-    (stored paths grouped by length, lower-triangle index pairs), which
-    replaces both the top-level migration cascade and the per-bucket
-    Python supports scan — the two quadratic costs of sparse mining.
-    Conditional structures for each frequent ``j`` are then built directly
-    from an inverted occurrence index and descended with
-    :func:`_mine_paths`; nothing below the top level changes.
-
-    Falls back (returns False) when NumPy is unavailable or the rank space
-    is too large for a dense matrix.
-    """
-    if _np is None:
-        return False
-    by_len: dict[int, list[tuple[RankPath, int]]] = defaultdict(list)
-    max_rank = 0
-    for path, freq in plt.iter_rank_paths():
-        by_len[len(path)].append((path, freq))
-        if path[-1] > max_rank:
-            max_rank = path[-1]
-    if not by_len:
-        return True  # nothing stored, nothing to mine
-    width = max_rank + 1
-    if width * width > _PAIR_MATRIX_MAX_CELLS:
-        return False
-    arrays = {
-        length: (
-            _np.array([p for p, _ in entries], dtype=_np.int64),
-            _np.array([f for _, f in entries], dtype=_np.int64),
-        )
-        for length, entries in by_len.items()
-    }
-    _matrix_mine(
-        arrays, max_rank, 1, width, min_support, emit, max_len, governor=governor
-    )
-    return True
-
-
-def _mine_flat_matrix(
-    flat,
-    lo: int,
-    hi: int,
-    min_support: int,
-    emit: Emit,
-    max_len: int | None,
-    governor=None,
-) -> bool:
-    """Vectorised range mining over a FlatPLT; False when inapplicable.
-
-    The length-grouped matrices come straight off the flat columns (a few
-    NumPy gathers — no RankPath tuples are materialised for the group
-    step), so shared-memory workers pay array views, not decode loops.
-    """
-    arrays = flat.paths_by_length()
-    if arrays is None:
-        return False
-    width = flat.max_rank + 1
-    if width * width > _PAIR_MATRIX_MAX_CELLS:
-        return False
-    if not arrays:
-        return True
-    _matrix_mine(
-        arrays,
-        flat.max_rank,
-        lo,
-        hi,
-        min_support,
-        emit,
-        max_len,
-        governor=governor,
-        pair_support=flat.pair_support_matrix(),
-    )
-    return True
-
-
-def _consume_path_bucket_from(
-    bucket: dict[RankPath, int], buckets: PathBuckets, lo: int
-) -> tuple[dict[RankPath, int], int]:
-    """Rank-path form of :func:`_consume_bucket` for range-restricted sweeps.
-
-    A prefix's destination bucket is ``path[-2]``.  Prefix migrations
-    whose destination key falls below ``lo`` are dropped — the range
-    miner never consumes those buckets, so feeding them is pure waste.
-    ``CD_j`` still receives *every* prefix (conditional supports must
-    stay exact regardless of the range).
-    """
-    support = 0
-    cd: dict[RankPath, int] = {}
-    cd_get = cd.get
-    buckets_get = buckets.get
-    for path, freq in bucket.items():
-        support += freq
-        prefix = path[:-1]
-        if prefix:
-            key = prefix[-1]
-            if key >= lo:
-                parent = buckets_get(key)
-                if parent is None:
-                    buckets[key] = {prefix: freq}
-                else:
-                    parent[prefix] = parent.get(prefix, 0) + freq
-            cd[prefix] = cd_get(prefix, 0) + freq
-    return cd, support
-
-
 def mine_conditional_flat_range(
-    flat,
+    flat: FlatPLT,
     lo: int,
     hi: int,
     min_support: int,
@@ -792,27 +676,41 @@ def mine_conditional_flat_range(
     """Mine every frequent itemset whose maximal rank lies in ``[lo, hi)``.
 
     Operates directly on a :class:`~repro.core.flat.FlatPLT`'s columns —
-    the worker side of the shared-memory parallel miner.  Itemsets
-    partition exactly by their maximal (top-level) rank, so disjoint
-    ranges mined by different workers concatenate into the complete
-    answer with no reconciliation, and each range's counts are exact
-    because the sweep still *migrates* prefixes from every bucket above
-    ``lo`` (consuming a rank ``>= hi`` contributes its prefixes without
-    emitting).
+    the top level of :func:`mine_conditional` (the whole rank range) and
+    of every shared-memory worker (one slice each).  Itemsets partition
+    exactly by their maximal (top-level) rank, so disjoint ranges mined by
+    different workers concatenate into the complete answer with no
+    reconciliation, and each range's counts are exact because the sweep
+    still *migrates* prefixes from every bucket above ``lo`` (consuming a
+    rank ``>= hi`` contributes its prefixes without emitting).
 
-    Prefers the vectorised co-occurrence matrix restricted to the range;
-    falls back to a bucket sweep that materialises path dicts only for
+    Runs on the vectorised co-occurrence matrix restricted to the range
+    while the dense matrix fits ``_PAIR_MATRIX_MAX_CELLS``; wider rank
+    spaces take a bucket sweep that materialises path dicts only for
     sum-index keys ``>= lo`` (lower keys can never be consumed here).
+    The rank being mined is kept in ``governor.progress["mining_rank"]``:
+    each top-level rank's subtree completes before the next starts, so on
+    a budget trip every rank above the marker is complete.
     """
-    if min_support < 1:
-        raise InvalidSupportError(
-            f"absolute min_support must be >= 1, got {min_support}"
-        )
+    _check_min_support(min_support)
+    check_max_len(max_len)
     lo = max(1, lo)
     hi = min(hi, flat.max_rank + 1)
     if lo >= hi or flat.n_paths == 0:
         return
-    if _mine_flat_matrix(flat, lo, hi, min_support, emit, max_len, governor=governor):
+    width = flat.max_rank + 1
+    if width * width <= _PAIR_MATRIX_MAX_CELLS:
+        _matrix_mine(
+            flat.paths_by_length(),
+            flat.max_rank,
+            lo,
+            hi,
+            min_support,
+            emit,
+            max_len,
+            governor=governor,
+            pair_support=flat.pair_support_matrix(),
+        )
         return
     ranks_col, off, freqs_col = flat.ranks, flat.path_offsets, flat.freqs
     keys, boff = flat.bucket_keys, flat.bucket_offsets
@@ -832,17 +730,12 @@ def mine_conditional_flat_range(
         if governor is not None:
             governor.progress["mining_rank"] = j
             governor.tick(len(bucket))
-        cd, support = _consume_path_bucket_from(bucket, buckets, lo)
+        cd, support = _consume_path_bucket(bucket, buckets, lo)
         if j >= hi or support < min_support:
             continue
         emit((j,), support)
-        if cd and (max_len is None or max_len > 1):
-            sub, sub_order = _build_path_buckets(cd, min_support)
-            if sub:
-                _mine_paths(
-                    sub, sub_order, (j,), min_support, emit, max_len,
-                    governor=governor,
-                )
+        if cd:
+            mine_conditional_paths(cd, j, min_support, emit, max_len, governor)
 
 
 def mine_conditional(
@@ -877,10 +770,8 @@ def mine_conditional(
     """
     if min_support is None:
         min_support = plt.min_support
-    if min_support < 1:
-        raise InvalidSupportError(f"absolute min_support must be >= 1, got {min_support}")
-    if max_len is not None and max_len < 1:
-        raise InvalidSupportError(f"max_len must be >= 1, got {max_len}")
+    _check_min_support(min_support)
+    check_max_len(max_len)
 
     results: list[tuple[tuple[int, ...], int]] = []
     # the engine constructs every itemset in ascending rank order (it
@@ -898,14 +789,10 @@ def mine_conditional(
             results.append((itemset, support))
 
     try:
-        if _mine_top_matrix(plt, min_support, emit, max_len, governor=governor):
-            return results
-        buckets = plt.rank_path_index()
-        if buckets:
-            _mine_paths(
-                buckets, range(max(buckets), 0, -1), (), min_support,
-                emit, max_len, governor=governor, track_top=True,
-            )
+        mine_conditional_flat_range(
+            FlatPLT.from_plt(plt), 1, plt.max_rank() + 1, min_support, emit,
+            max_len, governor,
+        )
         return results
     except MiningInterrupted as exc:
         # everything emitted has its exact support; ranks strictly above

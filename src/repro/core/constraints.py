@@ -26,10 +26,14 @@ from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable
 
-from repro.core.conditional import _consume_bucket, build_conditional_buckets
+from repro.core.conditional import iter_conditional
 from repro.core.plt import PLT
 from repro.core.rank import sort_key
-from repro.data.transaction_db import TransactionDatabase, resolve_min_support
+from repro.data.transaction_db import (
+    TransactionDatabase,
+    check_max_len,
+    resolve_min_support,
+)
 from repro.errors import InvalidSupportError, UnknownItemError
 
 __all__ = ["mine_constrained", "verify_antimonotone"]
@@ -90,6 +94,7 @@ def mine_constrained(
     Returns ``(sorted item tuple, support)`` pairs in canonical order.
     Supports are absolute counts over the *full* database.
     """
+    check_max_len(max_len)
     required = frozenset(required)
     excluded = frozenset(excluded)
     if required & excluded:
@@ -131,35 +136,20 @@ def mine_constrained(
 
     results: list[tuple[tuple, int]] = []
 
-    def accept(itemset_ranks: tuple[int, ...], support: int) -> tuple | None:
-        """Predicate gate; returns the decoded itemset when it passes."""
+    def visit(itemset_ranks: tuple[int, ...], support: int, sub) -> bool:
         items = decode(itemset_ranks)
         if predicate is not None and not predicate(items):
-            return None
-        return items
-
-    def emit(itemset_ranks: tuple[int, ...], support: int, items: tuple) -> None:
+            return False  # anti-monotone: no superset can pass either
         if required_ranks <= set(itemset_ranks):
             results.append((items, support))
+        return max_len is None or len(itemset_ranks) < max_len
 
-    def mine(buckets, suffix) -> None:
-        for j in range(max(buckets, default=0), 0, -1):
-            bucket = buckets.pop(j, None)
-            if bucket is None:
-                continue
-            cd, support = _consume_bucket(bucket, buckets)
-            if support < abs_support:
-                continue
-            itemset = suffix + (j,)
-            items = accept(itemset, support)
-            if items is None:
-                continue  # anti-monotone: no superset can pass either
-            emit(itemset, support, items)
-            if cd and (max_len is None or len(itemset) < max_len):
-                sub = build_conditional_buckets(cd, abs_support)
-                if sub:
-                    mine(sub, itemset)
-
-    mine(plt.sum_index(), ())
+    iter_conditional(
+        plt.rank_path_index(),
+        range(plt.max_rank(), 0, -1),
+        (),
+        lambda: abs_support,
+        visit,
+    )
     results.sort(key=lambda p: (len(p[0]), [sort_key(i) for i in p[0]]))
     return results

@@ -1,6 +1,6 @@
 """Columnar lowering of the PLT rank-path index — the shared-memory shape.
 
-The mining kernels (PR 2) already intern every stored vector's rank path
+The PLT already interns every stored vector's rank path
 (cumulative-sum tuple, Lemma 4.1.1) grouped into sum-index buckets.  This
 module lowers that dict-of-dicts into five contiguous typed columns so
 the whole structure can live in a single ``multiprocessing.shared_memory``
@@ -24,10 +24,8 @@ segment.
 
 Columns are 8-byte aligned back to back in one buffer; the picklable
 ``meta`` dict (segment name, per-column lengths, the three scalars) is all
-a worker needs to :meth:`FlatPLT.attach`.  NumPy views over the columns
-are exposed through :meth:`as_numpy` when NumPy is importable; every
-consumer degrades to plain ``array``/``memoryview`` indexing otherwise,
-so the representation itself has no hard dependency.
+a worker needs to :meth:`FlatPLT.attach`.  Zero-copy NumPy views over
+the columns (:meth:`as_numpy`) feed every vectorised kernel.
 
 Attach-side resource tracking: on Python < 3.13 every
 ``SharedMemory(create=False)`` *registers* the segment with the resource
@@ -45,10 +43,7 @@ import os
 from array import array
 from collections.abc import Iterator
 
-try:  # optional acceleration; every method has a scalar fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+import numpy as _np
 
 from repro.core.plt import PLT
 from repro.core.position import RankPath
@@ -66,8 +61,7 @@ FLAT_FIELDS: tuple[tuple[str, str], ...] = (
 
 _ITEMSIZE = {code: array(code).itemsize for code in ("I", "Q", "d")}
 
-if _np is not None:
-    _DTYPES = {"I": _np.dtype("uint32"), "Q": _np.dtype("uint64")}
+_DTYPES = {"I": _np.dtype("uint32"), "Q": _np.dtype("uint64")}
 
 #: Column alignment inside the shared buffer.
 _ALIGN = 8
@@ -187,9 +181,7 @@ class FlatPLT:
 
     # -- vectorized views ---------------------------------------------------
     def as_numpy(self):
-        """Zero-copy NumPy views over the columns, or ``None`` without NumPy."""
-        if _np is None:
-            return None
+        """Zero-copy NumPy views over the columns (cached)."""
         views = self._np_views
         if views is None:
             views = {
@@ -202,25 +194,14 @@ class FlatPLT:
     def rank_supports(self) -> list[int]:
         """Exact support of every rank, indexed by rank (index 0 unused).
 
-        Vectorized over the frequency column when NumPy is present: each
-        path's frequency is repeated across its cells and bincounted by
-        rank id — one fused pass, no Python-level loop over paths.
+        Each path's frequency is repeated across its cells and bincounted
+        by rank id — one fused pass, no Python-level loop over paths.
         """
         views = self.as_numpy()
-        width = self.max_rank + 1
-        if views is not None:
-            offsets = views["path_offsets"].astype(_np.int64)
-            reps = _np.diff(offsets)
-            weights = _np.repeat(views["freqs"].astype(_np.float64), reps)
-            sup = _np.bincount(views["ranks"], weights=weights, minlength=width)
-            return [int(s) for s in sup]
-        sup = [0] * width
-        ranks, off, freqs = self.ranks, self.path_offsets, self.freqs
-        for p in range(len(freqs)):
-            f = freqs[p]
-            for c in range(off[p], off[p + 1]):
-                sup[ranks[c]] += f
-        return sup
+        offsets = views["path_offsets"].astype(_np.int64)
+        weights = _np.repeat(views["freqs"].astype(_np.float64), _np.diff(offsets))
+        sup = _np.bincount(views["ranks"], weights=weights, minlength=self.max_rank + 1)
+        return [int(s) for s in sup]
 
     def rank_costs(self) -> list[int]:
         """Per-rank work proxy for range planning, indexed by rank.
@@ -231,23 +212,13 @@ class FlatPLT:
         :meth:`rank_supports`, weighted by within-path position.
         """
         views = self.as_numpy()
-        width = self.max_rank + 1
-        if views is not None:
-            offsets = views["path_offsets"].astype(_np.int64)
-            reps = _np.diff(offsets)
-            pos = _np.arange(len(views["ranks"]), dtype=_np.int64)
-            pos = pos - _np.repeat(offsets[:-1], reps)
-            cost = _np.bincount(
-                views["ranks"], weights=pos.astype(_np.float64), minlength=width
-            )
-            return [int(c) for c in cost]
-        cost = [0] * width
-        ranks, off = self.ranks, self.path_offsets
-        for p in range(self.n_paths):
-            base = off[p]
-            for c in range(base, off[p + 1]):
-                cost[ranks[c]] += c - base
-        return cost
+        offsets = views["path_offsets"].astype(_np.int64)
+        pos = _np.arange(len(views["ranks"]), dtype=_np.int64)
+        pos -= _np.repeat(offsets[:-1], _np.diff(offsets))
+        cost = _np.bincount(
+            views["ranks"], weights=pos.astype(_np.float64), minlength=self.max_rank + 1
+        )
+        return [int(c) for c in cost]
 
     def paths_by_length(self, start: int = 0, end: int | None = None):
         """Stored paths ``[start, end)`` grouped by length as
@@ -256,12 +227,9 @@ class FlatPLT:
         ``mat`` is an int64 ``(n, length)`` matrix of rank paths and
         ``ifreqs`` the matching int64 frequency column — exactly the input
         shape of the vectorised conditional top level and of the top-down
-        subset-lattice kernel.  Returns ``None`` without NumPy (callers
-        fall back to the sweep formulation).
+        subset-lattice kernel.
         """
         views = self.as_numpy()
-        if views is None:
-            return None
         if end is None:
             end = self.n_paths
         if end <= start:
@@ -291,12 +259,12 @@ class FlatPLT:
         every attaching worker reads it off the segment instead of
         re-running the bincount over all stored paths.
 
-        No-op (returns False) without NumPy, on an empty index, or when
-        the dense matrix would exceed ``max_cells`` (default: the
-        conditional kernel's own dense-matrix cap — ranges that large
-        take the sweep fallback, which never consults the matrix).
+        No-op (returns False) on an empty index, or when the dense matrix
+        would exceed ``max_cells`` (default: the conditional kernel's own
+        dense-matrix cap — ranges that large take the sweep fallback,
+        which never consults the matrix).
         """
-        if _np is None or self.pair_support is not None or self.n_paths == 0:
+        if self.pair_support is not None or self.n_paths == 0:
             return self.pair_support is not None
         if max_cells is None:
             from repro.core.conditional import _PAIR_MATRIX_MAX_CELLS
@@ -318,7 +286,7 @@ class FlatPLT:
         The underlying buffer view is cached alongside :meth:`as_numpy`'s
         so that :meth:`detach`/``close`` can drop every buffer export.
         """
-        if _np is None or self.pair_support is None:
+        if self.pair_support is None:
             return None
         views = self.as_numpy()
         flatview = views.get("pair_support")

@@ -23,7 +23,11 @@ from repro.core.conditional import mine_conditional
 from repro.core.plt import PLT
 from repro.core.rank import sort_key
 from repro.core.topdown import mine_topdown
-from repro.data.transaction_db import TransactionDatabase, resolve_min_support
+from repro.data.transaction_db import (
+    TransactionDatabase,
+    check_max_len,
+    resolve_min_support,
+)
 from repro.errors import (
     AdmissionRejected,
     InvalidParameterError,
@@ -659,6 +663,7 @@ def mine_frequent_itemsets(
         raise ReproError(
             f"unknown mining method {method!r}; available: {', '.join(sorted(METHODS))}"
         )
+    check_max_len(max_len)
     if on_budget not in ("partial", "raise"):
         raise InvalidParameterError(
             f"on_budget must be 'partial' or 'raise', got {on_budget!r}"

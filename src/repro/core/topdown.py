@@ -55,6 +55,7 @@ import numpy as np
 from repro.core.flat import FlatPLT
 from repro.core.plt import PLT
 from repro.core.position import PositionVector, RankPath
+from repro.data.transaction_db import check_max_len
 from repro.errors import InvalidSupportError, MiningInterrupted, TopDownExplosionError
 from repro.perf.counters import COUNTERS as _COUNTERS
 
@@ -364,6 +365,7 @@ def mine_topdown(
         min_support = plt.min_support
     if min_support < 1:
         raise InvalidSupportError(f"absolute min_support must be >= 1, got {min_support}")
+    check_max_len(max_len)
     _check_work_limit(plt, work_limit)
     lattice = _Lattice(plt.max_rank())
     if governor is not None:

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import heapq
 
-from repro.core.conditional import _consume_bucket, build_conditional_buckets
+from repro.core.conditional import _build_path_buckets, iter_conditional
 from repro.core.plt import PLT
+from repro.data.transaction_db import check_max_len
 from repro.errors import InvalidSupportError
 
 __all__ = ["mine_top_k"]
@@ -51,6 +52,7 @@ def mine_top_k(
         raise InvalidSupportError(f"k must be >= 1, got {k}")
     if min_len < 1:
         raise InvalidSupportError(f"min_len must be >= 1, got {min_len}")
+    check_max_len(max_len)
     if max_len is not None and max_len < min_len:
         raise InvalidSupportError("max_len must be >= min_len")
 
@@ -86,22 +88,11 @@ def mine_top_k(
 
     collected: list[tuple[tuple[int, ...], int]] = []
 
-    def mine(buckets, suffix) -> None:
-        for j in range(max(buckets, default=0), 0, -1):
-            bucket = buckets.pop(j, None)
-            if bucket is None:
-                continue
-            cd, support = _consume_bucket(bucket, buckets)
-            if support < floor():
-                continue
-            itemset = suffix + (j,)
-            if len(itemset) >= min_len:
-                observe(support)
-                collected.append((tuple(sorted(itemset)), support))
-            if cd and (max_len is None or len(itemset) < max_len):
-                sub = build_conditional_buckets(cd, floor())
-                if sub:
-                    mine(sub, itemset)
+    def visit(itemset, support, sub) -> bool:
+        if len(itemset) >= min_len:
+            observe(support)
+            collected.append((itemset, support))
+        return max_len is None or len(itemset) < max_len
 
     for task in sorted(tasks, key=lambda t: -t.support):
         if task.support < floor():
@@ -109,9 +100,8 @@ def mine_top_k(
         if min_len <= 1:
             collected.append(((task.rank,), task.support))
         if task.prefixes and (max_len is None or max_len > 1):
-            sub = build_conditional_buckets(task.prefixes, floor())
-            if sub:
-                mine(sub, (task.rank,))
+            sub, order = _build_path_buckets(task.prefixes, floor())
+            iter_conditional(sub, order, (task.rank,), floor, visit)
     cutoff = floor() if len(heap) >= k else 1
     result = [(ranks, s) for ranks, s in collected if s >= cutoff]
     result.sort(key=lambda pair: (-pair[1], len(pair[0]), pair[0]))

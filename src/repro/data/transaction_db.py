@@ -23,7 +23,7 @@ from typing import Hashable
 from repro.core.rank import sort_key
 from repro.errors import InvalidSupportError
 
-__all__ = ["TransactionDatabase", "resolve_min_support", "item_supports"]
+__all__ = ["TransactionDatabase", "resolve_min_support", "check_max_len", "item_supports"]
 
 Item = Hashable
 Transaction = frozenset
@@ -70,6 +70,17 @@ def resolve_min_support(min_support: float | int, n_transactions: int) -> int:
         count = math.ceil(min_support * n_transactions - 1e-9)
         return max(count, 1)
     raise InvalidSupportError(f"min_support must be int or float, got {min_support!r}")
+
+
+def check_max_len(max_len: int | None) -> None:
+    """Reject an itemset-length cap below one (``None`` means no cap).
+
+    Every miner that takes ``max_len`` calls this, so a cap of zero fails
+    the same way everywhere instead of meaning "nothing", "singletons" or
+    an error depending on the miner.
+    """
+    if max_len is not None and max_len < 1:
+        raise InvalidSupportError(f"max_len must be >= 1, got {max_len}")
 
 
 class TransactionDatabase:

@@ -67,7 +67,7 @@ from repro.compress.varint import decode_uvarint, encode_uvarint
 from repro.core import position
 from repro.core.conditional import mine_conditional_block
 from repro.core.rank import RankTable, sort_key
-from repro.data.transaction_db import item_supports
+from repro.data.transaction_db import check_max_len, item_supports
 from repro.errors import (
     CodecError,
     CrashedNodeError,
@@ -840,6 +840,7 @@ def mine_distributed(
     db = [frozenset(t) for t in transactions]
     if min_support < 1:
         raise ParallelExecutionError("min_support must be >= 1")
+    check_max_len(max_len)
     if fault_plan is not None:
         outside = sorted(n for n in fault_plan.crashes if not 0 <= n < n_nodes)
         if outside:

@@ -55,6 +55,7 @@ from repro.core.topdown import (
     _plt_lattice,
     estimate_topdown_work,
 )
+from repro.data.transaction_db import check_max_len
 from repro.errors import (
     BudgetExceeded,
     Cancelled,
@@ -336,6 +337,7 @@ def mine_parallel(
     """
     if min_support is None:
         min_support = plt.min_support
+    check_max_len(max_len)
     if n_workers is None:
         n_workers = default_workers()
     if governor is not None:

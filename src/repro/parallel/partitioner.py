@@ -23,9 +23,9 @@ from __future__ import annotations
 from heapq import heappush, heappop
 from typing import Sequence, TypeVar
 
-from repro.core.conditional import _consume_bucket  # shared sweep logic
+from repro.core.conditional import _consume_path_bucket  # shared sweep logic
 from repro.core.plt import PLT
-from repro.core.position import PositionVector
+from repro.core.position import RankPath
 from repro.errors import InvalidParameterError
 
 __all__ = ["ConditionalTask", "conditional_tasks", "lpt_partition"]
@@ -34,11 +34,15 @@ T = TypeVar("T")
 
 
 class ConditionalTask:
-    """One independent top-level mining task: item rank + its conditional DB."""
+    """One independent top-level mining task: item rank + its conditional DB.
+
+    ``prefixes`` is ``CD_rank`` as aggregated rank paths, the input of
+    :func:`~repro.core.conditional.mine_conditional_paths`.
+    """
 
     __slots__ = ("rank", "support", "prefixes")
 
-    def __init__(self, rank: int, support: int, prefixes: dict[PositionVector, int]):
+    def __init__(self, rank: int, support: int, prefixes: dict[RankPath, int]):
         self.rank = rank
         self.support = support
         self.prefixes = prefixes
@@ -63,13 +67,13 @@ def conditional_tasks(plt: PLT, min_support: int) -> list[ConditionalTask]:
     migrate (their transactions support lower-ranked items) but produce no
     task.
     """
-    buckets = plt.sum_index()
+    buckets = plt.rank_path_index()
     tasks: list[ConditionalTask] = []
     for j in range(max(buckets, default=0), 0, -1):
         bucket = buckets.pop(j, None)
         if bucket is None:
             continue
-        cd, support = _consume_bucket(bucket, buckets)
+        cd, support = _consume_path_bucket(bucket, buckets)
         if support >= min_support:
             tasks.append(ConditionalTask(j, support, cd))
     return tasks

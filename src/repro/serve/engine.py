@@ -18,7 +18,7 @@ Endpoints (``op`` field of the request):
 ``topk``
     The ``k`` most frequent itemsets *containing a given item*, mined on
     demand from the item's conditional database
-    (:func:`~repro.core.conditional.mine_conditional_block`) and memoized
+    (:func:`~repro.core.conditional.mine_conditional_paths`) and memoized
     — the daemon never materialises the full frequent set for these.
 ``rules`` / ``recommend``
     Association rules over the full frequent set (mined lazily, cached
@@ -45,8 +45,7 @@ import time
 
 from repro.apps.classifier import first_matching_rule
 from repro.compress.index import ItemIndex
-from repro.core import position
-from repro.core.conditional import mine_conditional, mine_conditional_block
+from repro.core.conditional import mine_conditional, mine_conditional_paths
 from repro.core.plt import PLT
 from repro.core.rank import RankTable, sort_key
 from repro.data.transaction_db import resolve_min_support
@@ -135,13 +134,9 @@ class ServingIndex:
         """The full structure, rebuilt from the postings on first use."""
         with self._lock:
             if self._plt is None:
-                vectors = {
-                    position.path_to_vector(path): freq
-                    for path, freq in self.postings.paths()
-                }
-                self._plt = PLT.from_vectors(
+                self._plt = PLT(
                     self.rank_table,
-                    vectors,
+                    dict(self.postings.paths()),
                     min_support=self.min_support,
                     n_transactions=self.n_transactions,
                 )
@@ -364,8 +359,8 @@ class PatternEngine:
         """Mine every frequent itemset containing ``rank``; exact supports.
 
         The item's conditional database is read straight off the postings:
-        each stored path through the rank, with the rank removed, delta
-        re-encoded and re-aggregated.  Mining it at ``min_support`` with
+        each stored path through the rank, with the rank removed and
+        re-aggregated.  Mining it at ``min_support`` with
         suffix ``(rank,)`` enumerates exactly the frequent itemsets
         containing the item — bit-for-bit what filtering a full mine
         yields, without ever running one.
@@ -388,8 +383,7 @@ class PatternEngine:
                 support += freq
                 if len(path) > 1:
                     rest = tuple(r for r in path if r != rank)
-                    vec = position.encode(rest)
-                    prefixes[vec] = prefixes.get(vec, 0) + freq
+                    prefixes[rest] = prefixes.get(rest, 0) + freq
             if support >= min_support:
                 if governor is not None:
                     governor.note_itemsets()
@@ -401,7 +395,7 @@ class PatternEngine:
                     pairs.append((itemset, sup))
 
                 if prefixes:
-                    mine_conditional_block(
+                    mine_conditional_paths(
                         prefixes, rank, min_support, emit, None, governor=governor
                     )
         except MiningInterrupted as exc:

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.core.conditional import (
-    build_conditional_buckets,
+    _build_path_buckets,
     conditional_database,
     mine_conditional,
-    rank_supports_of_vectors,
 )
 from repro.core.plt import PLT
 from repro.core.position import encode
@@ -14,42 +13,32 @@ from repro.errors import InvalidSupportError
 from tests.conftest import random_database
 
 
-class TestRankSupports:
-    def test_counts_every_rank_on_path(self):
-        vectors = {(1, 1, 1): 2, (2, 1): 1}
-        # paths: {1,2,3} x2 and {2,3} x1
-        assert rank_supports_of_vectors(vectors) == {1: 2, 2: 3, 3: 3}
-
-    def test_empty(self):
-        assert rank_supports_of_vectors({}) == {}
-
-    def test_aggregated_frequencies(self):
-        assert rank_supports_of_vectors({(5,): 7}) == {5: 7}
-
-
 class TestBuildConditionalBuckets:
     def test_no_filtering_needed(self):
-        prefixes = {(1,): 3, (1, 1): 3}
-        buckets = build_conditional_buckets(prefixes, 2)
-        assert buckets == {1: {(1,): 3}, 2: {(1, 1): 3}}
+        prefixes = {(1,): 3, (1, 2): 3}
+        buckets, schedule = _build_path_buckets(prefixes, 2)
+        assert buckets == {1: {(1,): 3}, 2: {(1, 2): 3}}
+        assert schedule == [2, 1]
 
     def test_infrequent_rank_removed_by_projection(self):
         # rank 2 appears once (below min_support 2) and must vanish
-        prefixes = {(1, 1): 1, (1,): 2}
-        buckets = build_conditional_buckets(prefixes, 2)
+        prefixes = {(1, 2): 1, (1,): 2}
+        buckets, schedule = _build_path_buckets(prefixes, 2)
         assert buckets == {1: {(1,): 3}}
+        assert schedule == [1]
 
     def test_projection_merges_identical_results(self):
         # {1,3} and {3}: if rank 1 is infrequent both become {3}
-        prefixes = {(1, 2): 1, (3,): 1}
-        buckets = build_conditional_buckets(prefixes, 2)
+        prefixes = {(1, 3): 1, (3,): 1}
+        buckets, schedule = _build_path_buckets(prefixes, 2)
         assert buckets == {3: {(3,): 2}}
+        assert schedule == [3]
 
     def test_everything_infrequent(self):
-        assert build_conditional_buckets({(1,): 1, (2,): 1}, 5) == {}
+        assert _build_path_buckets({(1,): 1, (2,): 1}, 5) == ({}, [])
 
     def test_empty_input(self):
-        assert build_conditional_buckets({}, 2) == {}
+        assert _build_path_buckets({}, 2) == ({}, [])
 
 
 class TestConditionalDatabase:

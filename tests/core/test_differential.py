@@ -102,3 +102,48 @@ def test_emission_is_sorted_ascending():
     plt = PLT.from_transactions(db, 2)
     for itemset, _ in mine_conditional(plt, 2):
         assert list(itemset) == sorted(itemset)
+
+
+@pytest.fixture
+def wide_rank_sweep(monkeypatch):
+    """Send mine_conditional down the bucket sweep it takes once the dense
+    pair-support matrix would exceed its cap (1,414+ frequent ranks)."""
+    import repro.core.conditional as cond
+
+    monkeypatch.setattr(cond, "_PAIR_MATRIX_MAX_CELLS", 0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_wide_rank_sweep_matches_fpgrowth(seed, wide_rank_sweep):
+    db = random_database(seed + 7100, max_items=11, max_transactions=50)
+    for min_support in (1, 2, 4):
+        plt = PLT.from_transactions(db, min_support)
+        for max_len in (1, 2, 3, None):
+            expected = mine_fpgrowth(db, min_support, max_len=max_len)
+            _assert_matches_fpgrowth(
+                plt, mine_conditional(plt, min_support, max_len=max_len), expected
+            )
+
+
+def test_wide_rank_sweep_governed_complete_region(wide_rank_sweep):
+    # a budget trip on the sweep still marks a verified-complete region:
+    # every itemset whose maximal rank is >= the marker was enumerated
+    from repro.errors import MiningInterrupted
+    from repro.robustness.governor import MiningBudget, ResourceGovernor
+
+    db = random_database(7400, max_items=12, max_transactions=60)
+    plt = PLT.from_transactions(db, 2)
+    full = dict(mine_conditional(plt, 2))
+    # the cap trips inside a lower rank's subtree, so the region is not empty
+    governor = ResourceGovernor(MiningBudget(max_itemsets=4 * len(full) // 5))
+    with pytest.raises(MiningInterrupted) as info:
+        mine_conditional(plt, 2, governor=governor)
+    marker = info.value.progress.get("complete_from_rank")
+    assert marker is not None and marker <= plt.max_rank()
+    mined = dict(info.value.partial)
+    assert mined
+    for ranks, support in mined.items():
+        assert full[ranks] == support
+    for ranks, support in full.items():
+        if max(ranks) >= marker:
+            assert mined.get(ranks) == support

@@ -56,11 +56,29 @@ class TestLowering:
         sup = flat.rank_supports()
         assert {r: s for r, s in enumerate(sup) if s} == want
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rank_costs(self, seed):
+        # cost[j] sums, over every stored path holding j, the number of
+        # ranks before j on that path (its prefix length)
+        db = random_database(seed + 920, max_items=10, max_transactions=50)
+        plt = PLT.from_transactions(db, 2)
+        flat = FlatPLT.from_plt(plt)
+        want = [0] * (plt.max_rank() + 1)
+        for path, _ in plt.iter_rank_paths():
+            for position, rank in enumerate(path):
+                want[rank] += position
+        assert any(want)
+        assert flat.rank_costs() == want
+        _, supports = _reference_paths(plt)
+        assert flat.rank_supports() == [
+            supports.get(r, 0) for r in range(plt.max_rank() + 1)
+        ]
+
     def test_empty_plt(self):
         flat = FlatPLT.from_plt(PLT.from_transactions([], 1))
         assert flat.n_paths == 0 and flat.n_cells == 0 and flat.n_buckets == 0
         assert flat.rank_supports() == [0] * (flat.max_rank + 1)
-        assert flat.paths_by_length() in (None, {})
+        assert flat.paths_by_length() == {}
 
     def test_paths_by_length_slices(self):
         db = random_database(904, max_items=9, max_transactions=40)
@@ -74,26 +92,6 @@ class TestLowering:
                 for row, freq in zip(mat.tolist(), freqs.tolist())
             )
             assert got == want
-
-
-class TestNoNumpyFallback:
-    @pytest.mark.parametrize("seed", range(3))
-    def test_scalar_paths_match_vectorized(self, seed, monkeypatch):
-        db = random_database(seed + 920, max_items=10, max_transactions=50)
-        plt = PLT.from_transactions(db, 2)
-        vec = FlatPLT.from_plt(plt)
-        supports = vec.rank_supports()
-        costs = vec.rank_costs()
-        import repro.core.flat as flat_mod
-
-        monkeypatch.setattr(flat_mod, "_np", None)
-        scalar = FlatPLT.from_plt(plt)
-        assert scalar.rank_supports() == supports
-        assert scalar.rank_costs() == costs
-        assert scalar.as_numpy() is None
-        assert scalar.paths_by_length() is None
-        assert scalar.pair_support_matrix() is None
-        assert scalar.compute_pair_support() is False
 
 
 class TestSharedMemory:

@@ -106,3 +106,51 @@ def test_single_transaction_every_method():
         got = mine_frequent_itemsets(db, 1, method=method).as_dict()
         assert len(got) == 7, method
         assert all(v == 1 for v in got.values())
+
+
+def _plt(db):
+    from repro.core.plt import PLT
+
+    return PLT.from_transactions(db, 2)
+
+
+def _store_mine(db, tmp_path):
+    from repro.compress.store import PLTStore
+
+    with PLTStore(PLTStore.write(_plt(db), tmp_path / "db.plts")) as store:
+        return store.mine(2, max_len=0)
+
+
+def _max_len_zero_entries():
+    from repro.core.conditional import mine_conditional
+    from repro.core.constraints import mine_constrained
+    from repro.core.topdown import mine_topdown
+    from repro.core.topk import mine_top_k
+    from repro.parallel.executor import mine_parallel
+
+    entries = {
+        "mine_conditional": lambda db, _: mine_conditional(_plt(db), 2, max_len=0),
+        "mine_topdown": lambda db, _: mine_topdown(_plt(db), 2, max_len=0),
+        "mine_parallel": lambda db, _: mine_parallel(
+            _plt(db), 2, n_workers=2, max_len=0
+        ),
+        "mine_top_k": lambda db, _: mine_top_k(_plt(db), 3, max_len=0),
+        "mine_constrained": lambda db, _: mine_constrained(db, 2, max_len=0),
+        "PLTStore.mine": _store_mine,
+    }
+    for method in ("plt", "plt-topdown", "plt-parallel", "plt-distributed"):
+        entries[f"method={method}"] = (
+            lambda db, _, m=method: mine_frequent_itemsets(db, 2, method=m, max_len=0)
+        )
+    return entries
+
+
+@pytest.mark.parametrize("entry", sorted(_max_len_zero_entries()))
+def test_max_len_zero_rejected_by_every_miner(entry, tmp_path):
+    # one shared check: a zero length cap is an error everywhere, never
+    # "nothing" or "singletons only" depending on the miner
+    from repro.errors import InvalidSupportError
+
+    db = random_database(7500, max_items=12, max_transactions=80)
+    with pytest.raises(InvalidSupportError, match="max_len"):
+        _max_len_zero_entries()[entry](db, tmp_path)

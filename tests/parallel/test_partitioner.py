@@ -68,10 +68,13 @@ class TestConditionalTasks:
 
     def test_task_prefixes_match_conditional_database(self, paper_plt):
         from repro.core.conditional import conditional_database
+        from repro.core.position import rank_path
 
         tasks = {t.rank: t for t in conditional_tasks(paper_plt, 2)}
         cd, support, _ = conditional_database(paper_plt, 4)
-        assert tasks[4].prefixes == cd
+        # prefixes are rank paths: CD, ABD, BCD, ABCD minus D
+        assert tasks[4].prefixes == {(3,): 1, (1, 2): 1, (2, 3): 1, (1, 2, 3): 1}
+        assert tasks[4].prefixes == {rank_path(v): f for v, f in cd.items()}
         assert tasks[4].support == support
 
     def test_cost_estimate_positive(self, paper_plt):
@@ -85,7 +88,7 @@ class TestConditionalTasks:
     @pytest.mark.parametrize("seed", range(5))
     def test_tasks_reconstruct_full_mining(self, seed):
         """Mining each task independently reproduces the serial result."""
-        from repro.core.conditional import mine_conditional_block
+        from repro.core.conditional import mine_conditional_paths
 
         db = random_database(seed + 600, max_items=9, max_transactions=35)
         plt = PLT.from_transactions(db, 2)
@@ -93,7 +96,7 @@ class TestConditionalTasks:
         collected = []
         for task in conditional_tasks(plt, 2):
             collected.append(((task.rank,), task.support))
-            mine_conditional_block(
+            mine_conditional_paths(
                 task.prefixes,
                 task.rank,
                 2,

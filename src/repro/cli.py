@@ -27,6 +27,15 @@ from repro.errors import ReproError
 __all__ = ["main", "build_parser"]
 
 
+#: ``repro chaos`` supports when ``--min-support`` is not given.  On the
+#: synthetic databases they keep the frequent set bounded: at support 2
+#: the distributed run's 200 transactions over 20 items mined every one
+#: of their 1,048,575 subsets; at 20 they yield 1,819 itemsets.
+_CHAOS_SYNTHETIC_SUPPORT = 20
+_CHAOS_SERVE_SYNTHETIC_SUPPORT = 10
+_CHAOS_INPUT_SUPPORT = 2
+
+
 def _support_value(text: str) -> float | int:
     """min-support argument: int count (``25``) or fraction (``0.01``)."""
     try:
@@ -162,7 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-injection check: distributed mining must match serial",
     )
     p_chaos.add_argument("--input", default=None, help=".dat file (default: synthetic)")
-    p_chaos.add_argument("--min-support", type=_support_value, default=2)
+    p_chaos.add_argument(
+        "--min-support", type=_support_value, default=None,
+        help=f"default: {_CHAOS_SYNTHETIC_SUPPORT} on the synthetic database "
+        f"({_CHAOS_SERVE_SYNTHETIC_SUPPORT} with --serve), "
+        f"{_CHAOS_INPUT_SUPPORT} with --input",
+    )
     p_chaos.add_argument("--n-nodes", type=int, default=4)
     p_chaos.add_argument("--seed", type=int, default=0, help="fault-plan seed")
     p_chaos.add_argument("--drop-rate", type=float, default=0.08)
@@ -194,8 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve-tier chaos instead of distributed mining: run a "
         "supervised daemon under seeded kills/hangs/torn snapshots and "
         "verify a ResilientClient's answers are bit-for-bit identical to "
-        "an undisturbed engine (with no --input: synthetic data at "
-        "min-support 10)",
+        "an undisturbed engine",
     )
     p_chaos.add_argument(
         "--requests", type=int, default=36,
@@ -672,8 +685,10 @@ def _serve_chaos(args) -> int:
     from repro.serve.chaos import run_serve_chaos
 
     min_support = args.min_support
-    if args.input is None and min_support == 2:
-        min_support = 10  # the synthetic 300-transaction workload's default
+    if min_support is None:
+        min_support = (
+            _CHAOS_INPUT_SUPPORT if args.input else _CHAOS_SERVE_SYNTHETIC_SUPPORT
+        )
     with tempfile.TemporaryDirectory(prefix="repro-serve-chaos-") as tmp:
         report = run_serve_chaos(
             args.workdir or tmp,
@@ -742,6 +757,9 @@ def _cmd_chaos(args) -> int:
         from repro.data.generators import generate_zipf
 
         db = list(generate_zipf(200, 20, 6.0, seed=args.seed))
+    min_support = args.min_support
+    if min_support is None:
+        min_support = _CHAOS_INPUT_SUPPORT if args.input else _CHAOS_SYNTHETIC_SUPPORT
     crashes = {}
     for spec in args.crash or ():
         try:
@@ -762,7 +780,7 @@ def _cmd_chaos(args) -> int:
     print(f"backend: {args.backend}")
     pairs, stats, _ = mine_distributed(
         db,
-        args.min_support,
+        min_support,
         n_nodes=args.n_nodes,
         fault_plan=plan,
         retry=retry,
@@ -770,7 +788,7 @@ def _cmd_chaos(args) -> int:
     )
     expected = sorted(
         (tuple(sorted(fi.items, key=sort_key)), fi.support)
-        for fi in mine_frequent_itemsets(db, args.min_support)
+        for fi in mine_frequent_itemsets(db, min_support)
     )
     print(f"stats: {json.dumps(stats.deterministic_summary())}")
     print(f"liveness: {json.dumps(stats.liveness_summary())}")

@@ -37,13 +37,27 @@ instead of O(k):
 One consume step (:func:`_consume_path_bucket`) serves every sweep; one
 engine (:func:`_mine_paths`, an explicit work-stack, so arbitrarily long
 itemsets need no recursion-limit games) mines every conditional
-database; and one top level (:func:`mine_conditional_flat_range`) runs
+database that is recursed into; and one top level (:func:`mine_conditional_flat_range`) runs
 both the serial miner and the shared-memory workers.  The closed,
 maximal, top-k and constraint miners share the visitor
 :func:`iter_conditional`.  Delta vectors appear only at the edges where
 the paper puts them: :func:`conditional_database` returns Figure 5's
 delta view, and :func:`mine_conditional_block` converts the delta-keyed
 conditional databases that the distributed slice exchange ships.
+
+Lattice leaves
+--------------
+The paper suits Algorithm 2 (every subset of every transaction) to short
+transactions and Algorithm 3 to dense data; the top level makes that
+choice per conditional database.  Once ``CD_j`` is projected onto its
+locally frequent ranks, a small one is cheaper to enumerate whole than
+to recurse into: :func:`_lattice_leaves` keys each of its distinct rows
+by one ``uint64`` (``j`` in the high bits, a local bit mask below) and
+runs the top-down subset kernel (:func:`repro.core.topdown._expand`)
+over every such rank in one batch.  The switch compares the lattice's
+subsets with a lower bound on the recursion's work, scaled by the two
+kernels' measured cost ratio (:data:`_LATTICE_COST_RATIO`); there is no
+option to set.
 
 Anti-monotone pruning is fully exploited: a conditional structure only
 ever contains items that are frequent *together with* the current suffix.
@@ -60,6 +74,15 @@ import numpy as _np
 from repro.core.flat import FlatPLT
 from repro.core.plt import PLT
 from repro.core.position import PositionVector, RankPath, path_to_vector
+from repro.core.topdown import (
+    _CHUNK_SUBSETS,
+    _Lattice,
+    _aggregate,
+    _expand,
+    _popcount,
+    _rank_matrix,
+    _tuples,
+)
 from repro.data.transaction_db import check_max_len
 from repro.errors import InvalidSupportError, MiningInterrupted
 from repro.perf.counters import COUNTERS as _COUNTERS
@@ -495,6 +518,13 @@ def iter_conditional(
             iter_conditional(sub, sub_order, itemset, floor, visit)
 
 
+#: Lattice-leaf switch (:func:`_lattice_leaves`): a top-level conditional
+#: database is enumerated as a subset lattice when its subsets number at
+#: most this many times its first-level recursion work.  It is the ratio
+#: of the two kernels' measured costs per work item; the derivation is in
+#: docs/PERFORMANCE.md, "Lattice leaves".
+_LATTICE_COST_RATIO = 30
+
 #: Rank-space ceiling for the pairwise co-occurrence matrix: the dense
 #: ``(R+1)^2`` float array must stay small (~15 MB at the cap) or the
 #: vectorised top level would cost more memory than it saves time.
@@ -532,6 +562,123 @@ def _pair_support_matrix(arrays, width: int):
     return total.reshape(width, width)
 
 
+def _leaf_rows(arrays, onebit, lo: int, keyable, shift: int, governor=None):
+    """The distinct rows of every keyable rank's ``CD_j``, as lattice keys.
+
+    Every stored path truncated at column ``c >= 2`` is a row of
+    ``CD_j`` for ``j = mat[:, c]``.  A row is keyed ``j << shift | mask``:
+    ``onebit[j - lo, k]`` is ``k``'s one-bit mask among the locally frequent
+    ranks of ``CD_j`` and zero for every other ``k``, including every
+    ``k >= j``, so summing it over the *whole* path gives the row's mask
+    with no per-column truncation.  Rows with fewer than two locally
+    frequent ranks are left out: they carry only pair supports, which the
+    pair matrix already holds.  Returns the sorted distinct keys and
+    their summed frequencies.
+    """
+    ushift = _np.uint64(shift)
+    width = onebit.shape[1]
+    flatbit = onebit.ravel()
+    keys, freqs = [], []
+    for length, (mat, ifreqs) in arrays.items():
+        if length < 3:
+            continue
+        rows, cols = _np.nonzero(keyable[mat[:, 2:]])
+        step = max(1, _CHUNK_SUBSETS // length)
+        for start in range(0, len(rows), step):
+            r = rows[start : start + step]
+            if governor is not None:
+                governor.tick(len(r))
+            j = mat[r, cols[start : start + step] + 2]
+            cells = mat[r]
+            cells += ((j - lo) * width)[:, None]
+            # distinct one-bit masks: their sum is their union
+            masks = flatbit.take(cells).sum(axis=1, dtype=_np.uint64)
+            two = _np.flatnonzero(masks & (masks - _np.uint64(1)))
+            keys.append((j[two].astype(_np.uint64) << ushift) | masks[two])
+            freqs.append(ifreqs[r[two]])
+    if not keys:
+        return _np.empty(0, _np.uint64), _np.empty(0, _np.int64)
+    return _aggregate(_np.concatenate(keys), _np.concatenate(freqs), 1)
+
+
+def _lattice_leaves(
+    arrays, owner, franks, starts, lo: int, hi: int, width: int,
+    min_support: int, max_len: int | None, governor=None,
+):
+    """Enumerate the cheap top-level conditional databases as subset lattices.
+
+    ``franks[starts[j - lo] : starts[j - lo + 1]]`` are the locally
+    frequent ranks of ``CD_j``, ascending, and ``owner`` is each entry's
+    ``j - lo``.  A rank whose locally frequent ranks fit the key (at most
+    ``shift`` of them, see :func:`_leaf_rows`) takes the lattice when its
+    distinct rows' subsets number at most :data:`_LATTICE_COST_RATIO`
+    times their locally frequent ranks (``sum(2^K - 1) <= ratio *
+    sum(K)``): ``sum(K)`` is a lower bound on the recursion's work, so
+    the lattice is only chosen where it is cheaper.  Every chosen rank's
+    rows go through one batched :func:`~repro.core.topdown._expand`; the
+    support of ``S + {j}`` is the summed frequency of the rows whose mask
+    contains ``S``, so the kept keys are exact.
+
+    Returns ``(ranks, blocks)``: a bool array over ranks marking the
+    lattice ranks, and one ``(bounds, pairs)`` block per itemset length
+    above two.  ``pairs[bounds[j - lo] : bounds[j - lo + 1]]`` are rank
+    ``j``'s itemsets of that length with their supports.
+    """
+    shift = 64 - (width - 1).bit_length()
+    ushift = _np.uint64(shift)
+    counts = _np.diff(starts)
+    keyable = _np.zeros(width, bool)
+    keyable[lo:hi] = (counts >= 2) & (counts <= shift)
+    if not keyable.any():
+        return keyable, []
+    # bit b of rank j's mask is its b-th locally frequent rank (clipped to
+    # the word: ranks with more than `shift` of them are not keyable)
+    local = _np.arange(len(franks)) - starts[owner]
+    onebit = _np.zeros((hi - lo, width), _np.uint64)
+    onebit[owner, franks] = _np.uint64(1) << _np.minimum(local, 63).astype(_np.uint64)
+    if governor is not None:
+        governor.hold(onebit.nbytes)
+    keys, freqs = _leaf_rows(arrays, onebit, lo, keyable, shift, governor)
+    low = (_np.uint64(1) << ushift) - _np.uint64(1)
+    js = (keys >> ushift).astype(_np.int64)
+    sizes = _popcount((keys & low)[:, None])
+    subsets = _np.bincount(js, weights=_np.exp2(sizes) - 1, minlength=width)
+    first = _np.bincount(js, weights=sizes, minlength=width)
+    ranks = (first > 0) & (subsets <= _LATTICE_COST_RATIO * first)
+    take = ranks[js]
+    if not take.any():
+        return ranks, []
+    keys, freqs, sizes = keys[take], freqs[take], sizes[take]
+    lattice = _Lattice(64)
+    for size in _np.flatnonzero(_np.bincount(sizes)).tolist():
+        rows = sizes == size
+        masks = keys[rows] & low
+        bits = _np.empty((len(masks), size, 1), _np.uint64)
+        for b in range(size):
+            lowest = masks & -masks
+            bits[:, b, 0] = lowest
+            masks ^= lowest
+        _expand(bits, freqs[rows], lattice, governor, base=(keys[rows] & ~low)[:, None])
+    keys, supports = lattice.table()
+    keep = supports >= min_support
+    keys, supports = keys[keep], supports[keep]
+    masks = keys & low
+    js = (keys >> ushift).astype(_np.int64)
+    lengths = _popcount(masks[:, None])
+    top = None if max_len is None else max_len - 1
+    blocks = []
+    for size in _np.flatnonzero(_np.bincount(lengths)).tolist():
+        if size < 2 or (top is not None and size > top):
+            continue
+        rows = lengths == size
+        j = js[rows]
+        pos = _rank_matrix(masks[rows][:, None], size) - 1
+        itemsets = _np.column_stack((franks[starts[j - lo][:, None] + pos], j))
+        bounds = _np.searchsorted(j, _np.arange(lo, hi + 1)).tolist()
+        blocks.append((bounds, list(zip(_tuples(itemsets), supports[rows].tolist()))))
+    return ranks, blocks
+
+
 def _matrix_mine(
     arrays,
     max_rank: int,
@@ -552,9 +699,10 @@ def _matrix_mine(
     matrix is a single ``bincount`` (:func:`_pair_support_matrix`), which
     replaces both the top-level migration cascade and the per-bucket
     Python supports scan — the two quadratic costs of sparse mining.
-    Conditional structures for each frequent ``j`` are then projected
-    straight from the path matrices and descended with
-    :func:`_mine_paths`.
+    Each frequent rank's conditional database is then either enumerated
+    as a subset lattice (:func:`_lattice_leaves`, where that is cheaper)
+    or projected straight from the path matrices (:func:`_project`) and
+    descended with :func:`_mine_paths`.
 
     ``arrays`` maps path length -> ``(mat, ifreqs)`` where ``mat`` is an
     int64 ``(n, length)`` matrix of stored rank paths and ``ifreqs`` the
@@ -564,104 +712,139 @@ def _matrix_mine(
     answer (the shared-memory workers' decomposition).  ``pair_support``
     accepts a precomputed :func:`_pair_support_matrix` (the shm workers
     read it straight off the shared segment); when ``None`` it is
-    computed here.
+    computed here.  Ranks are emitted in descending order, lattice and
+    recursion ranks interleaved.
     """
     width = max_rank + 1
     if pair_support is None:
         pair_support = _pair_support_matrix(arrays, width)
+    diag = pair_support.diagonal()
+    if not (diag[lo:hi] >= min_support).any():
+        return
+    if governor is not None:
+        # a trip before the first rank is emitted leaves nothing complete
+        governor.progress["mining_rank"] = hi - 1
 
     counters = _COUNTERS
-    restricted = lo > 1 or hi < width
-    # vectorised projection: every stored path truncated at every column
-    # c >= 2 is a conditional-structure entry for the rank at that column
-    # (columns 0 and 1 yield projections shorter than two ranks, whose
-    # only information — first-level support — the matrix already holds).
-    # One 2D gather per (length, column) evaluates the local-frequency
-    # filter for every terminal rank at once, so prefixes with fewer than
-    # two surviving ranks never reach Python at all.
+    # frequent[j - lo, k]: {k, j} is frequent, for k < j (the matrix is
+    # zero above its diagonal, and the diagonal is j itself)
+    frequent = pair_support[lo:hi] >= min_support
+    frequent[_np.arange(hi - lo), _np.arange(lo, hi)] = False
+    owner, franks = _np.divmod(_np.flatnonzero(frequent), width)
+    starts = _np.searchsorted(owner, _np.arange(hi - lo + 1))
+    leaf_ranks = _np.zeros(width, bool)
+    blocks: list = []
     subs: dict[int, PathBuckets] = {}
-    subs_get = subs.get
     if max_len is None or max_len >= 3:
-        for length, (mat, ifreqs) in arrays.items():
-            if length < 3:
-                continue
-            flist = ifreqs.tolist()
-            for c in range(2, length):
-                jcol = mat[:, c]
-                prefix = mat[:, :c]
-                if restricted:
-                    # structures for out-of-range terminal ranks are never
-                    # consumed here — drop their rows before the (much
-                    # heavier) pair-support gather, so a range worker's
-                    # cost scales with its slice, not the whole database
-                    inr = _np.nonzero((jcol >= lo) & (jcol < hi))[0]
-                    if not inr.size:
-                        if governor is not None:
-                            governor.tick()
-                        continue
-                    jcol = jcol[inr]
-                    prefix = prefix[inr]
-                keepm = pair_support[jcol[:, None], prefix] >= min_support
-                want = keepm.sum(axis=1) >= 2
-                sel = _np.nonzero(want)[0]
-                if governor is not None:
-                    governor.tick(max(1, int(sel.size)))
-                if not sel.size:
-                    continue
-                if counters.enabled:
-                    counters.add("cond_work_items_merged", int(sel.size))
-                pre = prefix[sel].tolist()
-                flags = keepm[sel].tolist()
-                js = jcol[sel].tolist()
-                rsel = (inr[sel] if restricted else sel).tolist()
-                for vals, flag, j, ridx in zip(pre, flags, js, rsel):
-                    kept = tuple(_compress(vals, flag))
-                    freq = flist[ridx]
-                    sub = subs_get(j)
-                    if sub is None:
-                        subs[j] = {kept[-1]: {kept: freq}}
-                        continue
-                    key = kept[-1]
-                    sb = sub.get(key)
-                    if sb is None:
-                        sub[key] = {kept: freq}
-                    else:
-                        sb[kept] = sb.get(kept, 0) + freq
+        leaf_ranks, blocks = _lattice_leaves(
+            arrays, owner, franks, starts, lo, hi, width, min_support, max_len,
+            governor,
+        )
+        if governor is not None:
+            # the lattice arrays are released; the decoded blocks are
+            # Python objects, which the allocator sample sees
+            governor.hold(0)
+        recurse = _np.zeros(width, bool)
+        recurse[lo:hi] = (_np.diff(starts) >= 2) & ~leaf_ranks[lo:hi]
+        if recurse.any():
+            subs = _project(arrays, frequent, lo, recurse, governor)
 
-    diag = pair_support.diagonal()
+    supports = diag.tolist()
+    leaf_list = leaf_ranks.tolist()
+    bounds = starts.tolist()
+    # 2-itemsets come straight from the matrix: pair_support[j, k] IS the
+    # exact support of {k, j}
+    pair_ranks = franks.tolist()
+    pair_counts = pair_support[owner + lo, franks].tolist()
     for j in range(hi - 1, lo - 1, -1):
-        support = int(diag[j])
+        support = int(supports[j])
         if support < min_support:
             continue
         if governor is not None:
             governor.progress["mining_rank"] = j
             governor.tick()
-        if counters.enabled:
+        leaf = leaf_list[j]
+        if counters.enabled and not leaf:
             counters.add("cond_buckets_touched")
         emit((j,), support)
         if max_len is not None and max_len < 2:
             continue
-        # rank 0 does not exist, so its row cell is always zero and can
-        # never pass the >= min_support test (min_support >= 1)
-        row = pair_support[j]
-        head = row[:j]
-        frequent = _np.nonzero(head >= min_support)[0]
-        if frequent.size == 0:
+        first, last = bounds[j - lo], bounds[j - lo + 1]
+        if first == last:
             continue
-        sub_order = frequent[::-1].tolist()
-        row_list = row.tolist()
-        # 2-itemsets come straight from the matrix: row[r] IS the exact
-        # support of {r, j}
-        for r in sub_order:
-            emit((r, j), int(row_list[r]))
+        sub_order = pair_ranks[first:last][::-1]
+        for r, count in zip(sub_order, pair_counts[first:last][::-1]):
+            emit((r, j), int(count))
+        if leaf:
+            for block_bounds, pairs in blocks:
+                for itemset, count in pairs[block_bounds[j - lo] : block_bounds[j - lo + 1]]:
+                    emit(itemset, count)
+            continue
         sub = subs.pop(j, None)
         if sub:
             if counters.enabled:
                 counters.add("cond_structures_built")
             _mine_paths(
-                sub, sub_order, (j,), min_support, emit, max_len, row_list,
-                governor=governor,
+                sub, sub_order, (j,), min_support, emit, max_len,
+                pair_support[j].tolist(), governor=governor,
             )
+
+
+def _project(arrays, frequent, lo: int, recurse, governor=None) -> dict[int, PathBuckets]:
+    """Conditional structures of the recursion ranks, from the path matrices.
+
+    Every stored path truncated at every column ``c >= 2`` is a
+    conditional-structure entry for the rank at that column (columns 0
+    and 1 yield projections shorter than two ranks, whose only
+    information — first-level support — the matrix already holds).  One
+    2D gather of ``frequent`` per (length, column) evaluates the
+    local-frequency filter for every terminal rank at once, so prefixes
+    with fewer than two surviving ranks never reach Python at all.  Rows
+    whose terminal is not marked in ``recurse`` — out of the range, or a
+    lattice leaf — are dropped before the gather, so a range worker's
+    cost scales with its slice, not the whole database.
+    """
+    counters = _COUNTERS
+    subs: dict[int, PathBuckets] = {}
+    subs_get = subs.get
+    for length, (mat, ifreqs) in arrays.items():
+        if length < 3:
+            continue
+        flist = ifreqs.tolist()
+        for c in range(2, length):
+            jcol = mat[:, c]
+            inr = _np.flatnonzero(recurse[jcol])
+            if not inr.size:
+                if governor is not None:
+                    governor.tick()
+                continue
+            jcol = jcol[inr]
+            prefix = mat[inr, :c]
+            keepm = frequent[(jcol - lo)[:, None], prefix]
+            sel = _np.flatnonzero(keepm.sum(axis=1) >= 2)
+            if governor is not None:
+                governor.tick(max(1, int(sel.size)))
+            if not sel.size:
+                continue
+            if counters.enabled:
+                counters.add("cond_work_items_merged", int(sel.size))
+            pre = prefix[sel].tolist()
+            flags = keepm[sel].tolist()
+            js = jcol[sel].tolist()
+            for vals, flag, j, ridx in zip(pre, flags, js, inr[sel].tolist()):
+                kept = tuple(_compress(vals, flag))
+                freq = flist[ridx]
+                sub = subs_get(j)
+                if sub is None:
+                    subs[j] = {kept[-1]: {kept: freq}}
+                    continue
+                key = kept[-1]
+                sb = sub.get(key)
+                if sb is None:
+                    sub[key] = {kept: freq}
+                else:
+                    sb[kept] = sb.get(kept, 0) + freq
+    return subs
 
 
 def mine_conditional_flat_range(

@@ -42,7 +42,9 @@ final.  That is the governed-partial guarantee (``sweep_length``,
 Shared-memory workers run the same kernel over a
 :class:`~repro.core.flat.FlatPLT` path slice
 (:func:`topdown_flat_slice`); their ``(keys, counts)`` tables merge by the
-same aggregation.
+same aggregation.  The doubling itself is one function, :func:`_expand`,
+which Algorithm 3's lattice leaves
+(:func:`repro.core.conditional._lattice_leaves`) call too.
 """
 
 from __future__ import annotations
@@ -257,44 +259,61 @@ def _plt_lattice(plt: PLT, governor=None) -> _Lattice:
 
 def _sweep(groups, lattice: _Lattice, governor=None) -> _Lattice:
     """Add every non-empty subset of every grouped path to ``lattice``."""
-    counters = _COUNTERS
-    words, dtype = lattice.words, lattice.dtype
+    words = lattice.words
     for length in sorted(groups, reverse=True):
         mat, freqs = groups[length]
         if governor is not None:
             # subsets longer than `length` come only from the longer paths
             # already swept, so their counts are final from here on
             governor.progress["sweep_length"] = length + 1
-        n, span = len(mat), 1 << length
         pos = mat - 1
-        bits = np.zeros((n, length, words), np.uint64)
+        bits = np.zeros((len(mat), length, words), np.uint64)
         rows, cols = np.indices(mat.shape)
         bits[rows, cols, pos >> 6] = np.uint64(1) << (pos & 63).astype(np.uint64)
-        step = max(1, _CHUNK_SUBSETS >> length)
-        buf = np.empty((min(step, n), span, words), np.uint64)
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            work = (stop - start) * (span - 1)
-            if governor is not None:
-                governor.hold(lattice.nbytes + buf.nbytes + bits.nbytes)
-                governor.tick(work)
-            sub = buf[: stop - start]
-            sub[:, 0] = 0
-            for j in range(length):
-                half = 1 << j
-                np.bitwise_or(
-                    sub[:, :half], bits[start:stop, j, None, :], out=sub[:, half : 2 * half]
-                )
-            keys, counts = _aggregate(
-                sub.reshape(-1, words).view(dtype).ravel(),
-                np.repeat(freqs[start:stop], span),
-                words,
-            )
-            # the all-zero key (the empty set) sorts first
-            lattice.add(keys[1:], counts[1:])
-            if counters.enabled:
-                counters.add("topdown_work_items", work)
+        _expand(bits, freqs, lattice, governor)
     return lattice
+
+
+def _expand(bits, freqs, lattice: _Lattice, governor=None, base=None) -> None:
+    """Add every subset of every row of ``bits`` to ``lattice`` by doubling.
+
+    ``bits`` is an ``(n, L, W)`` ``uint64`` array holding each row's ``L``
+    items as one-bit masks, and ``freqs`` the rows' frequencies.  Every
+    subset mask is ORed onto ``base`` (``(n, W)``, a per-row tag) when it
+    is given; without it the all-zero key, the empty set, is dropped.
+    Rows go through in chunks of ``_CHUNK_SUBSETS`` generated subsets;
+    each chunk charges its ``n (2^L - 1)`` non-empty subsets to the
+    governor and to the ``topdown_work_items`` counter.
+    """
+    counters = _COUNTERS
+    n, length, words = bits.shape
+    span = 1 << length
+    step = max(1, _CHUNK_SUBSETS >> length)
+    buf = np.empty((min(step, n), span, words), np.uint64)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        work = (stop - start) * (span - 1)
+        if governor is not None:
+            governor.hold(lattice.nbytes + buf.nbytes + bits.nbytes)
+            governor.tick(work)
+        sub = buf[: stop - start]
+        sub[:, 0] = 0 if base is None else base[start:stop]
+        for j in range(length):
+            half = 1 << j
+            np.bitwise_or(
+                sub[:, :half], bits[start:stop, j, None, :], out=sub[:, half : 2 * half]
+            )
+        keys, counts = _aggregate(
+            sub.reshape(-1, words).view(lattice.dtype).ravel(),
+            np.repeat(freqs[start:stop], span),
+            words,
+        )
+        if base is None:
+            # the all-zero key (the empty set) sorts first
+            keys, counts = keys[1:], counts[1:]
+        lattice.add(keys, counts)
+        if counters.enabled:
+            counters.add("topdown_work_items", work)
 
 
 def topdown_flat_slice(flat, start: int, end: int):

@@ -147,3 +147,74 @@ def test_wide_rank_sweep_governed_complete_region(wide_rank_sweep):
     for ranks, support in full.items():
         if max(ranks) >= marker:
             assert mined.get(ranks) == support
+
+
+@pytest.fixture(params=["recursion", "lattice"])
+def leaf_branch(request, monkeypatch):
+    """Force the lattice-leaf switch to one branch for every rank: a ratio
+    of 0 sends every conditional database down the recursion, a huge one
+    sends every rank whose locally frequent ranks fit the key to the
+    subset lattice."""
+    import repro.core.conditional as cond
+
+    ratio = 0 if request.param == "recursion" else 1e30
+    monkeypatch.setattr(cond, "_LATTICE_COST_RATIO", ratio)
+    return request.param
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_leaf_branches_match_fpgrowth(seed, leaf_branch):
+    db = random_database(seed + 7100, max_items=11, max_transactions=50)
+    for min_support in (1, 2, 4):
+        plt = PLT.from_transactions(db, min_support)
+        for max_len in (1, 2, 3, None):
+            expected = mine_fpgrowth(db, min_support, max_len=max_len)
+            _assert_matches_fpgrowth(
+                plt, mine_conditional(plt, min_support, max_len=max_len), expected
+            )
+
+
+def _wide_rank_database(seed):
+    """Sparse noise plus a rank with more locally frequent ranks than the
+    lattice key has bits.
+
+    Ranks follow the labels' lexicographic order, so ``w`` is the top
+    rank and every ``a..`` partner ranks below it.  ``w`` meets each of
+    70 partners in two short rows ``{a_i, a_i+1, w}`` (each twice): at
+    support 2 all 70 partners are locally frequent in ``CD_w``, at
+    support 4 the inner 68, while every row holds only two of them.
+    (Long transactions cannot show this under the forced lattice: every
+    rank along a 70-item path whose prefix fits the key would ask for a
+    lattice of up to 2^57 subsets.)
+    """
+    noise = [frozenset(f"n{i:02d}" for i in t) for t in random_database(seed, max_items=11)]
+    wide = [frozenset({f"a{i:02d}", f"a{i + 1:02d}", "w"}) for i in range(69)] * 2
+    return noise + wide
+
+
+@pytest.mark.parametrize("seed", [7500, 7501])
+def test_wide_rank_takes_the_recursion(seed, leaf_branch):
+    from repro.perf.counters import collecting
+
+    db = _wide_rank_database(seed)
+    for min_support in (2, 4):
+        plt = PLT.from_transactions(db, min_support)
+        for max_len in (2, 3, None):
+            with collecting() as counts:
+                pairs = mine_conditional(plt, min_support, max_len=max_len)
+            _assert_matches_fpgrowth(
+                plt, pairs, mine_fpgrowth(db, min_support, max_len=max_len)
+            )
+            if max_len is None:
+                # w's 68 partners never fit the key: it always recurses
+                assert counts["cond_work_items_merged"] > 0
+                if leaf_branch == "lattice":
+                    assert counts["topdown_work_items"] > 0
+
+
+def test_no_frequent_rank(leaf_branch):
+    # every item is in the PLT, none reaches the mining threshold
+    db = random_database(7600, max_items=9, max_transactions=30)
+    plt = PLT.from_transactions(db, 1)
+    assert mine_conditional(plt, len(db) + 1) == []
+    assert mine_fpgrowth(db, len(db) + 1) == {}

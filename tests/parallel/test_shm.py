@@ -39,6 +39,12 @@ def _segments():
     return [f for f in os.listdir("/dev/shm") if f.startswith("plt_shm_")]
 
 
+def _lattice_plt():
+    """A PLT whose top level mixes lattice leaves and recursion ranks."""
+    db = random_database(7705, max_items=14, max_transactions=80, min_transactions=60)
+    return PLT.from_transactions(db, 3)
+
+
 needs_dev_shm = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"), reason="no /dev/shm on this platform"
 )
@@ -86,6 +92,25 @@ class TestDifferential:
         serial = sorted(mine_conditional(plt, 2))
         shm_r = sorted(mine_parallel(plt, 2, n_workers=2))
         assert shm_r == serial
+
+    def test_lattice_ranks_straddle_the_range_boundary(self):
+        # dense enough that the lowest ranks take the lattice leaves and
+        # the top ranks the recursion; both workers' ranges hold lattice
+        # ranks, so the leaves run on either side of the boundary
+        plt = _lattice_plt()
+        flat = FlatPLT.from_plt(plt)
+        ranges = plan_rank_ranges(flat, 3, 2)
+        assert len(ranges) == 2
+        parts = []
+        for lo, hi in ranges:
+            with collecting() as counts:
+                mine_conditional_flat_range(
+                    flat, lo, hi, 3, lambda itemset, support: parts.append((itemset, support))
+                )
+            assert counts["topdown_work_items"] > 0
+        serial = sorted(mine_conditional(plt, 3))
+        assert sorted(parts) == serial
+        assert sorted(mine_parallel(plt, 3, n_workers=2)) == serial
 
     def test_max_len_respected(self):
         db = random_database(1300, max_items=10, max_transactions=50)
@@ -201,6 +226,20 @@ class TestGoverned:
             assert isinstance(result, PartialResult)
             markers[n_workers] = (result.stop_reason, len(result))
         assert markers[2] == markers[1]
+
+    def test_trip_parity_across_lattice_ranks(self):
+        plt = _lattice_plt()
+        serial = dict(mine_conditional(plt, 3))
+        cap = len(serial) // 2
+        outcomes = {}
+        for n_workers in (1, 2):
+            governor = ResourceGovernor(MiningBudget(max_itemsets=cap))
+            with pytest.raises(BudgetExceeded) as info:
+                mine_parallel(plt, 3, n_workers=n_workers, governor=governor)
+            for itemset, support in info.value.partial:
+                assert serial[itemset] == support
+            outcomes[n_workers] = (info.value.reason, len(info.value.partial))
+        assert outcomes[1] == outcomes[2] == ("max_itemsets", cap)
 
     @needs_dev_shm
     def test_no_segment_leak_after_trip(self):

@@ -314,6 +314,36 @@ class TestFailurePaths:
         assert code == 1
         assert "outside the 3-node cluster" in capsys.readouterr().err
 
+    def test_bare_chaos_mines_a_bounded_set(self, capsys):
+        # the synthetic default support keeps the run to a few thousand
+        # itemsets (at support 2 it mined all 2^20 - 1 subsets)
+        assert main(["chaos"]) == 0
+        out = capsys.readouterr().out
+        verified = [line for line in out.splitlines() if line.startswith("verified:")]
+        assert len(verified) == 1
+        assert 0 < int(verified[0].split()[1]) <= 5_000
+
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["chaos"], "repro.parallel.distributed.mine_distributed"),
+            (["chaos", "--serve"], "repro.serve.chaos.run_serve_chaos"),
+        ],
+    )
+    def test_chaos_honours_an_explicit_min_support(self, argv, target, monkeypatch):
+        # an explicit value reaches both variants unchanged, even the one
+        # that equals the old default
+        class Reached(Exception):
+            pass
+
+        def capture(*args, min_support=None, **kwargs):
+            raise Reached(args[1] if min_support is None else min_support)
+
+        monkeypatch.setattr(target, capture)
+        with pytest.raises(Reached) as info:
+            main([*argv, "--min-support", "2"])
+        assert info.value.args == (2,)
+
     def test_mine_tolerates_dirty_input(self, tmp_path, capsys):
         # robust parsing end to end: junk lines are skipped, not fatal
         path = tmp_path / "dirty.dat"

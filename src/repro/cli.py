@@ -29,8 +29,8 @@ __all__ = ["main", "build_parser"]
 
 #: ``repro chaos`` supports when ``--min-support`` is not given.  On the
 #: synthetic databases they keep the frequent set bounded: at support 2
-#: the distributed run's 200 transactions over 20 items mined every one
-#: of their 1,048,575 subsets; at 20 they yield 1,819 itemsets.
+#: the distributed run's 200 transactions over 20 items yield every one
+#: of their 1,048,575 subsets, at 20 they yield 1,819 itemsets.
 _CHAOS_SYNTHETIC_SUPPORT = 20
 _CHAOS_SERVE_SYNTHETIC_SUPPORT = 10
 _CHAOS_INPUT_SUPPORT = 2

@@ -314,9 +314,19 @@ class TestFailurePaths:
         assert code == 1
         assert "outside the 3-node cluster" in capsys.readouterr().err
 
+    def test_mine_tolerates_dirty_input(self, tmp_path, capsys):
+        # robust parsing end to end: junk lines are skipped, not fatal
+        path = tmp_path / "dirty.dat"
+        path.write_bytes(b"1 2\n\xff\xfe garbage\n1 2 3\n2 3\n")
+        code = main(["mine", "--input", str(path), "--min-support", "2"])
+        assert code == 0
+        assert "itemsets" in capsys.readouterr().out
+
+
+class TestChaosDefaults:
     def test_bare_chaos_mines_a_bounded_set(self, capsys):
         # the synthetic default support keeps the run to a few thousand
-        # itemsets (at support 2 it mined all 2^20 - 1 subsets)
+        # itemsets (support 2 mines all 2^20 - 1 subsets)
         assert main(["chaos"]) == 0
         out = capsys.readouterr().out
         verified = [line for line in out.splitlines() if line.startswith("verified:")]
@@ -331,8 +341,8 @@ class TestFailurePaths:
         ],
     )
     def test_chaos_honours_an_explicit_min_support(self, argv, target, monkeypatch):
-        # an explicit value reaches both variants unchanged, even the one
-        # that equals the old default
+        # an explicit value reaches both variants unchanged, including 2,
+        # which mines every subset of the synthetic input's items
         class Reached(Exception):
             pass
 
@@ -343,14 +353,6 @@ class TestFailurePaths:
         with pytest.raises(Reached) as info:
             main([*argv, "--min-support", "2"])
         assert info.value.args == (2,)
-
-    def test_mine_tolerates_dirty_input(self, tmp_path, capsys):
-        # robust parsing end to end: junk lines are skipped, not fatal
-        path = tmp_path / "dirty.dat"
-        path.write_bytes(b"1 2\n\xff\xfe garbage\n1 2 3\n2 3\n")
-        code = main(["mine", "--input", str(path), "--min-support", "2"])
-        assert code == 0
-        assert "itemsets" in capsys.readouterr().out
 
 
 class TestRules:

@@ -206,7 +206,7 @@ def test_wide_rank_takes_the_recursion(seed, leaf_branch):
                 plt, pairs, mine_fpgrowth(db, min_support, max_len=max_len)
             )
             if max_len is None:
-                # w's 68 partners never fit the key: it always recurses
+                # w's 68-70 partners never fit the key: it always recurses
                 assert counts["cond_work_items_merged"] > 0
                 if leaf_branch == "lattice":
                     assert counts["topdown_work_items"] > 0

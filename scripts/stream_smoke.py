@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI smoke test for the streaming sketch tier.
 
-Four scripted stages, every wait hard-bounded:
+Five scripted stages, every wait hard-bounded:
 
 1. **Bounded ingest** — pipe a generated zipf feed into
    ``python -m repro stream`` over stdin with periodic snapshots, then
@@ -9,10 +9,14 @@ Four scripted stages, every wait hard-bounded:
    sketch under its byte budget.
 2. **Snapshot/restore** — restart from the snapshot with an empty feed
    and require a byte-identical state digest.
-3. **Sketch daemon differential** — start ``serve --sketch`` and a plain
+3. **Windowed session** — the same feed through ``--window --buckets
+   --exact-tail --min-support --snapshot``; the exact-tail itemsets must
+   equal ``repro mine`` over the last ``--exact-tail`` transactions, and
+   a ``--restore`` must reproduce the digest and the exact tail.
+4. **Sketch daemon differential** — start ``serve --sketch`` and a plain
    ``serve`` on the same fixture and require, per high-support item,
    ``exact <= estimate <= exact + error_bound`` plus labeled envelopes.
-4. **Clean SIGTERM shutdown** of both daemons.
+5. **Clean SIGTERM shutdown** of both daemons.
 
 Usage: PYTHONPATH=src python scripts/stream_smoke.py
 """
@@ -43,6 +47,9 @@ SKETCH_BUDGET = 256 * 1024
 
 N_TRANSACTIONS = 20_000
 
+#: Windowed session shape: window, generations, exact tail, support.
+WINDOW, BUCKETS, EXACT_TAIL, TAIL_SUPPORT = 6_000, 3, 500, 50
+
 
 def fail(message: str) -> None:
     print(f"FAIL: {message}", file=sys.stderr)
@@ -70,6 +77,32 @@ def run_stream(args: list[str], feed: bytes) -> dict:
         return json.loads(proc.stdout.decode())
     except json.JSONDecodeError:
         fail(f"stream emitted non-JSON: {proc.stdout[:200]!r}")
+
+
+def mine_exact(path: Path, min_support: int) -> set:
+    """``repro mine`` of a file, as a set of ``(items, support)``."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "mine", "--input", str(path),
+         "--min-support", str(min_support)],
+        capture_output=True,
+        text=True,
+        timeout=STEP_TIMEOUT,
+    )
+    if proc.returncode != 0:
+        fail(f"mine exited rc={proc.returncode}: {proc.stderr!r}")
+    found = set()
+    for line in proc.stdout.splitlines():
+        if line.startswith("{"):
+            items, _, support = line.rpartition("}")
+            found.add((frozenset(items[1:].split(", ")), int(support)))
+    return found
+
+
+def tail_itemsets(report: dict) -> set:
+    return {
+        (frozenset(str(i) for i in e["items"]), e["support"])
+        for e in report["exact_tail"]
+    }
 
 
 def wait_ready(proc) -> dict:
@@ -141,7 +174,37 @@ def main() -> None:
         fail(f"digest drifted: {first['digest']} -> {second['digest']}")
     print(f"snapshot/restore OK (digest {first['digest'][:12]}...)")
 
-    # -- stage 3: sketch daemon vs exact daemon ---------------------------
+    # -- stage 3: windowed session with an exact tail ---------------------
+    window_snap = tmp / "window-snap"
+    windowed = run_stream(
+        ["--window", str(WINDOW), "--buckets", str(BUCKETS),
+         "--exact-tail", str(EXACT_TAIL), "--min-support", str(TAIL_SUPPORT),
+         "--snapshot", str(window_snap)],
+        feed,
+    )
+    if not windowed["windowed"] or windowed["n_seen"] != N_TRANSACTIONS:
+        fail(f"windowed run did not cover the feed: {windowed}")
+    tail_dat = tmp / "tail.dat"
+    tail_dat.write_bytes(b"".join(feed.splitlines(keepends=True)[-EXACT_TAIL:]))
+    expected = mine_exact(tail_dat, TAIL_SUPPORT)
+    if not expected or tail_itemsets(windowed) != expected:
+        fail(
+            f"exact tail ({len(windowed['exact_tail'])} itemsets) differs from "
+            f"repro mine over the last {EXACT_TAIL} transactions ({len(expected)})"
+        )
+    resumed = run_stream(
+        ["--restore", str(window_snap), "--min-support", str(TAIL_SUPPORT)], b""
+    )
+    if resumed["digest"] != windowed["digest"]:
+        fail(f"window digest drifted: {windowed['digest']} -> {resumed['digest']}")
+    if tail_itemsets(resumed) != expected:
+        fail("restored window reports a different exact tail")
+    print(
+        f"windowed session OK ({windowed['n_transactions']} covered, "
+        f"{len(expected)} exact-tail itemsets, digest {windowed['digest'][:12]}...)"
+    )
+
+    # -- stage 4: sketch daemon vs exact daemon ---------------------------
     sketch_proc = spawn_serve(["--db", str(dat), "--sketch", "--min-support", "2"])
     exact_proc = None
     try:
@@ -180,7 +243,7 @@ def main() -> None:
                 fail(f"exact op not rejected by sketch daemon: {env}")
         print(f"sketch-vs-exact differential OK ({checked} items)")
 
-        # -- stage 4: clean shutdown --------------------------------------
+        # -- stage 5: clean shutdown --------------------------------------
         shutdown(exact_proc, "exact daemon")
         exact_proc = None
         shutdown(sketch_proc, "sketch daemon")

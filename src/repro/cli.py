@@ -398,30 +398,31 @@ def build_parser() -> argparse.ArgumentParser:
         default="-",
         help=".dat/.dat.gz file, or '-' for stdin (single pass, unseekable ok)",
     )
+    # shape flags default to None: the sketch class's default applies
     p_stream.add_argument(
-        "--epsilon", type=float, default=0.005,
+        "--epsilon", type=float, default=None,
         help="additive-error rate: estimates overshoot by <= eps * updates",
     )
     p_stream.add_argument(
-        "--delta", type=float, default=0.01,
+        "--delta", type=float, default=None,
         help="probability the error bound fails (per query)",
     )
     p_stream.add_argument(
-        "--capacity", type=int, default=256,
+        "--capacity", type=int, default=None,
         help="heavy-hitter slots per space-saving summary",
     )
-    p_stream.add_argument("--seed", type=int, default=0, help="hash-family seed")
+    p_stream.add_argument("--seed", type=int, default=None, help="hash-family seed")
     p_stream.add_argument(
         "--window", type=int, default=None, metavar="N",
         help="sliding-window mode: cover only the last N transactions",
     )
     p_stream.add_argument(
-        "--buckets", type=int, default=4,
+        "--buckets", type=int, default=None,
         help="window generations (eviction granularity; --window only)",
     )
     p_stream.add_argument(
-        "--exact-tail", type=int, default=0, metavar="N",
-        help="also mine the last N transactions exactly (--window only)",
+        "--exact-tail", type=int, default=None, metavar="N",
+        help="also mine the last N transactions exactly (--window, --min-support)",
     )
     p_stream.add_argument(
         "--top", type=int, default=10, help="heavy hitters in each report"
@@ -1069,28 +1070,26 @@ def _cmd_stream(args) -> int:
         sketch_digest,
     )
 
-    windowed_flags = args.exact_tail or args.buckets != 4
-    if args.window is None and windowed_flags:
+    shape = {
+        name: value
+        for name in ("epsilon", "delta", "capacity", "seed", "buckets", "exact_tail")
+        if (value := getattr(args, name)) is not None
+    }
+    if args.restore is not None and (shape or args.window is not None):
+        raise ReproError(
+            "--restore resumes the snapshotted sketch with its own shape; "
+            "drop --window/--buckets/--exact-tail/--epsilon/--delta/--capacity/--seed"
+        )
+    if args.window is None and ("buckets" in shape or "exact_tail" in shape):
         raise ReproError("--buckets/--exact-tail require --window")
+    if args.exact_tail and args.min_support is None:
+        raise ReproError("--exact-tail reports its itemsets at --min-support; pass one")
     if args.restore is not None:
         sketch = load_sketch(CheckpointStore(args.restore))
     elif args.window is not None:
-        sketch = SlidingWindowSketch(
-            args.window,
-            buckets=args.buckets,
-            epsilon=args.epsilon,
-            delta=args.delta,
-            capacity=args.capacity,
-            seed=args.seed,
-            exact_tail=args.exact_tail,
-        )
+        sketch = SlidingWindowSketch(args.window, **shape)
     else:
-        sketch = StreamSummary(
-            epsilon=args.epsilon,
-            delta=args.delta,
-            capacity=args.capacity,
-            seed=args.seed,
-        )
+        sketch = StreamSummary(**shape)
 
     def _top_entries(sk, k):
         return [
@@ -1125,7 +1124,7 @@ def _cmd_stream(args) -> int:
     windowed = isinstance(sketch, SlidingWindowSketch)
     final = {
         "ingested": ingestor.n_ingested,
-        "n_transactions": sketch.covered() if windowed else sketch.n_transactions,
+        "n_transactions": sketch.n_transactions,
         "n_items": len(sketch.registry),
         "windowed": windowed,
         "epsilon": sketch.epsilon,
@@ -1152,6 +1151,11 @@ def _cmd_stream(args) -> int:
         final["frequent"] = [
             {"items": list(fi.items), "estimate": fi.support} for fi in frequent
         ]
+        if windowed and sketch.exact_tail:
+            final["exact_tail"] = [
+                {"items": list(items), "support": support}
+                for items, support in sketch.mine_exact_tail(args.min_support)
+            ]
     if args.json:
         print(jsonlib.dumps(final, sort_keys=True), flush=True)
     else:
@@ -1170,14 +1174,19 @@ def _cmd_stream(args) -> int:
             print(
                 f"# parse: skipped={report.n_skipped} truncated={report.truncated}"
             )
-        for entry in final["top"]:
-            label = " ".join(str(i) for i in entry["items"])
-            print(f"{label}\t<={entry['estimate']}")
+
+        def _print_entries(entries, value):
+            for entry in entries:
+                print(" ".join(str(i) for i in entry["items"]) + "\t" + value(entry))
+
+        _print_entries(final["top"], lambda e: f"<={e['estimate']}")
         if "frequent" in final:
             print(f"# >= {final['min_support']} estimated support:")
-            for entry in final["frequent"]:
-                label = " ".join(str(i) for i in entry["items"])
-                print(f"{label}\t<={entry['estimate']}")
+            _print_entries(final["frequent"], lambda e: f"<={e['estimate']}")
+        if "exact_tail" in final:
+            tail = min(sketch.exact_tail, sketch.n_seen)
+            print(f"# >= {final['min_support']} exact support, last {tail} transactions:")
+            _print_entries(final["exact_tail"], lambda e: str(e["support"]))
         if args.snapshot:
             print(f"# snapshot: {args.snapshot} digest={final['digest']}")
     return 0

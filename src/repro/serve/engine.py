@@ -6,7 +6,10 @@ engine is deliberately socket-free: the daemon's connection handler, the
 tests and the smoke client all call :meth:`PatternEngine.handle` with a
 plain request dict and get a plain response envelope back, so every
 serving semantic (budgets, caching, coalescing, error taxonomy) is
-testable without a single byte on a wire.
+testable without a single byte on a wire.  The envelope itself — op
+dispatch, the error taxonomy, ``ping``/``health``/``stats`` and the
+request-field validators — is :class:`Engine`, which the sketch engine
+(:class:`~repro.serve.sketch.SketchEngine`) shares.
 
 Endpoints (``op`` field of the request):
 
@@ -42,6 +45,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from typing import NoReturn
 
 from repro.apps.classifier import first_matching_rule
 from repro.compress.index import ItemIndex
@@ -67,7 +71,7 @@ from repro.serve.admission import (
 )
 from repro.serve.cache import ServingCache
 
-__all__ = ["ServingIndex", "PatternEngine", "serialize_rule"]
+__all__ = ["Engine", "ServingIndex", "PatternEngine", "serialize_rule"]
 
 
 class ServingIndex:
@@ -157,32 +161,22 @@ def serialize_rule(rule: Rule) -> dict:
     }
 
 
-class PatternEngine:
-    """Dispatch + governance + caching over a :class:`ServingIndex`."""
+class Engine:
+    """The request envelope both serving engines share.
 
-    OPS = ("ping", "health", "frequency", "topk", "rules", "recommend", "stats")
+    :meth:`handle` checks the request shape, counts the op, dispatches
+    to ``_op_<op>(request, cancel)`` and turns every refusal into an
+    ``{"ok": false, "code": ...}`` envelope; the ``ping``, ``health`` and
+    ``stats`` ops and the request-field validators live here too.  A
+    subclass lists its :attr:`OPS`, names itself in :attr:`ENGINE` and
+    provides :meth:`stats`.
+    """
 
-    def __init__(
-        self,
-        index: ServingIndex,
-        *,
-        cache_size: int = 128,
-        coalesce: bool = True,
-        max_inflight: int = 8,
-        default_budget: MiningBudget | None = None,
-        deadline_cap: float | None = None,
-        itemset_cap: int | None = None,
-        memory_cap: int | None = None,
-    ):
-        self.index = index
-        self.cache = ServingCache(cache_size, coalesce=coalesce)
-        self.admission = AdmissionController(
-            max_inflight=max_inflight,
-            default_budget=default_budget,
-            deadline_cap=deadline_cap,
-            itemset_cap=itemset_cap,
-            memory_cap=memory_cap,
-        )
+    OPS: tuple[str, ...] = ("ping", "health", "stats")
+    #: The ``engine`` field of ``health`` answers.
+    ENGINE = "exact"
+
+    def __init__(self) -> None:
         self._started_at = time.monotonic()
         self._lock = threading.Lock()
         self._op_counts: dict[str, int] = {}
@@ -211,10 +205,7 @@ class PatternEngine:
                     code="bad_request",
                 )
             if op not in self.OPS:
-                raise ServeProtocolError(
-                    f"unknown op {op!r}; expected one of {self.OPS}",
-                    code="bad_request",
-                )
+                self._unknown_op(op)
             with self._lock:
                 self._op_counts[op] = self._op_counts.get(op, 0) + 1
             envelope = getattr(self, "_op_" + op)(request, cancel)
@@ -233,22 +224,115 @@ class PatternEngine:
         envelope["elapsed"] = time.monotonic() - start
         return envelope
 
+    def _unknown_op(self, op) -> NoReturn:
+        raise ServeProtocolError(
+            f"unknown op {op!r}; expected one of {self.OPS}", code="bad_request"
+        )
+
     def _error(self, message: str, code: str) -> dict:
         with self._lock:
             self._errors += 1
         return {"ok": False, "error": message, "code": code}
 
+    def _counters(self) -> tuple[dict[str, int], int]:
+        """Per-op totals and the error count, read consistently."""
+        with self._lock:
+            return dict(self._op_counts), self._errors
+
+    # ------------------------------------------------------------------
+    # request fields
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _field(request, field: str, default, *, count: bool = False, nullable: bool = False):
+        """``request[field]``: a positive int if ``count``, else an int or a
+        float; ``None`` only if ``nullable``.  A boolean is neither."""
+        value = request.get(field, default)
+        if value is None and nullable:
+            return None
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, int if count else (int, float))
+            or (count and value < 1)
+        ):
+            raise ServeProtocolError(
+                f"{field} must be {'a positive integer' if count else 'numeric'}"
+                f"{' or null' if nullable else ''}, got {value!r}",
+                code="bad_request",
+            )
+        return value
+
+    @staticmethod
+    def _order_key(entry):
+        """``(items, support)`` entries heaviest first, then canonical."""
+        items, support = entry
+        return (-support, len(items), [sort_key(i) for i in items])
+
+    # ------------------------------------------------------------------
+    # shared endpoints
+    # ------------------------------------------------------------------
+    def _op_ping(self, request, cancel) -> dict:
+        return {"ok": True, "result": {"pong": True}, "complete": True, "source": "direct"}
+
+    def _op_health(self, request, cancel) -> dict:
+        """Liveness + readiness in one deadline-bounded probe.
+
+        ``live`` is implied by any answer at all; ``ready`` means the
+        engine's state is loaded and queries will be served (always true
+        once the engine exists — the worker only binds the socket
+        afterwards).
+        """
+        result = {
+            "live": True,
+            "ready": True,
+            "engine": self.ENGINE,
+            "pid": os.getpid(),
+            "uptime": time.monotonic() - self._started_at,
+        }
+        result.update(self.health_info)
+        return {"ok": True, "result": result, "complete": True, "source": "direct"}
+
+    def _op_stats(self, request, cancel) -> dict:
+        return {"ok": True, "result": self.stats(), "complete": True, "source": "direct"}
+
+    def stats(self) -> dict:
+        raise NotImplementedError
+
+
+class PatternEngine(Engine):
+    """Dispatch + governance + caching over a :class:`ServingIndex`."""
+
+    OPS = ("ping", "health", "frequency", "topk", "rules", "recommend", "stats")
+
+    def __init__(
+        self,
+        index: ServingIndex,
+        *,
+        cache_size: int = 128,
+        coalesce: bool = True,
+        max_inflight: int = 8,
+        default_budget: MiningBudget | None = None,
+        deadline_cap: float | None = None,
+        itemset_cap: int | None = None,
+        memory_cap: int | None = None,
+    ):
+        super().__init__()
+        self.index = index
+        self.cache = ServingCache(cache_size, coalesce=coalesce)
+        self.admission = AdmissionController(
+            max_inflight=max_inflight,
+            default_budget=default_budget,
+            deadline_cap=deadline_cap,
+            itemset_cap=itemset_cap,
+            memory_cap=memory_cap,
+        )
+
     # ------------------------------------------------------------------
     # shared helpers
     # ------------------------------------------------------------------
     def _min_support(self, request) -> int:
-        value = request.get("min_support")
+        value = self._field(request, "min_support", None, nullable=True)
         if value is None:
             return self.index.min_support
-        if not isinstance(value, (int, float)):
-            raise ServeProtocolError(
-                f"min_support must be numeric, got {value!r}", code="bad_request"
-            )
         s = resolve_min_support(value, self.index.n_transactions)
         if s < self.index.min_support:
             raise ServeProtocolError(
@@ -262,11 +346,6 @@ class PatternEngine:
         """Rank tuple -> canonical (sort_key-ordered) label tuple."""
         labels = self.index.rank_table.decode_ranks(sorted(ranks))
         return tuple(sorted(labels, key=sort_key))
-
-    @staticmethod
-    def _order_key(entry):
-        items, support = entry
-        return (-support, len(items), [sort_key(i) for i in items])
 
     def _cached(self, store_key, budget, cancel, compute_with_governor):
         """Run ``compute_with_governor`` through cache + admission.
@@ -293,26 +372,6 @@ class PatternEngine:
     # ------------------------------------------------------------------
     # endpoints
     # ------------------------------------------------------------------
-    def _op_ping(self, request, cancel) -> dict:
-        return {"ok": True, "result": {"pong": True}, "complete": True, "source": "direct"}
-
-    def _op_health(self, request, cancel) -> dict:
-        """Liveness + readiness in one deadline-bounded probe.
-
-        ``live`` is implied by any answer at all; ``ready`` means the
-        index is loaded and queries will be served (always true once the
-        engine exists — the worker only binds the socket afterwards).
-        """
-        result = {
-            "live": True,
-            "ready": True,
-            "engine": "exact",
-            "pid": os.getpid(),
-            "uptime": time.monotonic() - self._started_at,
-        }
-        result.update(self.health_info)
-        return {"ok": True, "result": result, "complete": True, "source": "direct"}
-
     def _op_frequency(self, request, cancel) -> dict:
         items = request.get("items")
         if not isinstance(items, (list, tuple)) or not items:
@@ -409,11 +468,7 @@ class PatternEngine:
         if "item" not in request:
             raise ServeProtocolError("topk requires an 'item' field", code="bad_request")
         item = request["item"]
-        k = request.get("k", 10)
-        if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
-            raise ServeProtocolError(
-                f"k must be a positive integer or null, got {k!r}", code="bad_request"
-            )
+        k = self._field(request, "k", 10, count=True, nullable=True)
         s = self._min_support(request)
         budget = budget_from_request(request.get("budget"))
         try:
@@ -488,16 +543,9 @@ class PatternEngine:
 
     def _op_rules(self, request, cancel) -> dict:
         s = self._min_support(request)
-        min_confidence = request.get("min_confidence", 0.5)
-        min_lift = request.get("min_lift")
-        limit = request.get("limit", 50)
-        if limit is not None and (
-            isinstance(limit, bool) or not isinstance(limit, int) or limit < 1
-        ):
-            raise ServeProtocolError(
-                f"limit must be a positive integer or null, got {limit!r}",
-                code="bad_request",
-            )
+        min_confidence = self._field(request, "min_confidence", 0.5)
+        min_lift = self._field(request, "min_lift", None, nullable=True)
+        limit = self._field(request, "limit", 50, count=True, nullable=True)
         budget = budget_from_request(request.get("budget"))
         rules, source = self._rules_for(s, min_confidence, min_lift, budget, cancel)
         shown = rules if limit is None else rules[:limit]
@@ -520,13 +568,9 @@ class PatternEngine:
                 "basket items must be hashable scalars", code="bad_request"
             ) from None
         s = self._min_support(request)
-        min_confidence = request.get("min_confidence", 0.5)
-        min_lift = request.get("min_lift")
-        top = request.get("top", 5)
-        if isinstance(top, bool) or not isinstance(top, int) or top < 1:
-            raise ServeProtocolError(
-                f"top must be a positive integer, got {top!r}", code="bad_request"
-            )
+        min_confidence = self._field(request, "min_confidence", 0.5)
+        min_lift = self._field(request, "min_lift", None, nullable=True)
+        top = self._field(request, "top", 5, count=True)
         budget = budget_from_request(request.get("budget"))
         rules, source = self._rules_for(s, min_confidence, min_lift, budget, cancel)
         # a useful recommendation's antecedent is satisfied by the basket
@@ -547,9 +591,7 @@ class PatternEngine:
 
     # -- stats ----------------------------------------------------------
     def stats(self) -> dict:
-        with self._lock:
-            ops = dict(self._op_counts)
-            errors = self._errors
+        ops, errors = self._counters()
         return {
             "uptime": time.monotonic() - self._started_at,
             "queries": sum(ops.values()),
@@ -564,6 +606,3 @@ class PatternEngine:
                 "n_transactions": self.index.n_transactions,
             },
         }
-
-    def _op_stats(self, request, cancel) -> dict:
-        return {"ok": True, "result": self.stats(), "complete": True, "source": "direct"}

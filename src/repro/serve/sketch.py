@@ -10,8 +10,9 @@ never materialising the PLT or the transaction database.
 
 Endpoints (``op`` field):
 
-``ping``
-    Liveness probe (same envelope as the exact engine).
+``ping`` / ``health``
+    Liveness probes, from the shared :class:`~repro.serve.engine.Engine`
+    envelope (``health`` reports ``engine: "sketch"``).
 ``sketch_frequency``
     One-sided support estimate of an arbitrary itemset.  The answer is
     never below the true support; ``error_bound`` in the result is the
@@ -34,18 +35,11 @@ loudly instead of silently getting estimates.
 
 from __future__ import annotations
 
-import os
-import threading
 import time
 
 from repro.core.rank import sort_key
-from repro.errors import (
-    InvalidParameterError,
-    InvalidSupportError,
-    ReproError,
-    ServeError,
-    ServeProtocolError,
-)
+from repro.errors import InvalidParameterError, ServeProtocolError
+from repro.serve.engine import Engine
 from repro.stream.summary import StreamSummary
 from repro.stream.window import SlidingWindowSketch
 
@@ -55,7 +49,7 @@ __all__ = ["SketchEngine"]
 _EXACT_OPS = ("frequency", "topk", "rules", "recommend")
 
 
-class SketchEngine:
+class SketchEngine(Engine):
     """Dispatch over a stream sketch; drop-in for :class:`PatternServer`."""
 
     OPS = (
@@ -66,6 +60,7 @@ class SketchEngine:
         "sketch_frequent",
         "stats",
     )
+    ENGINE = "sketch"
 
     def __init__(self, summary: StreamSummary | SlidingWindowSketch):
         if not isinstance(summary, (StreamSummary, SlidingWindowSketch)):
@@ -73,54 +68,18 @@ class SketchEngine:
                 f"SketchEngine needs a StreamSummary or SlidingWindowSketch, "
                 f"got {type(summary).__name__}"
             )
+        super().__init__()
         self.summary = summary
-        self._started_at = time.monotonic()
-        self._lock = threading.Lock()
-        self._op_counts: dict[str, int] = {}
-        self._errors = 0
-        #: Extra facts merged into ``health`` answers (see PatternEngine).
-        self.health_info: dict = {}
 
-    # ------------------------------------------------------------------
-    def handle(self, request, *, cancel=None) -> dict:
-        """Answer one request dict with a response envelope dict."""
-        start = time.monotonic()
-        op = request.get("op") if isinstance(request, dict) else None
-        try:
-            if not isinstance(request, dict):
-                raise ServeProtocolError(
-                    f"request must be a JSON object, got {type(request).__name__}",
-                    code="bad_request",
-                )
-            if op in _EXACT_OPS:
-                raise ServeProtocolError(
-                    f"op {op!r} needs the exact engine; this daemon serves "
-                    f"sketch estimates — use 'sketch_{op}' if available "
-                    f"({', '.join(self.OPS)})",
-                    code="bad_request",
-                )
-            if op not in self.OPS:
-                raise ServeProtocolError(
-                    f"unknown op {op!r}; expected one of {self.OPS}",
-                    code="bad_request",
-                )
-            with self._lock:
-                self._op_counts[op] = self._op_counts.get(op, 0) + 1
-            envelope = getattr(self, "_op_" + op)(request)
-        except ServeError as exc:
-            envelope = self._error(str(exc), exc.code)
-        except (InvalidSupportError, InvalidParameterError) as exc:
-            envelope = self._error(str(exc), "bad_request")
-        except ReproError as exc:
-            envelope = self._error(str(exc), "internal")
-        envelope["op"] = op
-        envelope["elapsed"] = time.monotonic() - start
-        return envelope
-
-    def _error(self, message: str, code: str) -> dict:
-        with self._lock:
-            self._errors += 1
-        return {"ok": False, "error": message, "code": code}
+    def _unknown_op(self, op):
+        if op in _EXACT_OPS:
+            raise ServeProtocolError(
+                f"op {op!r} needs the exact engine; this daemon serves "
+                f"sketch estimates — use 'sketch_{op}' if available "
+                f"({', '.join(self.OPS)})",
+                code="bad_request",
+            )
+        super()._unknown_op(op)
 
     def _envelope(self, result: dict, info: dict) -> dict:
         """The sketch answer envelope: labeled approximate, never complete."""
@@ -138,34 +97,16 @@ class SketchEngine:
     # ------------------------------------------------------------------
     # endpoints
     # ------------------------------------------------------------------
-    def _op_ping(self, request) -> dict:
-        return {
-            "ok": True,
-            "result": {"pong": True},
-            "complete": True,
-            "source": "direct",
-        }
-
-    def _op_health(self, request) -> dict:
-        result = {
-            "live": True,
-            "ready": True,
-            "engine": "sketch",
-            "pid": os.getpid(),
-            "uptime": time.monotonic() - self._started_at,
-        }
-        result.update(self.health_info)
-        return {"ok": True, "result": result, "complete": True, "source": "direct"}
-
-    def _op_sketch_frequency(self, request) -> dict:
+    def _op_sketch_frequency(self, request, cancel) -> dict:
         items = request.get("items")
         if not isinstance(items, (list, tuple)) or not items:
             raise ServeProtocolError(
                 "sketch_frequency requires a non-empty 'items' list",
                 code="bad_request",
             )
+        min_support = self._field(request, "min_support", None, nullable=True)
         try:
-            answer = self.summary.frequency(items, request.get("min_support"))
+            answer = self.summary.frequency(items, min_support)
         except TypeError:
             raise ServeProtocolError(
                 "sketch_frequency items must be hashable scalars",
@@ -183,19 +124,13 @@ class SketchEngine:
             "n_transactions": answer.n_transactions,
             "disclaimer": answer.disclaimer,
         }
-        env = self._envelope(result, info)
-        env["error_bound"] = bound
-        return env
+        return self._envelope(result, {**info, "error_bound": bound})
 
-    def _op_sketch_topk(self, request) -> dict:
-        k = request.get("k", 10)
-        if not isinstance(k, int) or k < 1:
-            raise ServeProtocolError(
-                f"k must be a positive integer, got {k!r}", code="bad_request"
-            )
+    def _op_sketch_topk(self, request, cancel) -> dict:
+        k = self._field(request, "k", 10, count=True)
         answer = self.summary.top_k(k)
         entries = [(fi.items, fi.support) for fi in answer]
-        entries.sort(key=lambda e: (-e[1], len(e[0]), [sort_key(i) for i in e[0]]))
+        entries.sort(key=self._order_key)
         result = {
             "k": k,
             "entries": [
@@ -206,18 +141,12 @@ class SketchEngine:
         }
         return self._envelope(result, answer.info or {})
 
-    def _op_sketch_frequent(self, request) -> dict:
-        min_support = request.get("min_support")
-        if min_support is None:
+    def _op_sketch_frequent(self, request, cancel) -> dict:
+        if request.get("min_support") is None:
             raise ServeProtocolError(
                 "sketch_frequent requires 'min_support'", code="bad_request"
             )
-        if not isinstance(min_support, (int, float)):
-            raise ServeProtocolError(
-                f"min_support must be numeric, got {min_support!r}",
-                code="bad_request",
-            )
-        answer = self.summary.as_result(min_support)
+        answer = self.summary.as_result(self._field(request, "min_support", None))
         result = {
             "min_support": answer.min_support,
             "itemsets": [
@@ -228,14 +157,17 @@ class SketchEngine:
         }
         return self._envelope(result, answer.info or {})
 
-    def _op_stats(self, request) -> dict:
+    # -- stats ----------------------------------------------------------
+    def stats(self) -> dict:
+        """Sketch shape, memory and the request counters."""
         s = self.summary
+        ops, errors = self._counters()
         windowed = isinstance(s, SlidingWindowSketch)
         result = {
             "engine": "sketch",
             "uptime": time.monotonic() - self._started_at,
-            "ops": dict(self._op_counts),
-            "errors": self._errors,
+            "ops": ops,
+            "errors": errors,
             "epsilon": s.epsilon,
             "delta": s.delta,
             "memory_bytes": s.memory_bytes(),
@@ -249,8 +181,4 @@ class SketchEngine:
             result["n_seen"] = s.n_seen
         else:
             result["n_transactions"] = s.n_transactions
-        return {"ok": True, "result": result, "complete": True, "source": "direct"}
-
-    def stats(self) -> dict:
-        """The CLI's shutdown summary (parity with :class:`PatternEngine`)."""
-        return self._op_stats({})["result"]
+        return result

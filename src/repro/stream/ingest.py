@@ -15,6 +15,7 @@ right class without the caller remembering which one it saved.
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Callable, Iterable, Iterator
 from itertools import islice
 
@@ -39,8 +40,8 @@ __all__ = [
 SKETCH_NODE = 0
 SKETCH_KEY = "stream-sketch"
 
-_KIND_SUMMARY = b"S"
-_KIND_WINDOW = b"W"
+#: Snapshot kind tag of each sketch class.
+_KINDS = {b"S": StreamSummary, b"W": SlidingWindowSketch}
 
 
 def sketch_to_blob(sketch: StreamSummary | SlidingWindowSketch) -> bytes:
@@ -51,10 +52,9 @@ def sketch_to_blob(sketch: StreamSummary | SlidingWindowSketch) -> bytes:
     (:mod:`repro.serve.snapshot`) reuse it so a sketch snapshot written by
     either tier restores in the other.
     """
-    if isinstance(sketch, StreamSummary):
-        return _KIND_SUMMARY + sketch.to_bytes()
-    if isinstance(sketch, SlidingWindowSketch):
-        return _KIND_WINDOW + _window_to_bytes(sketch)
+    for kind, cls in _KINDS.items():
+        if isinstance(sketch, cls):
+            return kind + sketch.to_bytes()
     raise InvalidParameterError(
         f"cannot snapshot a {type(sketch).__name__}; expected StreamSummary "
         f"or SlidingWindowSketch"
@@ -65,12 +65,10 @@ def sketch_from_blob(blob: bytes) -> StreamSummary | SlidingWindowSketch:
     """Inverse of :func:`sketch_to_blob` (raises CheckpointError on damage)."""
     if not blob:
         raise CheckpointError("empty sketch snapshot")
-    kind, payload = blob[:1], blob[1:]
-    if kind == _KIND_SUMMARY:
-        return StreamSummary.from_bytes(payload)
-    if kind == _KIND_WINDOW:
-        return _window_from_bytes(payload)
-    raise CheckpointError(f"unknown sketch snapshot kind {kind!r}")
+    cls = _KINDS.get(blob[:1])
+    if cls is None:
+        raise CheckpointError(f"unknown sketch snapshot kind {blob[:1]!r}")
+    return cls.from_bytes(blob[1:])
 
 
 def save_sketch(
@@ -98,105 +96,7 @@ def sketch_digest(sketch: StreamSummary | SlidingWindowSketch) -> str:
     Two sketches with equal digests answer every query identically —
     the property the snapshot/restore smoke asserts.
     """
-    import hashlib
-
     return hashlib.sha256(sketch_to_blob(sketch)).hexdigest()
-
-
-def _window_to_bytes(sketch: SlidingWindowSketch) -> bytes:
-    """Serialize a sliding-window sketch: header + generation summaries.
-
-    Generations share one registry in memory; on disk each generation
-    section embeds it (the registry is small — the distinct-item list)
-    and restore re-unifies them onto the first generation's registry.
-    """
-    import json
-    import struct
-
-    header = json.dumps(
-        {
-            "window": sketch.window,
-            "buckets": sketch.buckets,
-            "epsilon": sketch.epsilon,
-            "delta": sketch.delta,
-            "capacity": sketch.capacity,
-            "seed": sketch.seed,
-            "track_pairs": sketch.track_pairs,
-            "exact_tail": sketch.exact_tail,
-            "pushed": sketch.n_seen,
-            "gen_counter": sketch._gen_counter,
-            "gen_seeds": [g.seed for g in sketch._generations],
-        },
-        separators=(",", ":"),
-        sort_keys=True,
-    ).encode("utf-8")
-    sections = [header] + [g.to_bytes() for g in sketch._generations]
-    if sketch._tail is not None:
-        tail_doc = json.dumps(
-            [sorted(t, key=repr) for t in sketch._tail.contents()],
-            separators=(",", ":"),
-        ).encode("utf-8")
-        sections.append(tail_doc)
-    return b"".join(struct.pack("<I", len(s)) + s for s in sections)
-
-
-def _window_from_bytes(blob: bytes) -> SlidingWindowSketch:
-    import json
-    import struct
-
-    sections: list[bytes] = []
-    pos = 0
-    size = struct.calcsize("<I")
-    while pos < len(blob):
-        if pos + size > len(blob):
-            raise CheckpointError("truncated sliding-window snapshot")
-        (length,) = struct.unpack_from("<I", blob, pos)
-        pos += size
-        if pos + length > len(blob):
-            raise CheckpointError("truncated sliding-window snapshot")
-        sections.append(blob[pos : pos + length])
-        pos += length
-    if not sections:
-        raise CheckpointError("empty sliding-window snapshot")
-    try:
-        header = json.loads(sections[0].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"damaged sliding-window header: {exc}") from exc
-    sketch = SlidingWindowSketch(
-        header["window"],
-        buckets=header["buckets"],
-        epsilon=header["epsilon"],
-        delta=header["delta"],
-        capacity=header["capacity"],
-        seed=header["seed"],
-        track_pairs=header["track_pairs"],
-        exact_tail=header["exact_tail"],
-    )
-    n_gens = len(header["gen_seeds"])
-    expected = 1 + n_gens + (1 if header["exact_tail"] else 0)
-    if len(sections) != expected:
-        raise CheckpointError(
-            f"sliding-window snapshot has {len(sections)} sections, "
-            f"expected {expected}"
-        )
-    generations = [StreamSummary.from_bytes(s) for s in sections[1 : 1 + n_gens]]
-    if generations:
-        # re-unify the shared registry: all generations saw the same
-        # arrival order, so the largest registry is a superset
-        registry = max((g.registry for g in generations), key=len)
-        for g in generations:
-            g.registry = registry
-        sketch.registry = registry
-    sketch._generations.extend(generations)
-    sketch._pushed = header["pushed"]
-    sketch._gen_counter = header["gen_counter"]
-    if header["exact_tail"]:
-        try:
-            tail_rows = json.loads(sections[-1].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"damaged exact-tail section: {exc}") from exc
-        sketch._tail.extend(tail_rows)
-    return sketch
 
 
 class StreamIngestor:

@@ -222,6 +222,10 @@ class SpaceSaving:
         rows.sort(key=lambda row: (-row[1], row[2], row[0]))
         return rows
 
+    def keys(self):
+        """The monitored keys (a live view, in no particular order)."""
+        return self._counts.keys()
+
     def __len__(self) -> int:
         return len(self._counts)
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from collections.abc import Hashable, Iterable
+from collections.abc import Hashable, Iterable, Sequence
 from itertools import chain, islice
 
 import numpy as np
@@ -51,7 +51,7 @@ from repro.errors import CheckpointError, InvalidParameterError
 from repro.stream.cms import _PAIR_SHIFT, CountMinSketch, pack_pair, unpack_pair
 from repro.stream.spacesaving import SpaceSaving
 
-__all__ = ["RankRegistry", "StreamSummary"]
+__all__ = ["RankRegistry", "SketchAnswers", "StreamSummary"]
 
 Item = Hashable
 
@@ -84,26 +84,34 @@ def _pair_keys(ranks: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def _pack_sections(*sections: bytes) -> bytes:
-    return _MAGIC + b"".join(_SECTION.pack(len(s)) + s for s in sections)
+    """Sections laid end to end, each behind a :data:`_SECTION` length."""
+    return b"".join(_SECTION.pack(len(s)) + s for s in sections)
 
 
-def _unpack_sections(blob: bytes, n: int) -> list[bytes]:
-    if blob[:4] != _MAGIC:
-        raise CheckpointError("not a serialized stream summary")
+def _unpack_sections(blob: bytes, what: str) -> list[bytes]:
+    """Inverse of :func:`_pack_sections`; raises CheckpointError on damage."""
     out: list[bytes] = []
-    pos = 4
-    for _ in range(n):
+    pos = 0
+    while pos < len(blob):
         if pos + _SECTION.size > len(blob):
-            raise CheckpointError("truncated stream summary blob")
+            raise CheckpointError(f"truncated {what}")
         (length,) = _SECTION.unpack_from(blob, pos)
         pos += _SECTION.size
         if pos + length > len(blob):
-            raise CheckpointError("truncated stream summary blob")
+            raise CheckpointError(f"truncated {what}")
         out.append(blob[pos : pos + length])
         pos += length
-    if pos != len(blob):
-        raise CheckpointError("trailing bytes after stream summary sections")
+    if not out:
+        raise CheckpointError(f"empty {what}")
     return out
+
+
+def _json_section(blob: bytes, what: str):
+    """Decode one JSON section; damage raises CheckpointError."""
+    try:
+        return json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"damaged {what}: {exc}") from exc
 
 
 class RankRegistry:
@@ -163,12 +171,8 @@ class RankRegistry:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "RankRegistry":
-        try:
-            items = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"damaged rank registry: {exc}") from exc
         registry = cls()
-        for item in items:
+        for item in _json_section(blob, "rank registry"):
             registry.rank_for(item)
         return registry
 
@@ -176,7 +180,126 @@ class RankRegistry:
         return f"RankRegistry({len(self._items)} items)"
 
 
-class StreamSummary:
+class SketchAnswers:
+    """The labelled answers of a sketch, read off ``self._parts()``.
+
+    A part is one :class:`StreamSummary`: a summary is its own single
+    part, and a sliding window's parts are its live generations.  An
+    itemset's estimate is the sum of the parts' count-min estimates, and
+    the enumerable candidates are the union of the parts' space-saving
+    keys.  The host class supplies ``registry``, ``track_pairs``,
+    ``n_transactions``, ``estimate``, ``error_bound``, ``_info`` and
+    ``_disclaimer``; :attr:`METHOD` labels its answers.
+    """
+
+    __slots__ = ()
+
+    #: The ``method`` of point and threshold answers (top-k adds ``+topk``).
+    METHOD = "stream-sketch"
+
+    def _parts(self) -> Sequence["StreamSummary"]:
+        raise NotImplementedError
+
+    def frequency(
+        self, itemset: Iterable[Item], min_support: float | int | None = None
+    ) -> ApproximateResult:
+        """The support estimate of one itemset, as a labeled result.
+
+        The result holds one :class:`~repro.core.mining.FrequentItemset`
+        (or none, when a threshold is given and the estimate misses it);
+        ``info["estimate"]`` always carries the raw number.
+        """
+        items = tuple(sorted(set(itemset), key=sort_key))
+        est = self.estimate(items)
+        n = max(self.n_transactions, 1)
+        threshold = 1 if min_support is None else resolve_min_support(min_support, n)
+        itemsets = [FrequentItemset(items, est)] if est >= threshold else []
+        bound = self.error_bound(len(items))
+        return ApproximateResult(
+            itemsets,
+            n_transactions=self.n_transactions,
+            min_support=threshold,
+            method=self.METHOD,
+            disclaimer=self._disclaimer(
+                f"point query over a {len(items)}-itemset, bound +{bound}"
+            ),
+            info=self._info(estimate=est, query=list(items), size=len(items)),
+        )
+
+    def _candidate_rows(self) -> list[tuple[tuple[Item, ...], int]]:
+        """Every monitored candidate as ``(items, estimate)``.
+
+        Estimates come from the count-min sketches (tighter than the
+        space-saving counts), summed over the parts.
+        """
+        item = self.registry.item
+        parts = self._parts()
+        rows: list[tuple[tuple[Item, ...], int]] = []
+        ranks = sorted(set().union(*(p.items_hh.keys() for p in parts)))
+        if ranks:
+            estimates = sum(p.items_cms.estimate_many(ranks) for p in parts)
+            rows.extend(((item(r),), est) for r, est in zip(ranks, estimates.tolist()))
+        if self.track_pairs:
+            keys = sorted(set().union(*(p.pairs_hh.keys() for p in parts)))
+            if keys:
+                estimates = sum(p.pairs_cms.estimate_many(keys) for p in parts)
+                for key, est in zip(keys, estimates.tolist()):
+                    r1, r2 = unpack_pair(key)
+                    rows.append((tuple(sorted((item(r1), item(r2)), key=sort_key)), est))
+        return rows
+
+    def top_k(self, k: int) -> ApproximateResult:
+        """The ``k`` heaviest monitored itemsets (singles and pairs)."""
+        if k < 1:
+            raise InvalidParameterError(f"k must be >= 1, got {k}")
+        rows = self._candidate_rows()
+        top = rows
+        if len(rows) > k:  # only rows tying the k-th estimate or above can rank
+            cutoff = sorted((row[1] for row in rows), reverse=True)[k - 1]
+            top = [row for row in rows if row[1] >= cutoff]
+        top.sort(key=lambda row: (-row[1], len(row[0]), [sort_key(i) for i in row[0]]))
+        return ApproximateResult(
+            [FrequentItemset(items, est) for items, est in top[:k]],
+            n_transactions=self.n_transactions,
+            min_support=1,
+            method=self.METHOD + "+topk",
+            disclaimer=self._disclaimer(
+                f"top-{k} of the {len(rows)} monitored heavy-hitter candidates; "
+                "itemsets below the space-saving floor are not enumerable"
+            ),
+            info=self._info(k=k, candidates=len(rows)),
+        )
+
+    def as_result(
+        self, min_support: float | int, *, method: str | None = None
+    ) -> ApproximateResult:
+        """Every monitored 1-/2-itemset whose estimate meets the threshold.
+
+        The enumerable universe is bounded by the space-saving capacity:
+        itemsets rarer than ``updates / capacity`` may be missing even if
+        they squeak past the threshold — the disclaimer says so.
+        """
+        threshold = resolve_min_support(min_support, max(self.n_transactions, 1))
+        keep = [
+            FrequentItemset(items, est)
+            for items, est in self._candidate_rows()
+            if est >= threshold
+        ]
+        return ApproximateResult(
+            keep,
+            n_transactions=self.n_transactions,
+            min_support=threshold,
+            method=method or self.METHOD,
+            disclaimer=self._disclaimer(
+                "only monitored 1- and 2-itemsets are enumerated; longer "
+                "itemsets and candidates below the space-saving floor are "
+                "not in the answer"
+            ),
+            info=self._info(min_support=threshold),
+        )
+
+
+class StreamSummary(SketchAnswers):
     """Fixed-memory itemset-frequency summary of everything pushed so far.
 
     Parameters
@@ -318,8 +441,11 @@ class StreamSummary:
         return self.pairs_cms.error_bound()
 
     # ------------------------------------------------------------------
-    # labeled answers
+    # labeled answers (SketchAnswers)
     # ------------------------------------------------------------------
+    def _parts(self) -> tuple["StreamSummary"]:
+        return (self,)
+
     def _disclaimer(self, detail: str) -> str:
         return (
             f"approximate result: supports are conservative-update count-min "
@@ -338,107 +464,6 @@ class StreamSummary:
         }
         info.update(extra)
         return info
-
-    def frequency(
-        self, itemset: Iterable[Item], min_support: float | int | None = None
-    ) -> ApproximateResult:
-        """The support estimate of one itemset, as a labeled result.
-
-        The result holds one :class:`~repro.core.mining.FrequentItemset`
-        (or none, when a threshold is given and the estimate misses it);
-        ``info["estimate"]`` always carries the raw number.
-        """
-        items = tuple(sorted(set(itemset), key=sort_key))
-        est = self.estimate(items)
-        threshold = (
-            resolve_min_support(min_support, max(self.n_transactions, 1))
-            if min_support is not None
-            else 1
-        )
-        itemsets = [FrequentItemset(items, est)] if est >= threshold else []
-        bound = self.error_bound(len(items))
-        return ApproximateResult(
-            itemsets,
-            n_transactions=self.n_transactions,
-            min_support=threshold,
-            method="stream-sketch",
-            disclaimer=self._disclaimer(
-                f"point query over a {len(items)}-itemset, bound +{bound}"
-            ),
-            info=self._info(estimate=est, query=list(items), size=len(items)),
-        )
-
-    def _candidate_rows(self) -> list[tuple[tuple[Item, ...], int, int]]:
-        """Every monitored candidate as ``(items, estimate, guaranteed)``.
-
-        Estimates come from the CMS (tighter than the space-saving count);
-        ``guaranteed`` is the space-saving lower bound ``count - error``.
-        """
-        item = self.registry.item
-        rows: list[tuple[tuple[Item, ...], int, int]] = []
-        entries = self.items_hh.entries()
-        estimates = self.items_cms.estimate_many([rank for rank, _c, _e in entries])
-        for (rank, count, error), est in zip(entries, estimates.tolist()):
-            rows.append(((item(rank),), est, count - error))
-        if self.track_pairs:
-            entries = self.pairs_hh.entries()
-            estimates = self.pairs_cms.estimate_many([key for key, _c, _e in entries])
-            for (key, count, error), est in zip(entries, estimates.tolist()):
-                r1, r2 = unpack_pair(key)
-                items = tuple(sorted((item(r1), item(r2)), key=sort_key))
-                rows.append((items, est, count - error))
-        return rows
-
-    def top_k(self, k: int) -> ApproximateResult:
-        """The ``k`` heaviest monitored itemsets (singles and pairs)."""
-        if k < 1:
-            raise InvalidParameterError(f"k must be >= 1, got {k}")
-        rows = self._candidate_rows()
-        top = rows
-        if len(rows) > k:  # only rows tying the k-th estimate or above can rank
-            cutoff = sorted((row[1] for row in rows), reverse=True)[k - 1]
-            top = [row for row in rows if row[1] >= cutoff]
-        top.sort(key=lambda row: (-row[1], len(row[0]), [sort_key(i) for i in row[0]]))
-        top = top[:k]
-        return ApproximateResult(
-            [FrequentItemset(items, est) for items, est, _guaranteed in top],
-            n_transactions=self.n_transactions,
-            min_support=1,
-            method="stream-sketch+topk",
-            disclaimer=self._disclaimer(
-                f"top-{k} of the {len(rows)} monitored heavy-hitter candidates; "
-                "itemsets below the space-saving floor are not enumerable"
-            ),
-            info=self._info(k=k, candidates=len(rows)),
-        )
-
-    def as_result(
-        self, min_support: float | int, *, method: str = "stream-sketch"
-    ) -> ApproximateResult:
-        """Every monitored 1-/2-itemset whose estimate meets the threshold.
-
-        The enumerable universe is bounded by the space-saving capacity:
-        itemsets rarer than ``updates / capacity`` may be missing even if
-        they squeak past the threshold — the disclaimer says so.
-        """
-        threshold = resolve_min_support(min_support, max(self.n_transactions, 1))
-        keep = [
-            FrequentItemset(items, est)
-            for items, est, _guaranteed in self._candidate_rows()
-            if est >= threshold
-        ]
-        return ApproximateResult(
-            keep,
-            n_transactions=self.n_transactions,
-            min_support=threshold,
-            method=method,
-            disclaimer=self._disclaimer(
-                "only monitored 1- and 2-itemsets are enumerated; longer "
-                "itemsets and candidates below the space-saving floor are "
-                "not in the answer"
-            ),
-            info=self._info(min_support=threshold),
-        )
 
     # ------------------------------------------------------------------
     # accounting / persistence
@@ -460,10 +485,7 @@ class StreamSummary:
 
     @staticmethod
     def _hh_from_bytes(blob: bytes) -> SpaceSaving:
-        try:
-            doc = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"damaged heavy-hitter section: {exc}") from exc
+        doc = _json_section(blob, "heavy-hitter section")
         hh = SpaceSaving(doc["capacity"])
         for key, count, error in doc["rows"]:
             if isinstance(key, list):
@@ -497,20 +519,17 @@ class StreamSummary:
         if self.track_pairs:
             sections.append(self.pairs_cms.to_bytes())
             sections.append(self._hh_bytes(self.pairs_hh, pairs=True))
-        return _pack_sections(*sections)
+        return _MAGIC + _pack_sections(*sections)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "StreamSummary":
-        # parse the header first to learn how many sections follow
-        if len(blob) < 8 or blob[:4] != _MAGIC:
+        if blob[:4] != _MAGIC:
             raise CheckpointError("not a serialized stream summary")
-        (header_len,) = _SECTION.unpack_from(blob, 4)
-        try:
-            header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"damaged stream summary header: {exc}") from exc
+        sections = _unpack_sections(blob[4:], "stream summary blob")
+        header = _json_section(sections[0], "stream summary header")
         track_pairs = bool(header["track_pairs"])
-        sections = _unpack_sections(blob, 6 if track_pairs else 4)
+        if len(sections) != (6 if track_pairs else 4):
+            raise CheckpointError(f"stream summary blob has {len(sections)} sections")
         summary = cls(
             epsilon=header["epsilon"],
             delta=header["delta"],

@@ -16,8 +16,10 @@ never under-reports the true support over the covered suffix, and the
 additive error bound is the sum of the generations' bounds.  Coverage
 is generation-granular: between ``window - window/buckets`` and
 ``window`` transactions (exactly like time-decayed sketches traded
-against memory); ``covered()`` reports the current figure and every
-answer's ``info`` carries it.
+against memory); ``covered()`` (also ``n_transactions``) reports the
+current figure and every answer's ``info`` carries it.  The answers
+themselves are :class:`~repro.stream.summary.SketchAnswers` over the
+live generations, the layer a whole-stream summary answers through.
 
 For callers that need *exact* answers over a short recent horizon, the
 optional ``exact_tail`` composes a
@@ -28,25 +30,30 @@ exactly while the sketch covers the long window approximately.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
 from collections.abc import Hashable, Iterable
 from itertools import islice
 
-from repro.core.mining import ApproximateResult, FrequentItemset
-from repro.core.rank import sort_key
 from repro.core.window import SlidingWindowPLT
-from repro.data.transaction_db import resolve_min_support
-from repro.errors import InvalidParameterError
-from repro.stream.cms import unpack_pair
-from repro.stream.summary import INGEST_BATCH, RankRegistry, StreamSummary
+from repro.errors import CheckpointError, InvalidParameterError
+from repro.stream.summary import (
+    INGEST_BATCH,
+    RankRegistry,
+    SketchAnswers,
+    StreamSummary,
+    _json_section,
+    _pack_sections,
+    _unpack_sections,
+)
 
 __all__ = ["SlidingWindowSketch"]
 
 Item = Hashable
 
 
-class SlidingWindowSketch:
+class SlidingWindowSketch(SketchAnswers):
     """Fixed-memory frequency summary of (approximately) the last ``window``
     transactions.
 
@@ -165,6 +172,11 @@ class SlidingWindowSketch:
         return sum(g.n_transactions for g in self._generations)
 
     @property
+    def n_transactions(self) -> int:
+        """The transactions the answers cover: :meth:`covered`."""
+        return self.covered()
+
+    @property
     def n_seen(self) -> int:
         """Total transactions ever pushed (including evicted ones)."""
         return self._pushed
@@ -185,6 +197,13 @@ class SlidingWindowSketch:
         return sum(g.memory_bytes() for g in self._generations)
 
     # ------------------------------------------------------------------
+    # labeled answers (SketchAnswers)
+    # ------------------------------------------------------------------
+    METHOD = "stream-sketch-window"
+
+    def _parts(self) -> deque[StreamSummary]:
+        return self._generations
+
     def _disclaimer(self, detail: str) -> str:
         return (
             f"approximate result over a sliding window: covers the last "
@@ -210,94 +229,69 @@ class SlidingWindowSketch:
         info.update(extra)
         return info
 
-    def frequency(
-        self, itemset: Iterable[Item], min_support: float | int | None = None
-    ) -> ApproximateResult:
-        """Windowed support estimate of one itemset, as a labeled result."""
-        items = tuple(sorted(set(itemset), key=sort_key))
-        est = self.estimate(items)
-        covered = max(self.covered(), 1)
-        threshold = (
-            resolve_min_support(min_support, covered) if min_support is not None else 1
-        )
-        itemsets = [FrequentItemset(items, est)] if est >= threshold else []
-        return ApproximateResult(
-            itemsets,
-            n_transactions=self.covered(),
-            min_support=threshold,
-            method="stream-sketch-window",
-            disclaimer=self._disclaimer(
-                f"point query over a {len(items)}-itemset, bound "
-                f"+{self.error_bound(len(items))}"
-            ),
-            info=self._info(estimate=est, query=list(items), size=len(items)),
-        )
+    # ------------------------------------------------------------------
+    # persistence
+    # ------------------------------------------------------------------
+    def to_bytes(self) -> bytes:
+        """Serialize the window: header, generation summaries, exact tail.
 
-    def _candidate_rows(self) -> list[tuple[tuple[Item, ...], int]]:
-        """Union of monitored candidates across generations, re-estimated
-        with the summed sketches so every row uses the same estimator."""
-        single_ranks: set[int] = set()
-        pair_keys: set[int] = set()
-        for g in self._generations:
-            for rank, _count, _error in g.items_hh.entries():
-                single_ranks.add(rank)
-            if self.track_pairs:
-                for key, _count, _error in g.pairs_hh.entries():
-                    pair_keys.add(key)
-        rows: list[tuple[tuple[Item, ...], int]] = []
-        for rank in single_ranks:
-            est = sum(g.items_cms.estimate(rank) for g in self._generations)
-            rows.append(((self.registry.item(rank),), est))
-        for key in pair_keys:
-            r1, r2 = unpack_pair(key)
-            est = sum(g.pairs_cms.estimate(key) for g in self._generations)
-            items = tuple(
-                sorted((self.registry.item(r1), self.registry.item(r2)), key=sort_key)
-            )
-            rows.append((items, est))
-        return rows
+        Generations share one registry in memory; on disk each generation
+        section embeds it (the registry is small — the distinct-item list)
+        and :meth:`from_bytes` re-unifies them onto one registry.
+        """
+        header = json.dumps(
+            {
+                "window": self.window,
+                "buckets": self.buckets,
+                "epsilon": self.epsilon,
+                "delta": self.delta,
+                "capacity": self.capacity,
+                "seed": self.seed,
+                "track_pairs": self.track_pairs,
+                "exact_tail": self.exact_tail,
+                "pushed": self._pushed,
+                "gen_counter": self._gen_counter,
+                "gen_seeds": [g.seed for g in self._generations],
+            },
+            separators=(",", ":"),
+            sort_keys=True,
+        ).encode("utf-8")
+        sections = [header] + [g.to_bytes() for g in self._generations]
+        if self._tail is not None:
+            rows = [sorted(t, key=repr) for t in self._tail.contents()]
+            sections.append(json.dumps(rows, separators=(",", ":")).encode("utf-8"))
+        return _pack_sections(*sections)
 
-    def top_k(self, k: int) -> ApproximateResult:
-        """The ``k`` heaviest monitored itemsets over the covered window."""
-        if k < 1:
-            raise InvalidParameterError(f"k must be >= 1, got {k}")
-        rows = self._candidate_rows()
-        rows.sort(key=lambda row: (-row[1], len(row[0]), [sort_key(i) for i in row[0]]))
-        top = rows[:k]
-        return ApproximateResult(
-            [FrequentItemset(items, est) for items, est in top],
-            n_transactions=self.covered(),
-            min_support=1,
-            method="stream-sketch-window+topk",
-            disclaimer=self._disclaimer(
-                f"top-{k} of {len(rows)} candidates monitored across generations"
-            ),
-            info=self._info(k=k, candidates=len(rows)),
+    @classmethod
+    def from_bytes(cls, blob: bytes) -> "SlidingWindowSketch":
+        sections = _unpack_sections(blob, "sliding-window snapshot")
+        header = _json_section(sections[0], "sliding-window header")
+        sketch = cls(
+            header["window"],
+            buckets=header["buckets"],
+            epsilon=header["epsilon"],
+            delta=header["delta"],
+            capacity=header["capacity"],
+            seed=header["seed"],
+            track_pairs=header["track_pairs"],
+            exact_tail=header["exact_tail"],
         )
-
-    def as_result(
-        self, min_support: float | int, *, method: str = "stream-sketch-window"
-    ) -> ApproximateResult:
-        """Monitored 1-/2-itemsets meeting the threshold over the window."""
-        threshold = resolve_min_support(min_support, max(self.covered(), 1))
-        keep = [
-            FrequentItemset(items, est)
-            for items, est in self._candidate_rows()
-            if est >= threshold
-        ]
-        keep.sort(
-            key=lambda fi: (len(fi.items), [sort_key(i) for i in fi.items])
-        )
-        return ApproximateResult(
-            keep,
-            n_transactions=self.covered(),
-            min_support=threshold,
-            method=method,
-            disclaimer=self._disclaimer(
-                "only monitored 1- and 2-itemsets are enumerated"
-            ),
-            info=self._info(min_support=threshold),
-        )
+        n_gens = len(header["gen_seeds"])
+        if len(sections) != 1 + n_gens + (sketch._tail is not None):
+            raise CheckpointError(f"sliding-window snapshot has {len(sections)} sections")
+        generations = [StreamSummary.from_bytes(s) for s in sections[1 : 1 + n_gens]]
+        if generations:
+            # re-unify the shared registry: all generations saw the same
+            # arrival order, so the largest registry is a superset
+            sketch.registry = max((g.registry for g in generations), key=len)
+            for g in generations:
+                g.registry = sketch.registry
+        sketch._generations.extend(generations)
+        sketch._pushed = header["pushed"]
+        sketch._gen_counter = header["gen_counter"]
+        if sketch._tail is not None:
+            sketch._tail.extend(_json_section(sections[-1], "exact-tail section"))
+        return sketch
 
     # ------------------------------------------------------------------
     def mine_exact_tail(

@@ -227,6 +227,12 @@ class TestFaultContainment:
             env = client.request({"op": "stats"})
             assert env["ok"] and env["result"]["queries"] >= 1
 
+    def test_malformed_rule_field_costs_one_answer_not_the_connection(self, server):
+        with ServeClient(port=server.port) as client:
+            env = client.request({"op": "rules", "min_confidence": "x"})
+            assert env["ok"] is False and env["code"] == "bad_request"
+            assert client.ping() is True
+
 
 class _BlockingEngine:
     """Wedges inside ``handle`` until released — builds an abandonable

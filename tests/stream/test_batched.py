@@ -22,6 +22,7 @@ from repro.core.window import SlidingWindowPLT
 from repro.errors import InvalidParameterError
 from repro.stream import SlidingWindowSketch, StreamIngestor, StreamSummary
 from repro.stream.cms import _PRIME, CountMinSketch, pack_pair
+from repro.stream.ingest import sketch_digest
 from repro.stream.spacesaving import SpaceSaving
 from repro.stream.summary import INGEST_BATCH
 
@@ -314,3 +315,28 @@ class TestSnapshotFormat:
             assert summary.estimate(pair) == est
         top = [[list(fi.items), fi.support] for fi in summary.top_k(6)]
         assert top == expected["top_k"]
+
+    def test_window_restores_reserialises_and_answers_the_same(self):
+        """``fixtures/window_v1.bin`` is the payload (no kind tag) of
+        ``SlidingWindowSketch(60, buckets=3, epsilon=0.05, delta=0.1,
+        capacity=8, seed=7, exact_tail=15)`` after 100 pushes of string
+        items, written by the window codec that lived in
+        ``repro.stream.ingest``; ``window_v1.json`` holds its answers."""
+        blob = (FIXTURES / "window_v1.bin").read_bytes()
+        expected = json.loads((FIXTURES / "window_v1.json").read_text())
+        window = SlidingWindowSketch.from_bytes(blob)
+        assert window.to_bytes() == blob
+        assert sketch_digest(window) == expected["digest"]
+        assert window.covered() == expected["covered"]
+        assert window.n_seen == expected["n_seen"]
+        assert all(g.registry is window.registry for g in window._generations)
+        for item, est in expected["items"].items():
+            assert window.estimate((item,)) == est
+        for pair, est in expected["pairs"]:
+            assert window.estimate(pair) == est
+        top = [[list(fi.items), fi.support] for fi in window.top_k(6)]
+        assert top == expected["top_k"]
+        frequent = [[list(fi.items), fi.support] for fi in window.as_result(5)]
+        assert frequent == expected["frequent"]
+        tail = [[list(items), support] for items, support in window.mine_exact_tail(2)]
+        assert tail == expected["exact_tail"]

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.mining import ApproximateResult
 from repro.errors import InvalidParameterError
+from repro.stream.summary import StreamSummary
 from repro.stream.window import SlidingWindowSketch
 
 
@@ -31,6 +32,12 @@ class TestCoverage:
         # generation-granular eviction: within [window - span, window]
         assert 75 <= w.covered() <= 100
         assert w.n_seen == 1000
+
+    def test_n_transactions_is_the_covered_count(self):
+        w = SlidingWindowSketch(40, buckets=4)
+        assert w.n_transactions == 0
+        w.extend(_txs(8, 95))
+        assert w.n_transactions == w.covered() < w.n_seen == 95
 
     def test_single_bucket_window(self):
         w = SlidingWindowSketch(10, buckets=1)
@@ -80,6 +87,17 @@ class TestAnswers:
             true = sum(1 for t in covered if item in t)
             assert w.estimate((item,)) >= true
 
+    @pytest.mark.parametrize("track_pairs", [True, False])
+    def test_enumerated_estimates_equal_point_estimates(self, track_pairs):
+        """Candidates are estimated in one batch per generation; each row
+        must equal the scalar per-generation sum ``estimate`` returns."""
+        w = SlidingWindowSketch(90, buckets=3, capacity=8, track_pairs=track_pairs)
+        w.extend(_txs(9, 250))
+        rows = list(w.as_result(1)) + list(w.top_k(1000))
+        assert len(rows) > 8
+        for fi in rows:
+            assert fi.support == w.estimate(fi.items)
+
     def test_bound_sums_over_generations(self):
         w = SlidingWindowSketch(100, buckets=4, epsilon=0.02)
         for t in _txs(6, 300):
@@ -92,6 +110,39 @@ class TestAnswers:
         for t in _txs(7, 200):
             w.push(t)
         assert all(g.registry is w.registry for g in w._generations)
+
+
+class TestOneGenerationIsASummary:
+    """A window holding the whole stream in one generation is the summary
+    that generation is: same seed (``seed + 2``), same blocks, so every
+    answer carries the same itemsets and numbers.  The shared answer
+    layer sums over parts; with one part the sum is the summary itself."""
+
+    @staticmethod
+    def _pairs(answer):
+        return [(fi.items, fi.support) for fi in answer]
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_answers_equal(self, seed):
+        txs = _txs(seed, 300)
+        w = SlidingWindowSketch(len(txs), buckets=1, seed=seed)
+        w.extend(txs)
+        s = StreamSummary(seed=seed + 2)
+        s.extend(txs)
+        assert w.covered() == s.n_transactions == len(txs)
+        for query in ((1,), (2, 3), (0, 4, 7), (99,)):
+            assert w.estimate(query) == s.estimate(query)
+            for min_support in (None, 30):
+                assert self._pairs(w.frequency(query, min_support)) == self._pairs(
+                    s.frequency(query, min_support)
+                )
+        for k in (1, 5, 50):
+            assert self._pairs(w.top_k(k)) == self._pairs(s.top_k(k))
+        for min_support in (1, 25, 0.2):
+            assert self._pairs(w.as_result(min_support)) == self._pairs(
+                s.as_result(min_support)
+            )
+        assert w.top_k(5).info["candidates"] == s.top_k(5).info["candidates"]
 
 
 class TestExactTail:

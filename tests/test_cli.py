@@ -554,6 +554,51 @@ class TestStream:
         assert main(["stream", "--input", stream_file, "--exact-tail", "5"]) == 1
         assert "--window" in capsys.readouterr().err
 
+    def test_exact_tail_is_reported(self, stream_file, capsys):
+        import json
+
+        from repro.core.window import SlidingWindowPLT
+
+        args = ["stream", "--input", stream_file, "--window", "20", "--exact-tail", "8"]
+        assert main([*args, "--min-support", "3", "--json"]) == 0
+        final = json.loads(capsys.readouterr().out)
+        tail = SlidingWindowPLT(8, read_dat(stream_file)).mine(3)
+        expected = [{"items": list(items), "support": sup} for items, sup in tail]
+        assert final["exact_tail"] == expected
+        assert {(tuple(e["items"]), e["support"]) for e in expected} == {
+            ((1,), 3), ((2,), 3), ((3,), 5), ((1, 2), 3)
+        }
+        assert main([*args, "--min-support", "4"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("# >= 4 exact support, last 8 transactions:\n3\t5\n")
+
+    def test_exact_tail_requires_min_support(self, stream_file, capsys):
+        argv = ["stream", "--input", stream_file, "--window", "20", "--exact-tail", "8"]
+        assert main(argv) == 1
+        assert "--min-support" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--window", "10"],
+            ["--buckets", "2"],
+            ["--exact-tail", "5"],
+            ["--epsilon", "0.1"],
+            ["--delta", "0.2"],
+            ["--capacity", "8"],
+            ["--seed", "3"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_restore_rejects_sketch_shape_flags(self, stream_file, tmp_path, capsys, flag):
+        ckpt = str(tmp_path / "ckpt")
+        assert main(["stream", "--input", stream_file, "--json", "--snapshot", ckpt]) == 0
+        capsys.readouterr()
+        argv = ["stream", "--restore", ckpt, "--input", stream_file, "--min-support", "2"]
+        assert main([*argv, *flag]) == 1
+        err = capsys.readouterr().err
+        assert "--restore" in err and flag[0] in err
+
     def test_report_cadence(self, stream_file, capsys):
         assert (
             main(["stream", "--input", stream_file, "--report-every", "10"]) == 0

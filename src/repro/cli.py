@@ -75,10 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine.add_argument("--min-support", type=_support_value, required=True)
     p_mine.add_argument(
         "--method",
-        default="plt",
-        help="mining algorithm (default: plt; see repro.core.mining.METHODS)",
+        default=None,
+        help="mining algorithm (default: plt; see repro.core.mining.METHODS; "
+        "--kind all only)",
     )
-    p_mine.add_argument("--max-len", type=int, default=None)
+    p_mine.add_argument(
+        "--max-len", type=int, default=None, help="itemset length cap (--kind all only)"
+    )
     p_mine.add_argument(
         "--kind",
         choices=["all", "closed", "maximal"],
@@ -472,6 +475,10 @@ def _cmd_mine(args) -> int:
     from repro.robustness.governor import DegradationPolicy
     from repro.viz import render_itemsets
 
+    # None means "not given": --kind closed|maximal rejects an explicit one
+    method_given = args.method is not None
+    if not method_given:
+        args.method = "plt"
     governed = (
         args.deadline is not None
         or args.max_itemsets is not None
@@ -503,6 +510,8 @@ def _cmd_mine(args) -> int:
                 "budget flags (--deadline/--max-itemsets/--memory-budget/"
                 "--degrade) only apply to --kind all"
             )
+        if method_given or args.max_len is not None:
+            raise ReproError("--method/--max-len only apply to --kind all")
         if args.kind == "closed":
             result = mine_closed_itemsets(db, args.min_support)
         else:

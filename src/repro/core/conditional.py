@@ -973,7 +973,7 @@ def mine_conditional(
 
     try:
         mine_conditional_flat_range(
-            FlatPLT.from_plt(plt), 1, plt.max_rank() + 1, min_support, emit,
+            plt.flat, 1, plt.max_rank() + 1, min_support, emit,
             max_len, governor,
         )
         return results

@@ -1,8 +1,8 @@
-"""Columnar lowering of the PLT rank-path index — the shared-memory shape.
+"""The PLT's stored index as columns — also its shared-memory shape.
 
-The PLT already interns every stored vector's rank path
-(cumulative-sum tuple, Lemma 4.1.1) grouped into sum-index buckets.  This
-module lowers that dict-of-dicts into five contiguous typed columns so
+A PLT stores every vector's rank path (cumulative-sum tuple, Lemma
+4.1.1) grouped into sum-index buckets.  Algorithm 1 writes them straight
+into five contiguous typed columns (:meth:`FlatPLT.from_rank_rows`), so
 the whole structure can live in a single ``multiprocessing.shared_memory``
 segment and be *mapped*, not copied, into worker processes:
 
@@ -45,10 +45,9 @@ from collections.abc import Iterator
 
 import numpy as _np
 
-from repro.core.plt import PLT
 from repro.core.position import RankPath
 
-__all__ = ["FlatPLT", "SharedFlatPLT", "FLAT_FIELDS"]
+__all__ = ["FlatPLT", "SharedFlatPLT", "FLAT_FIELDS", "merge_rows", "rows_by_length"]
 
 #: The columns, in buffer order: (attribute name, array typecode).
 FLAT_FIELDS: tuple[tuple[str, str], ...] = (
@@ -76,11 +75,65 @@ def _segment_name() -> str:
     return f"plt_shm_{os.getpid()}_{os.urandom(4).hex()}"
 
 
+def _column(values, typecode: str) -> array:
+    """An int64 NumPy column as the ``array.array`` the kernels index."""
+    col = array(typecode)
+    col.frombytes(values.astype(_DTYPES[typecode]).tobytes())
+    return col
+
+
+def rows_by_length(cells, starts, lengths):
+    """Yield ``(length, rows, matrix)`` per distinct non-zero row length.
+
+    Row ``i`` is ``cells[starts[i]:starts[i] + lengths[i]]``; ``rows``
+    indexes the rows of one length (ascending) and ``matrix`` holds their
+    cells as an int64 ``(len(rows), length)`` matrix.  Lengths ascend.
+    """
+    # distinct lengths via bincount: np.unique's first call in a process
+    # imports numpy.ma (~15 ms), paid again by every pool worker
+    for length in _np.flatnonzero(_np.bincount(lengths)).tolist():
+        if length:
+            rows = _np.flatnonzero(lengths == length)
+            yield length, rows, cells[starts[rows][:, None] + _np.arange(length)]
+
+
+def merge_rows(mat, weights):
+    """Sort an int64 matrix's rows lexicographically, merging equal rows.
+
+    Returns ``(distinct rows, summed weights)``; ``weights=None`` counts
+    each row once.  The non-negative entries are packed, as many columns
+    as fit, into int64 keys (one base-``2**bits`` digit per column), so a
+    row sorts on one or a few keys rather than on every column.
+    """
+    n, width = mat.shape
+    bits = max(1, int(mat.max()).bit_length())
+    per_key = 63 // bits
+    powers = _np.left_shift(1, bits * _np.arange(per_key - 1, -1, -1, dtype=_np.int64))
+    keys = [
+        mat[:, start : start + per_key] @ powers[max(0, start + per_key - width) :]
+        for start in range(0, width, per_key)
+    ]
+    if len(keys) == 1:
+        order = _np.argsort(keys[0], kind="stable")
+    else:
+        order = _np.lexsort(keys[::-1])
+    differs = _np.zeros(max(n - 1, 0), bool)
+    for key in keys:
+        key = key[order]
+        differs |= key[1:] != key[:-1]
+    first = _np.flatnonzero(_np.concatenate(([True], differs)))
+    if weights is None:
+        freqs = _np.diff(_np.append(first, n))
+    else:
+        freqs = _np.add.reduceat(weights[order], first)
+    return mat[order[first]], freqs
+
+
 class FlatPLT:
-    """Read-only columnar view of a PLT's rank-path index.
+    """A PLT's rank-path index as read-only columns (``PLT.flat``).
 
     Instances are immutable after construction.  The columns are either
-    ``array.array`` objects (built in-process by :meth:`from_plt`) or
+    ``array.array`` objects (built in-process by :meth:`from_rank_rows`) or
     ``memoryview`` casts over a shared-memory buffer (:meth:`attach` and
     the twin a :class:`SharedFlatPLT` owner exposes) — both support the
     same indexing/slicing/``tobytes`` surface the kernels use.
@@ -129,31 +182,62 @@ class FlatPLT:
 
     # -- construction -------------------------------------------------------
     @classmethod
-    def from_plt(cls, plt: PLT) -> "FlatPLT":
-        """Lower a PLT's interned rank-path index into columns (one pass)."""
-        ranks = array("I")
-        path_offsets = array("Q", (0,))
-        freqs = array("Q")
-        bucket_keys = array("I")
-        bucket_offsets = array("Q", (0,))
-        n_paths = 0
-        for key, bucket in plt.iter_rank_path_buckets():
-            bucket_keys.append(key)
-            for path, freq in bucket.items():
-                ranks.extend(path)
-                path_offsets.append(len(ranks))
-                freqs.append(freq)
-            n_paths += len(bucket)
-            bucket_offsets.append(n_paths)
+    def from_rank_rows(
+        cls,
+        ranks,
+        lengths,
+        weights=None,
+        *,
+        min_support: int,
+        n_transactions: int,
+    ) -> "FlatPLT":
+        """Aggregate rank rows into the columns — the end of Algorithm 1.
+
+        ``ranks`` holds int64 rank rows back to back, each strictly
+        increasing (a rank path, Lemma 4.1.1); ``lengths`` is the int64
+        length of every row (empty rows are dropped) and ``weights`` its
+        multiplicity (``None``: one each).  Equal rows aggregate into one
+        path whose frequency is their summed weight.
+
+        The layout is canonical, so equal path sets give equal columns:
+        buckets by descending key, and inside a bucket paths by length,
+        then lexicographically.  Rows are grouped by length and each
+        group sorted as an integer matrix; no Python runs per row.
+        """
+        groups = [
+            merge_rows(mat, None if weights is None else weights[rows])
+            for _, rows, mat in rows_by_length(ranks, _np.cumsum(lengths) - lengths, lengths)
+        ]
+        if groups:
+            cells = _np.concatenate([mat.ravel() for mat, _ in groups])
+            freqs = _np.concatenate([freq for _, freq in groups])
+            sizes = _np.concatenate(
+                [_np.full(len(mat), mat.shape[1], _np.int64) for mat, _ in groups]
+            )
+            last = _np.concatenate([mat[:, -1] for mat, _ in groups])
+        else:
+            cells = freqs = sizes = last = _np.zeros(0, _np.int64)
+        # groups are concatenated by ascending length, each in row order:
+        # a stable sort on the descending key gives the canonical layout
+        order = _np.argsort(-last, kind="stable")
+        source = (_np.cumsum(sizes) - sizes)[order]
+        sizes, keys = sizes[order], last[order]
+        path_offsets = _np.zeros(len(sizes) + 1, _np.int64)
+        _np.cumsum(sizes, out=path_offsets[1:])
+        gather = _np.repeat(source - path_offsets[:-1], sizes)
+        gather += _np.arange(path_offsets[-1])
+        new_bucket = _np.ones(len(keys), bool)
+        new_bucket[1:] = keys[1:] != keys[:-1]
+        bucket_starts = _np.flatnonzero(new_bucket)
         return cls(
-            ranks,
-            path_offsets,
-            freqs,
-            bucket_keys,
-            bucket_offsets,
-            min_support=plt.min_support,
-            n_transactions=plt.n_transactions,
-            max_rank=plt.max_rank(),
+            _column(cells[gather], "I"),
+            _column(path_offsets, "Q"),
+            _column(freqs[order], "Q"),
+            _column(keys[bucket_starts], "I"),
+            _column(_np.append(bucket_starts, len(keys)), "Q"),
+            min_support=min_support,
+            n_transactions=n_transactions,
+            max_rank=int(keys[0]) if len(keys) else 0,
         )
 
     # -- basic shape --------------------------------------------------------
@@ -174,10 +258,17 @@ class FlatPLT:
         return tuple(self.ranks[self.path_offsets[p] : self.path_offsets[p + 1]])
 
     def iter_paths(self) -> Iterator[tuple[RankPath, int]]:
-        """All ``(path, frequency)`` pairs, bucket-major (storage order)."""
-        ranks, off, freqs = self.ranks, self.path_offsets, self.freqs
-        for p in range(len(freqs)):
-            yield tuple(ranks[off[p] : off[p + 1]]), freqs[p]
+        """All ``(path, frequency)`` pairs, bucket-major (storage order).
+
+        Paths share one Python int object per rank (an object-array
+        ``take``), so a consumer that keeps every path, like the serving
+        postings, holds no int object per cell.
+        """
+        ints = _np.arange(self.max_rank + 1).astype(object)
+        ranks = ints[self.as_numpy()["ranks"]].tolist()
+        off = self.path_offsets.tolist()
+        for p, freq in enumerate(self.freqs.tolist()):
+            yield tuple(ranks[off[p] : off[p + 1]]), freq
 
     # -- vectorized views ---------------------------------------------------
     def as_numpy(self):
@@ -235,19 +326,12 @@ class FlatPLT:
         if end <= start:
             return {}
         offsets = views["path_offsets"][start : end + 1].astype(_np.int64)
-        lengths = _np.diff(offsets)
-        starts = offsets[:-1]
         ranks64 = views["ranks"].astype(_np.int64)
         ifreqs = views["freqs"][start:end].astype(_np.int64)
-        out = {}
-        # distinct lengths via bincount: np.unique's first call in a
-        # process imports numpy.ma (~15 ms), paid again by every pool worker
-        for length in _np.flatnonzero(_np.bincount(lengths)):
-            size = int(length)
-            rows = _np.nonzero(lengths == length)[0]
-            idx = starts[rows][:, None] + _np.arange(size, dtype=_np.int64)
-            out[size] = (ranks64[idx], ifreqs[rows])
-        return out
+        return {
+            length: (mat, ifreqs[rows])
+            for length, rows, mat in rows_by_length(ranks64, offsets[:-1], _np.diff(offsets))
+        }
 
     def compute_pair_support(self, max_cells: int | None = None) -> bool:
         """Precompute the dense pairwise co-occurrence matrix in-place.

@@ -17,9 +17,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from typing import Callable, Hashable
 
+import numpy as np
+
 from repro.core.conditional import mine_conditional
+from repro.core.flat import merge_rows, rows_by_length
 from repro.core.plt import PLT
 from repro.core.rank import sort_key
 from repro.core.topdown import mine_topdown
@@ -96,11 +101,57 @@ def _canonical_order(itemsets: Iterable[FrequentItemset]) -> list[FrequentItemse
     return sorted(itemsets, key=canonical)
 
 
-def _length_then_ranks(pair: tuple[tuple[int, ...], int]) -> tuple:
-    return (len(pair[0]), pair[0])
+class ItemsetColumns:
+    """A PLT miner's itemsets as rank columns, in canonical order.
+
+    ``blocks`` holds one ``(ranks, supports)`` pair per itemset length,
+    lengths ascending: ``ranks`` is an int64 ``(n, length)`` matrix of
+    ascending rank rows sorted lexicographically, ``supports`` the
+    matching int64 column.  ``labels[r]`` is rank ``r``'s label (index 0
+    is unused).  Labels are looked up, and :class:`FrequentItemset`
+    objects made, only when something asks for them.
+    """
+
+    __slots__ = ("labels", "blocks")
+
+    def __init__(self, labels: tuple, blocks: list) -> None:
+        self.labels = labels
+        self.blocks = blocks
+
+    def __len__(self) -> int:
+        return sum(len(supports) for _, supports in self.blocks)
+
+    def __iter__(self) -> Iterator[FrequentItemset]:
+        return iter(self.itemsets())
+
+    def itemsets(self) -> list[FrequentItemset]:
+        label = self.labels.__getitem__
+        out: list[FrequentItemset] = []
+        for ranks, supports in self.blocks:
+            rows = map(tuple, map(partial(map, label), ranks.tolist()))
+            out += map(FrequentItemset, rows, supports.tolist())
+        return out
+
+    def cells(self) -> list[str]:
+        """Every itemset as ``{a, b}`` text.  Per length, each rank column
+        is one ``take`` from a label-string array, appended to the rows'
+        text as a whole."""
+        names = [str(label) for label in self.labels[1:]]
+        opening = np.array(["", *("{" + name for name in names)], dtype=object)
+        joined = np.array(["", *(", " + name for name in names)], dtype=object)
+        out: list[str] = []
+        for ranks, _ in self.blocks:
+            text = opening[ranks[:, 0]]
+            for column in ranks.T[1:]:
+                text = text + joined[column]
+            out += (text + "}").tolist()
+        return out
+
+    def supports(self) -> list[int]:
+        return [s for _, supports in self.blocks for s in supports.tolist()]
 
 
-def _decode_pairs(pairs, table) -> list[FrequentItemset]:
+def _decode_pairs(pairs, table) -> "list[FrequentItemset] | ItemsetColumns":
     """A PLT miner's ``(ascending ranks, support)`` pairs as itemsets, in
     :class:`MiningResult`'s canonical order — the only place the ``mine``
     pipeline goes back from ranks to labels.
@@ -108,8 +159,8 @@ def _decode_pairs(pairs, table) -> list[FrequentItemset]:
     The canonical order is (length, items in ``sort_key`` order).  A
     lexicographic table (:meth:`RankTable.from_supports`) hands out ranks
     in ``sort_key`` order, so an ascending rank tuple already lists its
-    labels in order and sorting the pairs by ``(len, ranks)`` *is* the
-    canonical sort: labels come from a ``rank -> label`` tuple and no
+    labels in order and sorting each length's rank matrix row-wise *is*
+    the canonical sort: the pairs become :class:`ItemsetColumns` and no
     ``sort_key`` is computed per itemset.  Other order policies keep the
     generic sort.
     """
@@ -118,11 +169,15 @@ def _decode_pairs(pairs, table) -> list[FrequentItemset]:
             FrequentItemset(tuple(sorted(table.decode_ranks(ranks), key=sort_key)), sup)
             for ranks, sup in pairs
         )
-    label = ((None,) + table.items()).__getitem__
-    return [
-        FrequentItemset(tuple(map(label, ranks)), sup)
-        for ranks, sup in sorted(pairs, key=_length_then_ranks)
+    rank_tuples = [ranks for ranks, _ in pairs]
+    lengths = np.fromiter(map(len, rank_tuples), np.int64, len(pairs))
+    cells = np.fromiter(chain.from_iterable(rank_tuples), np.int64, int(lengths.sum()))
+    supports = np.fromiter((sup for _, sup in pairs), np.int64, len(pairs))
+    blocks = [
+        merge_rows(ranks, supports[rows])
+        for _, rows, ranks in rows_by_length(cells, np.cumsum(lengths) - lengths, lengths)
     ]
+    return ItemsetColumns((None,) + table.items(), blocks)
 
 
 class MiningResult(Sequence):
@@ -150,22 +205,42 @@ class MiningResult(Sequence):
         min_support: int,
         method: str,
     ) -> None:
-        self._itemsets = _canonical_order(itemsets)
+        self._list: list[FrequentItemset] | None = _canonical_order(itemsets)
+        self._columns: ItemsetColumns | None = None
         self.n_transactions = n_transactions
         self.min_support = min_support
         self.method = method
 
     @classmethod
-    def _from_canonical(cls, itemsets: list[FrequentItemset], **meta) -> "MiningResult":
-        """Wrap a list already in canonical order (what :func:`_decode_pairs`
-        returns) without sorting it again."""
+    def _from_canonical(
+        cls, itemsets: "list[FrequentItemset] | ItemsetColumns", **meta
+    ) -> "MiningResult":
+        """Wrap itemsets already in canonical order (what
+        :func:`_decode_pairs` returns) without sorting them again."""
         result = cls((), **meta)
-        result._itemsets = itemsets
+        if isinstance(itemsets, ItemsetColumns):
+            result._list, result._columns = None, itemsets
+        else:
+            result._list = itemsets
         return result
+
+    @property
+    def _itemsets(self) -> list[FrequentItemset]:
+        if self._list is None:
+            self._list = self._columns.itemsets()
+        return self._list
+
+    def columns(self) -> ItemsetColumns | None:
+        """The rank columns behind a PLT miner's result (``None`` for
+        other results); :func:`~repro.viz.render_itemsets` formats them
+        without making :class:`FrequentItemset` objects."""
+        return self._columns
 
     # -- Sequence protocol ------------------------------------------------
     def __len__(self) -> int:
-        return len(self._itemsets)
+        if self._list is None:
+            return len(self._columns)
+        return len(self._list)
 
     def __getitem__(self, idx):
         return self._itemsets[idx]
@@ -353,7 +428,7 @@ def _mine_plt_topdown(transactions, abs_support, order, max_len, **kwargs):
     )
 
 
-def _decoded(miner, plt: PLT, *args, **kwargs) -> list[FrequentItemset]:
+def _decoded(miner, plt: PLT, *args, **kwargs) -> "list[FrequentItemset] | ItemsetColumns":
     """Run a rank-space PLT miner on ``plt`` and decode its pairs once.
 
     A budget trip's rank-pair ``partial`` is decoded the same way into
@@ -473,9 +548,10 @@ def _mine_plt_distributed(transactions, abs_support, order, max_len, **kwargs):
 
 
 #: Each runner takes ``(transactions, abs_support, order, max_len,
-#: **options)``.  The rank-space PLT miners return a list of
-#: :class:`FrequentItemset` already in canonical order (:func:`_decode_pairs`);
-#: the others return ``{frozenset(items): support}``.
+#: **options)``.  The rank-space PLT miners return their itemsets already
+#: in canonical order (:func:`_decode_pairs`: :class:`ItemsetColumns`, or a
+#: list for a non-lexicographic order); the others return
+#: ``{frozenset(items): support}``.
 METHODS: dict[str, Callable] = {
     "plt": _mine_plt,
     "plt-conditional": _mine_plt,
@@ -727,7 +803,7 @@ def mine_frequent_itemsets(
             progress=progress,
         )
     meta = dict(n_transactions=len(transactions), min_support=abs_support, method=method)
-    if isinstance(found, list):  # the PLT miners decode in canonical order
+    if isinstance(found, (list, ItemsetColumns)):  # PLT miners: canonical order
         return MiningResult._from_canonical(found, **meta)
     return MiningResult(
         (FrequentItemset(tuple(sorted(items, key=sort_key)), sup) for items, sup in found.items()),

@@ -4,39 +4,50 @@ Algorithm 1 of the paper, plus the structure's query surface.  The PLT
 stores one aggregated index of **rank paths** — each vector's
 cumulative-sum form, which by Lemma 4.1.1 is just the encoded
 transaction's sorted rank tuple — bucketed by the rank of the maximal
-item (the ``V.sum`` the paper stores with every vector)::
+item (the ``V.sum`` the paper stores with every vector).  That index is a
+:class:`~repro.core.flat.FlatPLT` (``plt.flat``): five typed columns,
+bucket-major with keys descending.  The dict views are derived from it on
+first use and cached::
 
     rank paths: {sum s -> {rank path -> frequency}}
-
-``s`` is exactly the key Algorithm 3 uses to find an item's conditional
-database.  The delta-vector views of the paper's "matrix" representation
-(Figure 3a) are derived from it on first use and cached::
-
     partitions: {length k -> {position vector -> frequency}}
     sum_index:  {sum s -> {position vector -> frequency}}
 
-Construction is the paper's two scans: scan 1 counts item supports and
-builds the :class:`~repro.core.rank.RankTable` over frequent items; scan 2
-maps each transaction through the ``label -> rank`` table, keeps the
-sorted ranks of its frequent items (its rank path) and aggregates equal
-paths.
+``s`` is exactly the key Algorithm 3 uses to find an item's conditional
+database.
+
+Construction is the paper's two scans over the transactions as integer
+columns (item ids row after row, plus row lengths).  Scan 1 is a
+``bincount`` of the ids, and the :class:`~repro.core.rank.RankTable` over
+the frequent items comes from one sort of them.  Scan 2 gathers every
+cell's rank through an ``id -> rank`` array (0 for an infrequent item),
+drops the zeros, sorts within rows where the order needs it, and
+aggregates equal rows into the columns.  A database read from an integer
+``.dat`` file already is such columns; any other input is mapped to dense
+ids in one dict pass.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from functools import partial
-from itertools import accumulate, chain
-from operator import itemgetter
+from itertools import accumulate, chain, count, islice
 from typing import Hashable
 
+import numpy as np
+
 from repro.core import position
+from repro.core.flat import FlatPLT
 from repro.core.position import PositionVector, RankPath
-from repro.core.rank import RankTable
+from repro.core.rank import ORDER_POLICIES, RankTable, sort_key
 from repro.data.transaction_db import TransactionDatabase, resolve_min_support
-from repro.errors import InvalidSupportError, InvalidVectorError, UnknownItemError
+from repro.errors import (
+    InvalidSupportError,
+    InvalidVectorError,
+    RankTableError,
+    UnknownItemError,
+)
 
 __all__ = ["PLT", "PLTStats", "build_plt"]
 
@@ -62,30 +73,89 @@ class PLTStats:
         return self.n_encoded_transactions / self.n_vectors
 
 
-def _check_paths(paths: Mapping[RankPath, int]) -> None:
+def _check_paths(ranks, lengths, freqs, paths: list) -> None:
     """Reject anything but non-empty rank paths of distinct ranks >= 1.
 
     Every producer builds its paths ascending (sorted ranks, or the prefix
     sums of positive deltas), so distinct ranks make them strictly
-    increasing.  All checks run as C-level passes over the whole table.
+    increasing.  Each check is one vectorised pass over the columns.
     """
-    if not paths:
-        return
-    if () in paths:
+    if (lengths == 0).any():
         raise InvalidVectorError("cannot store an empty rank path")
-    if (
-        min(map(itemgetter(0), paths)) < 1
-        or sum(map(len, paths)) != sum(map(len, map(frozenset, paths)))
-    ):
-        bad = next(p for p in paths if p[0] < 1 or len(set(p)) != len(p))
+    ends = np.cumsum(lengths)
+    rises = np.ones(len(ranks), bool)
+    rises[1:] = ranks[1:] > ranks[:-1]
+    rises[ends[:-1]] = True  # a path's first cell has no predecessor
+    bad = (ranks < 1) | ~rises
+    if bad.any():
+        path = int(np.searchsorted(ends, np.argmax(bad), side="right"))
         raise InvalidVectorError(
-            f"rank paths must be strictly increasing positive ranks, got {bad!r}"
+            f"rank paths must be strictly increasing positive ranks, got {paths[path]!r}"
         )
-    if min(paths.values()) <= 0:
-        bad = next(p for p, f in paths.items() if f <= 0)
+    if (freqs <= 0).any():
+        path = int(np.argmax(freqs <= 0))
         raise InvalidVectorError(
-            f"vector frequency must be positive: {bad!r} -> {paths[bad]}"
+            f"vector frequency must be positive: {paths[path]!r} -> {int(freqs[path])}"
         )
+
+
+def _id_rows(transactions):
+    """Transactions as dense item ids: ``(ids, lengths, labels)``.
+
+    ``ids`` holds every transaction's distinct item ids back to back and
+    ``lengths`` the count per transaction; ``labels[i]`` is id ``i``'s
+    label.  Columns read from an integer ``.dat`` file pass through: small
+    ids are their own dense ids, large sparse ones are compressed by one
+    sort, and ``labels`` is then an ascending int64 array.  Anything else
+    takes one dict pass, and ``labels`` is a list in first-seen order.
+    """
+    columns = (
+        transactions.columns() if isinstance(transactions, TransactionDatabase) else None
+    )
+    if columns is not None:
+        items, offsets = columns
+        lengths = np.diff(offsets)
+        if not len(items) or items.max() < 4 * len(items) + 1024:
+            return items, lengths, np.arange(items.max() + 1 if len(items) else 0)
+        order = np.argsort(items, kind="stable")
+        ordered = items[order]
+        first = np.ones(len(items), bool)
+        first[1:] = ordered[1:] != ordered[:-1]
+        ids = np.empty_like(items)
+        ids[order] = np.cumsum(first) - 1
+        return ids, lengths, ordered[first]
+    if not isinstance(transactions, TransactionDatabase):
+        transactions = [frozenset(t) for t in transactions]
+    dense: defaultdict = defaultdict(count().__next__)
+    lengths = np.fromiter(map(len, transactions), np.int64, len(transactions))
+    ids = np.fromiter(
+        map(dense.__getitem__, chain.from_iterable(transactions)),
+        np.int64,
+        int(lengths.sum()),
+    )
+    return ids, lengths, list(dense)
+
+
+def _rank_order(frequent, supports, labels, order: str):
+    """The frequent ids in rank order under ``order`` (one sort of them).
+
+    Ties break exactly as :meth:`RankTable.from_supports` breaks them: by
+    ``sort_key``, then by first appearance.
+    """
+    if order not in ORDER_POLICIES:
+        raise RankTableError(
+            f"unknown order policy {order!r}; expected one of {ORDER_POLICIES}"
+        )
+    if isinstance(labels, np.ndarray):  # integer ids ascend with their labels
+        lexical = np.arange(len(frequent))
+    else:
+        by_label = sorted(range(len(frequent)), key=lambda i: sort_key(labels[frequent[i]]))
+        lexical = np.empty(len(frequent), np.int64)
+        lexical[by_label] = np.arange(len(frequent))
+    if order == "lexicographic":
+        return frequent[np.argsort(lexical)]
+    sup = supports[frequent]
+    return frequent[np.lexsort((lexical, sup if order == "support_asc" else -sup))]
 
 
 class PLT:
@@ -93,8 +163,8 @@ class PLT:
 
     Instances are built with :meth:`from_transactions` (Algorithm 1) or, for
     internal/conditional use, from pre-encoded vectors with
-    :meth:`from_vectors`.  The structure is conceptually immutable after
-    construction; the conditional miner works on copies of its index.
+    :meth:`from_vectors`.  The structure is immutable after construction;
+    the conditional miner works on copies of its index.
 
     Attributes
     ----------
@@ -105,12 +175,16 @@ class PLT:
     n_transactions:
         Total number of input transactions (including those that encoded
         to nothing because all their items were infrequent).
+    flat:
+        The stored index itself, as a :class:`~repro.core.flat.FlatPLT`.
+        Every kernel reads it; do not mutate.
     """
 
     __slots__ = (
         "rank_table",
         "min_support",
         "n_transactions",
+        "flat",
         "_rank_paths",
         "_partitions",
         "_sum_index",
@@ -126,18 +200,24 @@ class PLT:
     ) -> None:
         """Index aggregated ``{rank path -> frequency}`` (checked, see
         :func:`_check_paths`); prefer the ``from_*`` constructors."""
-        _check_paths(paths)
+        keys = list(paths)
+        lengths = np.fromiter(map(len, keys), np.int64, len(keys))
+        ranks = np.fromiter(chain.from_iterable(keys), np.int64, int(lengths.sum()))
+        freqs = np.fromiter(paths.values(), np.int64, len(keys))
+        _check_paths(ranks, lengths, freqs, keys)
+        self._store(
+            rank_table,
+            FlatPLT.from_rank_rows(
+                ranks, lengths, freqs, min_support=min_support, n_transactions=n_transactions
+            ),
+        )
+
+    def _store(self, rank_table: RankTable, flat: FlatPLT) -> None:
         self.rank_table = rank_table
-        self.min_support = min_support
-        self.n_transactions = n_transactions
-        index: dict[int, dict[RankPath, int]] = {}
-        for path, freq in paths.items():
-            bucket = index.get(path[-1])
-            if bucket is None:
-                index[path[-1]] = {path: freq}
-            else:
-                bucket[path] = freq
-        self._rank_paths = index
+        self.min_support = flat.min_support
+        self.n_transactions = flat.n_transactions
+        self.flat = flat
+        self._rank_paths: dict[int, dict[RankPath, int]] | None = None
         self._partitions: dict[int, dict[PositionVector, int]] | None = None
         self._sum_index: dict[int, dict[PositionVector, int]] | None = None
 
@@ -156,30 +236,11 @@ class PLT:
 
         ``transactions`` may be any iterable, one-shot iterators included:
         anything but a :class:`~repro.data.transaction_db.TransactionDatabase`
-        is materialised once as item sets, since the algorithm needs two
-        passes and duplicate items inside a transaction count once.
+        is materialised once as item sets, since duplicate items inside a
+        transaction count once.  A database read from an integer ``.dat``
+        file is scanned straight off its columns.
         """
-        if not isinstance(transactions, TransactionDatabase):
-            transactions = [frozenset(t) for t in transactions]
-        # Scan 1: item supports -> Rank over frequent items.
-        supports = Counter(chain.from_iterable(transactions))
-        n_transactions = len(transactions)
-        abs_support = resolve_min_support(min_support, n_transactions)
-        rank_table = RankTable.from_supports(supports, min_support=abs_support, order=order)
-        # Scan 2: a transaction's frequent ranks, sorted, are its rank path
-        # (Lemma 4.1.1) — looked up through one dict, with infrequent items
-        # (no rank) filtered out, and equal paths aggregated; all C-level.
-        ranks_of = partial(map, rank_table.rank_map().get)
-        paths = Counter(
-            map(tuple, map(sorted, map(partial(filter, None), map(ranks_of, transactions))))
-        )
-        paths.pop((), None)  # transactions with no frequent item
-        return cls(
-            rank_table,
-            paths,
-            min_support=abs_support,
-            n_transactions=n_transactions,
-        )
+        return cls._scan(_id_rows(transactions), None, min_support, order)
 
     @classmethod
     def from_weighted_transactions(
@@ -195,32 +256,61 @@ class PLT:
         count) build directly — the vector table's frequencies *are* the
         weights, so a weight of a million costs the same as a weight of
         one.  Supports, ``n_transactions`` and relative thresholds are
-        all in weight units.  Mining the result with any PLT algorithm
-        gives exactly the result of mining the expanded multiset.
+        all in weight units (exact while a support stays below 2**53).
+        Mining the result with any PLT algorithm gives exactly the result
+        of mining the expanded multiset.
         """
         pairs = [(frozenset(t), int(w)) for t, w in weighted]
-        for _, w in pairs:
-            if w < 1:
-                raise InvalidSupportError(f"transaction weights must be >= 1, got {w}")
-        supports: Counter = Counter()
-        for t, w in pairs:
-            for item in t:
-                supports[item] += w
-        n_transactions = sum(w for _, w in pairs)
-        abs_support = resolve_min_support(min_support, max(n_transactions, 1))
-        rank_table = RankTable.from_supports(supports, min_support=abs_support, order=order)
-        rank_of = rank_table.rank_map().get
-        paths: Counter = Counter()
-        for t, w in pairs:
-            path = tuple(sorted(filter(None, map(rank_of, t))))
-            if path:
-                paths[path] += w
-        return cls(
-            rank_table,
-            paths,
+        weights = np.fromiter((w for _, w in pairs), np.int64, len(pairs))
+        if (weights < 1).any():
+            bad = int(weights[np.argmax(weights < 1)])
+            raise InvalidSupportError(f"transaction weights must be >= 1, got {bad}")
+        return cls._scan(_id_rows([t for t, _ in pairs]), weights, min_support, order)
+
+    @classmethod
+    def _scan(cls, rows, weights, min_support: float | int, order: str) -> "PLT":
+        """Scans 1 and 2 over ``rows`` (see :func:`_id_rows`), each
+        transaction counted ``weights[t]`` times (``None``: once)."""
+        ids, lengths, labels = rows
+        if weights is None:
+            n_transactions = len(lengths)
+            supports = np.bincount(ids)
+        else:
+            n_transactions = int(weights.sum())
+            supports = np.bincount(ids, weights=np.repeat(weights, lengths))
+            supports = supports.astype(np.int64)
+        abs_support = resolve_min_support(min_support, n_transactions)
+        # Scan 1: supports -> Rank over the frequent ids, in one sort.
+        frequent = np.flatnonzero(supports >= abs_support)
+        by_rank = _rank_order(frequent, supports, labels, order)
+        if isinstance(labels, np.ndarray):
+            items = labels[by_rank].tolist()
+        else:
+            items = [labels[i] for i in by_rank.tolist()]
+        rank_table = RankTable(items, order=order)
+        # Scan 2: every cell's rank (0 = infrequent, dropped); a
+        # transaction's frequent ranks, sorted, are its rank path.
+        rank_of = np.zeros(len(supports), np.int64)
+        rank_of[by_rank] = np.arange(1, len(by_rank) + 1)
+        ranks = rank_of[ids]
+        kept = ranks > 0
+        row = np.repeat(np.arange(len(lengths)), lengths)[kept]
+        ranks = ranks[kept]
+        if ((row[1:] == row[:-1]) & (ranks[1:] < ranks[:-1])).any():
+            # rows out of rank order (unordered sets, or a support order)
+            key = row * (len(by_rank) + 1) + ranks
+            key.sort()
+            ranks = key % (len(by_rank) + 1)
+        flat = FlatPLT.from_rank_rows(
+            ranks,
+            np.bincount(row, minlength=len(lengths)),
+            weights,
             min_support=abs_support,
             n_transactions=n_transactions,
         )
+        plt = cls.__new__(cls)
+        plt._store(rank_table, flat)
+        return plt
 
     @classmethod
     def from_vectors(
@@ -245,11 +335,24 @@ class PLT:
     # ------------------------------------------------------------------
     # views
     # ------------------------------------------------------------------
+    def _paths(self) -> dict[int, dict[RankPath, int]]:
+        """``{max rank -> {rank path -> frequency}}``, derived once from
+        the columns (bucket order: keys descending)."""
+        if self._rank_paths is None:
+            flat = self.flat
+            boff = flat.bucket_offsets.tolist()
+            paths = iter(flat.iter_paths())
+            self._rank_paths = {
+                key: dict(islice(paths, boff[b + 1] - boff[b]))
+                for b, key in enumerate(flat.bucket_keys.tolist())
+            }
+        return self._rank_paths
+
     def _delta_views(self) -> None:
         """Derive and cache the two delta-vector views in one pass."""
         partitions: dict[int, dict[PositionVector, int]] = {}
         sum_index: dict[int, dict[PositionVector, int]] = {}
-        for total, bucket in self._rank_paths.items():
+        for total, bucket in self._paths().items():
             vectors = sum_index[total] = {}
             for path, freq in bucket.items():
                 vec = position.path_to_vector(path)
@@ -284,18 +387,19 @@ class PLT:
         return {s: dict(bucket) for s, bucket in self._sum_index.items()}
 
     def rank_path_index(self) -> dict[int, dict[RankPath, int]]:
-        """The stored index — the mining hot-path view.
+        """The stored index as dicts — the path-miners' view.
 
         Maps ``max rank -> {rank path -> frequency}`` where each rank path
         is the cumulative-sum tuple of a stored vector (Lemma 4.1.1).
-        The conditional miner works on this representation because the
-        quantities Algorithm 3 recomputes per vector in delta form are all
-        O(1) here: bucket key = ``path[-1]``, prefix's bucket key =
-        ``path[-2]``, and local projection is a plain membership filter.
+        The closed, constraint and top-k miners work on this
+        representation because the quantities Algorithm 3 recomputes per
+        vector in delta form are all O(1) here: bucket key = ``path[-1]``,
+        prefix's bucket key = ``path[-2]``, and local projection is a
+        plain membership filter.
 
         Returns a fresh, deep-copied mapping (the miner consumes it).
         """
-        return {s: dict(bucket) for s, bucket in self._rank_paths.items()}
+        return {s: dict(bucket) for s, bucket in self._paths().items()}
 
     def iter_vectors(self) -> Iterator[tuple[PositionVector, int]]:
         """All (vector, frequency) pairs, longest partitions first."""
@@ -304,20 +408,9 @@ class PLT:
             yield from partitions[length].items()
 
     def iter_rank_paths(self) -> Iterator[tuple[RankPath, int]]:
-        """All (rank path, frequency) pairs, in sum-index bucket order."""
-        for bucket in self._rank_paths.values():
-            yield from bucket.items()
-
-    def iter_rank_path_buckets(self) -> Iterator[tuple[int, dict[RankPath, int]]]:
-        """``(max rank, bucket)`` pairs in *descending* key order.
-
-        Zero-copy view over the stored index — the columnar lowering
-        (:class:`repro.core.flat.FlatPLT`) walks it without paying the
-        deep copy :meth:`rank_path_index` makes for the consuming miners.
-        Callers must not mutate the yielded buckets.
-        """
-        for key in sorted(self._rank_paths, reverse=True):
-            yield key, self._rank_paths[key]
+        """All (rank path, frequency) pairs, in storage order (bucket keys
+        descending), streamed off the columns."""
+        return self.flat.iter_paths()
 
     def vectors(self) -> dict[PositionVector, int]:
         """Flat copy of the aggregated vector table."""
@@ -327,14 +420,15 @@ class PLT:
     # queries
     # ------------------------------------------------------------------
     def n_vectors(self) -> int:
-        return sum(map(len, self._rank_paths.values()))
+        return self.flat.n_paths
 
     def max_length(self) -> int:
-        return max(map(len, chain.from_iterable(self._rank_paths.values())), default=0)
+        offsets = self.flat.as_numpy()["path_offsets"]
+        return int(np.diff(offsets).max()) if len(offsets) > 1 else 0
 
     def max_rank(self) -> int:
         """Highest rank present in any stored vector."""
-        return max(self._rank_paths, default=0)
+        return self.flat.max_rank
 
     def item_support(self, item: Item) -> int:
         """Support of a single frequent item, computed from the vectors."""
@@ -342,20 +436,12 @@ class PLT:
         return self.rank_support(rank)
 
     def rank_support(self, rank: int) -> int:
-        """Support of the item with the given rank.
-
-        Scans the stored rank paths: membership of ``rank`` on a path is a
-        C-speed tuple containment test instead of a per-vector prefix sum;
-        buckets whose maximal rank is below ``rank`` are skipped entirely.
-        """
-        total = 0
-        for max_rank, bucket in self._rank_paths.items():
-            if max_rank < rank:
-                continue
-            for path, freq in bucket.items():
-                if rank in path:
-                    total += freq
-        return total
+        """Support of the item with the given rank: the summed frequency
+        of every stored path holding it, in one pass over the columns."""
+        views = self.flat.as_numpy()
+        cells = np.flatnonzero(views["ranks"] == rank)
+        paths = np.searchsorted(views["path_offsets"], cells, side="right") - 1
+        return int(views["freqs"][paths].sum())
 
     def support_of(self, itemset: Iterable[Item]) -> int:
         """Support of an arbitrary itemset via position-vector subset checks.
@@ -385,13 +471,13 @@ class PLT:
         return total
 
     def stats(self) -> PLTStats:
-        paths = list(self.iter_rank_paths())
+        flat = self.flat
         return PLTStats(
             n_transactions=self.n_transactions,
-            n_encoded_transactions=sum(map(itemgetter(1), paths)),
+            n_encoded_transactions=int(flat.as_numpy()["freqs"].sum()),
             n_frequent_items=len(self.rank_table),
-            n_vectors=len(paths),
-            n_positions=sum(len(path) for path, _ in paths),
+            n_vectors=flat.n_paths,
+            n_positions=flat.n_cells,
             max_vector_len=self.max_length(),
         )
 
@@ -403,13 +489,19 @@ class PLT:
         )
 
     def __eq__(self, other: object) -> bool:
+        """Same rank table, threshold, count and stored paths (the column
+        layout is canonical, so equal paths are equal columns)."""
         if not isinstance(other, PLT):
             return NotImplemented
+        mine, theirs = self.flat, other.flat
         return (
             self.rank_table == other.rank_table
-            and self._rank_paths == other._rank_paths
             and self.min_support == other.min_support
             and self.n_transactions == other.n_transactions
+            and all(
+                getattr(mine, name) == getattr(theirs, name)
+                for name in ("ranks", "path_offsets", "freqs")
+            )
         )
 
 

@@ -49,12 +49,10 @@ which Algorithm 3's lattice leaves
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Mapping
 
 import numpy as np
 
-from repro.core.flat import FlatPLT
 from repro.core.plt import PLT
 from repro.core.position import PositionVector, RankPath
 from repro.data.transaction_db import check_max_len
@@ -107,10 +105,11 @@ def estimate_topdown_work(plt: PLT) -> int:
     reporting a partially-accumulated total as if it covered every
     partition.
     """
-    lengths = Counter(len(path) for path, _ in plt.iter_rank_paths())
+    offsets = plt.flat.as_numpy()["path_offsets"].astype(np.int64)
+    lengths = np.bincount(np.diff(offsets))
     total = 0
-    for length, count in lengths.items():
-        total += (2**length - 1) * count
+    for length in np.flatnonzero(lengths).tolist():
+        total += (2**length - 1) * int(lengths[length])
         if total > WORK_ESTIMATE_CAP:
             return WORK_ESTIMATE_CAP
     return total
@@ -253,7 +252,7 @@ def _tuples(matrix: np.ndarray):
 
 def _plt_lattice(plt: PLT, governor=None) -> _Lattice:
     """The whole subset lattice of a PLT's stored paths."""
-    groups = FlatPLT.from_plt(plt).paths_by_length()
+    groups = plt.flat.paths_by_length()
     return _sweep(groups, _Lattice(plt.max_rank()), governor)
 
 
@@ -390,7 +389,7 @@ def mine_topdown(
     if governor is not None:
         governor.start()
     try:
-        _sweep(FlatPLT.from_plt(plt).paths_by_length(), lattice, governor)
+        _sweep(plt.flat.paths_by_length(), lattice, governor)
     except MiningInterrupted as exc:
         sweep_length = governor.progress["sweep_length"]
         exc.partial = [

@@ -11,6 +11,14 @@ Supported formats:
 
 Both readers accept plain or gzip-compressed files (by extension).
 
+An integer ``.dat`` file — plain, and made only of ASCII digits, spaces,
+tabs and line breaks, with no id longer than 18 digits — is parsed in
+bulk: :func:`read_dat` returns a database backed by an item-id column
+and row offsets, and builds the frozensets only if something iterates it.
+Every other file (gzip, signed or non-integer tokens, garbage bytes) goes
+through the line tokeniser.  Both routes give the same transactions and
+the same :class:`ParseReport` counts.
+
 Robust parsing
 --------------
 Real dumps are dirty: binary junk spliced into text, truncated gzip
@@ -31,6 +39,8 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Hashable, TextIO
+
+import numpy as np
 
 from repro.data.transaction_db import TransactionDatabase
 from repro.errors import DatasetError
@@ -277,8 +287,67 @@ def read_dat_report(
 ) -> tuple[TransactionDatabase, ParseReport]:
     """Like :func:`read_dat`, returning the :class:`ParseReport` too."""
     report = ParseReport(path=str(path))
-    db = TransactionDatabase(iter_dat_lines(path, strict=strict, report=report))
+    db = None if Path(path).suffix == ".gz" else _read_integer_dat(path, report)
+    if db is None:
+        db = TransactionDatabase(iter_dat_lines(path, strict=strict, report=report))
     return db, report
+
+
+#: The bytes an integer ``.dat`` file is made of.
+_INTEGER_DAT_BYTES = b"0123456789 \t\r\n"
+
+#: Longest id the bulk reader parses: every 18-digit number fits int64.
+_MAX_DIGITS = 18
+
+
+def _read_integer_dat(path: str | Path, report: ParseReport):
+    """An integer ``.dat`` file as a column-backed database, in bulk.
+
+    Returns ``None`` (and leaves ``report`` untouched) when the file is not
+    all digits and whitespace or holds an id longer than
+    :data:`_MAX_DIGITS`; the caller then runs the tokeniser.  Line breaks
+    split the way text mode splits them (CRLF and lone CR count as one
+    break), blank lines are not transactions, and a transaction's
+    duplicate ids collapse.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise DatasetError(f"cannot read {path}: {exc}") from exc
+    if data.translate(None, _INTEGER_DAT_BYTES):
+        return None
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    # token bounds from the digit mask: every allowed non-digit is a space
+    digit = np.zeros(len(data) + 2, bool)
+    digit[1:-1] = np.frombuffer(data, np.uint8) >= ord("0")
+    bounds = np.flatnonzero(digit[1:] != digit[:-1])
+    n_tokens = len(bounds) // 2
+    if n_tokens and (bounds[1::2] - bounds[0::2]).max() > _MAX_DIGITS:
+        return None
+    n_breaks = data.count(b"\n")
+    if n_tokens:
+        # one C pass; -1 (not a possible id) marks each line break
+        values = np.fromstring(data.replace(b"\n", b" -1 "), dtype=np.int64, sep=" ")
+        if len(values) != n_tokens + n_breaks:  # pragma: no cover
+            return None  # fromstring stops quietly at text it cannot parse
+    else:
+        values = np.zeros(0, np.int64)
+    breaks = values < 0
+    line = np.cumsum(breaks)[~breaks]
+    items = values[~breaks]
+    new_row = np.ones(len(items), bool)
+    new_row[1:] = line[1:] != line[:-1]
+    if (~new_row[1:] & (items[1:] <= items[:-1])).any():
+        # unsorted or repeated ids inside a line: sort each line, dedupe
+        items = items[np.lexsort((items, line))]
+        keep = new_row.copy()
+        keep[1:] |= items[1:] != items[:-1]
+        items, new_row = items[keep], new_row[keep]
+    offsets = np.append(np.flatnonzero(new_row), len(items))
+    report.n_lines = n_breaks + (not data.endswith(b"\n") and bool(data))
+    report.n_transactions = len(offsets) - 1
+    return TransactionDatabase.from_columns(items, offsets)
 
 
 def write_dat(db: Iterable[Iterable[Hashable]], path: str | Path) -> None:

@@ -20,6 +20,8 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from typing import Hashable
 
+import numpy as np
+
 from repro.core.rank import sort_key
 from repro.errors import InvalidSupportError
 
@@ -91,32 +93,70 @@ class TransactionDatabase:
     transactions:
         Iterable of item collections.  Order of items within a transaction
         is irrelevant; duplicates inside a transaction collapse.
+
+    A database can also be backed by integer columns
+    (:meth:`from_columns`, what :func:`~repro.data.io.read_dat` returns
+    for an integer ``.dat`` file).  Its length and supports are read off
+    the columns, and the frozensets are built only on first iteration or
+    indexing.
     """
 
-    __slots__ = ("_transactions", "_item_supports")
+    __slots__ = ("_sets", "_columns", "_item_supports")
 
     def __init__(self, transactions: Iterable[Iterable[Item]]):
-        self._transactions: tuple[frozenset, ...] = tuple(
+        self._sets: tuple[frozenset, ...] | None = tuple(
             frozenset(t) for t in transactions
         )
+        self._columns = None
         self._item_supports: Counter | None = None
+
+    @classmethod
+    def from_columns(cls, items, offsets) -> "TransactionDatabase":
+        """A database over integer columns, without building item sets.
+
+        ``items`` is an int64 NumPy array of non-negative item ids,
+        transaction after transaction, each transaction's ids distinct;
+        ``offsets`` (int64, one longer than the number of
+        transactions) delimits them: transaction ``t`` is
+        ``items[offsets[t]:offsets[t + 1]]``.
+        """
+        db = cls.__new__(cls)
+        db._sets = None
+        db._columns = (items, offsets)
+        db._item_supports = None
+        return db
+
+    def columns(self):
+        """``(items, offsets)`` for a column-backed database, else ``None``."""
+        return self._columns
+
+    def _transactions(self) -> tuple[frozenset, ...]:
+        if self._sets is None:
+            items, offsets = self._columns
+            cells, bounds = items.tolist(), offsets.tolist()
+            self._sets = tuple(
+                frozenset(cells[a:b]) for a, b in zip(bounds, bounds[1:])
+            )
+        return self._sets
 
     # ------------------------------------------------------------------
     # basic protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._transactions)
+        if self._sets is None:
+            return len(self._columns[1]) - 1
+        return len(self._sets)
 
     def __iter__(self) -> Iterator[frozenset]:
-        return iter(self._transactions)
+        return iter(self._transactions())
 
     def __getitem__(self, tid: int) -> frozenset:
-        return self._transactions[tid]
+        return self._transactions()[tid]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TransactionDatabase):
             return NotImplemented
-        return Counter(self._transactions) == Counter(other._transactions)
+        return Counter(self._transactions()) == Counter(other._transactions())
 
     def __repr__(self) -> str:
         return (
@@ -130,7 +170,10 @@ class TransactionDatabase:
     def supports(self) -> Counter:
         """Item -> number of transactions containing it (cached)."""
         if self._item_supports is None:
-            self._item_supports = item_supports(self._transactions)
+            if self._sets is None:  # ids are distinct within a transaction
+                self._item_supports = Counter(self._columns[0].tolist())
+            else:
+                self._item_supports = item_supports(self._sets)
         return self._item_supports
 
     def items(self) -> tuple[Item, ...]:
@@ -141,12 +184,16 @@ class TransactionDatabase:
         return len(self.supports())
 
     def avg_transaction_length(self) -> float:
-        if not self._transactions:
+        if not len(self):
             return 0.0
-        return sum(len(t) for t in self._transactions) / len(self._transactions)
+        if self._sets is None:
+            return len(self._columns[0]) / len(self)
+        return sum(len(t) for t in self._sets) / len(self._sets)
 
     def max_transaction_length(self) -> int:
-        return max((len(t) for t in self._transactions), default=0)
+        if self._sets is None:
+            return int(np.diff(self._columns[1]).max(initial=0))
+        return max((len(t) for t in self._sets), default=0)
 
     def density(self) -> float:
         """Average transaction length divided by the number of items.
@@ -167,20 +214,20 @@ class TransactionDatabase:
         """Exact support of an arbitrary itemset by a full scan (oracle)."""
         target = frozenset(itemset)
         if not target:
-            return len(self._transactions)
-        return sum(1 for t in self._transactions if target <= t)
+            return len(self)
+        return sum(1 for t in self._transactions() if target <= t)
 
     # ------------------------------------------------------------------
     # layouts and derived databases
     # ------------------------------------------------------------------
     def aggregated(self) -> dict[frozenset, int]:
         """Distinct transactions with multiplicities (the PLT's raw input)."""
-        return dict(Counter(self._transactions))
+        return dict(Counter(self._transactions()))
 
     def vertical(self) -> dict[Item, frozenset]:
         """Item -> frozenset of TIDs (the Eclat layout)."""
         tidsets: dict[Item, set[int]] = {}
-        for tid, t in enumerate(self._transactions):
+        for tid, t in enumerate(self._transactions()):
             for item in t:
                 tidsets.setdefault(item, set()).add(tid)
         return {item: frozenset(tids) for item, tids in tidsets.items()}
@@ -192,15 +239,15 @@ class TransactionDatabase:
         comparable before/after filtering.
         """
         keep = set(self.frequent_items(min_support))
-        return TransactionDatabase(t & keep for t in self._transactions)
+        return TransactionDatabase(t & keep for t in self._transactions())
 
     def without_empty(self) -> "TransactionDatabase":
-        return TransactionDatabase(t for t in self._transactions if t)
+        return TransactionDatabase(t for t in self._transactions() if t)
 
     def relabelled(self, mapping: Mapping[Item, Item]) -> "TransactionDatabase":
         """Apply an item-renaming map (missing items keep their label)."""
         return TransactionDatabase(
-            frozenset(mapping.get(i, i) for i in t) for t in self._transactions
+            frozenset(mapping.get(i, i) for i in t) for t in self._transactions()
         )
 
     def sample(self, n: int, *, seed: int = 0) -> "TransactionDatabase":
@@ -210,7 +257,7 @@ class TransactionDatabase:
         if n >= len(self):
             return self
         rng = random.Random(seed)
-        return TransactionDatabase(rng.sample(self._transactions, n))
+        return TransactionDatabase(rng.sample(self._transactions(), n))
 
     # ------------------------------------------------------------------
     # constructors

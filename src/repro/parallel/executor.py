@@ -345,7 +345,7 @@ def mine_parallel(
         governor.check_now()
     executor = None
     if n_workers > 1 and plt.n_vectors() > 1:
-        flat = FlatPLT.from_plt(plt)
+        flat = plt.flat
         ranges = plan_rank_ranges(flat, min_support, n_workers)
         if len(ranges) > 1:
             # one driver-side bincount pass; every range worker reads the
@@ -448,7 +448,7 @@ def topdown_parallel(
         governor.check_now()
     executor = None
     if n_workers > 1 and plt.n_vectors() > 1:
-        flat = FlatPLT.from_plt(plt)
+        flat = plt.flat
         executor = _open_segment(flat, "topdown_parallel")
     if executor is None:
         try:

@@ -4,8 +4,8 @@ Every multi-worker run in :mod:`repro.parallel.executor` mines one
 shared copy of the PLT instead of shipping conditional databases through
 the pool pipe:
 
-1. the driver lowers the PLT once into a
-   :class:`~repro.core.flat.FlatPLT` and places its columns in a single
+1. the mining process places the columns of the PLT's index (its
+   :class:`~repro.core.flat.FlatPLT`, ``plt.flat``) in a single
    ``multiprocessing.shared_memory`` segment;
 2. every task attaches the segment (a page-table mapping, not a copy)
    and detaches when it returns, so one pool can serve call after call;

@@ -275,12 +275,7 @@ def estimate_conditional_memory(plt) -> int:
     strictly shorter than its source), so the stored cell count times a
     per-cell constant bounds the order of magnitude.
     """
-    cells = 0
-    n_vectors = 0
-    for path, _freq in plt.iter_rank_paths():
-        cells += len(path)
-        n_vectors += 1
-    return cells * _BYTES_PER_COND_CELL + n_vectors * 80
+    return plt.flat.n_cells * _BYTES_PER_COND_CELL + plt.flat.n_paths * 80
 
 
 def estimate_topdown_memory(plt) -> int:

@@ -74,6 +74,26 @@ from repro.serve.cache import ServingCache
 __all__ = ["Engine", "ServingIndex", "PatternEngine", "serialize_rule"]
 
 
+def _trim_heap() -> None:
+    """Hand the C heap's free memory back to the OS (glibc ``malloc_trim``).
+
+    Algorithm 1's NumPy temporaries are freed into the C heap, where the
+    daemon's small Python objects (pymalloc arenas) cannot reuse them, so
+    without the trim a serving daemon's peak RSS carries its start-up
+    temporaries on top of its working set.  A no-op on a C library
+    without ``malloc_trim``.
+    """
+    import ctypes
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):
+        return
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    trim(0)
+
+
 class ServingIndex:
     """The immutable read path of the daemon: rank table + postings.
 
@@ -109,13 +129,15 @@ class ServingIndex:
     ) -> "ServingIndex":
         """Algorithm 1 once, postings forever."""
         plt = PLT.from_transactions(transactions, min_support, order=order)
-        return cls(
+        index = cls(
             plt.rank_table,
             plt.iter_rank_paths(),
             min_support=plt.min_support,
             n_transactions=plt.n_transactions,
             plt=plt,
         )
+        _trim_heap()
+        return index
 
     @classmethod
     def from_store(cls, path) -> "ServingIndex":

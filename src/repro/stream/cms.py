@@ -1,7 +1,7 @@
 """Conservative-update count-min sketch over integer keys.
 
 The exact miners answer frequency queries by holding the database (or
-its PLT/FlatPLT lowering).  A count-min sketch answers the same *point*
+its PLT's FlatPLT columns).  A count-min sketch answers the same *point*
 queries from ``width x depth`` fixed counters: hash the key into one
 cell per row, return the minimum.  Collisions only ever *add* counts,
 so the estimate is one-sided::

@@ -126,15 +126,22 @@ def render_itemsets(result, *, relative: bool = False) -> str:
 
     Same layout as :func:`_format_rows`, but each row is formatted once:
     the support column is last, so only the itemset column is padded.
+    A PLT miner's result is formatted straight from its rank columns
+    (:meth:`~repro.core.mining.MiningResult.columns`).
     """
-    cells = ["{" + ", ".join(map(str, fi.items)) + "}" for fi in result]
+    columns = result.columns()
+    if columns is None:
+        cells = ["{" + ", ".join(map(str, fi.items)) + "}" for fi in result]
+        supports = [fi.support for fi in result]
+    else:
+        cells, supports = columns.cells(), columns.supports()
     if relative:
         n = result.n_transactions
-        sups = [f"{fi.support / n:.3f}" for fi in result]
+        sups = [f"{s / n:.3f}" for s in supports]
     else:
-        sups = [str(fi.support) for fi in result]
+        sups = list(map(str, supports))
     width = max(len("itemset"), max(map(len, cells), default=0))
     sup_width = max(len("support"), max(map(len, sups), default=0))
     lines = [f"{'itemset':<{width}}  support", "-" * width + "  " + "-" * sup_width]
-    lines += [f"{cell:<{width}}  {sup}" for cell, sup in zip(cells, sups)]
+    lines += [cell.ljust(width) + "  " + sup for cell, sup in zip(cells, sups)]
     return "\n".join(lines)

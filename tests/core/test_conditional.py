@@ -96,11 +96,10 @@ class TestMineConditional:
     @staticmethod
     def _mine_rank(plt, rank):
         from repro.core.conditional import mine_conditional_flat_range
-        from repro.core.flat import FlatPLT
 
         pairs = []
         mine_conditional_flat_range(
-            FlatPLT.from_plt(plt), rank, rank + 1, 2,
+            plt.flat, rank, rank + 1, 2,
             lambda itemset, support: pairs.append((itemset, support)),
         )
         return pairs

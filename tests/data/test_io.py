@@ -3,7 +3,10 @@
 import gzip
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.plt import PLT
 from repro.data.io import (
     MAX_REPORT_ERRORS,
     ParseReport,
@@ -401,3 +404,110 @@ class TestParseFastPath:
         with TestIterDatStream._pipe(payload) as fh:
             with pytest.raises(DatasetError, match="<stream>:3"):
                 list(iter_dat_stream(fh, strict=True))
+
+
+# ---------------------------------------------------------------------------
+# bulk integer reader vs the line tokeniser
+# ---------------------------------------------------------------------------
+_ids = st.one_of(
+    st.integers(0, 9),  # frequent, and repeated inside a line
+    st.integers(10, 10**18 - 1),  # rare, up to 18 digits
+)
+_token = st.tuples(_ids, st.integers(0, 3)).map(
+    lambda pair: ("0" * pair[1] + str(pair[0]))[-18:] if pair[0] else "0" * (pair[1] + 1)
+)
+_space = st.sampled_from([" ", "\t", "  ", " \t "])
+_line = st.one_of(
+    st.sampled_from(["", " ", "\t", " \t  "]),  # blank and whitespace-only
+    st.tuples(
+        st.sampled_from(["", " ", "\t"]),
+        st.lists(st.tuples(_token, _space), min_size=1, max_size=8),
+        st.sampled_from(["", " ", "\t"]),
+    ).map(lambda t: t[0] + "".join(tok + sep for tok, sep in t[1]).rstrip(" \t") + t[2]),
+)
+
+
+def _join_lines(lines, trailing_break):
+    text = "".join(line + end for line, end in lines)
+    if lines and not trailing_break:
+        text = text[: len(text) - len(lines[-1][1])]  # no final break
+    return text
+
+
+_integer_dat = st.builds(
+    _join_lines,
+    st.lists(st.tuples(_line, st.sampled_from(["\n", "\r\n", "\r"])), max_size=30),
+    st.booleans(),
+)
+
+
+def _tokenised(path):
+    report = ParseReport(path=str(path))
+    return TransactionDatabase(iter_dat_lines(path, report=report)), report
+
+
+class TestBulkIntegerReader:
+    """An all-integer plain ``.dat`` file is parsed in bulk into columns;
+    the result equals the line tokeniser's in every observable way."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_integer_dat)
+    def test_bulk_path_equals_tokeniser(self, text, tmp_path_factory):
+        path = tmp_path_factory.mktemp("bulk") / "t.dat"
+        path.write_bytes(text.encode("ascii"))
+        db, report = read_dat_report(path)
+        assert db.columns() is not None  # the bulk path ran
+        want, want_report = _tokenised(path)
+        assert len(db) == len(want)
+        assert db.supports() == want.supports()
+        assert list(db) == list(want)
+        assert (report.n_lines, report.n_transactions, report.ok()) == (
+            want_report.n_lines, want_report.n_transactions, want_report.ok()
+        )
+        for support in (1, 2, 3):
+            plt, oracle = PLT.from_transactions(db, support), PLT.from_transactions(want, support)
+            assert plt.rank_table == oracle.rank_table
+            assert list(plt.iter_rank_paths()) == list(oracle.iter_rank_paths())
+            assert plt.n_transactions == oracle.n_transactions == len(want)
+            assert plt == oracle
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.dat"
+        path.write_bytes(b"")
+        db, report = read_dat_report(path)
+        assert db.columns() is not None and len(db) == 0 and list(db) == []
+        assert (report.n_lines, report.n_transactions) == (0, 0)
+        assert PLT.from_transactions(db, 1).n_vectors() == 0
+
+    @pytest.mark.parametrize(
+        "name, payload",
+        [
+            ("long.dat", b"1 2\n" + b"1" * 19 + b" 2\n"),  # does not fit 18 digits
+            ("byte.dat", b"1 2\n3 4\x0c\n"),  # one byte outside the alphabet
+            ("signed.dat", b"1 2\n+3 4\n"),
+            ("plain.dat.gz", None),
+        ],
+    )
+    def test_other_files_take_the_tokeniser(self, name, payload, tmp_path):
+        path = tmp_path / name
+        if payload is None:
+            with gzip.open(path, "wb") as fh:
+                fh.write(b"1 2\n3 4\n")
+        else:
+            path.write_bytes(payload)
+        db, report = read_dat_report(path)
+        assert db.columns() is None
+        want, want_report = _tokenised(path)
+        assert list(db) == list(want)
+        assert (report.n_lines, report.n_transactions) == (
+            want_report.n_lines, want_report.n_transactions
+        )
+
+    def test_lazy_item_sets(self, tmp_path):
+        path = tmp_path / "t.dat"
+        path.write_bytes(b"3 1 3\r\n\n2\t7\r5")
+        db = read_dat(path)
+        assert db._sets is None  # length and supports come off the columns
+        assert len(db) == 3 and db.supports() == {1: 1, 2: 1, 3: 1, 5: 1, 7: 1}
+        assert db._sets is None
+        assert list(db) == [frozenset({1, 3}), frozenset({2, 7}), frozenset({5})]

@@ -16,7 +16,6 @@ import textwrap
 import pytest
 
 from repro.core.conditional import mine_conditional, mine_conditional_flat_range
-from repro.core.flat import FlatPLT
 from repro.core.plt import PLT
 from repro.core.topdown import (
     _plt_lattice,
@@ -59,7 +58,7 @@ class TestDifferential:
         db = random_database(seed + 1000, max_items=11, max_transactions=60)
         plt = PLT.from_transactions(db, 2)
         serial = sorted(mine_conditional(plt, 2))
-        flat = FlatPLT.from_plt(plt)
+        flat = plt.flat
         kernel = []
         mine_conditional_flat_range(
             flat, 1, flat.max_rank + 1, 2,
@@ -72,7 +71,7 @@ class TestDifferential:
     def test_topdown_three_ways(self, seed):
         db = random_database(seed + 1100, max_items=9, max_transactions=40)
         plt = PLT.from_transactions(db, 2)
-        flat = FlatPLT.from_plt(plt)
+        flat = plt.flat
         keys, counts = topdown_flat_slice(flat, 0, flat.n_paths)
         want_keys, want_counts = _plt_lattice(plt).table()
         assert keys.tolist() == want_keys.tolist()
@@ -98,7 +97,7 @@ class TestDifferential:
         # the top ranks the recursion; both workers' ranges hold lattice
         # ranks, so the leaves run on either side of the boundary
         plt = _lattice_plt()
-        flat = FlatPLT.from_plt(plt)
+        flat = plt.flat
         ranges = plan_rank_ranges(flat, 3, 2)
         assert len(ranges) == 2
         parts = []
@@ -147,7 +146,7 @@ class TestDifferential:
 class TestPlanning:
     def test_rank_ranges_cover_frequent_span(self):
         db = random_database(1400, max_items=12, max_transactions=80)
-        flat = FlatPLT.from_plt(PLT.from_transactions(db, 2))
+        flat = PLT.from_transactions(db, 2).flat
         ranges = plan_rank_ranges(flat, 2, 3)
         assert ranges
         # contiguous, ordered, non-empty
@@ -160,12 +159,12 @@ class TestPlanning:
 
     def test_rank_ranges_empty_when_nothing_frequent(self):
         db = random_database(1401, max_items=8, max_transactions=20)
-        flat = FlatPLT.from_plt(PLT.from_transactions(db, 1))
+        flat = PLT.from_transactions(db, 1).flat
         assert plan_rank_ranges(flat, 10_000, 4) == []
 
     def test_path_slices_partition_all_paths(self):
         db = random_database(1402, max_items=9, max_transactions=50)
-        flat = FlatPLT.from_plt(PLT.from_transactions(db, 2))
+        flat = PLT.from_transactions(db, 2).flat
         slices = plan_path_slices(flat, 3)
         assert slices[0][0] == 0 and slices[-1][1] == flat.n_paths
         for (_, hi), (lo2, _) in zip(slices, slices[1:]):
@@ -311,7 +310,6 @@ class TestCleanup:
             """
             import json, os, sys
             from repro.core.conditional import mine_conditional
-            from repro.core.flat import FlatPLT
             from repro.core.plt import PLT
             from repro.parallel.executor import mine_parallel
             from repro.parallel.shm import CHAOS_KILL_ENV, plan_rank_ranges
@@ -323,7 +321,7 @@ class TestCleanup:
             plt = PLT.from_transactions(db, 2)
             expected = sorted(mine_conditional(plt, 2))
 
-            ranges = plan_rank_ranges(FlatPLT.from_plt(plt), 2, 2)
+            ranges = plan_rank_ranges(plt.flat, 2, 2)
             # poison the first range's task; the driver pid guard lets the
             # in-process degraded fallback survive and finish the mine
             os.environ[CHAOS_KILL_ENV] = f"{ranges[0][0]}:{os.getpid()}"

@@ -48,6 +48,25 @@ class TestMine:
         out = capsys.readouterr().out
         assert "plt-maximal" in out
 
+    def test_default_method_is_plt(self, dat_file, capsys):
+        assert main(["mine", "--input", dat_file, "--min-support", "2"]) == 0
+        assert "method=plt " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["closed", "maximal"])
+    @pytest.mark.parametrize(
+        "flag",
+        [["--max-len", "1"], ["--method", "apriori"], ["--method", "plt"]],
+        ids=["max-len", "method", "method-at-default"],
+    )
+    def test_condensed_kinds_reject_method_and_max_len(self, dat_file, capsys, kind, flag):
+        # both were silently ignored: closed/maximal mining has no length
+        # cap and always runs the PLT closure miner
+        code = main(
+            ["mine", "--input", dat_file, "--min-support", "2", "--kind", kind, *flag]
+        )
+        assert code == 1
+        assert "--method/--max-len only apply to --kind all" in capsys.readouterr().err
+
     def test_output_file(self, dat_file, tmp_path, capsys):
         out_path = tmp_path / "result.txt"
         assert (

@@ -151,7 +151,7 @@ def run_b7() -> None:
     per_task = []
     for t in tasks:
         secs, _ = time_call(
-            mine_conditional_paths, t.prefixes, t.rank, min_support, lambda *_: None
+            mine_conditional_paths, t.prefixes, t.rank, min_support, []
         )
         per_task.append(secs)
     total = sum(per_task)

@@ -259,19 +259,10 @@ class PLTStore:
                 f"absolute min_support must be >= 1, got {min_support}"
             )
         check_max_len(max_len)
+        # the path engine writes itemsets already sorted ascending
         results: list[tuple[tuple[int, ...], int]] = []
-
-        # the path engine emits itemsets already sorted ascending — append raw
-        if governor is None:
-            def emit(itemset: tuple[int, ...], support: int) -> None:
-                results.append((itemset, support))
-        else:
+        if governor is not None:
             governor.start()
-
-            def emit(itemset: tuple[int, ...], support: int) -> None:
-                governor.note_itemsets()
-                results.append((itemset, support))
-
         migrated: dict[int, dict[RankPath, int]] = {}
         top = max(self._directory, default=0)
         try:
@@ -291,9 +282,11 @@ class PLTStore:
                 cd, support = _consume_path_bucket(bucket, migrated)
                 if support < min_support:
                     continue
-                emit((j,), support)
+                if governor is not None:
+                    governor.note_itemsets()
+                results.append(((j,), support))
                 if cd:
-                    mine_conditional_paths(cd, j, min_support, emit, max_len, governor)
+                    mine_conditional_paths(cd, j, min_support, results, max_len, governor)
         except MiningInterrupted as exc:
             exc.partial = results
             mining_rank = governor.progress.get("mining_rank") if governor else None

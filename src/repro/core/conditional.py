@@ -71,6 +71,7 @@ from itertools import accumulate, combinations as _combinations, compress as _co
 
 import numpy as _np
 
+from repro.core.columns import RankColumns
 from repro.core.flat import FlatPLT
 from repro.core.plt import PLT
 from repro.core.position import PositionVector, RankPath, path_to_vector
@@ -81,7 +82,6 @@ from repro.core.topdown import (
     _expand,
     _popcount,
     _rank_matrix,
-    _tuples,
 )
 from repro.data.transaction_db import check_max_len
 from repro.errors import InvalidSupportError, MiningInterrupted
@@ -91,13 +91,14 @@ __all__ = [
     "mine_conditional",
     "mine_conditional_paths",
     "mine_conditional_block",
+    "block_paths",
+    "salvage",
     "mine_conditional_flat_range",
     "conditional_database",
     "iter_conditional",
 ]
 
 PathBuckets = dict[int, dict[RankPath, int]]
-Emit = Callable[[tuple[int, ...], int], None]
 
 
 def _check_min_support(min_support: int) -> None:
@@ -209,21 +210,25 @@ def _mine_paths(
     order: "range | list[int]",
     suffix: tuple[int, ...],
     min_support: int,
-    emit: Emit,
+    out: list,
     max_len: int | None,
     row: list[float] | None = None,
     governor=None,
 ) -> None:
     """Depth-first conditional mining over rank-path buckets, no recursion.
 
+    Every itemset found is appended to ``out`` as an ``(ascending rank
+    tuple, support)`` pair (the engine prepends strictly smaller ranks,
+    so no itemset needs a sort).
+
     When ``row`` is given, the structure's *first* level is
     support-complete in ``row`` — ``row[j]`` is the exact support of
-    ``(j,) + suffix`` and those itemsets were already emitted — so the
+    ``(j,) + suffix`` and those itemsets were already written — so the
     buckets omit length-1 paths (they carry no information beyond
-    first-level support), the loop neither sums nor emits at that level,
+    first-level support), the loop neither sums nor writes at that level,
     and prefix migration skips singletons too.  This is self-propagating:
     the local supports ``sup`` computed before every descent *are* the
-    child's first-level row, so the child's singletons are emitted here
+    child's first-level row, so the child's singletons are written here
     with their exact supports and every conditional structure at every
     depth stays singleton-free.  ``row`` is ``None`` only for structures
     that :func:`_build_path_buckets` built with their singletons intact
@@ -263,10 +268,14 @@ def _mine_paths(
 
     When a :class:`~repro.robustness.governor.ResourceGovernor` is given
     it is charged one amortized tick per consumed bucket (weighted by
-    bucket size); the caller's top level records the rank in flight.
-    Cost when ``governor is None``: a single predicate test per bucket.
+    bucket size) and :meth:`~repro.robustness.governor.ResourceGovernor.note_itemsets`
+    for every batch of itemsets before it is appended, so ``out`` never
+    holds more than the itemset cap; the caller's top level records the
+    rank in flight.  Cost when ``governor is None``: a predicate test per
+    bucket and per batch.
     """
     counters = _COUNTERS
+    append = out.append
     stack: list[
         tuple[
             PathBuckets,
@@ -311,7 +320,9 @@ def _mine_paths(
                 if freq >= min_support:
                     itemset = (j,) + suffix
                     if row is None:
-                        emit(itemset, freq)
+                        if governor is not None:
+                            governor.note_itemsets()
+                        append((itemset, freq))
                     if prefix and (max_len is None or len(itemset) < max_len):
                         if counters.enabled:
                             counters.add("cond_single_path_shortcuts")
@@ -320,19 +331,31 @@ def _mine_paths(
                             if max_len is None
                             else min(len(prefix), max_len - len(itemset))
                         )
-                        for size in range(1, room + 1):
-                            for combo in _combinations(prefix, size):
-                                emit(combo + itemset, freq)
+                        found = (
+                            (combo + itemset, freq)
+                            for size in range(1, room + 1)
+                            for combo in _combinations(prefix, size)
+                        )
+                        if governor is None:
+                            out += found
+                        else:
+                            # one charge per row: a long chain can hold
+                            # more subsets than the cap or the deadline allow
+                            for pair in found:
+                                governor.note_itemsets()
+                                append(pair)
                 continue
             sub_order: list[int] = []
             if row is None:
                 support = sum(bucket.values())
                 frequent_j = support >= min_support
                 if frequent_j:
-                    emit((j,) + suffix, support)
+                    if governor is not None:
+                        governor.note_itemsets()
+                    append(((j,) + suffix, support))
             else:
                 # support-complete first level: row[j] >= min_support by
-                # schedule construction and the itemset is already emitted
+                # schedule construction and the itemset is already written
                 frequent_j = True
             if frequent_j:
                 itemset = (j,) + suffix
@@ -352,11 +375,12 @@ def _mine_paths(
                     ]
             if sub_order:
                 # sup IS the child's first level (Lemma 4.1.1 locally):
-                # emit the extensions here with their exact supports, so
+                # write the extensions here with their exact supports, so
                 # the child structure can omit every singleton projection
                 sub_order.sort(reverse=True)
-                for r in sub_order:
-                    emit((r,) + itemset, sup[r])
+                if governor is not None:
+                    governor.note_itemsets(len(sub_order))
+                out += [((r,) + itemset, sup[r]) for r in sub_order]
             if sub_order and (max_len is None or len(itemset) + 1 < max_len):
                 # fused pass: migrate every prefix into this structure AND
                 # project it (when longer than one rank) into the child
@@ -438,7 +462,7 @@ def mine_conditional_paths(
     prefixes: dict[RankPath, int],
     rank: int,
     min_support: int,
-    emit: Emit,
+    out: list,
     max_len: int | None = None,
     governor=None,
 ) -> None:
@@ -449,10 +473,11 @@ def mine_conditional_paths(
     bundles into tasks, and what the serving engine reads off its
     postings.  The projection that drops locally-infrequent ranks runs in
     path space, and the descent uses the exact frequent-rank schedule.
-    Itemsets reach ``emit`` already sorted ascending (the engine prepends
-    strictly smaller ranks), so callers need no per-emit re-sort.
+    Every itemset is appended to ``out`` as an ``(ascending rank tuple,
+    support)`` pair; with a ``governor`` each batch is charged to its
+    itemset cap before it is appended.
 
-    Does *not* emit ``(rank,)`` itself — top-level supports are known to
+    Does *not* write ``(rank,)`` itself — top-level supports are known to
     the caller before the conditional database exists.
     """
     check_max_len(max_len)
@@ -463,27 +488,35 @@ def mine_conditional_paths(
     buckets, schedule = _build_path_buckets(prefixes, min_support)
     if buckets:
         _mine_paths(
-            buckets, schedule, (rank,), min_support, emit, max_len,
+            buckets, schedule, (rank,), min_support, out, max_len,
             governor=governor,
         )
+
+
+def block_paths(prefixes: dict[PositionVector, int]) -> dict[RankPath, int]:
+    """A delta-keyed ``CD_rank`` (the shape the distributed slice exchange
+    ships between nodes) as rank paths; ``accumulate`` is injective on
+    delta vectors, so plain assignment converts them."""
+    return {tuple(accumulate(vec)): freq for vec, freq in prefixes.items()}
 
 
 def mine_conditional_block(
     prefixes: dict[PositionVector, int],
     rank: int,
     min_support: int,
-    emit: Emit,
+    report: Callable[[tuple[int, ...], int], object],
     max_len: int | None = None,
     governor=None,
 ) -> None:
-    """:func:`mine_conditional_paths` over a delta-keyed ``CD_rank``.
-
-    The shape the distributed slice exchange ships between nodes;
-    ``accumulate`` is injective on delta vectors, so plain assignment
-    converts them.
-    """
-    paths = {tuple(accumulate(vec)): freq for vec, freq in prefixes.items()}
-    mine_conditional_paths(paths, rank, min_support, emit, max_len, governor)
+    """:func:`mine_conditional_paths` over a delta-keyed ``CD_rank``,
+    handing each ``(itemset, support)`` to ``report`` once mining stops
+    (a budget trip reports what was mined, then propagates)."""
+    out: list = []
+    try:
+        mine_conditional_paths(block_paths(prefixes), rank, min_support, out, max_len, governor)
+    finally:
+        for itemset, support in out:
+            report(itemset, support)
 
 
 def iter_conditional(
@@ -620,9 +653,9 @@ def _lattice_leaves(
     contains ``S``, so the kept keys are exact.
 
     Returns ``(ranks, blocks)``: a bool array over ranks marking the
-    lattice ranks, and one ``(bounds, pairs)`` block per itemset length
-    above two.  ``pairs[bounds[j - lo] : bounds[j - lo + 1]]`` are rank
-    ``j``'s itemsets of that length with their supports.
+    lattice ranks, and one ``(itemsets, supports)`` block per itemset
+    length above two — an int64 rank matrix, rows sorted by their last
+    (maximal) rank, and the matching supports.
     """
     shift = 64 - (width - 1).bit_length()
     ushift = _np.uint64(shift)
@@ -674,8 +707,7 @@ def _lattice_leaves(
         j = js[rows]
         pos = _rank_matrix(masks[rows][:, None], size) - 1
         itemsets = _np.column_stack((franks[starts[j - lo][:, None] + pos], j))
-        bounds = _np.searchsorted(j, _np.arange(lo, hi + 1)).tolist()
-        blocks.append((bounds, list(zip(_tuples(itemsets), supports[rows].tolist()))))
+        blocks.append((itemsets, supports[rows]))
     return ranks, blocks
 
 
@@ -685,7 +717,7 @@ def _matrix_mine(
     lo: int,
     hi: int,
     min_support: int,
-    emit: Emit,
+    out: RankColumns,
     max_len: int | None,
     governor=None,
     pair_support=None,
@@ -712,17 +744,26 @@ def _matrix_mine(
     answer (the shared-memory workers' decomposition).  ``pair_support``
     accepts a precomputed :func:`_pair_support_matrix` (the shm workers
     read it straight off the shared segment); when ``None`` it is
-    computed here.  Ranks are emitted in descending order, lattice and
-    recursion ranks interleaved.
+    computed here.
+
+    The output goes into ``out`` as array blocks — the frequent singles
+    (the matrix diagonal), the frequent pairs (the matrix below it) and
+    the lattice leaves' blocks — while :func:`_mine_paths` appends the
+    recursion ranks' deeper itemsets to ``out.rows``, highest rank
+    first.  Governed, the loop visits every frequent rank, highest
+    first, and charges its block rows (counted by one ``bincount`` of
+    each block's last column) to the itemset cap before its recursion
+    runs.
     """
     width = max_rank + 1
     if pair_support is None:
         pair_support = _pair_support_matrix(arrays, width)
     diag = pair_support.diagonal()
-    if not (diag[lo:hi] >= min_support).any():
+    singles = lo + _np.flatnonzero(diag[lo:hi] >= min_support)
+    if not singles.size:
         return
     if governor is not None:
-        # a trip before the first rank is emitted leaves nothing complete
+        # a trip before the first rank is charged leaves nothing complete
         governor.progress["mining_rank"] = hi - 1
 
     counters = _COUNTERS
@@ -732,60 +773,52 @@ def _matrix_mine(
     frequent[_np.arange(hi - lo), _np.arange(lo, hi)] = False
     owner, franks = _np.divmod(_np.flatnonzero(frequent), width)
     starts = _np.searchsorted(owner, _np.arange(hi - lo + 1))
+    blocks = [(singles[:, None], diag[singles].astype(_np.int64))]
+    if max_len is None or max_len >= 2:
+        # pair_support[j, k] IS the exact support of {k, j}
+        blocks.append((
+            _np.column_stack((franks, owner + lo)),
+            pair_support[owner + lo, franks].astype(_np.int64),
+        ))
     leaf_ranks = _np.zeros(width, bool)
-    blocks: list = []
     subs: dict[int, PathBuckets] = {}
     if max_len is None or max_len >= 3:
-        leaf_ranks, blocks = _lattice_leaves(
+        leaf_ranks, leaves = _lattice_leaves(
             arrays, owner, franks, starts, lo, hi, width, min_support, max_len,
             governor,
         )
+        blocks += leaves
         if governor is not None:
-            # the lattice arrays are released; the decoded blocks are
-            # Python objects, which the allocator sample sees
-            governor.hold(0)
+            # the lattice tables are released; the output blocks are
+            # arrays, which the allocator sample does not see
+            governor.hold(sum(ranks.nbytes + sups.nbytes for ranks, sups in blocks))
         recurse = _np.zeros(width, bool)
         recurse[lo:hi] = (_np.diff(starts) >= 2) & ~leaf_ranks[lo:hi]
         if recurse.any():
             subs = _project(arrays, frequent, lo, recurse, governor)
+    if counters.enabled:
+        counters.add("cond_buckets_touched", int((~leaf_ranks[singles]).sum()))
 
-    supports = diag.tolist()
-    leaf_list = leaf_ranks.tolist()
+    for ranks, supports in blocks:
+        out.add(ranks, supports)
+    if governor is None:
+        order = sorted(subs, reverse=True)
+    else:
+        charge = sum(_np.bincount(ranks[:, -1], minlength=width) for ranks, _ in blocks)
+        order = singles[::-1].tolist()
     bounds = starts.tolist()
-    # 2-itemsets come straight from the matrix: pair_support[j, k] IS the
-    # exact support of {k, j}
-    pair_ranks = franks.tolist()
-    pair_counts = pair_support[owner + lo, franks].tolist()
-    for j in range(hi - 1, lo - 1, -1):
-        support = int(supports[j])
-        if support < min_support:
-            continue
+    for j in order:
         if governor is not None:
             governor.progress["mining_rank"] = j
             governor.tick()
-        leaf = leaf_list[j]
-        if counters.enabled and not leaf:
-            counters.add("cond_buckets_touched")
-        emit((j,), support)
-        if max_len is not None and max_len < 2:
-            continue
-        first, last = bounds[j - lo], bounds[j - lo + 1]
-        if first == last:
-            continue
-        sub_order = pair_ranks[first:last][::-1]
-        for r, count in zip(sub_order, pair_counts[first:last][::-1]):
-            emit((r, j), int(count))
-        if leaf:
-            for block_bounds, pairs in blocks:
-                for itemset, count in pairs[block_bounds[j - lo] : block_bounds[j - lo + 1]]:
-                    emit(itemset, count)
-            continue
+            governor.note_itemsets(int(charge[j]))
         sub = subs.pop(j, None)
         if sub:
             if counters.enabled:
                 counters.add("cond_structures_built")
+            sub_order = franks[bounds[j - lo] : bounds[j - lo + 1]][::-1].tolist()
             _mine_paths(
-                sub, sub_order, (j,), min_support, emit, max_len,
+                sub, sub_order, (j,), min_support, out.rows, max_len,
                 pair_support[j].tolist(), governor=governor,
             )
 
@@ -852,11 +885,12 @@ def mine_conditional_flat_range(
     lo: int,
     hi: int,
     min_support: int,
-    emit: Emit,
+    out: RankColumns,
     max_len: int | None = None,
     governor=None,
 ) -> None:
-    """Mine every frequent itemset whose maximal rank lies in ``[lo, hi)``.
+    """Mine every frequent itemset whose maximal rank lies in ``[lo, hi)``
+    into ``out``.
 
     Operates directly on a :class:`~repro.core.flat.FlatPLT`'s columns —
     the top level of :func:`mine_conditional` (the whole rank range) and
@@ -865,7 +899,7 @@ def mine_conditional_flat_range(
     different workers concatenate into the complete answer with no
     reconciliation, and each range's counts are exact because the sweep
     still *migrates* prefixes from every bucket above ``lo`` (consuming a
-    rank ``>= hi`` contributes its prefixes without emitting).
+    rank ``>= hi`` contributes its prefixes without writing any itemset).
 
     Runs on the vectorised co-occurrence matrix restricted to the range
     while the dense matrix fits ``_PAIR_MATRIX_MAX_CELLS``; wider rank
@@ -873,7 +907,8 @@ def mine_conditional_flat_range(
     sum-index keys ``>= lo`` (lower keys can never be consumed here).
     The rank being mined is kept in ``governor.progress["mining_rank"]``:
     each top-level rank's subtree completes before the next starts, so on
-    a budget trip every rank above the marker is complete.
+    a budget trip every rank above the marker is complete, and
+    :func:`salvage` keeps what a trip leaves.
     """
     _check_min_support(min_support)
     check_max_len(max_len)
@@ -889,7 +924,7 @@ def mine_conditional_flat_range(
             lo,
             hi,
             min_support,
-            emit,
+            out,
             max_len,
             governor=governor,
             pair_support=flat.pair_support_matrix(),
@@ -906,6 +941,7 @@ def mine_conditional_flat_range(
         for p in range(boff[b], boff[b + 1]):
             bucket[tuple(ranks_col[off[p] : off[p + 1]])] = freqs_col[p]
         buckets[key] = bucket
+    rows = out.rows
     for j in range(flat.max_rank, lo - 1, -1):
         bucket = buckets.pop(j, None)
         if bucket is None:
@@ -916,9 +952,25 @@ def mine_conditional_flat_range(
         cd, support = _consume_path_bucket(bucket, buckets, lo)
         if j >= hi or support < min_support:
             continue
-        emit((j,), support)
+        if governor is not None:
+            governor.note_itemsets()
+        rows.append(((j,), support))
         if cd:
-            mine_conditional_paths(cd, j, min_support, emit, max_len, governor)
+            mine_conditional_paths(cd, j, min_support, rows, max_len, governor)
+
+
+def salvage(out: RankColumns, governor) -> list[tuple[tuple[int, ...], int]]:
+    """The pairs a governed range run keeps when its budget trips.
+
+    Every itemset whose maximal rank is at or above the rank in flight
+    (``governor.progress["mining_rank"]``), in :meth:`RankColumns.pairs`
+    order, at most ``max_itemsets`` of them.  Ranks above the marker are
+    complete; the rank in flight contributes its array rows (exact, from
+    the pair matrix or the lattice) and the recursion rows found so far.
+    Every support is exact, and the pairs are a prefix of the full run's.
+    """
+    low = governor.progress.get("mining_rank") or 0
+    return out.pairs(low)[: governor.budget.max_itemsets]
 
 
 def mine_conditional(
@@ -927,7 +979,7 @@ def mine_conditional(
     *,
     max_len: int | None = None,
     governor=None,
-) -> list[tuple[tuple[int, ...], int]]:
+) -> RankColumns:
     """Mine all frequent itemsets from a PLT (Algorithm 3).
 
     Parameters
@@ -941,47 +993,33 @@ def mine_conditional(
     governor:
         Optional :class:`~repro.robustness.governor.ResourceGovernor`.
         When its budget trips (or its token is cancelled) the raised
-        :class:`~repro.errors.MiningInterrupted` carries ``partial`` (the
-        pairs mined so far, exact supports) and
-        ``progress["complete_from_rank"]`` — every itemset whose maximal
-        rank is >= that value was fully enumerated.
+        :class:`~repro.errors.MiningInterrupted` carries ``partial`` (a
+        list of the pairs mined so far, exact supports, see
+        :func:`salvage`) and ``progress["complete_from_rank"]`` — every
+        itemset whose maximal rank is >= that value was fully enumerated.
 
     Returns
     -------
-    list of ``(rank_tuple, support)`` where ``rank_tuple`` is sorted
+    A :class:`~repro.core.columns.RankColumns`; iterating it gives
+    ``(rank_tuple, support)`` pairs where ``rank_tuple`` is sorted
     ascending.  Use the PLT's rank table to decode to item labels.
     """
     if min_support is None:
         min_support = plt.min_support
     _check_min_support(min_support)
     check_max_len(max_len)
-
-    results: list[tuple[tuple[int, ...], int]] = []
-    # the engine constructs every itemset in ascending rank order (it
-    # prepends the strictly smaller extension rank), so no per-emission
-    # sort is needed
-    if governor is None:
-        def emit(itemset: tuple[int, ...], support: int) -> None:
-            results.append((itemset, support))
-    else:
+    out = RankColumns()
+    if governor is not None:
         governor.start()
-
-        def emit(itemset: tuple[int, ...], support: int) -> None:
-            # cap check first, so partial results never exceed the cap
-            governor.note_itemsets()
-            results.append((itemset, support))
-
     try:
         mine_conditional_flat_range(
-            plt.flat, 1, plt.max_rank() + 1, min_support, emit,
-            max_len, governor,
+            plt.flat, 1, plt.max_rank() + 1, min_support, out, max_len, governor
         )
-        return results
+        return out
     except MiningInterrupted as exc:
-        # everything emitted has its exact support; ranks strictly above
-        # the one in flight were mined to completion
-        exc.partial = results
-        mining_rank = governor.progress.get("mining_rank") if governor else None
+        # ranks strictly above the one in flight were mined to completion
+        exc.partial = salvage(out, governor)
+        mining_rank = governor.progress.get("mining_rank")
         if mining_rank is not None:
             exc.progress.setdefault("complete_from_rank", mining_rank + 1)
         raise

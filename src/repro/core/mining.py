@@ -18,13 +18,13 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from typing import Callable, Hashable
 
 import numpy as np
 
+from repro.core.columns import RankColumns
 from repro.core.conditional import mine_conditional
-from repro.core.flat import merge_rows, rows_by_length
+from repro.core.flat import merge_rows
 from repro.core.plt import PLT
 from repro.core.rank import sort_key
 from repro.core.topdown import mine_topdown
@@ -151,32 +151,26 @@ class ItemsetColumns:
         return [s for _, supports in self.blocks for s in supports.tolist()]
 
 
-def _decode_pairs(pairs, table) -> "list[FrequentItemset] | ItemsetColumns":
-    """A PLT miner's ``(ascending ranks, support)`` pairs as itemsets, in
-    :class:`MiningResult`'s canonical order — the only place the ``mine``
-    pipeline goes back from ranks to labels.
+def _decode(found: RankColumns, table) -> "list[FrequentItemset] | ItemsetColumns":
+    """A PLT miner's rank columns as itemsets, in :class:`MiningResult`'s
+    canonical order — the only place the ``mine`` pipeline goes back from
+    ranks to labels.
 
     The canonical order is (length, items in ``sort_key`` order).  A
     lexicographic table (:meth:`RankTable.from_supports`) hands out ranks
-    in ``sort_key`` order, so an ascending rank tuple already lists its
+    in ``sort_key`` order, so an ascending rank row already lists its
     labels in order and sorting each length's rank matrix row-wise *is*
-    the canonical sort: the pairs become :class:`ItemsetColumns` and no
-    ``sort_key`` is computed per itemset.  Other order policies keep the
-    generic sort.
+    the canonical sort: per length, the kernel's blocks and rows are
+    concatenated and sorted once (``merge_rows``) into
+    :class:`ItemsetColumns`, and no ``sort_key`` is computed per itemset.
+    Other order policies keep the generic sort over the pairs.
     """
     if table.order != "lexicographic":
         return _canonical_order(
             FrequentItemset(tuple(sorted(table.decode_ranks(ranks), key=sort_key)), sup)
-            for ranks, sup in pairs
+            for ranks, sup in found
         )
-    rank_tuples = [ranks for ranks, _ in pairs]
-    lengths = np.fromiter(map(len, rank_tuples), np.int64, len(pairs))
-    cells = np.fromiter(chain.from_iterable(rank_tuples), np.int64, int(lengths.sum()))
-    supports = np.fromiter((sup for _, sup in pairs), np.int64, len(pairs))
-    blocks = [
-        merge_rows(ranks, supports[rows])
-        for _, rows, ranks in rows_by_length(cells, np.cumsum(lengths) - lengths, lengths)
-    ]
+    blocks = [merge_rows(ranks, supports) for ranks, supports in found.by_length()]
     return ItemsetColumns((None,) + table.items(), blocks)
 
 
@@ -216,7 +210,7 @@ class MiningResult(Sequence):
         cls, itemsets: "list[FrequentItemset] | ItemsetColumns", **meta
     ) -> "MiningResult":
         """Wrap itemsets already in canonical order (what
-        :func:`_decode_pairs` returns) without sorting them again."""
+        :func:`_decode` returns) without sorting them again."""
         result = cls((), **meta)
         if isinstance(itemsets, ItemsetColumns):
             result._list, result._columns = None, itemsets
@@ -429,17 +423,18 @@ def _mine_plt_topdown(transactions, abs_support, order, max_len, **kwargs):
 
 
 def _decoded(miner, plt: PLT, *args, **kwargs) -> "list[FrequentItemset] | ItemsetColumns":
-    """Run a rank-space PLT miner on ``plt`` and decode its pairs once.
+    """Run a rank-space PLT miner on ``plt`` and decode its columns once.
 
-    A budget trip's rank-pair ``partial`` is decoded the same way into
-    ``partial_items`` before the interruption propagates.
+    A budget trip's rank-pair ``partial`` is decoded the same way, as the
+    row list of a :class:`RankColumns`, into ``partial_items`` before the
+    interruption propagates.
     """
     try:
-        pairs = miner(plt, *args, **kwargs)
+        found = miner(plt, *args, **kwargs)
     except MiningInterrupted as exc:
-        exc.partial_items = _decode_pairs(exc.partial, plt.rank_table)
+        exc.partial_items = _decode(RankColumns(rows=exc.partial), plt.rank_table)
         raise
-    return _decode_pairs(pairs, plt.rank_table)
+    return _decode(found, plt.rank_table)
 
 
 def _mine_bruteforce(transactions, abs_support, order, max_len, **kwargs):
@@ -549,7 +544,7 @@ def _mine_plt_distributed(transactions, abs_support, order, max_len, **kwargs):
 
 #: Each runner takes ``(transactions, abs_support, order, max_len,
 #: **options)``.  The rank-space PLT miners return their itemsets already
-#: in canonical order (:func:`_decode_pairs`: :class:`ItemsetColumns`, or a
+#: in canonical order (:func:`_decode`: :class:`ItemsetColumns`, or a
 #: list for a non-lexicographic order); the others return
 #: ``{frozenset(items): support}``.
 METHODS: dict[str, Callable] = {
@@ -594,8 +589,9 @@ def _degrade(
 
         plt = PLT.from_transactions(transactions, abs_support, order=order)
         pairs = mine_top_k(plt, policy.k, max_len=max_len)
-        itemsets = _decode_pairs(
-            [pair for pair in pairs if pair[1] >= abs_support], plt.rank_table
+        itemsets = _decode(
+            RankColumns(rows=[pair for pair in pairs if pair[1] >= abs_support]),
+            plt.rank_table,
         )
         disclaimer = (
             f"approximate result: supports are exact but only the "
@@ -820,7 +816,7 @@ def _mine_condensed(transactions, min_support, order, kind):
     plt = PLT.from_transactions(transactions, abs_support, order=order)
     miner = mine_closed if kind == "closed" else mine_maximal
     return MiningResult._from_canonical(
-        _decode_pairs(miner(plt, abs_support), plt.rank_table),
+        _decode(RankColumns(rows=miner(plt, abs_support)), plt.rank_table),
         n_transactions=len(transactions),
         min_support=abs_support,
         method=f"plt-{kind}",

@@ -53,6 +53,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
+from repro.core.columns import RankColumns, _tuples
 from repro.core.plt import PLT
 from repro.core.position import PositionVector, RankPath
 from repro.data.transaction_db import check_max_len
@@ -199,12 +200,12 @@ class _Lattice:
             if length < min_len or (max_len is not None and length > max_len):
                 continue
             rows = lengths == length
-            yield length, _rank_matrix(masks[rows], length), counts[rows].tolist()
+            yield length, _rank_matrix(masks[rows], length), counts[rows]
 
     def paths(self) -> dict[int, dict[RankPath, int]]:
         """The whole lattice as ``length -> {rank path -> frequency}``."""
         return {
-            length: dict(zip(_tuples(ranks), supports))
+            length: dict(zip(_tuples(ranks), supports.tolist()))
             for length, ranks, supports in self.blocks()
         }
 
@@ -212,7 +213,7 @@ class _Lattice:
         """The whole lattice in the delta-vector shape: each rank path's
         first differences, taken on the rank matrix."""
         return {
-            length: dict(zip(_tuples(np.diff(ranks, axis=1, prepend=0)), supports))
+            length: dict(zip(_tuples(np.diff(ranks, axis=1, prepend=0)), supports.tolist()))
             for length, ranks, supports in self.blocks()
         }
 
@@ -243,11 +244,6 @@ def _rank_matrix(masks: np.ndarray, length: int) -> np.ndarray:
         masks[rows, word] ^= low
         ranks[:, k] = np.frexp(low.astype(np.float64))[1] + 64 * word
     return ranks
-
-
-def _tuples(matrix: np.ndarray):
-    """The rows of an integer matrix as tuples of Python ints."""
-    return zip(*matrix.T.tolist())
 
 
 def _plt_lattice(plt: PLT, governor=None) -> _Lattice:
@@ -365,19 +361,23 @@ def mine_topdown(
     max_len: int | None = None,
     work_limit: int | None = DEFAULT_WORK_LIMIT,
     governor=None,
-) -> list[tuple[tuple[int, ...], int]]:
+) -> RankColumns:
     """Mine frequent itemsets with the top-down approach.
 
-    Returns ``(rank_tuple, support)`` pairs like
-    :func:`~repro.core.conditional.mine_conditional`, so the two miners are
+    Returns a :class:`~repro.core.columns.RankColumns` like
+    :func:`~repro.core.conditional.mine_conditional` (iterating it gives
+    ``(rank_tuple, support)`` pairs), so the two miners are
     interchangeable behind the facade.  Only the frequent survivors of
-    the lattice are decoded — a decoded mask *is* the sorted rank tuple.
+    the lattice are decoded, one rank matrix per length — a decoded mask
+    *is* the sorted rank tuple.
 
     When ``governor`` trips mid-sweep, the raised
     :class:`~repro.errors.MiningInterrupted` carries in ``partial`` the
     frequent pairs from every *finalized* length and
     ``progress["complete_min_len"]`` — all counts for subset lengths >=
-    that value are final and exact.
+    that value are final and exact.  After the sweep every count is
+    final: the survivors are charged to the itemset cap at once, and a
+    cap trip keeps the first ``max_itemsets`` of them.
     """
     if min_support is None:
         min_support = plt.min_support
@@ -392,31 +392,25 @@ def mine_topdown(
         _sweep(plt.flat.paths_by_length(), lattice, governor)
     except MiningInterrupted as exc:
         sweep_length = governor.progress["sweep_length"]
-        exc.partial = [
-            pair
+        exc.partial = RankColumns([
+            (ranks, supports)
             for _, ranks, supports in lattice.blocks(
                 min_support, min_len=sweep_length, max_len=max_len
             )
-            for pair in zip(_tuples(ranks), supports)
-        ]
+        ]).pairs()
         exc.progress.setdefault("complete_min_len", sweep_length)
         raise
-    results: list[tuple[tuple[int, ...], int]] = []
-    blocks = lattice.blocks(min_support, max_len=max_len)
-    if governor is None:
-        for _, ranks, supports in blocks:
-            results.extend(zip(_tuples(ranks), supports))
-        return results
-    try:
-        for _, ranks, supports in blocks:
-            for pair in zip(_tuples(ranks), supports):
-                # cap check first so partials never exceed max_itemsets
-                governor.note_itemsets()
-                results.append(pair)
-    except MiningInterrupted as exc:
-        exc.partial = results
-        raise
-    return results
+    out = RankColumns([
+        (ranks, supports)
+        for _, ranks, supports in lattice.blocks(min_support, max_len=max_len)
+    ])
+    if governor is not None:
+        try:
+            governor.note_itemsets(len(out))
+        except MiningInterrupted as exc:
+            exc.partial = out.pairs()[: governor.budget.max_itemsets]
+            raise
+    return out
 
 
 def subset_frequencies_flat(

@@ -11,13 +11,14 @@ Supported formats:
 
 Both readers accept plain or gzip-compressed files (by extension).
 
-An integer ``.dat`` file — plain, and made only of ASCII digits, spaces,
-tabs and line breaks, with no id longer than 18 digits — is parsed in
-bulk: :func:`read_dat` returns a database backed by an item-id column
-and row offsets, and builds the frozensets only if something iterates it.
-Every other file (gzip, signed or non-integer tokens, garbage bytes) goes
-through the line tokeniser.  Both routes give the same transactions and
-the same :class:`ParseReport` counts.
+An integer ``.dat`` file — made only of ASCII digits, spaces, tabs and
+line breaks, with no id longer than 18 digits; a ``.gz`` one is
+decompressed whole in memory first — is parsed in bulk: :func:`read_dat`
+returns a database backed by an item-id column and row offsets, and
+builds the frozensets only if something iterates it.  Every other file
+(a truncated or corrupt gzip stream, signed or non-integer tokens,
+garbage bytes) goes through the line tokeniser.  Both routes give the
+same transactions and the same :class:`ParseReport` counts.
 
 Robust parsing
 --------------
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import zlib
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -287,7 +289,7 @@ def read_dat_report(
 ) -> tuple[TransactionDatabase, ParseReport]:
     """Like :func:`read_dat`, returning the :class:`ParseReport` too."""
     report = ParseReport(path=str(path))
-    db = None if Path(path).suffix == ".gz" else _read_integer_dat(path, report)
+    db = _read_integer_dat(path, report)
     if db is None:
         db = TransactionDatabase(iter_dat_lines(path, strict=strict, report=report))
     return db, report
@@ -303,9 +305,11 @@ _MAX_DIGITS = 18
 def _read_integer_dat(path: str | Path, report: ParseReport):
     """An integer ``.dat`` file as a column-backed database, in bulk.
 
-    Returns ``None`` (and leaves ``report`` untouched) when the file is not
-    all digits and whitespace or holds an id longer than
-    :data:`_MAX_DIGITS`; the caller then runs the tokeniser.  Line breaks
+    A ``.gz`` file is decompressed whole in memory first.  Returns ``None``
+    (and leaves ``report`` untouched) when the file is not all digits and
+    whitespace, holds an id longer than :data:`_MAX_DIGITS`, or is a
+    truncated or corrupt gzip stream; the caller then runs the tokeniser,
+    which keeps what is readable and counts the defects.  Line breaks
     split the way text mode splits them (CRLF and lone CR count as one
     break), blank lines are not transactions, and a transaction's
     duplicate ids collapse.
@@ -314,6 +318,11 @@ def _read_integer_dat(path: str | Path, report: ParseReport):
         data = Path(path).read_bytes()
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
+    if Path(path).suffix == ".gz":
+        try:
+            data = gzip.decompress(data)
+        except (OSError, EOFError, zlib.error):
+            return None
     if data.translate(None, _INTEGER_DAT_BYTES):
         return None
     if b"\r" in data:

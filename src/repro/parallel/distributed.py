@@ -65,7 +65,7 @@ from collections.abc import Hashable, Iterable, Mapping
 from repro.compress.plt_codec import decode_label, encode_label
 from repro.compress.varint import decode_uvarint, encode_uvarint
 from repro.core import position
-from repro.core.conditional import mine_conditional_block
+from repro.core.conditional import block_paths, mine_conditional_paths
 from repro.core.rank import RankTable, sort_key
 from repro.data.transaction_db import check_max_len, item_supports
 from repro.errors import (
@@ -387,25 +387,19 @@ def _mine_owned(
     max_len: int | None,
     governor: ResourceGovernor | None = None,
 ) -> list[tuple[tuple[int, ...], int]]:
+    # the path engine writes itemsets already sorted ascending
     results: list[tuple[tuple[int, ...], int]] = []
-
-    # the path engine emits itemsets already sorted ascending — append raw
-    if governor is None:
-        def emit(itemset: tuple[int, ...], support: int) -> None:
-            results.append((itemset, support))
-    else:
-        def emit(itemset: tuple[int, ...], support: int) -> None:
-            governor.note_itemsets()
-            results.append((itemset, support))
-
     for rank in sorted(owned, reverse=True):
         support, prefixes = owned[rank]
         if support < min_support:
             continue
-        emit((rank,), support)
+        if governor is not None:
+            governor.note_itemsets()
+        results.append(((rank,), support))
         if prefixes and (max_len is None or max_len > 1):
-            mine_conditional_block(
-                prefixes, rank, min_support, emit, max_len, governor=governor
+            mine_conditional_paths(
+                block_paths(prefixes), rank, min_support, results, max_len,
+                governor=governor,
             )
     return results
 

@@ -45,6 +45,7 @@ import time
 import warnings
 from collections.abc import Callable, Sequence
 
+from repro.core.columns import RankColumns
 from repro.core.conditional import mine_conditional
 from repro.core.flat import FlatPLT
 from repro.core.plt import PLT
@@ -110,7 +111,7 @@ def _raise_if_tripped(governor: ResourceGovernor, what: str, results: list) -> N
         exc: MiningInterrupted = Cancelled(
             f"{what}: mining cancelled: {cancel.reason}", reason="cancelled"
         )
-        exc.raw_results = [r for r in results if r is not None]
+        exc.raw_results = list(results)
         raise exc
     remaining_t = governor.remaining_time()
     if remaining_t is not None and remaining_t <= 0:
@@ -118,7 +119,7 @@ def _raise_if_tripped(governor: ResourceGovernor, what: str, results: list) -> N
             f"{what}: deadline of {governor.budget.deadline}s exceeded",
             reason="deadline",
         )
-        exc.raw_results = [r for r in results if r is not None]
+        exc.raw_results = list(results)
         raise exc
 
 
@@ -318,7 +319,7 @@ def mine_parallel(
     timeout: float | None = DEFAULT_BATCH_TIMEOUT,
     retry: RetryPolicy | None = None,
     governor: ResourceGovernor | None = None,
-) -> list[tuple[tuple[int, ...], int]]:
+) -> RankColumns:
     """Parallel conditional mining; same output as ``mine_conditional``.
 
     Workers mine top-level rank ranges off a shared-memory FlatPLT.
@@ -333,7 +334,9 @@ def mine_parallel(
     polls the cancellation token and deadline between result waits, and
     enforces ``max_itemsets`` on the merged output.  A trip raises
     :class:`~repro.errors.BudgetExceeded` / :class:`~repro.errors.Cancelled`
-    carrying every pair collected so far (all exact supports).
+    carrying the pairs collected so far (all exact supports, at most
+    ``max_itemsets``) and ``progress["complete_from_rank"]``, as
+    :func:`mine_conditional` does.
     """
     if min_support is None:
         min_support = plt.min_support
@@ -374,43 +377,72 @@ def mine_parallel(
                 keep_pool=keep_pool,
             )
         except MiningInterrupted as exc:
-            # a driver-side trip: salvage the (status, pairs, reason)
-            # results collected so far, capped like a completed merge
-            exc.partial = [
-                pair for _status, part, _reason in exc.raw_results for pair in part
-            ][: governor.budget.max_itemsets]
+            # a driver-side trip: salvage the results collected so far,
+            # capped like a completed merge
+            exc.partial, marker = _salvaged(ranges, exc.raw_results, governor)
+            exc.progress.setdefault("complete_from_rank", marker)
             raise
         if governor is None:
-            return [pair for _status, part, _reason in parts for pair in part]
-        return _merge_governed_parts(parts, governor, "mine_parallel")
+            return _merged(parts)
+        return _merge_governed_parts(ranges, parts, governor, "mine_parallel")
     finally:
         executor.close()
 
 
-def _merge_governed_parts(
-    parts: list, governor: ResourceGovernor, what: str
-) -> list[tuple[tuple[int, ...], int]]:
-    """Merge governed worker returns; enforce the cap; raise on any trip."""
-    results: list[tuple[tuple[int, ...], int]] = []
-    stop_reason: str | None = None
-    for status, part, reason in parts:
-        results.extend(part)
-        if status == "partial" and stop_reason is None:
-            stop_reason = reason
+def _merged(parts: list) -> RankColumns:
+    """The range workers' ``(status, blocks, reason, complete_from)``
+    returns as one :class:`RankColumns` (ranges are disjoint: no
+    reconciliation); ``None`` marks a range with no result."""
+    return RankColumns([block for part in parts if part is not None for block in part[1]])
+
+
+def _salvaged(ranges: list, parts: list, governor: ResourceGovernor):
+    """The exact pairs a governed parallel run keeps, and the rank from
+    which they hold every itemset.
+
+    Ranges are walked from the top: each complete range lowers the
+    marker to its ``lo``, and the first tripped (or missing) range stops
+    the walk at its own marker.  Cutting the pairs to ``max_itemsets``
+    keeps the highest maximal ranks, so the marker can only rise past
+    the first rank that was cut.
+    """
+    marker = ranges[-1][1]
+    for (_lo, hi), part in zip(reversed(ranges), reversed(parts)):
+        if part is None:
+            marker = hi
+            break
+        status, _blocks, _reason, marker = part
+        if status != "ok":
+            break
+    pairs = _merged(parts).pairs()
     cap = governor.budget.max_itemsets
-    if cap is not None and len(results) > cap:
-        del results[cap:]
-        if stop_reason is None:
-            stop_reason = "max_itemsets"
-    governor.itemsets = len(results)
-    if stop_reason is not None:
-        cls = Cancelled if stop_reason == "cancelled" else BudgetExceeded
-        raise cls(
-            f"{what}: budget exhausted in worker processes ({stop_reason})",
-            reason=stop_reason,
-            partial=results,
-        )
-    return results
+    if cap is not None and len(pairs) > cap:
+        marker = max(marker, pairs[cap][0][-1] + 1)
+        del pairs[cap:]
+    return pairs, marker
+
+
+def _merge_governed_parts(
+    ranges: list, parts: list, governor: ResourceGovernor, what: str
+) -> RankColumns:
+    """Merge governed worker returns; enforce the cap; raise on any trip."""
+    results = _merged(parts)
+    stop_reason = next((part[2] for part in parts if part[0] == "partial"), None)
+    cap = governor.budget.max_itemsets
+    if cap is not None and len(results) > cap and stop_reason is None:
+        stop_reason = "max_itemsets"
+    if stop_reason is None:
+        governor.itemsets = len(results)
+        return results
+    partial, marker = _salvaged(ranges, parts, governor)
+    governor.itemsets = len(partial)
+    cls = Cancelled if stop_reason == "cancelled" else BudgetExceeded
+    raise cls(
+        f"{what}: budget exhausted in worker processes ({stop_reason})",
+        reason=stop_reason,
+        partial=partial,
+        progress={"complete_from_rank": marker},
+    )
 
 
 def topdown_parallel(

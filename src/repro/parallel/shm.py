@@ -14,8 +14,9 @@ the pool pipe:
 
    * conditional tasks are top-level **rank ranges** ``[lo, hi)`` run
      through :func:`~repro.core.conditional.mine_conditional_flat_range`;
-     itemsets partition exactly by maximal rank, so per-range results
-     concatenate with no reconciliation;
+     each returns its itemsets as one rank matrix and support column per
+     length, and itemsets partition exactly by maximal rank, so the
+     driver concatenates the per-range blocks with no reconciliation;
    * top-down tasks are stored-**path slices** ``[start, end)`` run
      through the subset-lattice kernel
      (:func:`~repro.core.topdown.topdown_flat_slice`); each returns its
@@ -53,7 +54,8 @@ import signal
 import threading
 from contextlib import contextmanager
 
-from repro.core.conditional import mine_conditional_flat_range
+from repro.core.columns import RankColumns
+from repro.core.conditional import mine_conditional_flat_range, salvage
 from repro.core.flat import FlatPLT
 from repro.core.topdown import topdown_flat_slice
 from repro.errors import MiningInterrupted
@@ -192,38 +194,40 @@ atexit.register(shutdown_pool)
 # ---------------------------------------------------------------------------
 # worker entry points (module level: picklable)
 # ---------------------------------------------------------------------------
-def _shm_cond_range(args) -> tuple[str, list, str | None]:
+def _shm_cond_range(args) -> tuple[str, list, str | None, int]:
     """Mine one top-level rank range off the shared columns.
 
-    Returns ``(status, pairs, reason)`` on both the governed and
-    ungoverned paths, so the driver merges one shape.  Budget trips never
-    propagate as exceptions (custom kwargs don't survive unpickling):
-    ``status`` is ``"partial"`` and ``reason`` names the trip, and every
-    pair carries its exact support either way.
+    Returns ``(status, blocks, reason, complete_from)`` on both the
+    governed and ungoverned paths, so the driver merges one shape:
+    ``blocks`` is :meth:`RankColumns.by_length` — one int64 rank matrix
+    and support column per itemset length, which pickle as a few buffers
+    instead of a tuple per itemset — and every itemset of the range
+    whose maximal rank is ``>= complete_from`` is in them.  Budget trips
+    never propagate as exceptions (custom kwargs don't survive
+    unpickling): ``status`` is ``"partial"``, ``reason`` names the trip
+    and ``blocks`` hold :func:`~repro.core.conditional.salvage`'s pairs;
+    every support is exact either way.
     """
     meta, lo, hi, min_support, max_len, budget = args
     _maybe_chaos_kill(lo)
-    results: list[tuple[tuple[int, ...], int]] = []
+    out = RankColumns()
     with _attached_flat(meta) as flat:
-        if budget is None or budget.unlimited():
-            def emit(itemset: tuple[int, ...], support: int) -> None:
-                results.append((itemset, support))
-
-            mine_conditional_flat_range(flat, lo, hi, min_support, emit, max_len)
-            return ("ok", results, None)
-        governor = ResourceGovernor(budget).start()
-
-        def emit(itemset: tuple[int, ...], support: int) -> None:
-            governor.note_itemsets()
-            results.append((itemset, support))
-
+        governor = None
+        if budget is not None and not budget.unlimited():
+            governor = ResourceGovernor(budget).start()
         try:
             mine_conditional_flat_range(
-                flat, lo, hi, min_support, emit, max_len, governor=governor
+                flat, lo, hi, min_support, out, max_len, governor=governor
             )
         except MiningInterrupted as exc:
-            return ("partial", results, exc.reason)
-    return ("ok", results, None)
+            mining_rank = governor.progress.get("mining_rank")
+            return (
+                "partial",
+                RankColumns(rows=salvage(out, governor)).by_length(),
+                exc.reason,
+                hi if mining_rank is None else mining_rank + 1,
+            )
+    return ("ok", out.by_length(), None, lo)
 
 
 def _shm_topdown_slice(args):

@@ -297,7 +297,9 @@ class ResourceGovernor:
     """Runtime budget/cancellation enforcement for one mining run.
 
     Mining hot loops call :meth:`tick` (with a work amount) and
-    :meth:`note_itemsets` (per emission); both are O(1) counter updates,
+    :meth:`note_itemsets` (with the number of itemsets about to be
+    written: one row, a batch of recursion rows, or a top-level rank's
+    array rows); both are O(1) counter updates,
     and only every ``check_interval`` accumulated work units does the
     governor read the monotonic clock, sample the allocator, and test the
     cancellation token.  Loops additionally drop completion markers into
@@ -410,7 +412,9 @@ class ResourceGovernor:
         self._check()
 
     def note_itemsets(self, n: int = 1) -> None:
-        """Count emitted itemsets; the cap check is immediate (exact)."""
+        """Charge ``n`` itemsets a miner is about to write; the cap check
+        is immediate, so a miner that charges before it writes never
+        holds more than ``max_itemsets``."""
         self.itemsets += n
         if self._max_itemsets is not None and self.itemsets > self._max_itemsets:
             raise BudgetExceeded(

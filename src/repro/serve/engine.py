@@ -469,15 +469,9 @@ class PatternEngine(Engine):
                 if governor is not None:
                     governor.note_itemsets()
                 pairs.append(((rank,), support))
-
-                def emit(itemset, sup):
-                    if governor is not None:
-                        governor.note_itemsets()
-                    pairs.append((itemset, sup))
-
                 if prefixes:
                     mine_conditional_paths(
-                        prefixes, rank, min_support, emit, None, governor=governor
+                        prefixes, rank, min_support, pairs, None, governor=governor
                     )
         except MiningInterrupted as exc:
             complete = False

@@ -6,10 +6,12 @@ from repro.core.conditional import (
     _build_path_buckets,
     conditional_database,
     mine_conditional,
+    mine_conditional_block,
 )
 from repro.core.plt import PLT
 from repro.core.position import encode
-from repro.errors import InvalidSupportError
+from repro.errors import BudgetExceeded, InvalidSupportError
+from repro.robustness.governor import MiningBudget, ResourceGovernor
 from tests.conftest import random_database
 
 
@@ -95,14 +97,12 @@ class TestMineConditional:
 
     @staticmethod
     def _mine_rank(plt, rank):
+        from repro.core.columns import RankColumns
         from repro.core.conditional import mine_conditional_flat_range
 
-        pairs = []
-        mine_conditional_flat_range(
-            plt.flat, rank, rank + 1, 2,
-            lambda itemset, support: pairs.append((itemset, support)),
-        )
-        return pairs
+        pairs = RankColumns()
+        mine_conditional_flat_range(plt.flat, rank, rank + 1, 2, pairs)
+        return list(pairs)
 
     def test_rank_restriction_partitions_output(self, paper_plt):
         all_pairs = sorted(mine_conditional(paper_plt, 2))
@@ -125,6 +125,37 @@ class TestMineConditional:
         pairs = mine_conditional(plt, 2, max_len=2)
         assert len(pairs) == 60 + 60 * 59 // 2
         assert all(s == 2 for _, s in pairs)
+
+
+class TestBlockEntry:
+    """``mine_conditional_block`` mines a delta-keyed ``CD_rank`` and
+    hands every pair to its callback, on a budget trip too."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_each_rank_matches_the_full_mine(self, seed):
+        db = random_database(seed + 900, max_items=9, max_transactions=40)
+        plt = PLT.from_transactions(db, 2)
+        full = dict(mine_conditional(plt, 2))
+        for rank in range(1, plt.max_rank() + 1):
+            cd, _, _ = conditional_database(plt, rank)
+            got = []
+            mine_conditional_block(cd, rank, 2, lambda i, s: got.append((i, s)))
+            want = {i: s for i, s in full.items() if i[-1] == rank and len(i) > 1}
+            assert len(got) == len(want) and dict(got) == want
+
+    def test_a_trip_reports_what_was_mined(self):
+        db = [tuple(range(8))] * 3 + [tuple(range(0, 8, 2))] * 2
+        plt = PLT.from_transactions(db, 2)
+        top = plt.max_rank()
+        cd, _, _ = conditional_database(plt, top)
+        got = []
+        with pytest.raises(BudgetExceeded):
+            mine_conditional_block(
+                cd, top, 2, lambda i, s: got.append((i, s)),
+                governor=ResourceGovernor(MiningBudget(max_itemsets=10)),
+            )
+        full = dict(mine_conditional(plt, 2))
+        assert 0 < len(got) <= 10 and all(full[i] == s for i, s in got)
 
 
 class TestMigrationCorrectness:

@@ -446,30 +446,48 @@ def _tokenised(path):
     return TransactionDatabase(iter_dat_lines(path, report=report)), report
 
 
+def _assert_bulk_equals_tokeniser(path):
+    db, report = read_dat_report(path)
+    assert db.columns() is not None  # the bulk path ran
+    want, want_report = _tokenised(path)
+    assert len(db) == len(want)
+    assert db.supports() == want.supports()
+    assert list(db) == list(want)
+    assert (report.n_lines, report.n_transactions, report.ok()) == (
+        want_report.n_lines, want_report.n_transactions, want_report.ok()
+    )
+    for support in (1, 2, 3):
+        plt, oracle = PLT.from_transactions(db, support), PLT.from_transactions(want, support)
+        assert plt.rank_table == oracle.rank_table
+        assert list(plt.iter_rank_paths()) == list(oracle.iter_rank_paths())
+        assert plt.n_transactions == oracle.n_transactions == len(want)
+        assert plt == oracle
+
+
 class TestBulkIntegerReader:
-    """An all-integer plain ``.dat`` file is parsed in bulk into columns;
-    the result equals the line tokeniser's in every observable way."""
+    """An all-integer ``.dat`` file, plain or gzipped, is parsed in bulk
+    into columns; the result equals the line tokeniser's in every
+    observable way."""
 
     @settings(max_examples=300, deadline=None)
     @given(text=_integer_dat)
     def test_bulk_path_equals_tokeniser(self, text, tmp_path_factory):
         path = tmp_path_factory.mktemp("bulk") / "t.dat"
         path.write_bytes(text.encode("ascii"))
-        db, report = read_dat_report(path)
-        assert db.columns() is not None  # the bulk path ran
-        want, want_report = _tokenised(path)
-        assert len(db) == len(want)
-        assert db.supports() == want.supports()
-        assert list(db) == list(want)
-        assert (report.n_lines, report.n_transactions, report.ok()) == (
-            want_report.n_lines, want_report.n_transactions, want_report.ok()
-        )
-        for support in (1, 2, 3):
-            plt, oracle = PLT.from_transactions(db, support), PLT.from_transactions(want, support)
-            assert plt.rank_table == oracle.rank_table
-            assert list(plt.iter_rank_paths()) == list(oracle.iter_rank_paths())
-            assert plt.n_transactions == oracle.n_transactions == len(want)
-            assert plt == oracle
+        _assert_bulk_equals_tokeniser(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=_integer_dat, members=st.integers(1, 3))
+    def test_gzipped_bulk_path_equals_tokeniser(self, text, members, tmp_path_factory):
+        # the text split over 1-3 concatenated gzip members, which both
+        # readers must decode as one stream
+        path = tmp_path_factory.mktemp("bulkgz") / "t.dat.gz"
+        data = text.encode("ascii")
+        cuts = [len(data) * k // members for k in range(members + 1)]
+        path.write_bytes(b"".join(
+            gzip.compress(data[a:b]) for a, b in zip(cuts, cuts[1:])
+        ))
+        _assert_bulk_equals_tokeniser(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.dat"
@@ -485,23 +503,32 @@ class TestBulkIntegerReader:
             ("long.dat", b"1 2\n" + b"1" * 19 + b" 2\n"),  # does not fit 18 digits
             ("byte.dat", b"1 2\n3 4\x0c\n"),  # one byte outside the alphabet
             ("signed.dat", b"1 2\n+3 4\n"),
-            ("plain.dat.gz", None),
+            # a .gz case's payload is gzipped; a broken stream still
+            # yields what is readable, through the tokeniser
+            ("signed.dat.gz", b"1 2\n+3 4\n"),
+            ("truncated.dat.gz", None),
+            ("corrupt.dat.gz", None),
         ],
     )
     def test_other_files_take_the_tokeniser(self, name, payload, tmp_path):
         path = tmp_path / name
-        if payload is None:
-            with gzip.open(path, "wb") as fh:
-                fh.write(b"1 2\n3 4\n")
-        else:
-            path.write_bytes(payload)
+        if name.endswith(".gz"):
+            whole = gzip.compress(payload or b"1 2\n3 4\n" * 400)
+            if name.startswith("truncated"):
+                payload = whole[: len(whole) // 2]  # the stream ends mid-member
+            elif name.startswith("corrupt"):
+                payload = whole[:-8] + bytes(8)  # a bad CRC and length trailer
+            else:
+                payload = whole
+        path.write_bytes(payload)
         db, report = read_dat_report(path)
         assert db.columns() is None
         want, want_report = _tokenised(path)
         assert list(db) == list(want)
-        assert (report.n_lines, report.n_transactions) == (
-            want_report.n_lines, want_report.n_transactions
+        assert (report.n_lines, report.n_transactions, report.truncated) == (
+            want_report.n_lines, want_report.n_transactions, want_report.truncated
         )
+        assert report.truncated == name.startswith(("truncated", "corrupt"))
 
     def test_lazy_item_sets(self, tmp_path):
         path = tmp_path / "t.dat"

@@ -96,10 +96,5 @@ class TestConditionalTasks:
         collected = []
         for task in conditional_tasks(plt, 2):
             collected.append(((task.rank,), task.support))
-            mine_conditional_paths(
-                task.prefixes,
-                task.rank,
-                2,
-                lambda s, sup: collected.append((s, sup)),
-            )
+            mine_conditional_paths(task.prefixes, task.rank, 2, collected)
         assert sorted(collected) == serial

@@ -15,6 +15,7 @@ import textwrap
 
 import pytest
 
+from repro.core.columns import RankColumns
 from repro.core.conditional import mine_conditional, mine_conditional_flat_range
 from repro.core.plt import PLT
 from repro.core.topdown import (
@@ -59,11 +60,8 @@ class TestDifferential:
         plt = PLT.from_transactions(db, 2)
         serial = sorted(mine_conditional(plt, 2))
         flat = plt.flat
-        kernel = []
-        mine_conditional_flat_range(
-            flat, 1, flat.max_rank + 1, 2,
-            lambda itemset, support: kernel.append((itemset, support)),
-        )
+        kernel = RankColumns()
+        mine_conditional_flat_range(flat, 1, flat.max_rank + 1, 2, kernel)
         shm_r = sorted(mine_parallel(plt, 2, n_workers=2))
         assert shm_r == sorted(kernel) == serial
 
@@ -102,11 +100,11 @@ class TestDifferential:
         assert len(ranges) == 2
         parts = []
         for lo, hi in ranges:
+            part = RankColumns()
             with collecting() as counts:
-                mine_conditional_flat_range(
-                    flat, lo, hi, 3, lambda itemset, support: parts.append((itemset, support))
-                )
+                mine_conditional_flat_range(flat, lo, hi, 3, part)
             assert counts["topdown_work_items"] > 0
+            parts += part
         serial = sorted(mine_conditional(plt, 3))
         assert sorted(parts) == serial
         assert sorted(mine_parallel(plt, 3, n_workers=2)) == serial

@@ -414,3 +414,86 @@ class TestOtherMiners:
             for fi in mine_frequent_itemsets(small_db, 4)
         )
         assert sorted(pairs) == expected
+
+
+class TestBlockGranularPartials:
+    """The conditional top level writes each rank's singles, pairs and
+    lattice-leaf itemsets as array blocks and charges them to the cap as
+    one batch per rank.  Whatever the cap, a partial stays exact, capped
+    and complete from ``complete_from_rank`` up."""
+
+    SUPPORT = 5
+
+    @pytest.fixture(scope="class")
+    def quest(self):
+        from repro.data.quest import generate_quest
+
+        db = generate_quest(n_transactions=300, n_items=40, avg_transaction_len=8, seed=3)
+        return PLT.from_transactions(db, self.SUPPORT)
+
+    @pytest.fixture(scope="class")
+    def lattice_ranks(self, quest):
+        import repro.core.conditional as cond
+
+        masks = []
+        lattice_leaves = cond._lattice_leaves
+
+        def recording(*args, **kwargs):
+            ranks, blocks = lattice_leaves(*args, **kwargs)
+            masks.append(ranks)
+            return ranks, blocks
+
+        cond._lattice_leaves = recording
+        try:
+            mine_conditional(quest, self.SUPPORT)
+        finally:
+            cond._lattice_leaves = lattice_leaves
+        (mask,) = masks
+        ranks = set(mask.nonzero()[0].tolist())
+        # the top level takes both branches on this input
+        assert ranks and len(ranks) < quest.max_rank()
+        return ranks
+
+    @staticmethod
+    def _caps(n):
+        return sorted({1, 2, 3, 7, n // 50, n // 10, n // 4, n // 2, 3 * n // 4, n - 1, n})
+
+    def _check(self, full, partial, cap, marker):
+        mined = dict(partial)
+        assert len(mined) == len(partial) <= cap
+        for ranks, support in mined.items():
+            assert full[ranks] == support
+        if marker is not None:
+            for ranks, support in full.items():
+                if ranks[-1] >= marker:
+                    assert mined.get(ranks) == support
+
+    def test_serial_partials(self, quest, lattice_ranks):
+        full = dict(mine_conditional(quest, self.SUPPORT))
+        tripped_at = set()
+        for cap in self._caps(len(full)):
+            governor = ResourceGovernor(MiningBudget(max_itemsets=cap))
+            try:
+                complete = mine_conditional(quest, self.SUPPORT, governor=governor)
+            except BudgetExceeded as exc:
+                assert exc.reason == "max_itemsets"
+                marker = exc.progress["complete_from_rank"]
+                self._check(full, exc.partial, cap, marker)
+                tripped_at.add(marker - 1)
+            else:
+                assert cap == len(full) and dict(complete) == full
+        # trips landed in lattice ranks and in recursion ranks
+        assert tripped_at & lattice_ranks and tripped_at - lattice_ranks
+
+    def test_parallel_partials(self, quest, lattice_ranks):
+        from repro.parallel import mine_parallel
+
+        full = dict(mine_conditional(quest, self.SUPPORT))
+        for cap in self._caps(len(full)):
+            governor = ResourceGovernor(MiningBudget(max_itemsets=cap))
+            try:
+                complete = mine_parallel(quest, self.SUPPORT, n_workers=2, governor=governor)
+            except MiningInterrupted as exc:
+                self._check(full, exc.partial, cap, exc.progress["complete_from_rank"])
+            else:
+                assert cap == len(full) and dict(complete) == full

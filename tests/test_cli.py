@@ -52,6 +52,27 @@ class TestMine:
         assert main(["mine", "--input", dat_file, "--min-support", "2"]) == 0
         assert "method=plt " in capsys.readouterr().out
 
+    def test_reused_parser_keeps_no_state_between_calls(self, dat_file, capsys):
+        from repro.cli import _parser
+
+        runs = [
+            ["mine", "--input", dat_file, "--min-support", "2", "--relative"],
+            ["mine", "--input", dat_file, "--min-support", "2"],
+        ]
+        fresh = []
+        for argv in runs:
+            _parser.cache_clear()  # a new parser, as in a new process
+            assert main(argv) == 0
+            fresh.append(capsys.readouterr().out)
+        reused = []
+        for argv in runs:
+            assert main(argv) == 0
+            reused.append(capsys.readouterr().out)
+        assert fresh[0] != fresh[1]
+        assert reused == fresh
+        # built once: the last fresh call; both reused calls hit it
+        assert _parser.cache_info()[:2] == (2, 1)
+
     @pytest.mark.parametrize("kind", ["closed", "maximal"])
     @pytest.mark.parametrize(
         "flag",

@@ -10,18 +10,24 @@ This module demonstrates both index kinds the mining algorithms need:
 * :class:`SumIndex` — ``sum -> [vector ids]``: the conditional miner's
   entry point (an item's conditional database is one bucket lookup).
 
-Both are built once over an in-memory PLT and answer queries without
+:class:`ItemIndex` — ``rank -> [path ids]`` over the stored columns — is
+the serving daemon's: any itemset's support, and the conditional database
+of the itemsets containing an item.
+
+All are built once over an in-memory PLT and answer queries without
 touching the original transactions, matching the paper's
 "self-contained structure" claim.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
+import numpy as np
+
+from repro.core.flat import FlatPLT
 from repro.core.plt import PLT
-from repro.core.position import PositionVector, RankPath, decode, vector_sum
+from repro.core.position import PositionVector, RankPath, vector_sum
 from repro.errors import ReproError
 
 __all__ = ["SumIndex", "LengthIndex", "ItemIndex"]
@@ -74,113 +80,148 @@ class SumIndex:
 
 
 class ItemIndex:
-    """Inverted occurrence index: ``rank -> ids of stored vectors containing it``.
+    """Inverted occurrence index over a :class:`~repro.core.flat.FlatPLT`.
 
-    The serving daemon's point-query workhorse.  Built once over the
-    stored rank paths (from a live :class:`~repro.core.plt.PLT` or
-    streamed off a :meth:`~repro.compress.store.PLTStore.iter_rank_paths`),
-    it answers two queries without touching the original transactions:
+    The serving daemon's point-query workhorse.  It holds, as arrays over
+    the structure's columns:
 
-    * :meth:`support` — exact support of an arbitrary itemset, by scanning
-      only the postings of the itemset's *rarest* rank (each stored path
-      is a whole aggregated transaction, so containment of every query
-      rank decides membership);
-    * :meth:`paths_containing` — the stored paths through a rank, i.e.
-      the raw material of the rank's conditional database.
+    * the ids of the stored paths through each rank, ascending (every
+      cell's path id, stably sorted by rank, plus per-rank start offsets);
+    * every rank's exact support (one weighted ``bincount``);
+    * the ``ranks``, ``path_offsets`` and ``freqs`` columns as int64;
+    * the total frequency.
 
-    Paths are kept as sorted tuples; per-path membership tests are C-speed
-    tuple containment.
+    From these it answers, without touching the original transactions:
+
+    * :meth:`support` — exact support of an arbitrary itemset: one rank
+      is a lookup; more ranks intersect the id arrays by ``searchsorted``,
+      rarest first (each stored path is a whole aggregated transaction,
+      so containment of every query rank decides membership);
+    * :meth:`conditional_paths` — the conditional database of a rank,
+      gathered in one pass and already stripped of locally infrequent
+      ranks.
+
+    Paths come back as tuples only on request (:meth:`paths_containing`,
+    :meth:`paths`).
     """
 
-    __slots__ = ("_paths", "_freqs", "_postings", "_supports")
+    __slots__ = ("_ids", "_starts", "_supports", "_cells", "_offsets", "_freqs", "_total", "_flat")
 
-    def __init__(self, paths_with_freqs: Iterator[tuple[RankPath, int]] | Iterable):
-        paths: list[RankPath] = []
-        freqs: list[int] = []
-        postings: dict[int, list[int]] = {}
-        supports: dict[int, int] = {}
-        for i, (path, freq) in enumerate(paths_with_freqs):
-            paths.append(path)
-            freqs.append(freq)
-            for r in path:
-                bucket = postings.get(r)
-                if bucket is None:
-                    postings[r] = [i]
-                else:
-                    bucket.append(i)
-                supports[r] = supports.get(r, 0) + freq
-        self._paths = paths
+    def __init__(self, flat: FlatPLT):
+        views = flat.as_numpy()
+        cells = views["ranks"].astype(np.int64)
+        offsets = views["path_offsets"].astype(np.int64)
+        freqs = views["freqs"].astype(np.int64)
+        width = flat.max_rank + 1
+        path_of = np.repeat(np.arange(len(freqs)), np.diff(offsets))
+        self._ids = path_of[np.argsort(cells, kind="stable")]
+        starts = np.zeros(width + 1, np.int64)
+        np.cumsum(np.bincount(cells, minlength=width), out=starts[1:])
+        self._starts = starts.tolist()
+        supports = np.bincount(cells, weights=freqs[path_of].astype(np.float64), minlength=width)
+        self._supports = supports.astype(np.int64).tolist()
+        self._cells = cells
+        self._offsets = offsets
         self._freqs = freqs
-        self._postings = postings
-        self._supports = supports
+        self._total = int(freqs.sum())
+        self._flat = flat
 
-    @classmethod
-    def from_plt(cls, plt: PLT) -> "ItemIndex":
-        return cls(plt.iter_rank_paths())
+    def _postings(self, rank: int):
+        """Ascending ids of the stored paths through ``rank`` (a view)."""
+        if not 0 < rank < len(self._supports):
+            return self._ids[:0]
+        return self._ids[self._starts[rank] : self._starts[rank + 1]]
 
     def ranks(self) -> list[int]:
         """All ranks with at least one occurrence, ascending."""
-        return sorted(self._postings)
+        return [r for r in range(1, len(self._supports)) if r in self]
 
     def rank_support(self, rank: int) -> int:
         """Exact support of a single rank (0 if absent)."""
-        return self._supports.get(rank, 0)
+        return self._supports[rank] if 0 < rank < len(self._supports) else 0
 
     def n_paths(self) -> int:
-        return len(self._paths)
+        return len(self._freqs)
 
     def support(self, ranks, *, governor=None) -> int:
         """Exact support of the itemset with the given ranks.
 
-        Scans the postings list of the least-frequent query rank and
-        checks the remaining ranks by tuple containment; with a
-        ``governor`` the scan is charged one amortized work unit per
-        posting so a per-query deadline bounds even adversarially hot
-        items.
+        One rank reads its precomputed support.  Otherwise the id array
+        of the rarest query rank is intersected with each other rank's by
+        ``searchsorted``, rarest first; with a ``governor`` every
+        intersection is charged one amortized work unit per id it probes,
+        so a per-query deadline bounds even adversarially hot items.
         """
-        ranks = tuple(ranks)
+        ranks = set(ranks)
         if not ranks:
-            return sum(self._freqs)
-        postings = self._postings
-        try:
-            rarest = min(ranks, key=lambda r: len(postings[r]))
-        except KeyError:
-            return 0  # a rank with no occurrences kills the intersection
-        rest = [r for r in ranks if r != rarest]
-        paths, freqs = self._paths, self._freqs
-        total = 0
-        for i in postings[rarest]:
+            return self._total
+        if len(ranks) == 1:
+            return self.rank_support(ranks.pop())
+        rarest, *others = sorted(map(self._postings, ranks), key=len)
+        ids = rarest
+        for other in others:
+            if not len(ids):
+                return 0
             if governor is not None:
-                governor.tick()
-            path = paths[i]
-            for r in rest:
-                if r not in path:
-                    break
-            else:
-                total += freqs[i]
-        return total
+                governor.tick(len(ids))
+            ids = ids[other.take(np.searchsorted(other, ids), mode="clip") == ids]
+        return int(self._freqs[ids].sum())
+
+    def conditional_paths(self, rank: int, min_support: int, *, governor=None) -> dict:
+        """``{rank path: frequency}`` of the paths through ``rank``, without it.
+
+        Each stored path through the rank loses the rank itself and every
+        rank whose support among those paths is below ``min_support``;
+        equal remainders aggregate and empty ones vanish.  This is the
+        input :func:`~repro.core.conditional.mine_conditional_paths`
+        takes to enumerate the frequent itemsets containing ``rank``,
+        with nothing left for its projection to drop.  With a
+        ``governor`` the gather is charged one work unit per path.
+        """
+        ids = self._postings(rank)
+        if governor is not None:
+            governor.tick(len(ids))
+        if not len(ids):
+            return {}
+        starts = self._offsets[ids]
+        lengths = self._offsets[ids + 1] - starts
+        ends = np.cumsum(lengths)
+        cells = self._cells[np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])]
+        freqs = self._freqs[ids]
+        local = np.bincount(
+            cells,
+            weights=np.repeat(freqs, lengths).astype(np.float64),
+            minlength=len(self._supports),
+        )
+        local[rank] = 0
+        keep = local[cells] >= min_support
+        kept = cells[keep].tolist()
+        out: dict = {}
+        lo = 0
+        for hi, freq in zip(np.cumsum(keep)[ends - 1].tolist(), freqs.tolist()):
+            if hi > lo:
+                path = tuple(kept[lo:hi])
+                out[path] = out.get(path, 0) + freq
+                lo = hi
+        return out
 
     def paths_containing(self, rank: int) -> Iterator[tuple[RankPath, int]]:
-        """``(path, frequency)`` for every stored path through ``rank``."""
-        paths, freqs = self._paths, self._freqs
-        for i in self._postings.get(rank, ()):
-            yield paths[i], freqs[i]
+        """``(path, frequency)`` for every stored path through ``rank``,
+        in storage order."""
+        ids = self._postings(rank)
+        path = self._flat.path
+        for p, freq in zip(ids.tolist(), self._freqs[ids].tolist()):
+            yield path(p), freq
 
     def paths(self) -> Iterator[tuple[RankPath, int]]:
-        """Every stored ``(path, frequency)`` pair, in insertion order.
-
-        The index keeps the full path table anyway (postings refer into
-        it), so it can hand the structure back out — the serving engine
-        uses this to rebuild a whole PLT lazily when a rules query needs a
-        full mine.
-        """
-        yield from zip(self._paths, self._freqs)
+        """Every stored ``(path, frequency)`` pair, in storage order."""
+        return self._flat.iter_paths()
 
     def __len__(self) -> int:
-        return len(self._postings)
+        return len(self.ranks())
 
     def __contains__(self, rank: int) -> bool:
-        return rank in self._postings
+        return 0 < rank < len(self._supports) and self._starts[rank + 1] > self._starts[rank]
 
 
 class LengthIndex:

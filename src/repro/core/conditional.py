@@ -470,8 +470,9 @@ def mine_conditional_paths(
 
     ``prefixes`` is ``CD_rank`` as aggregated rank paths — what
     :func:`_consume_path_bucket` returns, what the parallel partitioner
-    bundles into tasks, and what the serving engine reads off its
-    postings.  The projection that drops locally-infrequent ranks runs in
+    bundles into tasks, and what the serving engine gathers off its
+    postings (already projected).  The projection that drops
+    locally-infrequent ranks runs in
     path space, and the descent uses the exact frequent-rank schedule.
     Every itemset is appended to ``out`` as an ``(ascending rank tuple,
     support)`` pair; with a ``governor`` each batch is charged to its

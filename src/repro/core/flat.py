@@ -261,8 +261,8 @@ class FlatPLT:
         """All ``(path, frequency)`` pairs, bucket-major (storage order).
 
         Paths share one Python int object per rank (an object-array
-        ``take``), so a consumer that keeps every path, like the serving
-        postings, holds no int object per cell.
+        ``take``), so a consumer that keeps every path, like the PLT's
+        derived dict views, holds no int object per cell.
         """
         ints = _np.arange(self.max_rank + 1).astype(object)
         ranks = ints[self.as_numpy()["ranks"]].tolist()

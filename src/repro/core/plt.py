@@ -308,6 +308,11 @@ class PLT:
             min_support=abs_support,
             n_transactions=n_transactions,
         )
+        return cls.from_flat(rank_table, flat)
+
+    @classmethod
+    def from_flat(cls, rank_table: RankTable, flat: FlatPLT) -> "PLT":
+        """A PLT viewing already-built columns (no copy, no check)."""
         plt = cls.__new__(cls)
         plt._store(rank_table, flat)
         return plt

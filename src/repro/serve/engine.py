@@ -50,6 +50,7 @@ from typing import NoReturn
 from repro.apps.classifier import first_matching_rule
 from repro.compress.index import ItemIndex
 from repro.core.conditional import mine_conditional, mine_conditional_paths
+from repro.core.flat import FlatPLT
 from repro.core.plt import PLT
 from repro.core.rank import RankTable, sort_key
 from repro.data.transaction_db import resolve_min_support
@@ -95,33 +96,39 @@ def _trim_heap() -> None:
 
 
 class ServingIndex:
-    """The immutable read path of the daemon: rank table + postings.
+    """The immutable read path of the daemon: one stored structure.
 
-    Holds the stored rank paths behind an
-    :class:`~repro.compress.index.ItemIndex` (point queries, conditional
-    databases) plus the header facts every answer needs (build threshold,
-    transaction count).  A full :class:`~repro.core.plt.PLT` is only
-    reconstructed lazily, the first time a rules query forces a complete
-    mine.
+    Holds the stored rank paths once, as a :class:`~repro.core.flat.FlatPLT`,
+    behind an :class:`~repro.compress.index.ItemIndex` (point queries,
+    conditional databases), plus the header facts every answer needs
+    (build threshold, transaction count) and the label order answers are
+    sorted and decoded in: ``labels`` lists the labels by
+    :func:`~repro.core.rank.sort_key`, and ``positions[r]`` is rank
+    ``r``'s place in it.  The :class:`~repro.core.plt.PLT` a rules query
+    mines is a view of the same columns.
     """
 
-    __slots__ = ("rank_table", "min_support", "n_transactions", "postings", "_plt", "_lock")
+    __slots__ = (
+        "rank_table", "min_support", "n_transactions", "flat", "postings",
+        "labels", "positions", "_plt",
+    )
 
-    def __init__(
-        self,
-        rank_table: RankTable,
-        paths_with_freqs,
-        *,
-        min_support: int,
-        n_transactions: int,
-        plt: PLT | None = None,
-    ):
+    def __init__(self, rank_table: RankTable, flat: FlatPLT):
         self.rank_table = rank_table
-        self.min_support = int(min_support)
-        self.n_transactions = int(n_transactions)
-        self.postings = ItemIndex(paths_with_freqs)
-        self._plt = plt
-        self._lock = threading.Lock()
+        self.min_support = flat.min_support
+        self.n_transactions = flat.n_transactions
+        self.flat = flat
+        self.postings = ItemIndex(flat)
+        items = rank_table.items()
+        # sorted() is stable: labels with equal keys keep rank order, as
+        # sorting a rank-ordered label tuple by sort_key would
+        by_label = sorted(range(len(items)), key=lambda i: sort_key(items[i]))
+        self.labels = tuple(items[i] for i in by_label)
+        positions = [0] * (len(items) + 1)
+        for position, i in enumerate(by_label):
+            positions[i + 1] = position
+        self.positions = positions
+        self._plt = PLT.from_flat(rank_table, flat)
 
     @classmethod
     def from_transactions(
@@ -129,13 +136,7 @@ class ServingIndex:
     ) -> "ServingIndex":
         """Algorithm 1 once, postings forever."""
         plt = PLT.from_transactions(transactions, min_support, order=order)
-        index = cls(
-            plt.rank_table,
-            plt.iter_rank_paths(),
-            min_support=plt.min_support,
-            n_transactions=plt.n_transactions,
-            plt=plt,
-        )
+        index = cls(plt.rank_table, plt.flat)
         _trim_heap()
         return index
 
@@ -143,30 +144,18 @@ class ServingIndex:
     def from_store(cls, path) -> "ServingIndex":
         """Load a compressed :class:`~repro.compress.store.PLTStore` file.
 
-        The store is streamed bucket-by-bucket into the postings and then
+        The store is streamed bucket-by-bucket into the columns and then
         closed — the daemon holds no file handle afterwards.
         """
         from repro.compress.store import PLTStore
 
         with PLTStore(path) as store:
-            return cls(
-                store.rank_table,
-                store.iter_rank_paths(),
-                min_support=store.min_support,
-                n_transactions=store.n_transactions,
-            )
+            plt = store.to_plt()
+        return cls(plt.rank_table, plt.flat)
 
     def plt(self) -> PLT:
-        """The full structure, rebuilt from the postings on first use."""
-        with self._lock:
-            if self._plt is None:
-                self._plt = PLT(
-                    self.rank_table,
-                    dict(self.postings.paths()),
-                    min_support=self.min_support,
-                    n_transactions=self.n_transactions,
-                )
-            return self._plt
+        """The full structure: a view of the index's columns."""
+        return self._plt
 
 
 def serialize_rule(rule: Rule) -> dict:
@@ -365,9 +354,9 @@ class PatternEngine(Engine):
         return s
 
     def _decode(self, ranks) -> tuple:
-        """Rank tuple -> canonical (sort_key-ordered) label tuple."""
-        labels = self.index.rank_table.decode_ranks(sorted(ranks))
-        return tuple(sorted(labels, key=sort_key))
+        """Distinct ranks -> canonical (sort_key-ordered) label tuple."""
+        labels, positions = self.index.labels, self.index.positions
+        return tuple([labels[p] for p in sorted([positions[r] for r in ranks])])
 
     def _cached(self, store_key, budget, cancel, compute_with_governor):
         """Run ``compute_with_governor`` through cache + admission.
@@ -439,36 +428,32 @@ class PatternEngine(Engine):
     def _conditional_compute(self, rank: int, min_support: int, governor):
         """Mine every frequent itemset containing ``rank``; exact supports.
 
-        The item's conditional database is read straight off the postings:
-        each stored path through the rank, with the rank removed and
-        re-aggregated.  Mining it at ``min_support`` with
-        suffix ``(rank,)`` enumerates exactly the frequent itemsets
-        containing the item — bit-for-bit what filtering a full mine
-        yields, without ever running one.
+        The item's conditional database is gathered straight off the
+        postings: each stored path through the rank, with the rank and
+        every locally infrequent rank removed, re-aggregated
+        (:meth:`~repro.compress.index.ItemIndex.conditional_paths`).
+        Mining it at ``min_support`` with suffix ``(rank,)`` enumerates
+        exactly the frequent itemsets containing the item — bit-for-bit
+        what filtering a full mine yields, without ever running one.
 
         Returns ``((entries, complete, stop_reason), cacheable)`` where
-        entries are decoded, canonically ordered, and ``cacheable`` is
-        true only for complete answers.
+        entries are decoded, canonically ordered (:meth:`_order_key`, read
+        off the index's label positions), and ``cacheable`` is true only
+        for complete answers.
         """
+        postings = self.index.postings
         pairs: list[tuple[tuple[int, ...], int]] = []
         complete = True
         stop_reason = None
         try:
             if governor is not None:
                 governor.check_now()
-            support = 0
-            prefixes: dict = {}
-            for path, freq in self.index.postings.paths_containing(rank):
-                if governor is not None:
-                    governor.tick()
-                support += freq
-                if len(path) > 1:
-                    rest = tuple(r for r in path if r != rank)
-                    prefixes[rest] = prefixes.get(rest, 0) + freq
+            support = postings.rank_support(rank)
             if support >= min_support:
                 if governor is not None:
                     governor.note_itemsets()
                 pairs.append(((rank,), support))
+                prefixes = postings.conditional_paths(rank, min_support, governor=governor)
                 if prefixes:
                     mine_conditional_paths(
                         prefixes, rank, min_support, pairs, None, governor=governor
@@ -476,8 +461,11 @@ class PatternEngine(Engine):
         except MiningInterrupted as exc:
             complete = False
             stop_reason = exc.reason
-        entries = [(self._decode(ranks), sup) for ranks, sup in pairs]
-        entries.sort(key=self._order_key)
+        labels, positions = self.index.labels, self.index.positions
+        keyed = sorted(
+            (-sup, len(ranks), sorted([positions[r] for r in ranks])) for ranks, sup in pairs
+        )
+        entries = [(tuple([labels[p] for p in at]), -neg) for neg, _, at in keyed]
         return (entries, complete, stop_reason), complete
 
     def _op_topk(self, request, cancel) -> dict:

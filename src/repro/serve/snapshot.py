@@ -8,8 +8,8 @@ CRC-framed :class:`~repro.robustness.checkpoint.CheckpointStore`:
 
 * a :class:`~repro.serve.engine.ServingIndex` is stored as the compact
   PLT codec stream (``repro.compress.serialize_plt``) — rank table,
-  positional vectors, header facts — so restore is a deserialize plus a
-  postings rebuild, never a mine;
+  positional vectors, header facts — so restore is a deserialize plus an
+  array-postings build, never a mine;
 * a :class:`~repro.stream.summary.StreamSummary` /
   :class:`~repro.stream.window.SlidingWindowSketch` reuses the stream
   tier's tagged snapshot bytes (:func:`repro.stream.ingest.sketch_to_blob`),
@@ -81,13 +81,7 @@ def restore_from_blob(blob: bytes):
             plt = deserialize_plt(blob[1:])
         except CodecError as exc:
             raise CheckpointError(f"damaged serving-index snapshot: {exc}") from exc
-        return ServingIndex(
-            plt.rank_table,
-            plt.iter_rank_paths(),
-            min_support=plt.min_support,
-            n_transactions=plt.n_transactions,
-            plt=plt,
-        )
+        return ServingIndex(plt.rank_table, plt.flat)
     return sketch_from_blob(blob)
 
 

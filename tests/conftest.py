@@ -90,6 +90,17 @@ def _shm_segments() -> set:
     return {f for f in os.listdir("/dev/shm") if f.startswith("plt_shm_")}
 
 
+def daemon_segments(segments, pids) -> list:
+    """The ``plt_shm_<pid>_...`` segments created by one of ``pids``.
+
+    Segment names carry their creator's pid (``core/flat.py``'s
+    ``_segment_name``), so a segment another process on the host makes
+    meanwhile is not blamed on a daemon.
+    """
+    pids = {str(pid) for pid in pids}
+    return sorted(f for f in segments if f.split("_")[2] in pids)
+
+
 @pytest.fixture
 def serve_daemon(tmp_path):
     """Factory launching real ``python -m repro serve`` daemons.
@@ -99,7 +110,7 @@ def serve_daemon(tmp_path):
     ``.output()``.  Startup blocks (with a hard timeout) until the daemon
     prints its READY line; teardown SIGTERMs every launched daemon and
     *asserts* that each exits within the shutdown timeout (no leaked
-    processes) and that no ``/dev/shm`` segment appeared and survived.
+    processes) and that no ``/dev/shm`` segment a daemon created survived.
     """
     launched: list[SimpleNamespace] = []
     shm_before = _shm_segments()
@@ -195,5 +206,7 @@ def serve_daemon(tmp_path):
         f"{len(leaked)} daemon(s) ignored SIGTERM for {SERVE_SHUTDOWN_TIMEOUT}s "
         f"and had to be killed; output of first:\n{leaked[0].output()}"
     )
-    shm_leaked = _shm_segments() - shm_before
-    assert not shm_leaked, f"daemon leaked /dev/shm segments: {sorted(shm_leaked)}"
+    shm_leaked = daemon_segments(
+        _shm_segments() - shm_before, [handle.proc.pid for handle in launched]
+    )
+    assert not shm_leaked, f"daemon leaked /dev/shm segments: {shm_leaked}"

@@ -8,6 +8,9 @@ leak checks in :mod:`tests.conftest`).
 
 from __future__ import annotations
 
+import os
+from multiprocessing import shared_memory
+
 import pytest
 
 from repro.core.mining import mine_frequent_itemsets
@@ -15,7 +18,7 @@ from repro.core.plt import PLT
 from repro.core.rank import sort_key
 from repro.compress.store import PLTStore
 from repro.serve.client import ServeClient
-from tests.conftest import random_database
+from tests.conftest import _shm_segments, daemon_segments, random_database
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +48,25 @@ class TestStartupContract:
         # both --db and --store: must exit nonzero fast, not hang
         with pytest.raises(AssertionError):
             serve_daemon(db, 2, extra_args=("--store", str(tmp_path / "x.plt")))
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+    def test_shm_check_blames_only_daemon_segments(self, serve_daemon, db):
+        # the fixture's teardown check: a segment under a daemon's pid is
+        # a leak, one any other process makes meanwhile is not
+        handle = serve_daemon(db, 2)
+        leaked = shared_memory.SharedMemory(
+            create=True, size=8, name=f"plt_shm_{handle.proc.pid}_0badcafe"
+        )
+        bystander = shared_memory.SharedMemory(
+            create=True, size=8, name=f"plt_shm_{os.getpid()}_0badcafe"
+        )
+        try:
+            found = daemon_segments(_shm_segments(), [handle.proc.pid])
+            assert found == [leaked.name]
+        finally:
+            for segment in (leaked, bystander):
+                segment.close()
+                segment.unlink()
 
 
 class TestWireQueries:

@@ -10,14 +10,18 @@ trips marked exactly as :class:`PartialResult` marks them.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.apps.classifier import first_matching_rule
 from repro.core.mining import mine_frequent_itemsets
 from repro.core.plt import PLT
-from repro.core.rank import sort_key
+from repro.core.rank import ORDER_POLICIES, sort_key
+from repro.errors import BudgetExceeded
+from repro.robustness.governor import CancellationToken, MiningBudget, ResourceGovernor
 from repro.rules.generation import rules_from_result
-from repro.serve.engine import PatternEngine, ServingIndex, serialize_rule
+from repro.serve.engine import Engine, PatternEngine, ServingIndex, serialize_rule
 from tests.conftest import random_database
 
 SEEDS = range(20)
@@ -197,6 +201,98 @@ class TestBudgetTrips:
         assert not env["ok"]
         assert env["code"] == "budget"
         assert env["stop_reason"] == "max_itemsets"
+
+
+class TestAnswerOrder:
+    """Answers sort and decode by label (``sort_key``), whatever the ranks."""
+
+    @pytest.mark.parametrize("order", ORDER_POLICIES)
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    def test_mixed_labels_order_as_sort_key(self, order, seed):
+        # ints and strings mixed, with look-alike pairs (2 / "2"); under a
+        # support order the rank order is not the label order
+        labels = [2, "2", 10, "10", "b", "a", -1, "Z", 7, "x"]
+        db = [frozenset(labels[i] for i in t) for t in _db(seed)]
+        s = 2
+        index = ServingIndex.from_transactions(db, s, order=order)
+        engine = PatternEngine(index)
+        result = mine_frequent_itemsets(db, s)
+        for item in index.rank_table.items():
+            expected = sorted(
+                (
+                    (tuple(sorted(fi.items, key=sort_key)), fi.support)
+                    for fi in result
+                    if item in fi.items
+                ),
+                key=Engine._order_key,
+            )
+            assert _topk_pairs(engine.handle({"op": "topk", "item": item, "k": None})) == expected
+        items = list(index.rank_table.items())
+        for probe in (items[:1], items[:2], items[-3:], items[::-1], items[1:4] * 2):
+            env = engine.handle({"op": "frequency", "items": probe})
+            assert env["result"]["items"] == sorted(set(probe), key=sort_key)
+            assert env["result"]["support"] == PLT.from_transactions(db, s).support_of(probe)
+
+
+class TestGovernedHotItem:
+    """Budgets on the item with the most postings."""
+
+    @pytest.fixture
+    def served(self):
+        db = _db(3)
+        index = ServingIndex.from_transactions(db, 2)
+        postings = index.postings
+        hot = max(
+            index.rank_table.items(),
+            key=lambda i: len(list(postings.paths_containing(index.rank_table.rank(i)))),
+        )
+        return db, index, hot
+
+    def test_itemset_cap_partial_is_exact_and_uncached(self, served):
+        db, index, hot = served
+        engine = PatternEngine(index)
+        expected = _expected_containing(db, 2, hot)
+        assert len(expected) > 3, "the hot item must overflow the cap"
+        env = engine.handle(
+            {"op": "topk", "item": hot, "k": None, "budget": {"max_itemsets": 3}}
+        )
+        assert env["complete"] is False and env["stop_reason"] == "max_itemsets"
+        pairs = _topk_pairs(env)
+        assert 0 < len(pairs) <= 3
+        assert all(dict(expected)[it] == sup for it, sup in pairs)
+        clean = engine.handle({"op": "topk", "item": hot, "k": None})
+        assert clean["source"] == "miss" and clean["complete"] is True
+        assert _topk_pairs(clean) == expected
+
+    def test_cancelled_token_answers_partial_and_uncached(self, served):
+        db, index, hot = served
+        engine = PatternEngine(index)
+        token = CancellationToken()
+        token.cancel("client went away")
+        env = engine.handle({"op": "topk", "item": hot, "k": None}, cancel=token)
+        assert env["ok"] and env["complete"] is False
+        assert env["stop_reason"] == "cancelled"
+        assert _topk_pairs(env) == []
+        clean = engine.handle({"op": "topk", "item": hot, "k": None})
+        assert clean["source"] == "miss" and clean["complete"] is True
+        assert _topk_pairs(clean) == _expected_containing(db, 2, hot)
+
+    def test_frequency_trips_a_tiny_deadline(self, served):
+        _, index, hot = served
+        engine = PatternEngine(index)
+        other = next(i for i in index.rank_table.items() if i != hot)
+        env = engine.handle(
+            {"op": "frequency", "items": [hot, other], "budget": {"deadline": 1e-9}}
+        )
+        assert not env["ok"] and env["code"] == "budget"
+        assert env["stop_reason"] == "deadline"
+        # inside the index, each id batch an intersection probes is charged
+        ranks = index.rank_table.encode_itemset([hot, other])
+        governor = ResourceGovernor(MiningBudget(deadline=1e-9, check_interval=1)).start()
+        time.sleep(0.001)
+        with pytest.raises(BudgetExceeded):
+            index.postings.support(ranks, governor=governor)
+        assert index.postings.support([index.rank_table.rank(hot)], governor=governor) > 0
 
 
 class TestRulesDifferential:

@@ -78,7 +78,6 @@ from repro.core.position import PositionVector, RankPath, path_to_vector
 from repro.core.topdown import (
     _CHUNK_SUBSETS,
     _Lattice,
-    _aggregate,
     _expand,
     _popcount,
     _rank_matrix,
@@ -596,20 +595,22 @@ def _pair_support_matrix(arrays, width: int):
     return total.reshape(width, width)
 
 
-def _leaf_rows(arrays, onebit, lo: int, keyable, shift: int, governor=None):
+def _leaf_rows(arrays, onebit, lo: int, keyable, mask_bits: int, total: int, governor=None):
     """The distinct rows of every keyable rank's ``CD_j``, as lattice keys.
 
     Every stored path truncated at column ``c >= 2`` is a row of
-    ``CD_j`` for ``j = mat[:, c]``.  A row is keyed ``j << shift | mask``:
-    ``onebit[j - lo, k]`` is ``k``'s one-bit mask among the locally frequent
-    ranks of ``CD_j`` and zero for every other ``k``, including every
-    ``k >= j``, so summing it over the *whole* path gives the row's mask
-    with no per-column truncation.  Rows with fewer than two locally
-    frequent ranks are left out: they carry only pair supports, which the
-    pair matrix already holds.  Returns the sorted distinct keys and
-    their summed frequencies.
+    ``CD_j`` for ``j = mat[:, c]``.  A row is keyed ``(j - lo) << M |
+    mask`` with ``M = mask_bits``: ``onebit[j - lo, k]`` is ``k``'s
+    one-bit mask among the locally frequent ranks of ``CD_j`` and zero
+    for every other ``k``, including every ``k >= j``, so summing it over
+    the *whole* path gives the row's mask with no per-column truncation.
+    Rows with fewer than two locally frequent ranks are left out: they
+    carry only pair supports, which the pair matrix already holds.
+    Returns the sorted distinct keys and their summed frequencies (at
+    most ``total``), aggregated by a :class:`~repro.core.topdown._Lattice`.
     """
-    ushift = _np.uint64(shift)
+    table = _Lattice((len(onebit) - 1).bit_length() + mask_bits, total)
+    ushift = _np.uint64(mask_bits)
     width = onebit.shape[1]
     flatbit = onebit.ravel()
     keys, freqs = [], []
@@ -622,17 +623,17 @@ def _leaf_rows(arrays, onebit, lo: int, keyable, shift: int, governor=None):
             r = rows[start : start + step]
             if governor is not None:
                 governor.tick(len(r))
-            j = mat[r, cols[start : start + step] + 2]
+            j = mat[r, cols[start : start + step] + 2] - lo
             cells = mat[r]
-            cells += ((j - lo) * width)[:, None]
+            cells += (j * width)[:, None]
             # distinct one-bit masks: their sum is their union
             masks = flatbit.take(cells).sum(axis=1, dtype=_np.uint64)
             two = _np.flatnonzero(masks & (masks - _np.uint64(1)))
             keys.append((j[two].astype(_np.uint64) << ushift) | masks[two])
             freqs.append(ifreqs[r[two]])
-    if not keys:
-        return _np.empty(0, _np.uint64), _np.empty(0, _np.int64)
-    return _aggregate(_np.concatenate(keys), _np.concatenate(freqs), 1)
+    if keys:
+        table.insert(_np.concatenate(keys), _np.concatenate(freqs))
+    return table.table()
 
 
 def _lattice_leaves(
@@ -644,7 +645,7 @@ def _lattice_leaves(
     ``franks[starts[j - lo] : starts[j - lo + 1]]`` are the locally
     frequent ranks of ``CD_j``, ascending, and ``owner`` is each entry's
     ``j - lo``.  A rank whose locally frequent ranks fit the key (at most
-    ``shift`` of them, see :func:`_leaf_rows`) takes the lattice when its
+    ``64 - bit_length(width - 1)`` of them) takes the lattice when its
     distinct rows' subsets number at most :data:`_LATTICE_COST_RATIO`
     times their locally frequent ranks (``sum(2^K - 1) <= ratio *
     sum(K)``): ``sum(K)`` is a lower bound on the recursion's work, so
@@ -653,50 +654,61 @@ def _lattice_leaves(
     support of ``S + {j}`` is the summed frequency of the rows whose mask
     contains ``S``, so the kept keys are exact.
 
+    A key is ``(j - lo) << M | mask``, where ``M`` is the largest local
+    count of the keyable ranks (for the rows) or of the chosen ranks (for
+    the lattice).  The key fits one word, and with the summed path
+    frequency below it usually the packed layout of
+    :class:`~repro.core.topdown._Lattice`.
+
     Returns ``(ranks, blocks)``: a bool array over ranks marking the
     lattice ranks, and one ``(itemsets, supports)`` block per itemset
     length above two — an int64 rank matrix, rows sorted by their last
     (maximal) rank, and the matching supports.
     """
-    shift = 64 - (width - 1).bit_length()
-    ushift = _np.uint64(shift)
     counts = _np.diff(starts)
     keyable = _np.zeros(width, bool)
-    keyable[lo:hi] = (counts >= 2) & (counts <= shift)
+    keyable[lo:hi] = (counts >= 2) & (counts <= 64 - (width - 1).bit_length())
     if not keyable.any():
         return keyable, []
     # bit b of rank j's mask is its b-th locally frequent rank (clipped to
-    # the word: ranks with more than `shift` of them are not keyable)
+    # the word: ranks with that many of them are not keyable)
     local = _np.arange(len(franks)) - starts[owner]
     onebit = _np.zeros((hi - lo, width), _np.uint64)
     onebit[owner, franks] = _np.uint64(1) << _np.minimum(local, 63).astype(_np.uint64)
     if governor is not None:
         governor.hold(onebit.nbytes)
-    keys, freqs = _leaf_rows(arrays, onebit, lo, keyable, shift, governor)
-    low = (_np.uint64(1) << ushift) - _np.uint64(1)
+    # no key's summed frequency exceeds the stored paths' total
+    total = sum(int(ifreqs.sum()) for _, ifreqs in arrays.values())
+    mask_bits = int(counts[keyable[lo:hi]].max())
+    keys, freqs = _leaf_rows(arrays, onebit, lo, keyable, mask_bits, total, governor)
+    ushift = _np.uint64(mask_bits)
     js = (keys >> ushift).astype(_np.int64)
-    sizes = _popcount((keys & low)[:, None])
-    subsets = _np.bincount(js, weights=_np.exp2(sizes) - 1, minlength=width)
-    first = _np.bincount(js, weights=sizes, minlength=width)
-    ranks = (first > 0) & (subsets <= _LATTICE_COST_RATIO * first)
-    take = ranks[js]
+    masks = keys & ((_np.uint64(1) << ushift) - _np.uint64(1))
+    sizes = _popcount(masks[:, None])
+    subsets = _np.bincount(js, weights=_np.exp2(sizes) - 1, minlength=hi - lo)
+    first = _np.bincount(js, weights=sizes, minlength=hi - lo)
+    chosen = (first > 0) & (subsets <= _LATTICE_COST_RATIO * first)
+    ranks = _np.zeros(width, bool)
+    ranks[lo:hi] = chosen
+    take = chosen[js]
     if not take.any():
         return ranks, []
-    keys, freqs, sizes = keys[take], freqs[take], sizes[take]
-    lattice = _Lattice(64)
+    js, masks, freqs, sizes = js[take], masks[take], freqs[take], sizes[take]
+    mask_bits = int(counts[chosen].max())
+    ushift = _np.uint64(mask_bits)
+    lattice = _Lattice((hi - lo - 1).bit_length() + mask_bits, total)
     for size in _np.flatnonzero(_np.bincount(sizes)).tolist():
         rows = sizes == size
-        masks = keys[rows] & low
-        bits = _np.empty((len(masks), size, 1), _np.uint64)
+        rest = masks[rows]
+        bits = _np.empty((len(rest), size, 1), _np.uint64)
         for b in range(size):
-            lowest = masks & -masks
+            lowest = rest & -rest
             bits[:, b, 0] = lowest
-            masks ^= lowest
-        _expand(bits, freqs[rows], lattice, governor, base=(keys[rows] & ~low)[:, None])
-    keys, supports = lattice.table()
-    keep = supports >= min_support
-    keys, supports = keys[keep], supports[keep]
-    masks = keys & low
+            rest ^= lowest
+        base = js[rows].astype(_np.uint64) << ushift
+        _expand(bits, freqs[rows], lattice, governor, base=base[:, None])
+    keys, supports = lattice.table(min_support)
+    masks = keys & ((_np.uint64(1) << ushift) - _np.uint64(1))
     js = (keys >> ushift).astype(_np.int64)
     lengths = _popcount(masks[:, None])
     top = None if max_len is None else max_len - 1
@@ -707,7 +719,7 @@ def _lattice_leaves(
         rows = lengths == size
         j = js[rows]
         pos = _rank_matrix(masks[rows][:, None], size) - 1
-        itemsets = _np.column_stack((franks[starts[j - lo][:, None] + pos], j))
+        itemsets = _np.column_stack((franks[starts[j][:, None] + pos], j + lo))
         blocks.append((itemsets, supports[rows]))
     return ranks, blocks
 

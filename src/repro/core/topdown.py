@@ -27,12 +27,26 @@ decomposition.  Index 0, the empty set, is dropped.
 
 Paths are processed by length in descending order, in chunks of at most
 ``_CHUNK_SUBSETS`` generated subsets written into one preallocated
-``(rows, 2^L, W)`` array.  Each chunk is aggregated by one ``argsort``
-and an ``np.add.reduceat`` over the runs of equal keys (exact ``int64``
-sums), and chunk tables are merged into the lattice only once the
+``(rows, 2^L, W)`` array.  How a chunk is aggregated depends on the key
+layout, which :class:`_Lattice` picks once from ``top`` and the summed
+path frequency ``T``.  With ``c = bit_length(T)``:
+
+* **Packed** (``top + c <= 64``): a subset is one ``uint64``,
+  ``mask << c | count``.  The one-bit masks are pre-shifted by ``c`` and
+  each row's first cell holds its frequency, so the doubling's ORs copy
+  the count into every subset without touching it.  A chunk is one
+  ``np.sort`` of that column, then a sum of the low ``c`` bits over each
+  run of equal high bits.  No key's count exceeds ``T < 2^c``, so a sum
+  never carries into the key.
+* **Record** (wider keys): an ``argsort`` of the masks (``uint64`` when
+  ``W == 1``, ``8 W``-byte ``np.void`` records otherwise) and an
+  ``np.add.reduceat`` of the gathered ``int64`` counts.
+
+Either way chunk tables are merged into the lattice only once the
 unmerged entries outnumber the merged table, so merging stays
 ``O(N log N)`` overall.  Only keys that survive the support (and
-``max_len``) filter are decoded back to rank tuples, vectorised per length.
+``max_len``) filter are unpacked and decoded back to rank tuples,
+vectorised per length.
 
 A path of length ``L`` has no subset longer than ``L``: once every path
 longer than ``L`` has been swept, all subset counts of length ``> L`` are
@@ -41,10 +55,12 @@ final.  That is the governed-partial guarantee (``sweep_length``,
 
 Shared-memory workers run the same kernel over a
 :class:`~repro.core.flat.FlatPLT` path slice
-(:func:`topdown_flat_slice`); their ``(keys, counts)`` tables merge by the
-same aggregation.  The doubling itself is one function, :func:`_expand`,
-which Algorithm 3's lattice leaves
-(:func:`repro.core.conditional._lattice_leaves`) call too.
+(:func:`topdown_flat_slice`).  Every worker and the merging driver
+derive the same layout from the same FlatPLT (:func:`_flat_lattice`), so
+the slices' tables merge by the same aggregation.  The doubling itself
+is one function, :func:`_expand`, which Algorithm 3's lattice leaves
+(:func:`repro.core.conditional._lattice_leaves`) call too, on keys that
+carry the conditional database's rank above the mask.
 """
 
 from __future__ import annotations
@@ -141,59 +157,151 @@ def _aggregate(keys, counts, words: int, kind: str = "quicksort"):
     return keys[starts], np.add.reduceat(counts[order], starts)
 
 
-class _Lattice:
-    """A ``(keys, counts)`` subset table fed chunk by chunk.
+def _collapse(col: np.ndarray, shift: int, kind: str = "quicksort") -> np.ndarray:
+    """Sort a packed column in place and collapse it: one ``key << shift |
+    count`` entry per run of equal keys, its count the run's summed low
+    ``shift`` bits.
 
-    Keys are 1-D: ``uint64`` masks when ``W == 1``, otherwise ``8 W``-byte
-    ``np.void`` records, so one ``argsort`` serves every key width.
+    The caller guarantees that no key's summed count reaches
+    ``2^shift``, so the sums never carry into the key bits.
+    """
+    if len(col) == 0:
+        return col
+    col.sort(kind=kind)
+    low = np.uint64((1 << shift) - 1)
+    first = np.empty(len(col), bool)
+    first[0] = True
+    # the high bits differ exactly where the XOR exceeds the count mask
+    np.greater(col[1:] ^ col[:-1], low, out=first[1:])
+    starts = np.flatnonzero(first)
+    return (col[starts] & ~low) | np.add.reduceat(col & low, starts)
+
+
+class _Lattice:
+    """A subset table fed chunk by chunk, in one of two key layouts.
+
+    ``key_bits`` is the widest key the table will see and ``total`` a
+    bound on any key's summed count (the summed path frequency).  With
+    ``shift = bit_length(total)``:
+
+    * **packed** (``key_bits + shift <= 64``): each entry is one
+      ``uint64``, ``key << shift | count``.  A table is a sorted column,
+      aggregated by ``np.sort`` and a sum over runs of equal high bits
+      (:func:`_collapse`); a sum is at most ``total < 2^shift``, so it
+      never carries into the key.
+    * **record** (wider keys): a ``(keys, counts)`` pair.  Keys are
+      ``uint64`` masks when ``W == 1``, otherwise ``8 W``-byte ``np.void``
+      records, aggregated by one ``argsort`` (:func:`_aggregate`).
+
+    A *part* — what :meth:`add` takes and :meth:`column` returns — is a
+    packed column or a ``(keys, counts)`` pair, by layout.
     """
 
-    def __init__(self, max_rank: int) -> None:
-        self.words = max(1, -(-max_rank // 64))
+    def __init__(self, key_bits: int, total: int) -> None:
+        self.words = max(1, -(-key_bits // 64))
+        self.shift = int(total).bit_length()
+        self.packed = key_bits + self.shift <= 64
         self.dtype = np.dtype(np.uint64 if self.words == 1 else (np.void, 8 * self.words))
-        self._keys = np.empty(0, self.dtype)
-        self._counts = np.empty(0, np.int64)
-        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
+        self._table = self._part(np.empty(0, self.dtype), np.empty(0, np.int64))
+        self._pending: list = []
         self._pending_n = 0
 
-    def add(self, keys: np.ndarray, counts: np.ndarray) -> None:
-        """Queue one table; merge once the queue outgrows the merged table."""
-        self._pending.append((keys, counts))
-        self._pending_n += len(keys)
-        if self._pending_n > len(self._keys):
+    def _part(self, keys: np.ndarray, counts: np.ndarray):
+        """The aggregated part of raw ``keys`` (1-D, repeats allowed) and
+        their ``int64`` ``counts``."""
+        if not self.packed:
+            return _aggregate(keys, counts, self.words)
+        col = keys << np.uint64(self.shift)
+        col |= counts.astype(np.uint64)
+        return _collapse(col, self.shift)
+
+    def insert(self, keys: np.ndarray, counts: np.ndarray) -> None:
+        """Add raw ``keys`` with their ``counts``; equal keys sum."""
+        self.add(self._part(keys, counts))
+
+    def heads(self, freqs: np.ndarray, base=None) -> np.ndarray:
+        """The ``(n, W)`` first cell of each of :func:`_expand`'s rows: the
+        ``base`` tag (zero without one), and in the packed layout the
+        row's frequency below it."""
+        if not self.packed:
+            return np.zeros((len(freqs), self.words), np.uint64) if base is None else base
+        head = freqs.astype(np.uint64)[:, None]
+        if base is not None:
+            head |= base << np.uint64(self.shift)
+        return head
+
+    def chunk(self, sub: np.ndarray, freqs: np.ndarray, drop_empty: bool):
+        """The aggregated part of one contiguous ``(rows, 2^L, W)`` chunk of
+        :func:`_expand`'s subsets (``freqs``: the rows' frequencies).
+        ``drop_empty`` drops the all-zero key, the empty set, which then
+        sorts first."""
+        if self.packed:
+            part = _collapse(sub.ravel(), self.shift)
+            return part[1:] if drop_empty else part
+        keys, counts = _aggregate(
+            sub.reshape(-1, self.words).view(self.dtype).ravel(),
+            np.repeat(freqs, sub.shape[1]),
+            self.words,
+        )
+        return (keys[1:], counts[1:]) if drop_empty else (keys, counts)
+
+    def add(self, part) -> None:
+        """Queue one part; merge once the queue outgrows the merged table."""
+        self._pending.append(part)
+        self._pending_n += _length(part)
+        if self._pending_n > _length(self._table):
             self._merge()
 
     def _merge(self) -> None:
         if self._pending:
-            parts = [(self._keys, self._counts), *self._pending]
+            parts = [self._table, *self._pending]
             # concatenated sorted runs: a stable (merging) sort is cheapest
-            self._keys, self._counts = _aggregate(
-                np.concatenate([k for k, _ in parts]),
-                np.concatenate([c for _, c in parts]),
-                self.words,
-                kind="stable",
-            )
+            if self.packed:
+                self._table = _collapse(np.concatenate(parts), self.shift, "stable")
+            else:
+                self._table = _aggregate(
+                    np.concatenate([k for k, _ in parts]),
+                    np.concatenate([c for _, c in parts]),
+                    self.words,
+                    kind="stable",
+                )
             self._pending, self._pending_n = [], 0
 
     @property
     def nbytes(self) -> int:
         """Bytes held in the merged and queued tables."""
-        parts = [(self._keys, self._counts), *self._pending]
+        parts = [self._table, *self._pending]
+        if self.packed:
+            return sum(col.nbytes for col in parts)
         return sum(keys.nbytes + counts.nbytes for keys, counts in parts)
 
-    def table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The merged ``(keys, counts)`` arrays (sorted keys, int64 counts)."""
+    def column(self):
+        """The merged table as one part, to ship to another lattice."""
         self._merge()
-        return self._keys, self._counts
+        return self._table
+
+    def table(self, min_support: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """The merged ``(keys, counts)`` arrays (sorted keys, int64 counts)
+        of every key with ``count >= min_support``; a packed table
+        unpacks only these survivors."""
+        self._merge()
+        if self.packed:
+            keys = self._table
+            counts = keys & np.uint64((1 << self.shift) - 1)
+        else:
+            keys, counts = self._table
+        if min_support > 1:
+            keep = counts >= min_support
+            keys, counts = keys[keep], counts[keep]
+        if self.packed:
+            return keys >> np.uint64(self.shift), counts.astype(np.int64)
+        return keys, counts
 
     def blocks(self, min_support=1, *, min_len=1, max_len=None):
         """Yield ``(length, rank matrix, supports)`` for every key with
         ``count >= min_support`` and ``min_len <= length <= max_len``,
         decoded one length at a time by :func:`_rank_matrix`."""
-        keys, counts = self.table()
-        if min_support > 1:
-            keep = counts >= min_support
-            keys, counts = keys[keep], counts[keep]
+        keys, counts = self.table(min_support)
         masks = keys.view(np.uint64).reshape(-1, self.words)
         lengths = _popcount(masks)
         for length in np.flatnonzero(np.bincount(lengths)).tolist():
@@ -216,6 +324,22 @@ class _Lattice:
             length: dict(zip(_tuples(np.diff(ranks, axis=1, prepend=0)), supports.tolist()))
             for length, ranks, supports in self.blocks()
         }
+
+
+def _length(part) -> int:
+    """Entries in a :class:`_Lattice` part of either layout."""
+    return len(part) if isinstance(part, np.ndarray) else len(part[0])
+
+
+def _flat_lattice(flat) -> _Lattice:
+    """An empty lattice for the subsets of ``flat``'s stored paths.
+
+    The layout follows from ``flat`` alone (its top rank and summed path
+    frequency), so the workers expanding slices of one FlatPLT and the
+    driver merging their parts pick the same one.
+    """
+    # an exact Python sum: a uint64 sum would wrap on huge weights
+    return _Lattice(flat.max_rank, sum(flat.freqs))
 
 
 def _popcount(masks: np.ndarray) -> np.ndarray:
@@ -248,8 +372,8 @@ def _rank_matrix(masks: np.ndarray, length: int) -> np.ndarray:
 
 def _plt_lattice(plt: PLT, governor=None) -> _Lattice:
     """The whole subset lattice of a PLT's stored paths."""
-    groups = plt.flat.paths_by_length()
-    return _sweep(groups, _Lattice(plt.max_rank()), governor)
+    flat = plt.flat
+    return _sweep(flat.paths_by_length(), _flat_lattice(flat), governor)
 
 
 def _sweep(groups, lattice: _Lattice, governor=None) -> _Lattice:
@@ -276,14 +400,20 @@ def _expand(bits, freqs, lattice: _Lattice, governor=None, base=None) -> None:
     items as one-bit masks, and ``freqs`` the rows' frequencies.  Every
     subset mask is ORed onto ``base`` (``(n, W)``, a per-row tag) when it
     is given; without it the all-zero key, the empty set, is dropped.
-    Rows go through in chunks of ``_CHUNK_SUBSETS`` generated subsets;
-    each chunk charges its ``n (2^L - 1)`` non-empty subsets to the
-    governor and to the ``topdown_work_items`` counter.
+    In the packed layout the masks are shifted above the count bits and
+    each row's first cell carries its frequency, which the doubling's ORs
+    copy into every subset.  Rows go through in chunks of
+    ``_CHUNK_SUBSETS`` generated subsets; each chunk charges its
+    ``n (2^L - 1)`` non-empty subsets to the governor and to the
+    ``topdown_work_items`` counter.
     """
     counters = _COUNTERS
     n, length, words = bits.shape
     span = 1 << length
     step = max(1, _CHUNK_SUBSETS >> length)
+    heads = lattice.heads(freqs, base)
+    if lattice.packed:
+        bits = bits << np.uint64(lattice.shift)
     buf = np.empty((min(step, n), span, words), np.uint64)
     for start in range(0, n, step):
         stop = min(start + step, n)
@@ -292,21 +422,13 @@ def _expand(bits, freqs, lattice: _Lattice, governor=None, base=None) -> None:
             governor.hold(lattice.nbytes + buf.nbytes + bits.nbytes)
             governor.tick(work)
         sub = buf[: stop - start]
-        sub[:, 0] = 0 if base is None else base[start:stop]
+        sub[:, 0] = heads[start:stop]
         for j in range(length):
             half = 1 << j
             np.bitwise_or(
                 sub[:, :half], bits[start:stop, j, None, :], out=sub[:, half : 2 * half]
             )
-        keys, counts = _aggregate(
-            sub.reshape(-1, words).view(lattice.dtype).ravel(),
-            np.repeat(freqs[start:stop], span),
-            words,
-        )
-        if base is None:
-            # the all-zero key (the empty set) sorts first
-            keys, counts = keys[1:], counts[1:]
-        lattice.add(keys, counts)
+        lattice.add(lattice.chunk(sub, freqs[start:stop], drop_empty=base is None))
         if counters.enabled:
             counters.add("topdown_work_items", work)
 
@@ -314,12 +436,12 @@ def _expand(bits, freqs, lattice: _Lattice, governor=None, base=None) -> None:
 def topdown_flat_slice(flat, start: int, end: int):
     """Subset lattice of stored paths ``[start, end)`` of a FlatPLT.
 
-    Returns the ``(keys, counts)`` arrays of the kernel's table: partial
-    sums over this slice, which merge with other slices of the same
-    structure by the same aggregation (:class:`_Lattice.add`).
+    Returns the kernel's merged table as one :class:`_Lattice` part (a
+    packed ``uint64`` column, or ``(keys, counts)`` for keys too wide to
+    pack): partial sums over this slice, which merge with other slices of
+    the same structure by :meth:`_Lattice.add` on :func:`_flat_lattice`.
     """
-    lattice = _Lattice(flat.max_rank)
-    return _sweep(flat.paths_by_length(start, end), lattice).table()
+    return _sweep(flat.paths_by_length(start, end), _flat_lattice(flat)).column()
 
 
 def topdown_subset_path_frequencies(
@@ -385,7 +507,7 @@ def mine_topdown(
         raise InvalidSupportError(f"absolute min_support must be >= 1, got {min_support}")
     check_max_len(max_len)
     _check_work_limit(plt, work_limit)
-    lattice = _Lattice(plt.max_rank())
+    lattice = _flat_lattice(plt.flat)
     if governor is not None:
         governor.start()
     try:

@@ -52,7 +52,7 @@ from repro.core.plt import PLT
 from repro.core.position import PositionVector
 from repro.core.topdown import (
     DEFAULT_WORK_LIMIT,
-    _Lattice,
+    _flat_lattice,
     _plt_lattice,
     estimate_topdown_work,
 )
@@ -508,9 +508,10 @@ def topdown_parallel(
             exc.raw_results = []
             exc.partial = []
             raise
-        lattice = _Lattice(flat.max_rank)
-        for keys, counts in parts:
-            lattice.add(keys, counts)
+        # every worker keyed its part by the same layout (_flat_lattice)
+        lattice = _flat_lattice(flat)
+        for part in parts:
+            lattice.add(part)
         return lattice.vectors()
     finally:
         executor.close()

@@ -20,8 +20,8 @@ the pool pipe:
    * top-down tasks are stored-**path slices** ``[start, end)`` run
      through the subset-lattice kernel
      (:func:`~repro.core.topdown.topdown_flat_slice`); each returns its
-     partial ``(keys, counts)`` arrays, which the driver merges with the
-     kernel's own aggregation.
+     partial table (a packed ``uint64`` column when the keys fit one
+     word), which the driver merges with the kernel's own aggregation.
 
 Segment lifecycle: the driver owns the segment and guarantees
 ``close``/``unlink`` in a ``finally`` — success, worker crash, budget
@@ -231,7 +231,8 @@ def _shm_cond_range(args) -> tuple[str, list, str | None, int]:
 
 
 def _shm_topdown_slice(args):
-    """Expand one stored-path slice; returns its ``(keys, counts)`` table."""
+    """Expand one stored-path slice; returns its lattice part (the packed
+    column, or ``(keys, counts)`` for keys too wide to pack)."""
     meta, start, end = args
     _maybe_chaos_kill(start)
     with _attached_flat(meta) as flat:

@@ -101,6 +101,14 @@ def daemon_segments(segments, pids) -> list:
     return sorted(f for f in segments if f.split("_")[2] in pids)
 
 
+def _close_output(handle) -> None:
+    """Close an exited daemon's stdout pipe once its reader has drained it
+    (a pipe left open is an unclosed-file ``ResourceWarning``)."""
+    handle.reader.join(SERVE_SHUTDOWN_TIMEOUT)
+    if not handle.reader.is_alive():
+        handle.proc.stdout.close()
+
+
 @pytest.fixture
 def serve_daemon(tmp_path):
     """Factory launching real ``python -m repro serve`` daemons.
@@ -170,6 +178,7 @@ def serve_daemon(tmp_path):
         reader.start()
         handle = SimpleNamespace(
             proc=proc,
+            reader=reader,
             info=info,
             port=None,
             output=lambda: "".join(lines),
@@ -182,6 +191,7 @@ def serve_daemon(tmp_path):
         if "port" not in info:
             proc.kill()
             proc.wait()
+            _close_output(handle)
             raise AssertionError(
                 f"daemon failed to announce READY within {startup_timeout}s; "
                 f"output:\n{''.join(lines)}"
@@ -202,6 +212,7 @@ def serve_daemon(tmp_path):
                 proc.kill()
                 proc.wait()
                 leaked.append(handle)
+        _close_output(handle)
     assert not leaked, (
         f"{len(leaked)} daemon(s) ignored SIGTERM for {SERVE_SHUTDOWN_TIMEOUT}s "
         f"and had to be killed; output of first:\n{leaked[0].output()}"

@@ -114,3 +114,31 @@ def test_deadline_trip_inside_the_lattice_phase(plt, monkeypatch):
     # the lattice runs before any rank is emitted: nothing is complete yet
     assert exc.partial == []
     assert exc.progress["complete_from_rank"] == plt.max_rank() + 1
+
+
+def test_record_layout_leaves_match_packed(plt):
+    # a weight of 2^48 per transaction leaves no room below the leaf keys
+    # for the count bits, so the leaves take the record layout; the
+    # weighted database's items are the original ranks
+    weight = 1 << 48
+    paths = list(plt.iter_rank_paths())
+    weighted = PLT.from_weighted_transactions(
+        [(path, freq * weight) for path, freq in paths], SUPPORT * weight
+    )
+    seen = []
+    lattice = cond._Lattice
+
+    def spy(*args):
+        seen.append(lattice(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cond, "_Lattice", spy)
+        got = mine_conditional(weighted, SUPPORT * weight)
+    # the distinct rows' table and the chosen ranks' lattice
+    assert len(seen) == 2 and not any(table.packed for table in seen)
+    decode = weighted.rank_table.decode_ranks
+    want = mine_conditional(plt, SUPPORT)
+    assert {frozenset(decode(ranks)): sup for ranks, sup in got} == {
+        frozenset(ranks): sup * weight for ranks, sup in want
+    }

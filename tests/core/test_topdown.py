@@ -1,6 +1,7 @@
 """Unit tests for Algorithm 2 (top-down mining)."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -219,7 +220,8 @@ class TestLatticeKernel:
     def test_wide_keys_use_several_words(self):
         plt = PLT.from_transactions(_WIDE, 1)
         assert plt.max_rank() == 130
-        assert topdown._Lattice(plt.max_rank()).words == 3
+        lattice = topdown._flat_lattice(plt.flat)
+        assert lattice.words == 3 and not lattice.packed
         pairs = dict(mine_topdown(plt, 2))
         assert len(pairs) == 130  # only the singletons reach support 2
         assert set(pairs.values()) == {3}
@@ -230,3 +232,48 @@ class TestLatticeKernel:
         with collecting() as counts:
             mine_topdown(plt, 1)
         assert counts["topdown_work_items"] == estimate_topdown_work(plt)
+
+
+class TestKeyLayouts:
+    """The packed layout holds ``mask << c | count`` in one word while
+    ``max_rank + c <= 64`` (``c = bit_length(total path frequency)``);
+    one bit more takes the record layout.  Both run right at the edge."""
+
+    @staticmethod
+    def _weighted(key_bits, seed):
+        """A small database, its weights scaled by ``2^k`` so that
+        ``max_rank + c == key_bits``, and the scale."""
+        rng = random.Random(seed)
+        n = 12
+        # the full row (weight 2) makes every item frequent at support 2
+        small = [(list(range(n)), 2)] + [
+            (rng.sample(range(n), rng.randint(1, 6)), rng.randint(1, 3)) for _ in range(30)
+        ]
+        total = sum(w for _, w in small)
+        scale = 1 << (key_bits - n - total.bit_length())
+        return small, [(t, w * scale) for t, w in small], scale
+
+    @pytest.mark.parametrize("key_bits", [63, 64, 65])
+    def test_layout_edge_matches_fpgrowth(self, key_bits):
+        small, weighted, scale = self._weighted(key_bits, key_bits)
+        plt = PLT.from_weighted_transactions(weighted, 2 * scale)
+        lattice = topdown._flat_lattice(plt.flat)
+        assert plt.max_rank() + lattice.shift == key_bits
+        assert lattice.packed == (key_bits <= 64)
+        with collecting() as counts:
+            pairs = mine_topdown(plt, 2 * scale)
+        assert counts["topdown_work_items"] == estimate_topdown_work(plt)
+        decode_ranks = plt.rank_table.decode_ranks
+        got = {frozenset(decode_ranks(ranks)): sup for ranks, sup in pairs}
+        expanded = [t for t, w in small for _ in range(w)]
+        want = mine_fpgrowth(expanded, 2)
+        assert got == {itemset: sup * scale for itemset, sup in want.items()}
+
+    @pytest.mark.parametrize("key_bits", [63, 64, 65])
+    def test_layout_edge_shm_slices_merge(self, key_bits):
+        from repro.parallel import topdown_parallel
+
+        _, weighted, _ = self._weighted(key_bits, key_bits)
+        plt = PLT.from_weighted_transactions(weighted, 1)
+        want = topdown._plt_lattice(plt).vectors()
+        assert topdown_parallel(plt, n_workers=2) == want

@@ -298,13 +298,24 @@ class _CancelAfter(CancellationToken):
 class TestOtherMiners:
     def test_topdown_partial_complete_min_len(self, small_db, monkeypatch):
         """Trips before and all through the sweep: every frequent itemset
-        of length >= the marker is in the partial with its full support."""
+        of length >= the marker is in the partial with its full support.
+        Unit weights keep the lattice packed (30 ranks + 7 count bits)."""
+        self._check_topdown_partials(small_db, monkeypatch, weight=1)
+
+    def test_topdown_partial_record_layout(self, small_db, monkeypatch):
+        """The same trips when a weight of 2^40 per transaction needs 47
+        count bits, which forces the record layout."""
+        self._check_topdown_partials(small_db, monkeypatch, weight=1 << 40)
+
+    @staticmethod
+    def _check_topdown_partials(small_db, monkeypatch, weight):
         import repro.core.topdown as topdown
 
         # paths of lengths 2..8, so the sweep crosses several length groups
         db = [t[: 2 + i % 7] for i, t in enumerate(small_db)]
-        plt = PLT.from_transactions(db, 3)
-        full = dict(mine_topdown(plt, 3))
+        plt = PLT.from_weighted_transactions([(t, weight) for t in db], 3 * weight)
+        assert topdown._flat_lattice(plt.flat).packed == (weight == 1)
+        full = dict(mine_topdown(plt, 3 * weight))
         # one subset per chunk: the sweep polls the token once per path
         monkeypatch.setattr(topdown, "_CHUNK_SUBSETS", 1)
         db_sets = [frozenset(t) for t in db]
@@ -315,7 +326,7 @@ class TestOtherMiners:
                 MiningBudget(check_interval=1), cancel=_CancelAfter(polls)
             )
             with pytest.raises(Cancelled) as info:
-                mine_topdown(plt, 3, governor=governor)
+                mine_topdown(plt, 3 * weight, governor=governor)
             exc = info.value
             marker = exc.progress.get("complete_min_len")
             assert marker is not None
@@ -324,7 +335,7 @@ class TestOtherMiners:
             salvaged = max(salvaged, len(mined))
             for ranks, support in exc.partial:
                 assert len(ranks) >= marker
-                assert support == _support_of(decode(ranks), db_sets)
+                assert support == weight * _support_of(decode(ranks), db_sets)
             for ranks, support in full.items():
                 if len(ranks) >= marker:
                     assert mined.get(ranks) == support

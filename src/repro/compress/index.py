@@ -25,7 +25,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from repro.core.flat import FlatPLT
+from repro.core.flat import FlatPLT, exact_bincount
 from repro.core.plt import PLT
 from repro.core.position import PositionVector, RankPath, vector_sum
 from repro.errors import ReproError
@@ -118,12 +118,11 @@ class ItemIndex:
         starts = np.zeros(width + 1, np.int64)
         np.cumsum(np.bincount(cells, minlength=width), out=starts[1:])
         self._starts = starts.tolist()
-        supports = np.bincount(cells, weights=freqs[path_of].astype(np.float64), minlength=width)
-        self._supports = supports.astype(np.int64).tolist()
+        self._total = sum(freqs.tolist())  # exact: an int64 sum wraps at 2**63
+        self._supports = exact_bincount(cells, freqs[path_of], width, self._total).tolist()
         self._cells = cells
         self._offsets = offsets
         self._freqs = freqs
-        self._total = int(freqs.sum())
         self._flat = flat
 
     def _postings(self, rank: int):
@@ -188,11 +187,7 @@ class ItemIndex:
         ends = np.cumsum(lengths)
         cells = self._cells[np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])]
         freqs = self._freqs[ids]
-        local = np.bincount(
-            cells,
-            weights=np.repeat(freqs, lengths).astype(np.float64),
-            minlength=len(self._supports),
-        )
+        local = exact_bincount(cells, np.repeat(freqs, lengths), len(self._supports), self._total)
         local[rank] = 0
         keep = local[cells] >= min_support
         kept = cells[keep].tolist()

@@ -37,27 +37,32 @@ instead of O(k):
 One consume step (:func:`_consume_path_bucket`) serves every sweep; one
 engine (:func:`_mine_paths`, an explicit work-stack, so arbitrarily long
 itemsets need no recursion-limit games) mines every conditional
-database that is recursed into; and one top level (:func:`mine_conditional_flat_range`) runs
-both the serial miner and the shared-memory workers.  The closed,
+database that arrives as rank paths; and one top level
+(:func:`mine_conditional_flat_range`) runs both the serial miner and the
+shared-memory workers.  The closed,
 maximal, top-k and constraint miners share the visitor
 :func:`iter_conditional`.  Delta vectors appear only at the edges where
 the paper puts them: :func:`conditional_database` returns Figure 5's
 delta view, and :func:`mine_conditional_block` converts the delta-keyed
 conditional databases that the distributed slice exchange ships.
 
-Lattice leaves
---------------
+Lattice leaves and tidsets
+--------------------------
+The top level runs as array code on the pairwise support matrix
+(:func:`_matrix_mine`), and mines each rank's ``CD_j`` one of two ways.
 The paper suits Algorithm 2 (every subset of every transaction) to short
-transactions and Algorithm 3 to dense data; the top level makes that
-choice per conditional database.  Once ``CD_j`` is projected onto its
-locally frequent ranks, a small one is cheaper to enumerate whole than
-to recurse into: :func:`_lattice_leaves` keys each of its distinct rows
-by one ``uint64`` (``j`` in the high bits, a local bit mask below) and
-runs the top-down subset kernel (:func:`repro.core.topdown._expand`)
-over every such rank in one batch.  The switch compares the lattice's
-subsets with a lower bound on the recursion's work, scaled by the two
-kernels' measured cost ratio (:data:`_LATTICE_COST_RATIO`); there is no
-option to set.
+transactions; once ``CD_j`` is projected onto its locally frequent
+ranks, a small one is cheapest to enumerate whole:
+:func:`_lattice_leaves` keys each of its distinct rows by one ``uint64``
+(``j`` in the high bits, a local bit mask below) and runs the top-down
+subset kernel (:func:`repro.core.topdown._expand`) over every such rank
+in one batch.  The switch compares the lattice's subsets with a lower
+bound on the recursion's work, scaled by a measured cost ratio
+(:data:`_LATTICE_COST_RATIO`); there is no option to set.  Every other
+rank is mined on the vertical layout the paper cites for this job
+(dEclat's tidsets): :func:`_tidset_rows` gathers its rows from the path
+matrices and :func:`_tidset_mine` grows its itemsets level by level,
+one AND of packed tidsets per candidate.
 
 Anti-monotone pruning is fully exploited: a conditional structure only
 ever contains items that are frequent *together with* the current suffix.
@@ -67,12 +72,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Callable
-from itertools import accumulate, combinations as _combinations, compress as _compress
+from itertools import accumulate, combinations as _combinations
 
 import numpy as _np
 
 from repro.core.columns import RankColumns
-from repro.core.flat import FlatPLT
+from repro.core.flat import FlatPLT, exact_bincount
 from repro.core.plt import PLT
 from repro.core.position import PositionVector, RankPath, path_to_vector
 from repro.core.topdown import (
@@ -211,7 +216,6 @@ def _mine_paths(
     min_support: int,
     out: list,
     max_len: int | None,
-    row: list[float] | None = None,
     governor=None,
 ) -> None:
     """Depth-first conditional mining over rank-path buckets, no recursion.
@@ -220,18 +224,16 @@ def _mine_paths(
     tuple, support)`` pair (the engine prepends strictly smaller ranks,
     so no itemset needs a sort).
 
-    When ``row`` is given, the structure's *first* level is
-    support-complete in ``row`` — ``row[j]`` is the exact support of
-    ``(j,) + suffix`` and those itemsets were already written — so the
-    buckets omit length-1 paths (they carry no information beyond
-    first-level support), the loop neither sums nor writes at that level,
-    and prefix migration skips singletons too.  This is self-propagating:
-    the local supports ``sup`` computed before every descent *are* the
-    child's first-level row, so the child's singletons are written here
-    with their exact supports and every conditional structure at every
-    depth stays singleton-free.  ``row`` is ``None`` only for structures
-    that :func:`_build_path_buckets` built with their singletons intact
-    (:func:`mine_conditional_paths`, the wide-rank sweep).
+    ``buckets`` is a structure :func:`_build_path_buckets` built with its
+    singletons intact.  Every structure the engine descends into is
+    *support-complete* at its first level instead: the local supports
+    ``sup`` computed before the descent are the child's first-level
+    ``row`` (``row[r]`` is the exact support of ``(r,) + itemset``), so
+    those itemsets are written here with them, the child's buckets omit
+    length-1 paths (they carry no information beyond first-level
+    support), the loop neither sums nor writes at that level, and prefix
+    migration skips singletons too.  Every conditional structure below
+    the top stays singleton-free.
 
     Algorithm 3's ``for j = Max down to 1`` loop, driven by an explicit
     descending *schedule* of candidate ranks rather than an integer
@@ -239,7 +241,7 @@ def _mine_paths(
     the one being consumed and never outside the schedule, so walking the
     schedule visits every bucket exactly once, including freshly created
     ones.  Every structure passes the exact frequent-rank list: from
-    :func:`_build_path_buckets`, or from the pair-support row.
+    :func:`_build_path_buckets`, or from the parent's local supports.
 
     Descents into conditional structures are handled by an explicit frame
     stack — each frame is ``(buckets, order, resume_index, suffix)`` and
@@ -281,10 +283,11 @@ def _mine_paths(
             "range | list[int]",
             int,
             tuple[int, ...],
-            "list[float] | None",
+            "list[int] | None",
         ]
     ] = []
     push_frame = stack.append
+    row: list[int] | None = None
     idx = 0
     n = len(order)
     while True:
@@ -555,7 +558,10 @@ def iter_conditional(
 #: database is enumerated as a subset lattice when its subsets number at
 #: most this many times its first-level recursion work.  It is the ratio
 #: of the two kernels' measured costs per work item; the derivation is in
-#: docs/PERFORMANCE.md, "Lattice leaves".
+#: docs/PERFORMANCE.md, "Lattice leaves".  That ratio was priced against
+#: the Python recursion, which the tidset kernel has since replaced at the
+#: top level; it stays as it is until a dense ``plt`` benchmark workload
+#: can price the lattice against the tidsets.
 _LATTICE_COST_RATIO = 30
 
 #: Rank-space ceiling for the pairwise co-occurrence matrix: the dense
@@ -576,12 +582,17 @@ def _pair_support_matrix(arrays, width: int):
 
     Every length's lower-triangle ``(j, k)`` cell codes and row weights
     are written into one preallocated pair of columns for a single
-    ``bincount``; its float64 result is the segment's column type.
+    :func:`~repro.core.flat.exact_bincount`, so the int64 result is
+    exact for any summed frequency below ``2**63``.
     """
     pairs = {length: length * (length + 1) // 2 for length in arrays}
     size = sum(len(mat) * pairs[length] for length, (mat, _) in arrays.items())
+    # no count exceeds the paths' summed frequency (a float64 sum reads
+    # >= 2**53 exactly when the true one does); below 2**53, float64
+    # weights spare exact_bincount a cast
+    total = sum(ifreqs.sum(dtype=_np.float64) for _, ifreqs in arrays.values())
     codes = _np.empty(size, dtype=_np.int64)
-    weights = _np.empty(size, dtype=_np.float64)
+    weights = _np.empty(size, dtype=_np.float64 if total < 2**53 else _np.int64)
     start = 0
     for length, (mat, ifreqs) in arrays.items():
         iidx, kidx = _np.tril_indices(length)
@@ -591,8 +602,7 @@ def _pair_support_matrix(arrays, width: int):
         block += mat[:, kidx]
         weights[start:stop].reshape(block.shape)[...] = ifreqs[:, None]
         start = stop
-    total = _np.bincount(codes, weights=weights, minlength=width * width)
-    return total.reshape(width, width)
+    return exact_bincount(codes, weights, width * width, total).reshape(width, width)
 
 
 def _leaf_rows(arrays, onebit, lo: int, keyable, mask_bits: int, total: int, governor=None):
@@ -746,8 +756,8 @@ def _matrix_mine(
     Python supports scan — the two quadratic costs of sparse mining.
     Each frequent rank's conditional database is then either enumerated
     as a subset lattice (:func:`_lattice_leaves`, where that is cheaper)
-    or projected straight from the path matrices (:func:`_project`) and
-    descended with :func:`_mine_paths`.
+    or gathered straight from the path matrices (:func:`_tidset_rows`)
+    and mined level by level on its tidsets (:func:`_tidset_mine`).
 
     ``arrays`` maps path length -> ``(mat, ifreqs)`` where ``mat`` is an
     int64 ``(n, length)`` matrix of stored rank paths and ``ifreqs`` the
@@ -759,14 +769,13 @@ def _matrix_mine(
     read it straight off the shared segment); when ``None`` it is
     computed here.
 
-    The output goes into ``out`` as array blocks — the frequent singles
-    (the matrix diagonal), the frequent pairs (the matrix below it) and
-    the lattice leaves' blocks — while :func:`_mine_paths` appends the
-    recursion ranks' deeper itemsets to ``out.rows``, highest rank
-    first.  Governed, the loop visits every frequent rank, highest
-    first, and charges its block rows (counted by one ``bincount`` of
-    each block's last column) to the itemset cap before its recursion
-    runs.
+    The output goes into ``out`` as array blocks only: the frequent
+    singles (the matrix diagonal), the frequent pairs (the matrix below
+    it), the lattice leaves' blocks, then each tidset rank's levels,
+    highest rank first.  Governed, the loop visits every frequent rank,
+    highest first, and charges its block rows (counted by one
+    ``bincount`` of each block's last column) to the itemset cap before
+    its tidset levels run.
     """
     width = max_rank + 1
     if pair_support is None:
@@ -784,17 +793,15 @@ def _matrix_mine(
     # zero above its diagonal, and the diagonal is j itself)
     frequent = pair_support[lo:hi] >= min_support
     frequent[_np.arange(hi - lo), _np.arange(lo, hi)] = False
-    owner, franks = _np.divmod(_np.flatnonzero(frequent), width)
+    frequent_cells = _np.flatnonzero(frequent)
+    owner, franks = _np.divmod(frequent_cells, width)
     starts = _np.searchsorted(owner, _np.arange(hi - lo + 1))
-    blocks = [(singles[:, None], diag[singles].astype(_np.int64))]
+    blocks = [(singles[:, None], diag[singles])]
     if max_len is None or max_len >= 2:
         # pair_support[j, k] IS the exact support of {k, j}
-        blocks.append((
-            _np.column_stack((franks, owner + lo)),
-            pair_support[owner + lo, franks].astype(_np.int64),
-        ))
+        blocks.append((_np.column_stack((franks, owner + lo)), pair_support[owner + lo, franks]))
     leaf_ranks = _np.zeros(width, bool)
-    subs: dict[int, PathBuckets] = {}
+    cds: dict = {}
     if max_len is None or max_len >= 3:
         leaf_ranks, leaves = _lattice_leaves(
             arrays, owner, franks, starts, lo, hi, width, min_support, max_len,
@@ -805,17 +812,17 @@ def _matrix_mine(
             # the lattice tables are released; the output blocks are
             # arrays, which the allocator sample does not see
             governor.hold(sum(ranks.nbytes + sups.nbytes for ranks, sups in blocks))
-        recurse = _np.zeros(width, bool)
-        recurse[lo:hi] = (_np.diff(starts) >= 2) & ~leaf_ranks[lo:hi]
-        if recurse.any():
-            subs = _project(arrays, frequent, lo, recurse, governor)
+        tidset = _np.zeros(width, bool)
+        tidset[lo:hi] = (_np.diff(starts) >= 2) & ~leaf_ranks[lo:hi]
+        if tidset.any():
+            cds = _tidset_rows(arrays, frequent, frequent_cells, starts, lo, tidset, governor)
     if counters.enabled:
         counters.add("cond_buckets_touched", int((~leaf_ranks[singles]).sum()))
 
     for ranks, supports in blocks:
         out.add(ranks, supports)
     if governor is None:
-        order = sorted(subs, reverse=True)
+        order = sorted(cds, reverse=True)
     else:
         charge = sum(_np.bincount(ranks[:, -1], minlength=width) for ranks, _ in blocks)
         order = singles[::-1].tolist()
@@ -825,72 +832,200 @@ def _matrix_mine(
             governor.progress["mining_rank"] = j
             governor.tick()
             governor.note_itemsets(int(charge[j]))
-        sub = subs.pop(j, None)
-        if sub:
+        cd = cds.pop(j, None)
+        if cd is not None:
             if counters.enabled:
                 counters.add("cond_structures_built")
-            sub_order = franks[bounds[j - lo] : bounds[j - lo + 1]][::-1].tolist()
-            _mine_paths(
-                sub, sub_order, (j,), min_support, out.rows, max_len,
-                pair_support[j].tolist(), governor=governor,
-            )
+            local = franks[bounds[j - lo] : bounds[j - lo + 1]]
+            _tidset_mine(*cd, local, j, min_support, max_len, out, governor)
 
 
-def _project(arrays, frequent, lo: int, recurse, governor=None) -> dict[int, PathBuckets]:
-    """Conditional structures of the recursion ranks, from the path matrices.
+def _tidset_rows(arrays, frequent, frequent_cells, starts, lo: int, ranks, governor=None) -> dict:
+    """The rows of ``CD_j`` for every rank ``j`` marked in ``ranks``.
 
-    Every stored path truncated at every column ``c >= 2`` is a
-    conditional-structure entry for the rank at that column (columns 0
-    and 1 yield projections shorter than two ranks, whose only
-    information — first-level support — the matrix already holds).  One
-    2D gather of ``frequent`` per (length, column) evaluates the
-    local-frequency filter for every terminal rank at once, so prefixes
-    with fewer than two surviving ranks never reach Python at all.  Rows
-    whose terminal is not marked in ``recurse`` — out of the range, or a
-    lattice leaf — are dropped before the gather, so a range worker's
-    cost scales with its slice, not the whole database.
+    Every stored path through ``j`` at a column ``c >= 2`` is a row of
+    ``CD_j``.  The whole-row gather ``frequent[j - lo, path]`` keeps
+    exactly the row's locally frequent ranks: it is False at and after
+    ``j``'s column.  Rows with fewer than two of them are left out, as
+    they carry only pair supports, which the pair matrix already holds.
+    A kept rank becomes its local index, its place among ``CD_j``'s
+    ascending locally frequent ranks (``frequent_cells`` are the flat
+    indices of ``frequent``'s true cells, ascending, and ``starts`` each
+    rank's first one).
+
+    Returns ``{j: (rows, locals, freqs, pairs)}``: the kept cells as
+    local row and rank indices, the rows' frequencies, and the local pair
+    supports, ``pairs[a, b]`` (``a < b``) the exact support of
+    ``{a, b, j}``.  Cell ``t`` of a row pairs with cell ``t + d`` of the
+    same row, so the pairs of every rank are summed by one
+    :func:`~repro.core.flat.exact_bincount` per distance ``d``.
     """
-    counters = _COUNTERS
-    subs: dict[int, PathBuckets] = {}
-    subs_get = subs.get
+    width = frequent.shape[1]
+    hit_j, hit_freq, cell_hit, cell_rank = [], [], [], []
+    n_hits = 0
     for length, (mat, ifreqs) in arrays.items():
         if length < 3:
             continue
-        flist = ifreqs.tolist()
-        for c in range(2, length):
-            jcol = mat[:, c]
-            inr = _np.flatnonzero(recurse[jcol])
-            if not inr.size:
-                if governor is not None:
-                    governor.tick()
-                continue
-            jcol = jcol[inr]
-            prefix = mat[inr, :c]
-            keepm = frequent[(jcol - lo)[:, None], prefix]
-            sel = _np.flatnonzero(keepm.sum(axis=1) >= 2)
+        rows, cols = _np.nonzero(ranks[mat[:, 2:]])
+        step = max(1, _CHUNK_SUBSETS // length)
+        for start in range(0, len(rows), step):
+            r = rows[start : start + step]
             if governor is not None:
-                governor.tick(max(1, int(sel.size)))
-            if not sel.size:
-                continue
-            if counters.enabled:
-                counters.add("cond_work_items_merged", int(sel.size))
-            pre = prefix[sel].tolist()
-            flags = keepm[sel].tolist()
-            js = jcol[sel].tolist()
-            for vals, flag, j, ridx in zip(pre, flags, js, inr[sel].tolist()):
-                kept = tuple(_compress(vals, flag))
-                freq = flist[ridx]
-                sub = subs_get(j)
-                if sub is None:
-                    subs[j] = {kept[-1]: {kept: freq}}
-                    continue
-                key = kept[-1]
-                sb = sub.get(key)
-                if sb is None:
-                    sub[key] = {kept: freq}
-                else:
-                    sb[kept] = sb.get(kept, 0) + freq
-    return subs
+                governor.tick(len(r))
+            j = mat[r, cols[start : start + step] + 2] - lo
+            paths = mat[r]
+            flags = frequent[j[:, None], paths]
+            keep = _np.flatnonzero(_np.count_nonzero(flags, axis=1) >= 2)
+            hit, col = _np.nonzero(flags[keep])
+            hit_j.append(j[keep])
+            hit_freq.append(ifreqs[r[keep]])
+            cell_hit.append(hit + n_hits)
+            cell_rank.append(paths[keep[hit], col])
+            n_hits += len(keep)
+    if _COUNTERS.enabled:
+        _COUNTERS.add("cond_work_items_merged", n_hits)
+    if not n_hits:
+        return {}
+    # number the rows rank by rank, and order the cells to match
+    hit_j = _np.concatenate(hit_j)
+    order = _np.argsort(hit_j, kind="stable")
+    hit_j, hit_freq = hit_j[order], _np.concatenate(hit_freq)[order]
+    renumber = _np.empty(n_hits, _np.int64)
+    renumber[order] = _np.arange(n_hits)
+    cell_hit = renumber[_np.concatenate(cell_hit)]
+    order = _np.argsort(cell_hit, kind="stable")
+    cell_hit = cell_hit[order]
+    cell_j = hit_j[cell_hit]
+    flat = cell_j * width + _np.concatenate(cell_rank)[order]
+    local = _np.searchsorted(frequent_cells, flat) - starts[cell_j]
+    counts = _np.diff(starts)
+    js = _np.flatnonzero(_np.bincount(hit_j, minlength=len(counts)))
+    squares = counts[js] ** 2
+    offset = _np.zeros(len(counts), _np.int64)
+    offset[js] = _np.cumsum(squares) - squares
+    base = offset[cell_j] + local * counts[cell_j]
+    # cells left in each cell's row after it
+    left = _np.cumsum(_np.bincount(cell_hit))[cell_hit] - 1 - _np.arange(len(cell_hit))
+    pairs = _np.zeros(int(squares.sum()), _np.int64)
+    total = sum(hit_freq.tolist())
+    t = _np.arange(len(cell_hit))
+    for d in range(1, int(left.max()) + 1):
+        t = t[left[t] >= d]
+        pairs += exact_bincount(base[t] + local[t + d], hit_freq[cell_hit[t]], len(pairs), total)
+    hit_bounds = _np.searchsorted(hit_j, _np.append(js, len(counts))).tolist()
+    cell_bounds = _np.searchsorted(cell_hit, hit_bounds).tolist()
+    cds = {}
+    for i, j in enumerate(js.tolist()):
+        h0, c0, c1 = hit_bounds[i], cell_bounds[i], cell_bounds[i + 1]
+        k = int(counts[j])
+        cds[j + lo] = (
+            cell_hit[c0:c1] - h0,
+            local[c0:c1],
+            hit_freq[h0 : hit_bounds[i + 1]],
+            pairs[offset[j] : offset[j] + k * k].reshape(k, k),
+        )
+    return cds
+
+
+#: ``_BYTE_BITS[i, v]`` is bit ``i`` of byte value ``v``: the matrix that
+#: turns 8 rows' frequencies into their 256 subset sums.
+_BYTE_BITS = (_np.arange(256) >> _np.arange(8)[:, None]) & 1
+
+#: A tidset word: little-endian, so its bytes in memory order hold rows
+#: 0-7, 8-15, ... of the word, the order ``_BYTE_BITS``'s table assumes.
+_TID_WORD = _np.dtype("<u8")
+
+
+def _tidset_mine(
+    rows, cols, freqs, pairs, local, j: int, min_support: int,
+    max_len: int | None, out: RankColumns, governor=None,
+) -> None:
+    """Mine the itemsets of length three and up whose maximal rank is ``j``.
+
+    The vertical layout (dEclat's tidsets): ``CD_j``'s rows
+    (:func:`_tidset_rows`) become one bitset per locally frequent rank
+    ``local[a]``, ``tids[a]`` marking the rows that hold it, packed 64
+    rows to a word (:data:`_TID_WORD`).  The support of a set is the summed
+    frequency of the rows in the AND of its members' tidsets, read one
+    byte (8 rows) at a time from a table of every byte's frequency sum
+    (:func:`_tid_supports`), in exact int64.
+
+    Itemsets grow level by level in local ranks, ascending.  The first
+    level is the frequent local pairs, straight from ``pairs`` (no
+    tidset is touched); a level's set ``S`` extends by a rank ``c`` above
+    its last only where every member of ``S`` forms a locally frequent
+    pair with ``c``.  Each level goes into ``out`` as one block of rank
+    rows (``local`` ranks, then ``j``) until it is empty or ``max_len``
+    is reached, then its rows are charged to the governor's itemset cap.
+    """
+    n_rows = len(freqs)
+    words = -(-n_rows // 64)
+    tids = _np.zeros((len(local), words), _TID_WORD)
+    _np.bitwise_or.at(tids, (cols, rows >> 6), _np.uint64(1) << (rows & 63).astype(_np.uint64))
+    weights = _np.zeros(64 * words, _np.int64)
+    weights[:n_rows] = freqs
+    table = (weights.reshape(-1, 8) @ _BYTE_BITS).ravel()
+    adj = pairs >= min_support
+    first, second = _np.nonzero(adj)
+    level, supports = _np.column_stack((first, second)), pairs[first, second]
+    top = None if max_len is None else max_len - 1
+    while len(level):
+        out.add(_np.column_stack((local[level], _np.full(len(level), j))), supports)
+        if governor is not None:
+            governor.note_itemsets(len(level))
+        if top is not None and level.shape[1] >= top:
+            return
+        level, supports = _tidset_level(level, adj, tids, table, min_support, governor)
+
+
+def _tidset_level(level, adj, tids, table, min_support: int, governor=None):
+    """The frequent one-rank extensions of ``level``'s sets, in order.
+
+    The candidates are the ranks ``c`` with ``adj[s, c]`` for every member
+    ``s`` (``adj`` is upper-triangular, so ``c`` lies above the set).  The
+    level goes through in chunks of sets, and each chunk's candidates in
+    chunks of masks, so no buffer holds more than ``_CHUNK_SUBSETS``
+    cells: a candidate flag, or a byte of a tidset mask.
+    """
+    n_local, mask_bytes = adj.shape[0], 8 * tids.shape[1]
+    step = max(1, _CHUNK_SUBSETS // (n_local + mask_bytes))
+    cstep = max(1, _CHUNK_SUBSETS // mask_bytes)
+    held = tids.nbytes + table.nbytes + adj.nbytes + level.nbytes
+    found, found_supports = [], []
+    for start in range(0, len(level), step):
+        sets = level[start : start + step]
+        ok = adj[sets[:, -1]]
+        masks = tids[sets[:, -1]]
+        for k in range(sets.shape[1] - 1):
+            ok &= adj[sets[:, k]]
+            masks &= tids[sets[:, k]]
+        parent, rank = _np.nonzero(ok)
+        if governor is not None and not len(parent):
+            governor.tick()
+        for cstart in range(0, len(parent), cstep):
+            p, c = parent[cstart : cstart + cstep], rank[cstart : cstart + cstep]
+            candidate = masks[p] & tids[c]
+            if governor is not None:
+                # the lookup's index and gathered sums: 8 bytes per mask byte each
+                governor.hold(held + masks.nbytes + 17 * candidate.nbytes)
+                governor.tick(len(p))
+            sup = _tid_supports(candidate, table)
+            keep = sup >= min_support
+            found.append(_np.column_stack((sets[p[keep]], c[keep])))
+            found_supports.append(sup[keep])
+            held += found[-1].nbytes + found_supports[-1].nbytes
+    if not found:
+        return level[:0], _np.zeros(0, _np.int64)
+    return _np.concatenate(found), _np.concatenate(found_supports)
+
+
+def _tid_supports(masks, table):
+    """The summed row frequency of each ``(n, W)`` tidset mask: a lookup
+    of every mask byte in ``table`` (byte ``b``'s 256 subset sums at
+    ``256 b``), summed per mask."""
+    index = masks.view(_np.uint8).astype(_np.intp)
+    index += _np.arange(0, 256 * index.shape[1], 256)
+    return table.take(index).sum(axis=1)
 
 
 def mine_conditional_flat_range(
@@ -979,7 +1114,8 @@ def salvage(out: RankColumns, governor) -> list[tuple[tuple[int, ...], int]]:
     (``governor.progress["mining_rank"]``), in :meth:`RankColumns.pairs`
     order, at most ``max_itemsets`` of them.  Ranks above the marker are
     complete; the rank in flight contributes its array rows (exact, from
-    the pair matrix or the lattice) and the recursion rows found so far.
+    the pair matrix, the lattice or the tidset levels mined so far) and,
+    on the wide-rank sweep, the recursion rows found so far.
     Every support is exact, and the pairs are a prefix of the full run's.
     """
     low = governor.progress.get("mining_rank") or 0

@@ -16,7 +16,7 @@ column                type  items          meaning
 ``bucket_offsets``    "Q"   n_buckets + 1  bucket ``b`` holds paths ``[boff[b], boff[b+1])``
 ====================  ====  =============  =======================================
 
-A sixth optional column, ``pair_support`` ("d", ``width**2``), carries the
+A sixth optional column, ``pair_support`` ("q", ``width**2``), carries the
 dense pairwise co-occurrence matrix when the driver precomputed it
 (:meth:`FlatPLT.compute_pair_support`) — range workers then read the one
 globally-shared table their restriction cannot shrink straight off the
@@ -46,8 +46,16 @@ from collections.abc import Iterator
 import numpy as _np
 
 from repro.core.position import RankPath
+from repro.errors import InvalidSupportError
 
-__all__ = ["FlatPLT", "SharedFlatPLT", "FLAT_FIELDS", "merge_rows", "rows_by_length"]
+__all__ = [
+    "FlatPLT",
+    "SharedFlatPLT",
+    "FLAT_FIELDS",
+    "exact_bincount",
+    "merge_rows",
+    "rows_by_length",
+]
 
 #: The columns, in buffer order: (attribute name, array typecode).
 FLAT_FIELDS: tuple[tuple[str, str], ...] = (
@@ -58,7 +66,7 @@ FLAT_FIELDS: tuple[tuple[str, str], ...] = (
     ("bucket_offsets", "Q"),
 )
 
-_ITEMSIZE = {code: array(code).itemsize for code in ("I", "Q", "d")}
+_ITEMSIZE = {code: array(code).itemsize for code in ("I", "Q", "q")}
 
 _DTYPES = {"I": _np.dtype("uint32"), "Q": _np.dtype("uint64")}
 
@@ -80,6 +88,33 @@ def _column(values, typecode: str) -> array:
     col = array(typecode)
     col.frombytes(values.astype(_DTYPES[typecode]).tobytes())
     return col
+
+
+def exact_bincount(codes, weights, minlength: int, bound: int):
+    """``np.bincount(codes, weights, minlength)`` as exact int64 counts.
+
+    ``weights`` are non-negative integers and ``bound`` is at least every
+    count: the summed frequency of the transactions, when each code is
+    one item (or pair) of one transaction.  Below ``2**53`` the float64
+    ``bincount`` is exact, as every partial sum it forms is an integer
+    below ``2**53`` (the weights may then be float64 too).  Otherwise each
+    count is summed in two 32-bit halves by ``np.add.at``, which cannot
+    overflow, and a count of ``2**63`` or more raises
+    :class:`~repro.errors.InvalidSupportError`.
+    """
+    if bound < 2**53:
+        counts = _np.bincount(codes, weights=weights, minlength=minlength)
+        # cast in place: same item size, every element read before written
+        _np.copyto(counts.view(_np.int64), counts, casting="unsafe")
+        return counts.view(_np.int64)
+    size = max(minlength, int(codes.max()) + 1)
+    high, low = _np.zeros(size, _np.int64), _np.zeros(size, _np.int64)
+    _np.add.at(high, codes, weights >> 32)
+    _np.add.at(low, codes, weights & 0xFFFFFFFF)
+    high += low >> 32
+    if (high >> 31).any():
+        raise InvalidSupportError("a weighted support reaches 2**63, beyond int64 counts")
+    return (high << 32) | (low & 0xFFFFFFFF)
 
 
 def rows_by_length(cells, starts, lengths):
@@ -290,9 +325,8 @@ class FlatPLT:
         """
         views = self.as_numpy()
         offsets = views["path_offsets"].astype(_np.int64)
-        weights = _np.repeat(views["freqs"].astype(_np.float64), _np.diff(offsets))
-        sup = _np.bincount(views["ranks"], weights=weights, minlength=self.max_rank + 1)
-        return [int(s) for s in sup]
+        weights = _np.repeat(views["freqs"].astype(_np.int64), _np.diff(offsets))
+        return exact_bincount(views["ranks"], weights, self.max_rank + 1, sum(self.freqs)).tolist()
 
     def rank_costs(self) -> list[int]:
         """Per-rank work proxy for range planning, indexed by rank.
@@ -375,7 +409,7 @@ class FlatPLT:
         views = self.as_numpy()
         flatview = views.get("pair_support")
         if flatview is None:
-            flatview = _np.frombuffer(self.pair_support, dtype=_np.float64)
+            flatview = _np.frombuffer(self.pair_support, dtype=_np.int64)
             views["pair_support"] = flatview
         width = self.max_rank + 1
         return flatview.reshape(width, width)
@@ -401,7 +435,7 @@ class FlatPLT:
 
         fields = list(FLAT_FIELDS)
         if self.pair_support is not None:
-            fields.append(("pair_support", "d"))
+            fields.append(("pair_support", "q"))
         layout = []
         blobs = []
         offset = 0

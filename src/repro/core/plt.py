@@ -38,7 +38,7 @@ from typing import Hashable
 import numpy as np
 
 from repro.core import position
-from repro.core.flat import FlatPLT
+from repro.core.flat import FlatPLT, exact_bincount
 from repro.core.position import PositionVector, RankPath
 from repro.core.rank import ORDER_POLICIES, RankTable, sort_key
 from repro.data.transaction_db import TransactionDatabase, resolve_min_support
@@ -256,7 +256,8 @@ class PLT:
         count) build directly — the vector table's frequencies *are* the
         weights, so a weight of a million costs the same as a weight of
         one.  Supports, ``n_transactions`` and relative thresholds are
-        all in weight units (exact while a support stays below 2**53).
+        all in weight units and exact; an item whose weights total
+        ``2**63`` or more raises :class:`InvalidSupportError`.
         Mining the result with any PLT algorithm gives exactly the result
         of mining the expanded multiset.
         """
@@ -276,9 +277,9 @@ class PLT:
             n_transactions = len(lengths)
             supports = np.bincount(ids)
         else:
-            n_transactions = int(weights.sum())
-            supports = np.bincount(ids, weights=np.repeat(weights, lengths))
-            supports = supports.astype(np.int64)
+            # exact Python sum: an int64 sum wraps at 2**63
+            n_transactions = sum(weights.tolist())
+            supports = exact_bincount(ids, np.repeat(weights, lengths), 0, n_transactions)
         abs_support = resolve_min_support(min_support, n_transactions)
         # Scan 1: supports -> Rank over the frequent ids, in one sort.
         frequent = np.flatnonzero(supports >= abs_support)

@@ -51,9 +51,10 @@ def _support_of(itemset, db_sets):
 
 @pytest.fixture(scope="module")
 def dense_db():
-    # 1,800 transactions keep the unbounded run well over five seconds now
-    # that decoding the ~620k itemsets no longer dominates it
-    return _dense_db(n_tx=1800)
+    # 3,300 transactions (~1.7M itemsets at support 8) keep the unbounded
+    # run well over five seconds now that Algorithm 3's top level mines
+    # its deep conditional databases on tidsets (1,800 took ~2.4 s)
+    return _dense_db(n_tx=3300)
 
 
 @pytest.fixture(scope="module")

@@ -98,8 +98,7 @@ class ItemIndex:
       rarest first (each stored path is a whole aggregated transaction,
       so containment of every query rank decides membership);
     * :meth:`conditional_paths` — the conditional database of a rank,
-      gathered in one pass and already stripped of locally infrequent
-      ranks.
+      gathered in one pass as ``(row, rank)`` cells.
 
     Paths come back as tuples only on request (:meth:`paths_containing`,
     :meth:`paths`).
@@ -166,39 +165,28 @@ class ItemIndex:
             ids = ids[other.take(np.searchsorted(other, ids), mode="clip") == ids]
         return int(self._freqs[ids].sum())
 
-    def conditional_paths(self, rank: int, min_support: int, *, governor=None) -> dict:
-        """``{rank path: frequency}`` of the paths through ``rank``, without it.
+    def conditional_paths(self, rank: int, *, governor=None):
+        """``CD_rank`` as arrays: ``(rows, ranks, freqs)``.
 
-        Each stored path through the rank loses the rank itself and every
-        rank whose support among those paths is below ``min_support``;
-        equal remainders aggregate and empty ones vanish.  This is the
-        input :func:`~repro.core.conditional.mine_conditional_paths`
-        takes to enumerate the frequent itemsets containing ``rank``,
-        with nothing left for its projection to drop.  With a
+        Row ``i`` is the ``i``-th stored path through ``rank``, less the
+        rank itself: its cells are ``ranks[rows == i]``, ascending, and its
+        frequency ``freqs[i]``.  Rows are neither aggregated nor stripped
+        of locally infrequent ranks; this is the input
+        :func:`~repro.core.conditional.mine_conditional_rows` takes to
+        enumerate the frequent itemsets containing ``rank``.  With a
         ``governor`` the gather is charged one work unit per path.
         """
         ids = self._postings(rank)
         if governor is not None:
             governor.tick(len(ids))
-        if not len(ids):
-            return {}
         starts = self._offsets[ids]
         lengths = self._offsets[ids + 1] - starts
-        ends = np.cumsum(lengths)
-        cells = self._cells[np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])]
-        freqs = self._freqs[ids]
-        local = exact_bincount(cells, np.repeat(freqs, lengths), len(self._supports), self._total)
-        local[rank] = 0
-        keep = local[cells] >= min_support
-        kept = cells[keep].tolist()
-        out: dict = {}
-        lo = 0
-        for hi, freq in zip(np.cumsum(keep)[ends - 1].tolist(), freqs.tolist()):
-            if hi > lo:
-                path = tuple(kept[lo:hi])
-                out[path] = out.get(path, 0) + freq
-                lo = hi
-        return out
+        rows = np.repeat(np.arange(len(ids)), lengths)
+        # gathered cell c of row i is stored cell c + shift[i]
+        shift = starts - np.cumsum(lengths) + lengths
+        cells = self._cells[np.repeat(shift, lengths) + np.arange(len(rows))]
+        keep = cells != rank
+        return rows[keep], cells[keep], self._freqs[ids]
 
     def paths_containing(self, rank: int) -> Iterator[tuple[RankPath, int]]:
         """``(path, frequency)`` for every stored path through ``rank``,

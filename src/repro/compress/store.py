@@ -259,7 +259,7 @@ class PLTStore:
                 f"absolute min_support must be >= 1, got {min_support}"
             )
         check_max_len(max_len)
-        # the path engine writes itemsets already sorted ascending
+        # the conditional kernel writes itemsets already sorted ascending
         results: list[tuple[tuple[int, ...], int]] = []
         if governor is not None:
             governor.start()

@@ -5,8 +5,9 @@ conditional kernel's pair matrix holds every 1- and 2-itemset, its
 lattice leaves and the whole top-down kernel hold their itemsets as rank
 matrices.  :class:`RankColumns` keeps them that way — one ``(int64 rank
 matrix (n, L), int64 supports)`` block per kernel output — next to a
-plain list of ``(rank tuple, support)`` rows for what the Python
-recursion finds.  The facade sorts it into label columns with one
+plain list of ``(rank tuple, support)`` rows for what a miner finds one
+itemset at a time (the closed, maximal and top-k visitors, a served
+item's single).  The facade sorts it into label columns with one
 ``concatenate`` and one sort per length
 (:func:`~repro.core.mining._decode`), so no Python object is made per
 itemset between the kernel and the renderer.  Callers that iterate a
@@ -42,7 +43,7 @@ def _row_blocks(rows):
 
 
 class RankColumns:
-    """Itemsets in rank space: array blocks plus recursion rows.
+    """Itemsets in rank space: array blocks plus single rows.
 
     ``blocks`` is a list of ``(ranks, supports)``: ``ranks`` an int64
     ``(n, L)`` matrix of ascending rank rows, ``supports`` the matching

@@ -23,7 +23,7 @@ order.  For item ``j``:
 
 Rank paths
 ----------
-Every kernel here works on **rank paths** — each vector's cumulative-sum
+The sweeps here work on **rank paths** — each vector's cumulative-sum
 tuple (Lemma 4.1.1), which the PLT stores directly.  On this
 representation every per-vector quantity Algorithm 3 needs is O(1)
 instead of O(k):
@@ -34,35 +34,42 @@ instead of O(k):
 * removing locally-infrequent items is a plain membership filter over the
   path (no consecutive-position merging arithmetic).
 
-One consume step (:func:`_consume_path_bucket`) serves every sweep; one
-engine (:func:`_mine_paths`, an explicit work-stack, so arbitrarily long
-itemsets need no recursion-limit games) mines every conditional
-database that arrives as rank paths; and one top level
-(:func:`mine_conditional_flat_range`) runs both the serial miner and the
-shared-memory workers.  The closed,
-maximal, top-k and constraint miners share the visitor
-:func:`iter_conditional`.  Delta vectors appear only at the edges where
-the paper puts them: :func:`conditional_database` returns Figure 5's
-delta view, and :func:`mine_conditional_block` converts the delta-keyed
-conditional databases that the distributed slice exchange ships.
+One consume step (:func:`_consume_path_bucket`) serves every sweep that
+still holds path dicts: the out-of-core store, the parallel task
+partitioner, and :func:`iter_conditional`, the visitor the closed,
+maximal, top-k and constraint miners share (the one recursion left).
+Delta vectors appear only at the edges where the paper puts them:
+:func:`conditional_database` returns Figure 5's delta view, and
+:func:`mine_conditional_block` converts the delta-keyed conditional
+databases that the distributed slice exchange ships.
 
-Lattice leaves and tidsets
---------------------------
-The top level runs as array code on the pairwise support matrix
-(:func:`_matrix_mine`), and mines each rank's ``CD_j`` one of two ways.
-The paper suits Algorithm 2 (every subset of every transaction) to short
+One array kernel
+----------------
+Frequent-itemset mining runs as array code on two entries.  The top
+level (:func:`mine_conditional_flat_range`, the serial miner and every
+shared-memory worker) runs on the pairwise support matrix
+(:func:`_matrix_mine`); a rank space too wide for the dense matrix is
+mined in rank strips, highest first, each with its own strip of the
+matrix (:data:`_PAIR_MATRIX_MAX_CELLS` bounds it).  Every conditional
+database that arrives on its own — a serve ``topk`` miss, a distributed
+block, a store bucket, a parallel task — goes in as rows
+(:func:`mine_conditional_rows`).
+
+At the top level each rank's ``CD_j`` is mined one of two ways.  The paper
+suits Algorithm 2 (every subset of every transaction) to short
 transactions; once ``CD_j`` is projected onto its locally frequent
 ranks, a small one is cheapest to enumerate whole:
 :func:`_lattice_leaves` keys each of its distinct rows by one ``uint64``
 (``j`` in the high bits, a local bit mask below) and runs the top-down
 subset kernel (:func:`repro.core.topdown._expand`) over every such rank
 in one batch.  The switch compares the lattice's subsets with a lower
-bound on the recursion's work, scaled by a measured cost ratio
+bound on the tidsets' work, scaled by a measured cost ratio
 (:data:`_LATTICE_COST_RATIO`); there is no option to set.  Every other
 rank is mined on the vertical layout the paper cites for this job
 (dEclat's tidsets): :func:`_tidset_rows` gathers its rows from the path
-matrices and :func:`_tidset_mine` grows its itemsets level by level,
-one AND of packed tidsets per candidate.
+matrices and :func:`_tidset_mine` grows its itemsets level by level, one
+AND of packed tidsets per candidate.  The rows entry has no lattice
+leaves: it hands its rows to the same tidset kernel.
 
 Anti-monotone pruning is fully exploited: a conditional structure only
 ever contains items that are frequent *together with* the current suffix.
@@ -72,7 +79,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Callable
-from itertools import accumulate, combinations as _combinations
+from itertools import accumulate, chain
 
 import numpy as _np
 
@@ -93,9 +100,9 @@ from repro.perf.counters import COUNTERS as _COUNTERS
 
 __all__ = [
     "mine_conditional",
+    "mine_conditional_rows",
     "mine_conditional_paths",
     "mine_conditional_block",
-    "block_paths",
     "salvage",
     "mine_conditional_flat_range",
     "conditional_database",
@@ -150,15 +157,12 @@ def _build_path_buckets(
 
 
 def _consume_path_bucket(
-    bucket: dict[RankPath, int], buckets: PathBuckets, lo: int = 1
+    bucket: dict[RankPath, int], buckets: PathBuckets
 ) -> tuple[dict[RankPath, int], int]:
     """Migrate a bucket's prefixes into ``buckets``; return ``(CD_j, support)``.
 
-    A prefix's destination bucket is ``path[-2]``.  Prefix migrations
-    whose destination key falls below ``lo`` are dropped — a range sweep
-    never consumes those buckets, so feeding them is pure waste.
-    ``CD_j`` still receives *every* prefix (conditional supports must
-    stay exact regardless of the range).
+    A prefix's destination bucket is ``path[-2]``; ``CD_j`` receives
+    every prefix.
     """
     support = 0
     cd: dict[RankPath, int] = {}
@@ -169,12 +173,11 @@ def _consume_path_bucket(
         prefix = path[:-1]
         if prefix:
             key = prefix[-1]
-            if key >= lo:
-                parent = buckets_get(key)
-                if parent is None:
-                    buckets[key] = {prefix: freq}
-                else:
-                    parent[prefix] = parent.get(prefix, 0) + freq
+            parent = buckets_get(key)
+            if parent is None:
+                buckets[key] = {prefix: freq}
+            else:
+                parent[prefix] = parent.get(prefix, 0) + freq
             cd[prefix] = cd_get(prefix, 0) + freq
     return cd, support
 
@@ -206,260 +209,6 @@ def conditional_database(
     )
 
 
-# ---------------------------------------------------------------------------
-# the iterative rank-path mining engine
-# ---------------------------------------------------------------------------
-def _mine_paths(
-    buckets: PathBuckets,
-    order: "range | list[int]",
-    suffix: tuple[int, ...],
-    min_support: int,
-    out: list,
-    max_len: int | None,
-    governor=None,
-) -> None:
-    """Depth-first conditional mining over rank-path buckets, no recursion.
-
-    Every itemset found is appended to ``out`` as an ``(ascending rank
-    tuple, support)`` pair (the engine prepends strictly smaller ranks,
-    so no itemset needs a sort).
-
-    ``buckets`` is a structure :func:`_build_path_buckets` built with its
-    singletons intact.  Every structure the engine descends into is
-    *support-complete* at its first level instead: the local supports
-    ``sup`` computed before the descent are the child's first-level
-    ``row`` (``row[r]`` is the exact support of ``(r,) + itemset``), so
-    those itemsets are written here with them, the child's buckets omit
-    length-1 paths (they carry no information beyond first-level
-    support), the loop neither sums nor writes at that level, and prefix
-    migration skips singletons too.  Every conditional structure below
-    the top stays singleton-free.
-
-    Algorithm 3's ``for j = Max down to 1`` loop, driven by an explicit
-    descending *schedule* of candidate ranks rather than an integer
-    countdown: migration only ever inserts buckets at keys strictly below
-    the one being consumed and never outside the schedule, so walking the
-    schedule visits every bucket exactly once, including freshly created
-    ones.  Every structure passes the exact frequent-rank list: from
-    :func:`_build_path_buckets`, or from the parent's local supports.
-
-    Descents into conditional structures are handled by an explicit frame
-    stack — each frame is ``(buckets, order, resume_index, suffix)`` and
-    resumes the enclosing loop exactly where recursion would have.  The
-    emission order is identical to the recursive formulation.
-
-    The loop body fuses Algorithm 3's three per-bucket steps — consume,
-    migrate, build ``CD_j``'s structure — into at most two passes over the
-    bucket, with no intermediate conditional-database dict:
-
-    * support is ``sum(bucket.values())`` (C level);
-    * when descending, one pass accumulates local rank supports into a
-      flat list indexed by rank (every rank on a bucket path is ``<= j``,
-      so the array is dense and bounds-free), and a second pass migrates
-      each prefix *and* inserts its projection into the child structure;
-    * otherwise a migrate-only pass runs (no projection work).
-
-    Two special cases carry most of real datasets: a **single-item
-    bucket** is the FP-growth chain case — every subset of the lone
-    prefix is frequent with the path's frequency (or none is), so
-    subsets are enumerated directly with no descent; and an
-    **all-frequent** bucket (no rank filtered out) re-buckets prefixes
-    by plain assignment, since two distinct paths sharing the terminal
-    ``j`` cannot share a prefix.
-
-    When a :class:`~repro.robustness.governor.ResourceGovernor` is given
-    it is charged one amortized tick per consumed bucket (weighted by
-    bucket size) and :meth:`~repro.robustness.governor.ResourceGovernor.note_itemsets`
-    for every batch of itemsets before it is appended, so ``out`` never
-    holds more than the itemset cap; the caller's top level records the
-    rank in flight.  Cost when ``governor is None``: a predicate test per
-    bucket and per batch.
-    """
-    counters = _COUNTERS
-    append = out.append
-    stack: list[
-        tuple[
-            PathBuckets,
-            "range | list[int]",
-            int,
-            tuple[int, ...],
-            "list[int] | None",
-        ]
-    ] = []
-    push_frame = stack.append
-    row: list[int] | None = None
-    idx = 0
-    n = len(order)
-    while True:
-        bucket_pop = buckets.pop
-        buckets_get = buckets.get
-        min_plen = 1 if row is None else 2
-        while idx < n:
-            j = order[idx]
-            idx += 1
-            bucket = bucket_pop(j, None)
-            if bucket is None:
-                continue
-            if governor is not None:
-                governor.tick(len(bucket))
-            if counters.enabled:
-                counters.add("cond_buckets_touched")
-                counters.add("cond_work_items_merged", len(bucket))
-            if len(bucket) == 1:
-                # chain case: one path means every prefix rank's local
-                # support equals the path frequency, so either nothing
-                # below is frequent or *every* subset of the prefix is —
-                # enumerate directly instead of descending
-                ((path, freq),) = bucket.items()
-                prefix = path[:-1]
-                if len(prefix) >= min_plen:
-                    key = prefix[-1]
-                    parent = buckets_get(key)
-                    if parent is None:
-                        buckets[key] = {prefix: freq}
-                    else:
-                        parent[prefix] = parent.get(prefix, 0) + freq
-                if freq >= min_support:
-                    itemset = (j,) + suffix
-                    if row is None:
-                        if governor is not None:
-                            governor.note_itemsets()
-                        append((itemset, freq))
-                    if prefix and (max_len is None or len(itemset) < max_len):
-                        if counters.enabled:
-                            counters.add("cond_single_path_shortcuts")
-                        room = (
-                            len(prefix)
-                            if max_len is None
-                            else min(len(prefix), max_len - len(itemset))
-                        )
-                        found = (
-                            (combo + itemset, freq)
-                            for size in range(1, room + 1)
-                            for combo in _combinations(prefix, size)
-                        )
-                        if governor is None:
-                            out += found
-                        else:
-                            # one charge per row: a long chain can hold
-                            # more subsets than the cap or the deadline allow
-                            for pair in found:
-                                governor.note_itemsets()
-                                append(pair)
-                continue
-            sub_order: list[int] = []
-            if row is None:
-                support = sum(bucket.values())
-                frequent_j = support >= min_support
-                if frequent_j:
-                    if governor is not None:
-                        governor.note_itemsets()
-                    append(((j,) + suffix, support))
-            else:
-                # support-complete first level: row[j] >= min_support by
-                # schedule construction and the itemset is already written
-                frequent_j = True
-            if frequent_j:
-                itemset = (j,) + suffix
-                if max_len is None or len(itemset) < max_len:
-                    # local rank supports, array-indexed (ranks are <= j)
-                    sup = [0] * (j + 1)
-                    touched: list[int] = []
-                    t_append = touched.append
-                    for path, freq in bucket.items():
-                        for r in path:
-                            s = sup[r]
-                            if not s:
-                                t_append(r)
-                            sup[r] = s + freq
-                    sub_order = [
-                        r for r in touched if r != j and sup[r] >= min_support
-                    ]
-            if sub_order:
-                # sup IS the child's first level (Lemma 4.1.1 locally):
-                # write the extensions here with their exact supports, so
-                # the child structure can omit every singleton projection
-                sub_order.sort(reverse=True)
-                if governor is not None:
-                    governor.note_itemsets(len(sub_order))
-                out += [((r,) + itemset, sup[r]) for r in sub_order]
-            if sub_order and (max_len is None or len(itemset) + 1 < max_len):
-                # fused pass: migrate every prefix into this structure AND
-                # project it (when longer than one rank) into the child
-                sub: PathBuckets = {}
-                sub_get = sub.get
-                if len(sub_order) == len(touched) - 1:
-                    # no rank filtered out: prefixes of distinct paths
-                    # sharing the terminal j are themselves distinct, so
-                    # child insertion needs no collision handling
-                    for path, freq in bucket.items():
-                        prefix = path[:-1]
-                        plen = len(prefix)
-                        if plen >= min_plen:
-                            key = prefix[-1]
-                            parent = buckets_get(key)
-                            if parent is None:
-                                buckets[key] = {prefix: freq}
-                            else:
-                                parent[prefix] = parent.get(prefix, 0) + freq
-                            if plen > 1:
-                                sb = sub_get(key)
-                                if sb is None:
-                                    sub[key] = {prefix: freq}
-                                else:
-                                    sb[prefix] = freq
-                else:
-                    keep = bytearray(j)
-                    for r in sub_order:
-                        keep[r] = 1
-                    for path, freq in bucket.items():
-                        prefix = path[:-1]
-                        plen = len(prefix)
-                        if plen >= min_plen:
-                            key = prefix[-1]
-                            parent = buckets_get(key)
-                            if parent is None:
-                                buckets[key] = {prefix: freq}
-                            else:
-                                parent[prefix] = parent.get(prefix, 0) + freq
-                            if plen > 1:
-                                kept = [r for r in prefix if keep[r]]
-                                if len(kept) > 1:
-                                    kt = tuple(kept)
-                                    k2 = kept[-1]
-                                    sb = sub_get(k2)
-                                    if sb is None:
-                                        sub[k2] = {kt: freq}
-                                    else:
-                                        sb[kt] = sb.get(kt, 0) + freq
-                if sub:
-                    if counters.enabled:
-                        counters.add("cond_structures_built")
-                    # descend: save the resume point, enter the child
-                    push_frame((buckets, order, idx, suffix, row))
-                    buckets, order, suffix, row = sub, sub_order, itemset, sup
-                    idx, n = 0, len(sub_order)
-                    bucket_pop = buckets.pop
-                    buckets_get = buckets.get
-                    min_plen = 2
-            else:
-                # infrequent rank, max_len boundary, or nothing locally
-                # frequent below: migration is still owed
-                for path, freq in bucket.items():
-                    prefix = path[:-1]
-                    if len(prefix) >= min_plen:
-                        key = prefix[-1]
-                        parent = buckets_get(key)
-                        if parent is None:
-                            buckets[key] = {prefix: freq}
-                        else:
-                            parent[prefix] = parent.get(prefix, 0) + freq
-        if not stack:
-            return
-        buckets, order, idx, suffix, row = stack.pop()
-        n = len(order)
-
-
 def mine_conditional_paths(
     prefixes: dict[RankPath, int],
     rank: int,
@@ -468,39 +217,32 @@ def mine_conditional_paths(
     max_len: int | None = None,
     governor=None,
 ) -> None:
-    """Mine one rank's conditional database on the path engine.
+    """:func:`mine_conditional_rows` over a ``{rank path: frequency}``
+    ``CD_rank``, appending every ``(ascending rank tuple, support)`` pair
+    to the list ``out``.
 
-    ``prefixes`` is ``CD_rank`` as aggregated rank paths — what
-    :func:`_consume_path_bucket` returns, what the parallel partitioner
-    bundles into tasks, and what the serving engine gathers off its
-    postings (already projected).  The projection that drops
-    locally-infrequent ranks runs in
-    path space, and the descent uses the exact frequent-rank schedule.
-    Every itemset is appended to ``out`` as an ``(ascending rank tuple,
-    support)`` pair; with a ``governor`` each batch is charged to its
-    itemset cap before it is appended.
-
-    Does *not* write ``(rank,)`` itself — top-level supports are known to
-    the caller before the conditional database exists.
+    ``prefixes`` is what :func:`_consume_path_bucket` returns and what the
+    parallel partitioner bundles into tasks; each path becomes one row.
+    On a budget trip ``out`` gets what was mined and is cut at the
+    itemset cap, as :func:`salvage` cuts (every pair ``out`` held before
+    was charged to the same governor), then the trip propagates.  Does
+    *not* write ``(rank,)`` itself — top-level supports are known to the
+    caller before the conditional database exists.
     """
-    check_max_len(max_len)
-    if max_len == 1:
-        return
-    if governor is not None:
-        governor.tick(len(prefixes))
-    buckets, schedule = _build_path_buckets(prefixes, min_support)
-    if buckets:
-        _mine_paths(
-            buckets, schedule, (rank,), min_support, out, max_len,
-            governor=governor,
+    lengths = [len(path) for path in prefixes]
+    columns = RankColumns()
+    try:
+        mine_conditional_rows(
+            _np.repeat(_np.arange(len(lengths)), lengths),
+            _np.fromiter(chain.from_iterable(prefixes), _np.int64, sum(lengths)),
+            _np.fromiter(prefixes.values(), _np.int64, len(lengths)),
+            rank, min_support, columns, max_len, governor,
         )
-
-
-def block_paths(prefixes: dict[PositionVector, int]) -> dict[RankPath, int]:
-    """A delta-keyed ``CD_rank`` (the shape the distributed slice exchange
-    ships between nodes) as rank paths; ``accumulate`` is injective on
-    delta vectors, so plain assignment converts them."""
-    return {tuple(accumulate(vec)): freq for vec, freq in prefixes.items()}
+    except MiningInterrupted:
+        out += columns.pairs()
+        del out[governor.budget.max_itemsets or len(out) :]
+        raise
+    out += columns.pairs()
 
 
 def mine_conditional_block(
@@ -511,12 +253,15 @@ def mine_conditional_block(
     max_len: int | None = None,
     governor=None,
 ) -> None:
-    """:func:`mine_conditional_paths` over a delta-keyed ``CD_rank``,
-    handing each ``(itemset, support)`` to ``report`` once mining stops
-    (a budget trip reports what was mined, then propagates)."""
+    """:func:`mine_conditional_paths` over a delta-keyed ``CD_rank`` (the
+    shape the distributed slice exchange ships between nodes), handing
+    each ``(itemset, support)`` to ``report`` once mining stops (a budget
+    trip reports what was mined, then propagates).  The delta vectors may
+    hold ranks above ``rank``."""
     out: list = []
     try:
-        mine_conditional_paths(block_paths(prefixes), rank, min_support, out, max_len, governor)
+        paths = {tuple(accumulate(vec)): freq for vec, freq in prefixes.items()}
+        mine_conditional_paths(paths, rank, min_support, out, max_len, governor)
     finally:
         for itemset, support in out:
             report(itemset, support)
@@ -556,35 +301,41 @@ def iter_conditional(
 
 #: Lattice-leaf switch (:func:`_lattice_leaves`): a top-level conditional
 #: database is enumerated as a subset lattice when its subsets number at
-#: most this many times its first-level recursion work.  It is the ratio
-#: of the two kernels' measured costs per work item; the derivation is in
-#: docs/PERFORMANCE.md, "Lattice leaves".  That ratio was priced against
-#: the Python recursion, which the tidset kernel has since replaced at the
-#: top level; it stays as it is until a dense ``plt`` benchmark workload
-#: can price the lattice against the tidsets.
+#: most this many times its locally frequent ranks summed over its rows.
+#: It is the ratio of two kernels' measured costs per work item; the
+#: derivation is in docs/PERFORMANCE.md, "Lattice leaves".  That ratio was
+#: priced against a Python path recursion, which the tidset kernel has
+#: since replaced; it stays as it is until a dense ``plt`` benchmark
+#: workload can price the lattice against the tidsets.
 _LATTICE_COST_RATIO = 30
 
-#: Rank-space ceiling for the pairwise co-occurrence matrix: the dense
-#: ``(R+1)^2`` float array must stay small (~15 MB at the cap) or the
-#: vectorised top level would cost more memory than it saves time.
+#: Cell ceiling for one strip of the pairwise support matrix: a strip of
+#: ``h`` ranks holds ``h * (max_rank + 1)`` int64 counts, as does the
+#: lattice leaves' ``onebit`` table (~16 MB at the cap).  A rank space
+#: whose whole matrix fits is mined in one strip; a wider one in strips of
+#: ``_PAIR_MATRIX_MAX_CELLS // (max_rank + 1)`` ranks.
 _PAIR_MATRIX_MAX_CELLS = 2_000_000
 
 
-def _pair_support_matrix(arrays, width: int):
-    """Dense pairwise co-occurrence counts over length-grouped matrices.
+def _pair_support_matrix(arrays, width: int, lo: int = 0, hi: int | None = None):
+    """Rows ``[lo, hi)`` of the dense pairwise co-occurrence matrix over
+    length-grouped path matrices (by default, all ``width`` of them).
 
-    ``matrix[j, k]`` for ``j >= k`` is the exact support of ``{k, j}``
-    (and of ``{j}`` on the diagonal) — the local-frequency table the
-    whole vectorised top level runs on.  Range restrictions never change
-    these counts, so the matrix can be computed once and shared (the shm
+    ``strip[j - lo, k]`` for ``j >= k`` is the exact support of ``{k, j}``
+    (and of ``{j}`` at ``k = j``) — the local-frequency table the whole
+    vectorised top level runs on.  Range restrictions never change these
+    counts, so the whole matrix can be computed once and shared (the shm
     driver precomputes it into the segment rather than paying the
     bincount in every worker).
 
     Every length's lower-triangle ``(j, k)`` cell codes and row weights
     are written into one preallocated pair of columns for a single
     :func:`~repro.core.flat.exact_bincount`, so the int64 result is
-    exact for any summed frequency below ``2**63``.
+    exact for any summed frequency below ``2**63``.  A strip drops the
+    codes whose ``j`` lies outside it before the count.
     """
+    if hi is None:
+        hi = width
     pairs = {length: length * (length + 1) // 2 for length in arrays}
     size = sum(len(mat) * pairs[length] for length, (mat, _) in arrays.items())
     # no count exceeds the paths' summed frequency (a float64 sum reads
@@ -602,7 +353,12 @@ def _pair_support_matrix(arrays, width: int):
         block += mat[:, kidx]
         weights[start:stop].reshape(block.shape)[...] = ifreqs[:, None]
         start = stop
-    return exact_bincount(codes, weights, width * width, total).reshape(width, width)
+    cells = (hi - lo) * width
+    if lo or hi < width:
+        codes -= lo * width
+        keep = (codes >= 0) & (codes < cells)
+        codes, weights = codes[keep], weights[keep]
+    return exact_bincount(codes, weights, cells, total).reshape(hi - lo, width)
 
 
 def _leaf_rows(arrays, onebit, lo: int, keyable, mask_bits: int, total: int, governor=None):
@@ -658,7 +414,7 @@ def _lattice_leaves(
     ``64 - bit_length(width - 1)`` of them) takes the lattice when its
     distinct rows' subsets number at most :data:`_LATTICE_COST_RATIO`
     times their locally frequent ranks (``sum(2^K - 1) <= ratio *
-    sum(K)``): ``sum(K)`` is a lower bound on the recursion's work, so
+    sum(K)``): ``sum(K)`` is a lower bound on any other way's work, so
     the lattice is only chosen where it is cheaper.  Every chosen rank's
     rows go through one batched :func:`~repro.core.topdown._expand`; the
     support of ``S + {j}`` is the summed frequency of the rows whose mask
@@ -736,14 +492,14 @@ def _lattice_leaves(
 
 def _matrix_mine(
     arrays,
-    max_rank: int,
+    width: int,
     lo: int,
     hi: int,
+    strip,
     min_support: int,
     out: RankColumns,
     max_len: int | None,
     governor=None,
-    pair_support=None,
 ) -> None:
     """The vectorised top level of Algorithm 3 over length-grouped paths.
 
@@ -761,13 +517,14 @@ def _matrix_mine(
 
     ``arrays`` maps path length -> ``(mat, ifreqs)`` where ``mat`` is an
     int64 ``(n, length)`` matrix of stored rank paths and ``ifreqs`` the
-    matching frequency column (:meth:`FlatPLT.paths_by_length`).  Mines every frequent
-    itemset whose *maximal* rank lies in ``[lo, hi)`` — itemsets partition
-    exactly by maximal rank, so disjoint ranges concatenate into the full
-    answer (the shared-memory workers' decomposition).  ``pair_support``
-    accepts a precomputed :func:`_pair_support_matrix` (the shm workers
-    read it straight off the shared segment); when ``None`` it is
-    computed here.
+    matching frequency column (:meth:`FlatPLT.paths_by_length`), over
+    ranks ``< width``.  Mines every frequent itemset whose *maximal* rank
+    lies in ``[lo, hi)`` — itemsets partition exactly by maximal rank, so
+    disjoint ranges concatenate into the full answer (the shared-memory
+    workers' decomposition, and the strips of a wide rank space).
+    ``strip`` is rows ``[lo, hi)`` of :func:`_pair_support_matrix`: a
+    slice of the whole matrix (the shm workers read it straight off the
+    shared segment) or a strip computed on its own.
 
     The output goes into ``out`` as array blocks only: the frequent
     singles (the matrix diagonal), the frequent pairs (the matrix below
@@ -777,11 +534,9 @@ def _matrix_mine(
     ``bincount`` of each block's last column) to the itemset cap before
     its tidset levels run.
     """
-    width = max_rank + 1
-    if pair_support is None:
-        pair_support = _pair_support_matrix(arrays, width)
-    diag = pair_support.diagonal()
-    singles = lo + _np.flatnonzero(diag[lo:hi] >= min_support)
+    here = _np.arange(hi - lo)
+    diag = strip[here, here + lo]
+    singles = lo + _np.flatnonzero(diag >= min_support)
     if not singles.size:
         return
     if governor is not None:
@@ -791,15 +546,15 @@ def _matrix_mine(
     counters = _COUNTERS
     # frequent[j - lo, k]: {k, j} is frequent, for k < j (the matrix is
     # zero above its diagonal, and the diagonal is j itself)
-    frequent = pair_support[lo:hi] >= min_support
-    frequent[_np.arange(hi - lo), _np.arange(lo, hi)] = False
+    frequent = strip >= min_support
+    frequent[here, here + lo] = False
     frequent_cells = _np.flatnonzero(frequent)
     owner, franks = _np.divmod(frequent_cells, width)
     starts = _np.searchsorted(owner, _np.arange(hi - lo + 1))
-    blocks = [(singles[:, None], diag[singles])]
+    blocks = [(singles[:, None], diag[singles - lo])]
     if max_len is None or max_len >= 2:
-        # pair_support[j, k] IS the exact support of {k, j}
-        blocks.append((_np.column_stack((franks, owner + lo)), pair_support[owner + lo, franks]))
+        # strip[j - lo, k] IS the exact support of {k, j}
+        blocks.append((_np.column_stack((franks, owner + lo)), strip[owner, franks]))
     leaf_ranks = _np.zeros(width, bool)
     cds: dict = {}
     if max_len is None or max_len >= 3:
@@ -856,9 +611,7 @@ def _tidset_rows(arrays, frequent, frequent_cells, starts, lo: int, ranks, gover
     Returns ``{j: (rows, locals, freqs, pairs)}``: the kept cells as
     local row and rank indices, the rows' frequencies, and the local pair
     supports, ``pairs[a, b]`` (``a < b``) the exact support of
-    ``{a, b, j}``.  Cell ``t`` of a row pairs with cell ``t + d`` of the
-    same row, so the pairs of every rank are summed by one
-    :func:`~repro.core.flat.exact_bincount` per distance ``d``.
+    ``{a, b, j}``, summed for every rank at once by :func:`_pair_counts`.
     """
     width = frequent.shape[1]
     hit_j, hit_freq, cell_hit, cell_rank = [], [], [], []
@@ -904,14 +657,7 @@ def _tidset_rows(arrays, frequent, frequent_cells, starts, lo: int, ranks, gover
     offset = _np.zeros(len(counts), _np.int64)
     offset[js] = _np.cumsum(squares) - squares
     base = offset[cell_j] + local * counts[cell_j]
-    # cells left in each cell's row after it
-    left = _np.cumsum(_np.bincount(cell_hit))[cell_hit] - 1 - _np.arange(len(cell_hit))
-    pairs = _np.zeros(int(squares.sum()), _np.int64)
-    total = sum(hit_freq.tolist())
-    t = _np.arange(len(cell_hit))
-    for d in range(1, int(left.max()) + 1):
-        t = t[left[t] >= d]
-        pairs += exact_bincount(base[t] + local[t + d], hit_freq[cell_hit[t]], len(pairs), total)
+    pairs = _pair_counts(cell_hit, local, base, hit_freq, int(squares.sum()))
     hit_bounds = _np.searchsorted(hit_j, _np.append(js, len(counts))).tolist()
     cell_bounds = _np.searchsorted(cell_hit, hit_bounds).tolist()
     cds = {}
@@ -925,6 +671,28 @@ def _tidset_rows(arrays, frequent, frequent_cells, starts, lo: int, ranks, gover
             pairs[offset[j] : offset[j] + k * k].reshape(k, k),
         )
     return cds
+
+
+def _pair_counts(cell_row, local, base, freqs, size: int):
+    """Local pair supports: ``counts[base[t] + local[u]]`` summed over
+    every two cells ``t < u`` of one row, weighted by the row's frequency.
+
+    The cells are grouped by row (``cell_row`` ascending) with ``local``
+    ascending within each row, and ``freqs[r]`` is row ``r``'s frequency.
+    Cell ``t`` of a row pairs with cell ``t + d`` of the same row, so the
+    pairs are summed by one :func:`~repro.core.flat.exact_bincount` per
+    distance ``d``.
+    """
+    # cells left in each cell's row after it
+    left = _np.cumsum(_np.bincount(cell_row))[cell_row] - 1 - _np.arange(len(cell_row))
+    weights = freqs[cell_row]
+    counts = _np.zeros(size, _np.int64)
+    total = sum(freqs.tolist())
+    t = _np.arange(len(cell_row))
+    for d in range(1, int(left.max()) + 1):
+        t = t[left[t] >= d]
+        counts += exact_bincount(base[t] + local[t + d], weights[t], size, total)
+    return counts
 
 
 #: ``_BYTE_BITS[i, v]`` is bit ``i`` of byte value ``v``: the matrix that
@@ -954,10 +722,15 @@ def _tidset_mine(
     level is the frequent local pairs, straight from ``pairs`` (no
     tidset is touched); a level's set ``S`` extends by a rank ``c`` above
     its last only where every member of ``S`` forms a locally frequent
-    pair with ``c``.  Each level goes into ``out`` as one block of rank
-    rows (``local`` ranks, then ``j``) until it is empty or ``max_len``
-    is reached, then its rows are charged to the governor's itemset cap.
+    pair with ``c``.  Each level goes into ``out`` as one block of
+    ascending rank rows (``local`` ranks, then ``j``, sorted when some
+    local rank lies above ``j``) until it is empty or ``max_len`` is
+    reached, then its rows are charged to the governor's itemset cap.
     """
+    adj = pairs >= min_support
+    first, second = _np.nonzero(adj)
+    if not len(first):
+        return
     n_rows = len(freqs)
     words = -(-n_rows // 64)
     tids = _np.zeros((len(local), words), _TID_WORD)
@@ -965,12 +738,14 @@ def _tidset_mine(
     weights = _np.zeros(64 * words, _np.int64)
     weights[:n_rows] = freqs
     table = (weights.reshape(-1, 8) @ _BYTE_BITS).ravel()
-    adj = pairs >= min_support
-    first, second = _np.nonzero(adj)
     level, supports = _np.column_stack((first, second)), pairs[first, second]
     top = None if max_len is None else max_len - 1
+    above = local[-1] > j
     while len(level):
-        out.add(_np.column_stack((local[level], _np.full(len(level), j))), supports)
+        itemsets = _np.column_stack((local[level], _np.full(len(level), j)))
+        if above:
+            itemsets.sort(axis=1)
+        out.add(itemsets, supports)
         if governor is not None:
             governor.note_itemsets(len(level))
         if top is not None and level.shape[1] >= top:
@@ -1028,6 +803,72 @@ def _tid_supports(masks, table):
     return table.take(index).sum(axis=1)
 
 
+def mine_conditional_rows(
+    rows,
+    ranks,
+    freqs,
+    rank: int,
+    min_support: int,
+    out: RankColumns,
+    max_len: int | None = None,
+    governor=None,
+) -> None:
+    """Mine the frequent itemsets that extend ``(rank,)`` into ``out``.
+
+    ``CD_rank`` comes in as one ``(rows[c], ranks[c])`` pair per cell
+    and one frequency ``freqs[r]`` per row, all int64: the cells grouped
+    by row, rows ascending, each row's ranks ascending.  The rows need
+    not be aggregated nor stripped of locally infrequent ranks, and they
+    may hold ranks above ``rank`` (a served ``CD_rank`` is every stored
+    path through the rank, less the rank).
+
+    One :func:`~repro.core.flat.exact_bincount` gives every rank's local
+    support, which is the support of its pair with ``rank``; those pairs
+    are the first block.  The rows with two or more locally frequent
+    ranks, renumbered and counted in ``cond_work_items_merged``, then go
+    to the tidset kernel (:func:`_tidset_mine`) with their local pair
+    supports (:func:`_pair_counts`), as a top-level rank's rows do.
+    Every block is ascending rank rows and is charged to the governor's
+    itemset cap after it is added, so a caller that keeps a trip's
+    partial cuts it at the cap (:func:`salvage`).  Does *not* write
+    ``(rank,)`` itself.
+    """
+    check_max_len(max_len)
+    if max_len == 1 or not len(ranks):
+        return
+    if governor is not None:
+        governor.tick(len(freqs))
+    width = max(rank, int(ranks.max())) + 1
+    support = exact_bincount(ranks, freqs[rows], width, sum(freqs.tolist()))
+    support[rank] = 0
+    local = _np.flatnonzero(support >= min_support)
+    if not len(local):
+        return
+    pairs = _np.column_stack((local, _np.full(len(local), rank)))
+    pairs.sort(axis=1)
+    out.add(pairs, support[local])
+    if governor is not None:
+        governor.note_itemsets(len(local))
+    if len(local) < 2 or (max_len is not None and max_len < 3):
+        return
+    index = _np.full(width, -1)
+    index[local] = _np.arange(len(local))
+    cols = index[ranks]
+    rows, cols = rows[cols >= 0], cols[cols >= 0]
+    # rows with fewer than two locally frequent ranks carry only the pairs
+    kept = _np.bincount(rows, minlength=len(freqs)) >= 2
+    cells = kept[rows]
+    rows, cols, freqs = (_np.cumsum(kept) - 1)[rows[cells]], cols[cells], freqs[kept]
+    if not len(freqs):
+        return
+    if _COUNTERS.enabled:
+        _COUNTERS.add("cond_work_items_merged", len(freqs))
+        _COUNTERS.add("cond_structures_built")
+    k = len(local)
+    pairs = _pair_counts(rows, cols, cols * k, freqs, k * k).reshape(k, k)
+    _tidset_mine(rows, cols, freqs, pairs, local, rank, min_support, max_len, out, governor)
+
+
 def mine_conditional_flat_range(
     flat: FlatPLT,
     lo: int,
@@ -1045,16 +886,16 @@ def mine_conditional_flat_range(
     of every shared-memory worker (one slice each).  Itemsets partition
     exactly by their maximal (top-level) rank, so disjoint ranges mined by
     different workers concatenate into the complete answer with no
-    reconciliation, and each range's counts are exact because the sweep
-    still *migrates* prefixes from every bucket above ``lo`` (consuming a
-    rank ``>= hi`` contributes its prefixes without writing any itemset).
+    reconciliation; each range's counts are exact because the pair
+    matrix counts whole stored paths.
 
-    Runs on the vectorised co-occurrence matrix restricted to the range
-    while the dense matrix fits ``_PAIR_MATRIX_MAX_CELLS``; wider rank
-    spaces take a bucket sweep that materialises path dicts only for
-    sum-index keys ``>= lo`` (lower keys can never be consumed here).
+    The range is mined in rank strips, highest first, by
+    :func:`_matrix_mine`: one strip while the whole pair matrix fits
+    :data:`_PAIR_MATRIX_MAX_CELLS` (read off the segment when the shm
+    driver precomputed it), else strips of ``_PAIR_MATRIX_MAX_CELLS //
+    (max_rank + 1)`` ranks, each with its own strip of the matrix.
     The rank being mined is kept in ``governor.progress["mining_rank"]``:
-    each top-level rank's subtree completes before the next starts, so on
+    each top-level rank's itemsets complete before the next starts, so on
     a budget trip every rank above the marker is complete, and
     :func:`salvage` keeps what a trip leaves.
     """
@@ -1065,58 +906,31 @@ def mine_conditional_flat_range(
     if lo >= hi or flat.n_paths == 0:
         return
     width = flat.max_rank + 1
-    if width * width <= _PAIR_MATRIX_MAX_CELLS:
-        _matrix_mine(
-            flat.paths_by_length(),
-            flat.max_rank,
-            lo,
-            hi,
-            min_support,
-            out,
-            max_len,
-            governor=governor,
-            pair_support=flat.pair_support_matrix(),
-        )
-        return
-    ranks_col, off, freqs_col = flat.ranks, flat.path_offsets, flat.freqs
-    keys, boff = flat.bucket_keys, flat.bucket_offsets
-    buckets: PathBuckets = {}
-    for b in range(flat.n_buckets):
-        key = keys[b]
-        if key < lo:
-            break  # bucket keys are stored descending
-        bucket: dict[RankPath, int] = {}
-        for p in range(boff[b], boff[b + 1]):
-            bucket[tuple(ranks_col[off[p] : off[p + 1]])] = freqs_col[p]
-        buckets[key] = bucket
-    rows = out.rows
-    for j in range(flat.max_rank, lo - 1, -1):
-        bucket = buckets.pop(j, None)
-        if bucket is None:
-            continue
-        if governor is not None:
-            governor.progress["mining_rank"] = j
-            governor.tick(len(bucket))
-        cd, support = _consume_path_bucket(bucket, buckets, lo)
-        if j >= hi or support < min_support:
-            continue
-        if governor is not None:
-            governor.note_itemsets()
-        rows.append(((j,), support))
-        if cd:
-            mine_conditional_paths(cd, j, min_support, rows, max_len, governor)
+    arrays = flat.paths_by_length()
+    height = max(1, _PAIR_MATRIX_MAX_CELLS // width)
+    full = flat.pair_support_matrix()
+    if full is None and height >= width:
+        full = _pair_support_matrix(arrays, width)
+    for top in range(hi, lo, -height):
+        bottom = max(lo, top - height)
+        if full is None:
+            strip = _pair_support_matrix(arrays, width, bottom, top)
+        else:
+            strip = full[bottom:top]
+        _matrix_mine(arrays, width, bottom, top, strip, min_support, out, max_len, governor)
 
 
 def salvage(out: RankColumns, governor) -> list[tuple[tuple[int, ...], int]]:
-    """The pairs a governed range run keeps when its budget trips.
+    """The pairs a governed run keeps when its budget trips.
 
     Every itemset whose maximal rank is at or above the rank in flight
-    (``governor.progress["mining_rank"]``), in :meth:`RankColumns.pairs`
-    order, at most ``max_itemsets`` of them.  Ranks above the marker are
-    complete; the rank in flight contributes its array rows (exact, from
-    the pair matrix, the lattice or the tidset levels mined so far) and,
-    on the wide-rank sweep, the recursion rows found so far.
-    Every support is exact, and the pairs are a prefix of the full run's.
+    (``governor.progress["mining_rank"]``, 0 when no top level set it),
+    in :meth:`RankColumns.pairs` order, at most ``max_itemsets`` of them:
+    a block is added before it is charged, so the one that tripped the
+    cap is cut here.  Ranks above the marker are complete; the rank in
+    flight contributes its rows from the pair matrix, the lattice or the
+    tidset levels mined so far.  Every support is exact, and the pairs
+    are a prefix of the full run's.
     """
     low = governor.progress.get("mining_rank") or 0
     return out.pairs(low)[: governor.budget.max_itemsets]

@@ -379,8 +379,9 @@ class FlatPLT:
 
         No-op (returns False) on an empty index, or when the dense matrix
         would exceed ``max_cells`` (default: the conditional kernel's own
-        dense-matrix cap — ranges that large take the sweep fallback,
-        which never consults the matrix).
+        cap, :data:`~repro.core.conditional._PAIR_MATRIX_MAX_CELLS` — rank
+        spaces that wide are mined in rank strips, each counting its own
+        strip of the matrix).
         """
         if self.pair_support is not None or self.n_paths == 0:
             return self.pair_support is not None

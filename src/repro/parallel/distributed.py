@@ -19,7 +19,7 @@ The fault-free dataflow is unchanged from the classic scheme:
    touches the wire);
 4. owners merge the received bundles with their own, check global
    support, mine each owned item's conditional PLT **entirely locally**
-   (Algorithm 3's recursion) and send results to node 0;
+   (Algorithm 3's conditional kernel) and send results to node 0;
 5. node 0 concatenates — itemsets are partitioned by maximal item, so no
    deduplication or reconciliation is needed.
 
@@ -65,7 +65,7 @@ from collections.abc import Hashable, Iterable, Mapping
 from repro.compress.plt_codec import decode_label, encode_label
 from repro.compress.varint import decode_uvarint, encode_uvarint
 from repro.core import position
-from repro.core.conditional import block_paths, mine_conditional_paths
+from repro.core.conditional import mine_conditional_block
 from repro.core.rank import RankTable, sort_key
 from repro.data.transaction_db import check_max_len, item_supports
 from repro.errors import (
@@ -387,7 +387,8 @@ def _mine_owned(
     max_len: int | None,
     governor: ResourceGovernor | None = None,
 ) -> list[tuple[tuple[int, ...], int]]:
-    # the path engine writes itemsets already sorted ascending
+    # the conditional kernel writes itemsets already sorted ascending; a
+    # budget trip discards the slot (only fully mined slots are kept)
     results: list[tuple[tuple[int, ...], int]] = []
     for rank in sorted(owned, reverse=True):
         support, prefixes = owned[rank]
@@ -396,10 +397,10 @@ def _mine_owned(
         if governor is not None:
             governor.note_itemsets()
         results.append(((rank,), support))
-        if prefixes and (max_len is None or max_len > 1):
-            mine_conditional_paths(
-                block_paths(prefixes), rank, min_support, results, max_len,
-                governor=governor,
+        if prefixes:
+            mine_conditional_block(
+                prefixes, rank, min_support, lambda *pair: results.append(pair),
+                max_len, governor,
             )
     return results
 

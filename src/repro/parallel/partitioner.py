@@ -48,7 +48,7 @@ class ConditionalTask:
         self.prefixes = prefixes
 
     def cost_estimate(self) -> int:
-        """Positions in the conditional DB — a proxy for recursion work."""
+        """Positions in the conditional DB — a proxy for mining work."""
         return sum(len(v) for v in self.prefixes) + 1
 
     def __repr__(self) -> str:
@@ -61,7 +61,7 @@ class ConditionalTask:
 def conditional_tasks(plt: PLT, min_support: int) -> list[ConditionalTask]:
     """The sequential migration sweep, yielding every item's task.
 
-    Exactly Algorithm 3's top-level loop with the recursion deferred:
+    Exactly Algorithm 3's top-level loop with the mining deferred:
     buckets are consumed in descending rank order, prefixes migrated, and
     each rank's ``(support, CD_j)`` captured.  Infrequent ranks still
     migrate (their transactions support lower-ranked items) but produce no

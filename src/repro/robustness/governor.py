@@ -298,8 +298,7 @@ class ResourceGovernor:
 
     Mining hot loops call :meth:`tick` (with a work amount) and
     :meth:`note_itemsets` (with the number of itemsets about to be
-    written: one row, a batch of recursion rows, or a top-level rank's
-    array rows); both are O(1) counter updates,
+    written: one row, or a block of array rows); both are O(1) counter updates,
     and only every ``check_interval`` accumulated work units does the
     governor read the monotonic clock, sample the allocator, and test the
     cancellation token.  Loops additionally drop completion markers into

@@ -21,7 +21,7 @@ Endpoints (``op`` field of the request):
 ``topk``
     The ``k`` most frequent itemsets *containing a given item*, mined on
     demand from the item's conditional database
-    (:func:`~repro.core.conditional.mine_conditional_paths`) and memoized
+    (:func:`~repro.core.conditional.mine_conditional_rows`) and memoized
     — the daemon never materialises the full frequent set for these.
 ``rules`` / ``recommend``
     Association rules over the full frequent set (mined lazily, cached
@@ -49,7 +49,8 @@ from typing import NoReturn
 
 from repro.apps.classifier import first_matching_rule
 from repro.compress.index import ItemIndex
-from repro.core.conditional import mine_conditional, mine_conditional_paths
+from repro.core.columns import RankColumns
+from repro.core.conditional import mine_conditional, mine_conditional_rows, salvage
 from repro.core.flat import FlatPLT
 from repro.core.plt import PLT
 from repro.core.rank import RankTable, sort_key
@@ -429,12 +430,12 @@ class PatternEngine(Engine):
         """Mine every frequent itemset containing ``rank``; exact supports.
 
         The item's conditional database is gathered straight off the
-        postings: each stored path through the rank, with the rank and
-        every locally infrequent rank removed, re-aggregated
-        (:meth:`~repro.compress.index.ItemIndex.conditional_paths`).
-        Mining it at ``min_support`` with suffix ``(rank,)`` enumerates
-        exactly the frequent itemsets containing the item — bit-for-bit
-        what filtering a full mine yields, without ever running one.
+        postings as arrays: each stored path through the rank, less the
+        rank (:meth:`~repro.compress.index.ItemIndex.conditional_paths`).
+        Mining it at ``min_support`` around ``(rank,)`` enumerates exactly
+        the frequent itemsets containing the item — bit-for-bit what
+        filtering a full mine yields, without ever running one.  A budget
+        trip keeps :func:`~repro.core.conditional.salvage`'s pairs.
 
         Returns ``((entries, complete, stop_reason), cacheable)`` where
         entries are decoded, canonically ordered (:meth:`_order_key`, read
@@ -442,7 +443,7 @@ class PatternEngine(Engine):
         for complete answers.
         """
         postings = self.index.postings
-        pairs: list[tuple[tuple[int, ...], int]] = []
+        pairs = RankColumns()
         complete = True
         stop_reason = None
         try:
@@ -452,15 +453,15 @@ class PatternEngine(Engine):
             if support >= min_support:
                 if governor is not None:
                     governor.note_itemsets()
-                pairs.append(((rank,), support))
-                prefixes = postings.conditional_paths(rank, min_support, governor=governor)
-                if prefixes:
-                    mine_conditional_paths(
-                        prefixes, rank, min_support, pairs, None, governor=governor
-                    )
+                pairs.rows.append(((rank,), support))
+                mine_conditional_rows(
+                    *postings.conditional_paths(rank, governor=governor),
+                    rank, min_support, pairs, governor=governor,
+                )
         except MiningInterrupted as exc:
             complete = False
             stop_reason = exc.reason
+            pairs = salvage(pairs, governor)
         labels, positions = self.index.labels, self.index.positions
         keyed = sorted(
             (-sup, len(ranks), sorted([positions[r] for r in ranks])) for ranks, sup in pairs

@@ -106,8 +106,9 @@ def test_emission_is_sorted_ascending():
 
 @pytest.fixture
 def wide_rank_sweep(monkeypatch):
-    """Send mine_conditional down the bucket sweep it takes once the dense
-    pair-support matrix would exceed its cap (1,414+ frequent ranks)."""
+    """Mine in one-rank strips, the shape mine_conditional takes once the
+    dense pair-support matrix would exceed its cap (1,414+ frequent ranks):
+    a cap of 0 cells makes every strip one rank high."""
     import repro.core.conditional as cond
 
     monkeypatch.setattr(cond, "_PAIR_MATRIX_MAX_CELLS", 0)
@@ -126,7 +127,7 @@ def test_wide_rank_sweep_matches_fpgrowth(seed, wide_rank_sweep):
 
 
 def test_wide_rank_sweep_governed_complete_region(wide_rank_sweep):
-    # a budget trip on the sweep still marks a verified-complete region:
+    # a budget trip across rank strips still marks a verified-complete region:
     # every itemset whose maximal rank is >= the marker was enumerated
     from repro.errors import MiningInterrupted
     from repro.robustness.governor import MiningBudget, ResourceGovernor
@@ -152,9 +153,9 @@ def test_wide_rank_sweep_governed_complete_region(wide_rank_sweep):
 @pytest.fixture(params=["recursion", "lattice"])
 def leaf_branch(request, monkeypatch):
     """Force the lattice-leaf switch to one branch for every rank: a ratio
-    of 0 sends every conditional database down the recursion, a huge one
-    sends every rank whose locally frequent ranks fit the key to the
-    subset lattice."""
+    of 0 sends every conditional database to the tidset kernel (the
+    "recursion" id predates it), a huge one sends every rank whose locally
+    frequent ranks fit the key to the subset lattice."""
     import repro.core.conditional as cond
 
     ratio = 0 if request.param == "recursion" else 1e30
@@ -206,7 +207,8 @@ def test_wide_rank_takes_the_recursion(seed, leaf_branch):
                 plt, pairs, mine_fpgrowth(db, min_support, max_len=max_len)
             )
             if max_len is None:
-                # w's 68-70 partners never fit the key: it always recurses
+                # w's 68-70 partners never fit the key: it always takes
+                # the tidset kernel
                 assert counts["cond_work_items_merged"] > 0
                 if leaf_branch == "lattice":
                     assert counts["topdown_work_items"] > 0

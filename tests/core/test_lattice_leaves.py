@@ -2,7 +2,7 @@
 
 A top-level conditional database ``CD_j`` whose distinct rows' subsets
 are few enough is enumerated by the top-down subset kernel instead of
-the recursion.  These tests pin the switch rule against a brute-force
+the tidset kernel.  These tests pin the switch rule against a brute-force
 recount, and check that budget trips inside the lattice phase and inside
 a lattice rank's emission leave exact partials and a valid
 ``complete_from_rank``.
@@ -29,7 +29,7 @@ SUPPORT = 3
 @pytest.fixture(scope="module")
 def plt():
     # dense enough that the lowest ranks take the lattice and the top
-    # ranks (longer rows) the recursion
+    # ranks (longer rows) the tidsets
     db = random_database(7705, max_items=14, max_transactions=80, min_transactions=60)
     return PLT.from_transactions(db, SUPPORT)
 

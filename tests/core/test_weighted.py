@@ -140,7 +140,9 @@ class TestExactSupports:
         index = ItemIndex(plt.flat)
         assert index.rank_support(2) == 2**63 - 1
         assert index.support([]) == 2**63 + 2**61 - 1
-        assert index.conditional_paths(3, 2**61) == {(1,): 2**61, (2,): 2**62 - 1}
+        rows, ranks, freqs = index.conditional_paths(3)
+        gathered = {tuple(ranks[rows == i].tolist()): f for i, f in enumerate(freqs.tolist())}
+        assert gathered == {(1,): 2**61, (2,): 2**62 - 1}
         want = _weighted_fpgrowth(pairs, 2**61)
         assert self._mined(plt, mine_conditional(plt)) == want
         assert self._mined(plt, mine_topdown(plt)) == want

@@ -40,7 +40,7 @@ def _segments():
 
 
 def _lattice_plt():
-    """A PLT whose top level mixes lattice leaves and recursion ranks."""
+    """A PLT whose top level mixes lattice leaves and tidset ranks."""
     db = random_database(7705, max_items=14, max_transactions=80, min_transactions=60)
     return PLT.from_transactions(db, 3)
 
@@ -78,8 +78,9 @@ class TestDifferential:
 
     @pytest.mark.parametrize("seed", [3, 9])
     def test_sweep_fallback_range_miner(self, seed, monkeypatch):
-        # force the range workers off the dense-matrix path so the
-        # bucket-sweep formulation of range mining is exercised end to end
+        # the driver precomputes no pair matrix past the cap, so the range
+        # workers count their own; in-process, a cap of 0 mines one-rank
+        # strips
         import repro.core.conditional as cond
 
         monkeypatch.setattr(cond, "_PAIR_MATRIX_MAX_CELLS", 0)
@@ -91,7 +92,7 @@ class TestDifferential:
 
     def test_lattice_ranks_straddle_the_range_boundary(self):
         # dense enough that the lowest ranks take the lattice leaves and
-        # the top ranks the recursion; both workers' ranges hold lattice
+        # the top ranks the tidsets; both workers' ranges hold lattice
         # ranks, so the leaves run on either side of the boundary
         plt = _lattice_plt()
         flat = plt.flat

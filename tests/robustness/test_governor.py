@@ -494,7 +494,7 @@ class TestBlockGranularPartials:
                 tripped_at.add(marker - 1)
             else:
                 assert cap == len(full) and dict(complete) == full
-        # trips landed in lattice ranks and in recursion ranks
+        # trips landed in lattice ranks and in tidset ranks
         assert tripped_at & lattice_ranks and tripped_at - lattice_ranks
 
     def test_parallel_partials(self, quest, lattice_ranks):

@@ -13,6 +13,7 @@ Two measurements:
 
 import pytest
 
+from repro.core.columns import RankColumns
 from repro.core.conditional import mine_conditional_paths
 from repro.parallel import conditional_tasks, lpt_partition, mine_parallel
 
@@ -27,7 +28,7 @@ def task_times(sparse_plt):
     times = []
     for t in tasks:
         start = time.perf_counter()
-        mine_conditional_paths(t.prefixes, t.rank, sparse_plt.min_support, [])
+        mine_conditional_paths(t.prefixes, t.rank, sparse_plt.min_support, RankColumns())
         times.append(time.perf_counter() - start)
     return times
 

@@ -26,6 +26,7 @@ Run:  python examples/parallel_mining.py
 import os
 import time
 
+from repro.core.columns import RankColumns
 from repro.core.conditional import mine_conditional, mine_conditional_paths
 from repro.core.plt import PLT
 from repro.core.topdown import topdown_subset_frequencies
@@ -63,7 +64,7 @@ def main() -> None:
     per_task = []
     for t in tasks:
         t0 = time.perf_counter()
-        mine_conditional_paths(t.prefixes, t.rank, min_support, [])
+        mine_conditional_paths(t.prefixes, t.rank, min_support, RankColumns())
         per_task.append(time.perf_counter() - t0)
     total = sum(per_task)
     print(f"\nmakespan model (total task CPU {total:.2f}s):")

@@ -140,6 +140,7 @@ def run_b7() -> None:
     speedup cannot exceed 1; the makespan model — per-task CPU times
     binned by LPT — shows what a k-core machine would see.
     """
+    from repro.core.columns import RankColumns
     from repro.core.conditional import mine_conditional_paths
     from repro.parallel import conditional_tasks, lpt_partition, mine_parallel
 
@@ -151,7 +152,7 @@ def run_b7() -> None:
     per_task = []
     for t in tasks:
         secs, _ = time_call(
-            mine_conditional_paths, t.prefixes, t.rank, min_support, []
+            mine_conditional_paths, t.prefixes, t.rank, min_support, RankColumns()
         )
         per_task.append(secs)
     total = sum(per_task)

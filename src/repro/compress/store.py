@@ -28,9 +28,12 @@ import io
 from itertools import accumulate
 from pathlib import Path
 
+import numpy as np
+
 from repro.compress.plt_codec import decode_label, encode_label
 from repro.compress.varint import decode_uvarint, encode_uvarint
-from repro.core.conditional import _consume_path_bucket, mine_conditional_paths
+from repro.core.columns import RankColumns
+from repro.core.conditional import _consume_path_bucket, mine_conditional_paths, salvage
 from repro.core.plt import PLT
 from repro.core.position import PositionVector, RankPath
 from repro.core.rank import RankTable
@@ -238,19 +241,24 @@ class PLTStore:
         *,
         max_len: int | None = None,
         governor=None,
-    ) -> list[tuple[tuple[int, ...], int]]:
+    ) -> RankColumns:
         """Algorithm 3 streaming buckets from disk, descending sum.
 
         Each on-disk bucket is read exactly once and converted to rank
         paths as it is read; migrated prefixes (which are strictly shorter
         than their sources) are the only mining state held in memory.
         Output format matches
-        :func:`repro.core.conditional.mine_conditional`.
+        :func:`repro.core.conditional.mine_conditional`, each rank's
+        single a one-row block ahead of its other blocks.
 
         With a ``governor``, a budget trip raises
-        :class:`~repro.errors.MiningInterrupted` carrying ``partial`` (all
-        exact supports) and ``progress["complete_from_rank"]`` — every
-        itemset whose maximal rank is >= that value was fully enumerated.
+        :class:`~repro.errors.MiningInterrupted` carrying ``partial`` (a
+        :class:`~repro.core.columns.RankColumns` cut by
+        :func:`~repro.core.conditional.salvage`, a prefix of the full run's
+        pairs) and
+        ``progress["complete_from_rank"]`` — every itemset whose maximal
+        rank is >= that value was fully enumerated; the trip's time is the
+        governor's ``progress["tripped_s"]``.
         """
         if min_support is None:
             min_support = self.min_support
@@ -259,8 +267,7 @@ class PLTStore:
                 f"absolute min_support must be >= 1, got {min_support}"
             )
         check_max_len(max_len)
-        # the conditional kernel writes itemsets already sorted ascending
-        results: list[tuple[tuple[int, ...], int]] = []
+        results = RankColumns()
         if governor is not None:
             governor.start()
         migrated: dict[int, dict[RankPath, int]] = {}
@@ -284,14 +291,11 @@ class PLTStore:
                     continue
                 if governor is not None:
                     governor.note_itemsets()
-                results.append(((j,), support))
+                results.add(np.array([[j]]), np.array([support]))
                 if cd:
                     mine_conditional_paths(cd, j, min_support, results, max_len, governor)
         except MiningInterrupted as exc:
-            exc.partial = results
-            mining_rank = governor.progress.get("mining_rank") if governor else None
-            if mining_rank is not None:
-                exc.progress.setdefault("complete_from_rank", mining_rank + 1)
+            salvage(exc, results, governor)
             raise
         return results
 

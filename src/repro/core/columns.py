@@ -17,7 +17,7 @@ on demand.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 
@@ -72,29 +72,44 @@ class RankColumns:
     def __len__(self) -> int:
         return sum(len(supports) for _, supports in self.blocks) + len(self.rows)
 
-    def pairs(self, low: int = 0) -> list[tuple[tuple[int, ...], int]]:
-        """Every itemset whose maximal rank is ``>= low`` as a ``(rank
-        tuple, support)`` pair: maximal rank descending, then blocks in
-        the order they were added, then rows in theirs."""
+    def tops(self) -> np.ndarray:
+        """Every itemset's maximal rank: the blocks' in the order they
+        were added, then the rows'."""
+        tops = [ranks[:, -1] for ranks, _ in self.blocks]
+        if self.rows:
+            tops.append(np.fromiter((r[-1] for r, _ in self.rows), np.int64, len(self.rows)))
+        return np.concatenate(tops) if tops else np.zeros(0, np.int64)
+
+    def pairs(self) -> list[tuple[tuple[int, ...], int]]:
+        """Every itemset as a ``(rank tuple, support)`` pair: maximal rank
+        descending, then blocks in the order they were added, then rows
+        in theirs."""
         itemsets: list = []
         supports: list = []
-        tops = []
         for ranks, sups in self.blocks:
             itemsets += _tuples(ranks)
             supports += sups.tolist()
-            tops.append(ranks[:, -1])
         for itemset, support in self.rows:
             itemsets.append(itemset)
             supports.append(support)
-        if self.rows:
-            tops.append(np.fromiter((r[-1] for r, _ in self.rows), np.int64, len(self.rows)))
-        if not itemsets:
-            return []
-        top = np.concatenate(tops)
-        order = np.argsort(-top, kind="stable")
-        if low > 0:
-            order = order[top[order] >= low]
+        order = np.argsort(-self.tops(), kind="stable")
         return [(itemsets[i], supports[i]) for i in order.tolist()]
+
+    def cut(self, low: int = 0, n: int | None = None) -> "RankColumns":
+        """The first ``n`` itemsets (all when ``None``) of :meth:`pairs`
+        whose maximal rank is ``>= low``, as blocks and rows cut from
+        these: what a governed run keeps of a rank in flight and of an
+        itemset cap.  The cut's pairs are ``pairs()`` restricted to it,
+        in the same order."""
+        top = self.tops()
+        order = np.argsort(-top, kind="stable")
+        keep = np.zeros(len(top), bool)
+        keep[order[top[order] >= low][:n]] = True
+        *masks, rows = np.split(keep, np.cumsum([len(sups) for _, sups in self.blocks]))
+        return RankColumns(
+            [(r, s) if m.all() else (r[m], s[m]) for (r, s), m in zip(self.blocks, masks)],
+            list(compress(self.rows, rows)),
+        )
 
     def by_length(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """One ``(ranks, supports)`` block per itemset length, lengths

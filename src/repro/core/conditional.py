@@ -213,36 +213,25 @@ def mine_conditional_paths(
     prefixes: dict[RankPath, int],
     rank: int,
     min_support: int,
-    out: list,
+    out: RankColumns,
     max_len: int | None = None,
     governor=None,
 ) -> None:
     """:func:`mine_conditional_rows` over a ``{rank path: frequency}``
-    ``CD_rank``, appending every ``(ascending rank tuple, support)`` pair
-    to the list ``out``.
+    ``CD_rank``, into ``out``.
 
     ``prefixes`` is what :func:`_consume_path_bucket` returns and what the
     parallel partitioner bundles into tasks; each path becomes one row.
-    On a budget trip ``out`` gets what was mined and is cut at the
-    itemset cap, as :func:`salvage` cuts (every pair ``out`` held before
-    was charged to the same governor), then the trip propagates.  Does
-    *not* write ``(rank,)`` itself — top-level supports are known to the
-    caller before the conditional database exists.
+    Does *not* write ``(rank,)`` itself — top-level supports are known to
+    the caller before the conditional database exists.
     """
     lengths = [len(path) for path in prefixes]
-    columns = RankColumns()
-    try:
-        mine_conditional_rows(
-            _np.repeat(_np.arange(len(lengths)), lengths),
-            _np.fromiter(chain.from_iterable(prefixes), _np.int64, sum(lengths)),
-            _np.fromiter(prefixes.values(), _np.int64, len(lengths)),
-            rank, min_support, columns, max_len, governor,
-        )
-    except MiningInterrupted:
-        out += columns.pairs()
-        del out[governor.budget.max_itemsets or len(out) :]
-        raise
-    out += columns.pairs()
+    mine_conditional_rows(
+        _np.repeat(_np.arange(len(lengths)), lengths),
+        _np.fromiter(chain.from_iterable(prefixes), _np.int64, sum(lengths)),
+        _np.fromiter(prefixes.values(), _np.int64, len(lengths)),
+        rank, min_support, out, max_len, governor,
+    )
 
 
 def mine_conditional_block(
@@ -256,12 +245,15 @@ def mine_conditional_block(
     """:func:`mine_conditional_paths` over a delta-keyed ``CD_rank`` (the
     shape the distributed slice exchange ships between nodes), handing
     each ``(itemset, support)`` to ``report`` once mining stops (a budget
-    trip reports what was mined, then propagates).  The delta vectors may
-    hold ranks above ``rank``."""
-    out: list = []
+    trip reports :func:`salvage`'s pairs, then propagates).  The delta
+    vectors may hold ranks above ``rank``."""
+    paths = {tuple(accumulate(vec)): freq for vec, freq in prefixes.items()}
+    out = RankColumns()
     try:
-        paths = {tuple(accumulate(vec)): freq for vec, freq in prefixes.items()}
         mine_conditional_paths(paths, rank, min_support, out, max_len, governor)
+    except MiningInterrupted as exc:
+        out = salvage(exc, out, governor)
+        raise
     finally:
         for itemset, support in out:
             report(itemset, support)
@@ -695,13 +687,20 @@ def _pair_counts(cell_row, local, base, freqs, size: int):
     return counts
 
 
-#: ``_BYTE_BITS[i, v]`` is bit ``i`` of byte value ``v``: the matrix that
-#: turns 8 rows' frequencies into their 256 subset sums.
-_BYTE_BITS = (_np.arange(256) >> _np.arange(8)[:, None]) & 1
-
 #: A tidset word: little-endian, so its bytes in memory order hold rows
-#: 0-7, 8-15, ... of the word, the order ``_BYTE_BITS``'s table assumes.
+#: 0-7, 8-15, ... of the word, the order :func:`_byte_table` assumes.
 _TID_WORD = _np.dtype("<u8")
+
+
+def _byte_table(weights):
+    """``table[v, b]`` sums the weights of byte ``b``'s rows whose bits are
+    set in ``v``, built by doubling in exact int64: ``table[v]`` for
+    ``2**i <= v < 2**(i + 1)`` is ``table[v - 2**i]`` plus row ``8 b + i``."""
+    bits = weights.reshape(-1, 8)
+    table = _np.zeros((256, len(bits)), _np.int64)
+    for i in range(8):
+        _np.add(table[: 1 << i], bits[:, i], out=table[1 << i : 2 << i])
+    return table
 
 
 def _tidset_mine(
@@ -737,7 +736,7 @@ def _tidset_mine(
     _np.bitwise_or.at(tids, (cols, rows >> 6), _np.uint64(1) << (rows & 63).astype(_np.uint64))
     weights = _np.zeros(64 * words, _np.int64)
     weights[:n_rows] = freqs
-    table = (weights.reshape(-1, 8) @ _BYTE_BITS).ravel()
+    table = _byte_table(weights)
     level, supports = _np.column_stack((first, second)), pairs[first, second]
     top = None if max_len is None else max_len - 1
     above = local[-1] > j
@@ -796,10 +795,10 @@ def _tidset_level(level, adj, tids, table, min_support: int, governor=None):
 
 def _tid_supports(masks, table):
     """The summed row frequency of each ``(n, W)`` tidset mask: a lookup
-    of every mask byte in ``table`` (byte ``b``'s 256 subset sums at
-    ``256 b``), summed per mask."""
-    index = masks.view(_np.uint8).astype(_np.intp)
-    index += _np.arange(0, 256 * index.shape[1], 256)
+    of every mask byte ``v`` at byte ``b`` in :func:`_byte_table`'s
+    ``table[v, b]``, summed per mask."""
+    index = _np.multiply(masks.view(_np.uint8), table.shape[1], dtype=_np.intp)
+    index += _np.arange(table.shape[1])
     return table.take(index).sum(axis=1)
 
 
@@ -920,20 +919,25 @@ def mine_conditional_flat_range(
         _matrix_mine(arrays, width, bottom, top, strip, min_support, out, max_len, governor)
 
 
-def salvage(out: RankColumns, governor) -> list[tuple[tuple[int, ...], int]]:
-    """The pairs a governed run keeps when its budget trips.
+def salvage(exc: MiningInterrupted, out: RankColumns, governor) -> RankColumns:
+    """Attach to the trip ``exc`` what a governed run keeps of ``out``,
+    and return it as ``exc.partial``.
 
     Every itemset whose maximal rank is at or above the rank in flight
     (``governor.progress["mining_rank"]``, 0 when no top level set it),
-    in :meth:`RankColumns.pairs` order, at most ``max_itemsets`` of them:
-    a block is added before it is charged, so the one that tripped the
-    cap is cut here.  Ranks above the marker are complete; the rank in
-    flight contributes its rows from the pair matrix, the lattice or the
-    tidset levels mined so far.  Every support is exact, and the pairs
-    are a prefix of the full run's.
+    at most ``max_itemsets`` of them in :meth:`RankColumns.pairs` order
+    (:meth:`RankColumns.cut`): a block is added before it is charged, so
+    the one that tripped the cap is cut here.  Ranks above the marker
+    are complete, so ``exc.progress["complete_from_rank"]`` is one above
+    it; the rank in flight contributes its rows from the pair matrix,
+    the lattice or the tidset levels mined so far.  Every support is
+    exact, and the pairs are a prefix of the full run's.
     """
-    low = governor.progress.get("mining_rank") or 0
-    return out.pairs(low)[: governor.budget.max_itemsets]
+    mining_rank = governor.progress.get("mining_rank")
+    exc.partial = out.cut(mining_rank or 0, governor.budget.max_itemsets)
+    if mining_rank is not None:
+        exc.progress.setdefault("complete_from_rank", mining_rank + 1)
+    return exc.partial
 
 
 def mine_conditional(
@@ -957,9 +961,10 @@ def mine_conditional(
         Optional :class:`~repro.robustness.governor.ResourceGovernor`.
         When its budget trips (or its token is cancelled) the raised
         :class:`~repro.errors.MiningInterrupted` carries ``partial`` (a
-        list of the pairs mined so far, exact supports, see
-        :func:`salvage`) and ``progress["complete_from_rank"]`` — every
-        itemset whose maximal rank is >= that value was fully enumerated.
+        :class:`~repro.core.columns.RankColumns` cut by :func:`salvage`)
+        and ``progress["complete_from_rank"]`` — every itemset whose
+        maximal rank is >= that value was fully enumerated; the trip's
+        time is the governor's ``progress["tripped_s"]``.
 
     Returns
     -------
@@ -980,9 +985,5 @@ def mine_conditional(
         )
         return out
     except MiningInterrupted as exc:
-        # ranks strictly above the one in flight were mined to completion
-        exc.partial = salvage(out, governor)
-        mining_rank = governor.progress.get("mining_rank")
-        if mining_rank is not None:
-            exc.progress.setdefault("complete_from_rank", mining_rank + 1)
+        salvage(exc, out, governor)
         raise

@@ -425,14 +425,14 @@ def _mine_plt_topdown(transactions, abs_support, order, max_len, **kwargs):
 def _decoded(miner, plt: PLT, *args, **kwargs) -> "list[FrequentItemset] | ItemsetColumns":
     """Run a rank-space PLT miner on ``plt`` and decode its columns once.
 
-    A budget trip's rank-pair ``partial`` is decoded the same way, as the
-    row list of a :class:`RankColumns`, into ``partial_items`` before the
+    A budget trip's ``partial`` (the :class:`RankColumns` the miner cut)
+    is decoded the same way into ``partial_items`` before the
     interruption propagates.
     """
     try:
         found = miner(plt, *args, **kwargs)
     except MiningInterrupted as exc:
-        exc.partial_items = _decode(RankColumns(rows=exc.partial), plt.rank_table)
+        exc.partial_items = _decode(exc.partial, plt.rank_table)
         raise
     return _decode(found, plt.rank_table)
 

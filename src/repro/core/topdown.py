@@ -298,7 +298,7 @@ class _Lattice:
         return keys, counts
 
     def blocks(self, min_support=1, *, min_len=1, max_len=None):
-        """Yield ``(length, rank matrix, supports)`` for every key with
+        """Yield ``(rank matrix, supports)`` for every key with
         ``count >= min_support`` and ``min_len <= length <= max_len``,
         decoded one length at a time by :func:`_rank_matrix`."""
         keys, counts = self.table(min_support)
@@ -308,21 +308,21 @@ class _Lattice:
             if length < min_len or (max_len is not None and length > max_len):
                 continue
             rows = lengths == length
-            yield length, _rank_matrix(masks[rows], length), counts[rows]
+            yield _rank_matrix(masks[rows], length), counts[rows]
 
     def paths(self) -> dict[int, dict[RankPath, int]]:
         """The whole lattice as ``length -> {rank path -> frequency}``."""
         return {
-            length: dict(zip(_tuples(ranks), supports.tolist()))
-            for length, ranks, supports in self.blocks()
+            ranks.shape[1]: dict(zip(_tuples(ranks), supports.tolist()))
+            for ranks, supports in self.blocks()
         }
 
     def vectors(self) -> dict[int, dict[PositionVector, int]]:
         """The whole lattice in the delta-vector shape: each rank path's
         first differences, taken on the rank matrix."""
         return {
-            length: dict(zip(_tuples(np.diff(ranks, axis=1, prepend=0)), supports.tolist()))
-            for length, ranks, supports in self.blocks()
+            ranks.shape[1]: dict(zip(_tuples(np.diff(ranks, axis=1, prepend=0)), sups.tolist()))
+            for ranks, sups in self.blocks()
         }
 
 
@@ -495,7 +495,7 @@ def mine_topdown(
 
     When ``governor`` trips mid-sweep, the raised
     :class:`~repro.errors.MiningInterrupted` carries in ``partial`` the
-    frequent pairs from every *finalized* length and
+    frequent itemsets of every *finalized* length and
     ``progress["complete_min_len"]`` — all counts for subset lengths >=
     that value are final and exact.  After the sweep every count is
     final: the survivors are charged to the itemset cap at once, and a
@@ -514,23 +514,17 @@ def mine_topdown(
         _sweep(plt.flat.paths_by_length(), lattice, governor)
     except MiningInterrupted as exc:
         sweep_length = governor.progress["sweep_length"]
-        exc.partial = RankColumns([
-            (ranks, supports)
-            for _, ranks, supports in lattice.blocks(
-                min_support, min_len=sweep_length, max_len=max_len
-            )
-        ]).pairs()
+        exc.partial = RankColumns(
+            lattice.blocks(min_support, min_len=sweep_length, max_len=max_len)
+        )
         exc.progress.setdefault("complete_min_len", sweep_length)
         raise
-    out = RankColumns([
-        (ranks, supports)
-        for _, ranks, supports in lattice.blocks(min_support, max_len=max_len)
-    ])
+    out = RankColumns(lattice.blocks(min_support, max_len=max_len))
     if governor is not None:
         try:
             governor.note_itemsets(len(out))
         except MiningInterrupted as exc:
-            exc.partial = out.pairs()[: governor.budget.max_itemsets]
+            exc.partial = out.cut(n=governor.budget.max_itemsets)
             raise
     return out
 

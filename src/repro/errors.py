@@ -156,13 +156,16 @@ class MiningInterrupted(ReproError, RuntimeError):
 
     * ``reason`` — machine-readable stop cause (``"deadline"``,
       ``"max_itemsets"``, ``"memory"``, ``"cancelled"``);
-    * ``partial`` — the ``(ranks, support)`` pairs mined before the stop;
-      every pair carries its **exact** frequency (governed miners never
-      emit estimated counts);
+    * ``partial`` — the itemsets mined before the stop, each with its
+      **exact** frequency (governed miners never emit estimated counts):
+      a :class:`~repro.core.columns.RankColumns` (empty by default).
+      Distributed mining, not a facade-governed method, keeps its decoded
+      ``(labels, support)`` list: its answer lives in label space;
     * ``progress`` — miner-specific completion markers, e.g.
       ``complete_from_rank`` (every itemset whose maximal rank is >= the
       marker was fully enumerated) or ``complete_min_len`` (top-down:
-      every subset length >= the marker is final).
+      every subset length >= the marker is final).  The governor stamps
+      its own ``progress["tripped_s"]``, the trip's time from its start.
 
     Facade callers normally never see this exception —
     :func:`repro.core.mining.mine_frequent_itemsets` converts it into a
@@ -175,12 +178,13 @@ class MiningInterrupted(ReproError, RuntimeError):
         message: str,
         *,
         reason: str | None = None,
-        partial: list | None = None,
+        partial=None,
         progress: dict | None = None,
     ):
+        from repro.core.columns import RankColumns  # repro.core imports this module
         super().__init__(message)
         self.reason = reason
-        self.partial = partial if partial is not None else []
+        self.partial = RankColumns() if partial is None else partial
         self.progress = progress if progress is not None else {}
 
 

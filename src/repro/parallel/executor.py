@@ -104,25 +104,6 @@ def default_workers() -> int:
 # ---------------------------------------------------------------------------
 # the hardened batch runner
 # ---------------------------------------------------------------------------
-def _raise_if_tripped(governor: ResourceGovernor, what: str, results: list) -> None:
-    """Driver-side trip check between result waits (pool paths only)."""
-    cancel = governor.cancel
-    if cancel is not None and cancel.cancelled:
-        exc: MiningInterrupted = Cancelled(
-            f"{what}: mining cancelled: {cancel.reason}", reason="cancelled"
-        )
-        exc.raw_results = list(results)
-        raise exc
-    remaining_t = governor.remaining_time()
-    if remaining_t is not None and remaining_t <= 0:
-        exc = BudgetExceeded(
-            f"{what}: deadline of {governor.budget.deadline}s exceeded",
-            reason="deadline",
-        )
-        exc.raw_results = list(results)
-        raise exc
-
-
 def _batch_rank(batch) -> int | None:
     """Lowest top-level rank of a conditional batch, for error reports.
 
@@ -169,8 +150,8 @@ def _run_batches(
     pickled size is charged to ``ipc_bytes_sent`` — re-sent batches count
     again, because they are in fact sent again.
 
-    With a ``governor``, the result wait is sliced so the driver observes
-    its cancellation token and deadline between waits; a trip terminates
+    With a ``governor``, the result wait is sliced so the driver runs its
+    checks (token, deadline, memory) between waits; a trip terminates
     the pool (via the ``finally``) and raises with the results already
     collected attached as ``raw_results``.
 
@@ -220,7 +201,11 @@ def _run_batches(
             for i, handle in handles:
                 while True:
                     if governor is not None:
-                        _raise_if_tripped(governor, what, results)
+                        try:
+                            governor.check_now()
+                        except MiningInterrupted as exc:
+                            exc.raw_results = list(results)
+                            raise
                     budget = (
                         None if deadline is None else max(0.0, deadline - time.monotonic())
                     )
@@ -331,12 +316,12 @@ def mine_parallel(
 
     With a ``governor``: workers receive a budget copy carrying the
     *remaining* deadline and trip themselves; the driver additionally
-    polls the cancellation token and deadline between result waits, and
-    enforces ``max_itemsets`` on the merged output.  A trip raises
+    runs the governor's checks between result waits, and enforces
+    ``max_itemsets`` on the merged output.  A trip raises
     :class:`~repro.errors.BudgetExceeded` / :class:`~repro.errors.Cancelled`
-    carrying the pairs collected so far (all exact supports, at most
-    ``max_itemsets``) and ``progress["complete_from_rank"]``, as
-    :func:`mine_conditional` does.
+    carrying the itemsets collected so far as a :class:`RankColumns`
+    (all exact supports, at most ``max_itemsets``) and
+    ``progress["complete_from_rank"]``, as :func:`mine_conditional` does.
     """
     if min_support is None:
         min_support = plt.min_support
@@ -397,14 +382,14 @@ def _merged(parts: list) -> RankColumns:
 
 
 def _salvaged(ranges: list, parts: list, governor: ResourceGovernor):
-    """The exact pairs a governed parallel run keeps, and the rank from
-    which they hold every itemset.
+    """The exact itemsets a governed parallel run keeps, and the rank
+    from which they hold every itemset.
 
     Ranges are walked from the top: each complete range lowers the
     marker to its ``lo``, and the first tripped (or missing) range stops
-    the walk at its own marker.  Cutting the pairs to ``max_itemsets``
-    keeps the highest maximal ranks, so the marker can only rise past
-    the first rank that was cut.
+    the walk at its own marker.  Cutting to ``max_itemsets`` keeps the
+    highest maximal ranks (:meth:`RankColumns.cut`), so the marker can
+    only rise past the top rank of the first itemset cut.
     """
     marker = ranges[-1][1]
     for (_lo, hi), part in zip(reversed(ranges), reversed(parts)):
@@ -414,12 +399,14 @@ def _salvaged(ranges: list, parts: list, governor: ResourceGovernor):
         status, _blocks, _reason, marker = part
         if status != "ok":
             break
-    pairs = _merged(parts).pairs()
+    merged = _merged(parts)
     cap = governor.budget.max_itemsets
-    if cap is not None and len(pairs) > cap:
-        marker = max(marker, pairs[cap][0][-1] + 1)
-        del pairs[cap:]
-    return pairs, marker
+    if cap is None or len(merged) <= cap:
+        return merged, marker
+    tops = merged.tops()
+    k = len(tops) - cap - 1  # once partitioned, the first cut itemset's top
+    tops.partition(k)
+    return merged.cut(n=cap), max(marker, int(tops[k]) + 1)
 
 
 def _merge_governed_parts(
@@ -436,6 +423,7 @@ def _merge_governed_parts(
         return results
     partial, marker = _salvaged(ranges, parts, governor)
     governor.itemsets = len(partial)
+    governor.progress["tripped_s"] = governor.elapsed()
     cls = Cancelled if stop_reason == "cancelled" else BudgetExceeded
     raise cls(
         f"{what}: budget exhausted in worker processes ({stop_reason})",
@@ -460,8 +448,8 @@ def topdown_parallel(
     ``timeout``/``retry`` behave as in :func:`mine_parallel`, and one
     worker or a PLT with at most one vector runs in-process.
 
-    Governance is driver-level only, and a trip raises with **no**
-    partial attached: each worker's table holds partial *sums* for
+    Governance is driver-level only, and a trip raises with an empty
+    ``partial``: each worker's table holds partial *sums* for
     vectors shared across slices, so an incomplete merge would report
     under-counted (inexact) frequencies — exactly what governed partials
     promise never to do.
@@ -483,11 +471,7 @@ def topdown_parallel(
         flat = plt.flat
         executor = _open_segment(flat, "topdown_parallel")
     if executor is None:
-        try:
-            return _plt_lattice(plt, governor).vectors()
-        except MiningInterrupted as exc:
-            exc.partial = []
-            raise
+        return _plt_lattice(plt, governor).vectors()
     try:
         batches = [
             (executor.meta, start, end)
@@ -506,7 +490,6 @@ def topdown_parallel(
             )
         except MiningInterrupted as exc:
             exc.raw_results = []
-            exc.partial = []
             raise
         # every worker keyed its part by the same layout (_flat_lattice)
         lattice = _flat_lattice(flat)

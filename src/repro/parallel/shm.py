@@ -205,7 +205,7 @@ def _shm_cond_range(args) -> tuple[str, list, str | None, int]:
     whose maximal rank is ``>= complete_from`` is in them.  Budget trips
     never propagate as exceptions (custom kwargs don't survive
     unpickling): ``status`` is ``"partial"``, ``reason`` names the trip
-    and ``blocks`` hold :func:`~repro.core.conditional.salvage`'s pairs;
+    and ``blocks`` hold :func:`~repro.core.conditional.salvage`'s cut;
     every support is exact either way.
     """
     meta, lo, hi, min_support, max_len, budget = args
@@ -220,12 +220,11 @@ def _shm_cond_range(args) -> tuple[str, list, str | None, int]:
                 flat, lo, hi, min_support, out, max_len, governor=governor
             )
         except MiningInterrupted as exc:
-            mining_rank = governor.progress.get("mining_rank")
             return (
                 "partial",
-                RankColumns(rows=salvage(out, governor)).by_length(),
+                salvage(exc, out, governor).by_length(),
                 exc.reason,
-                hi if mining_rank is None else mining_rank + 1,
+                exc.progress.get("complete_from_rank", hi),
             )
     return ("ok", out.by_length(), None, lo)
 

@@ -303,7 +303,8 @@ class ResourceGovernor:
     governor read the monotonic clock, sample the allocator, and test the
     cancellation token.  Loops additionally drop completion markers into
     :attr:`progress` (``mining_rank``, ``sweep_length``, ...) so the
-    exception handler can report the verified-complete region.
+    exception handler can report the verified-complete region; a trip
+    stamps ``progress["tripped_s"]``, seconds from :meth:`start`.
 
     One governor instance governs one logical run; it may be shared
     across the in-process stages of that run (driver loop + conditional
@@ -416,33 +417,40 @@ class ResourceGovernor:
         holds more than ``max_itemsets``."""
         self.itemsets += n
         if self._max_itemsets is not None and self.itemsets > self._max_itemsets:
-            raise BudgetExceeded(
+            raise self._tripped(BudgetExceeded(
                 f"itemset budget exhausted: more than {self._max_itemsets} "
                 "frequent itemsets",
                 reason="max_itemsets",
-            )
+            ))
         self.tick(n)
+
+    def _tripped(self, exc: Exception) -> Exception:
+        """Stamp the trip's time into ``progress["tripped_s"]``; return
+        ``exc`` for the caller to raise (raised here, it would sit in a
+        frame of its own traceback: a cycle that pins the frames' arrays)."""
+        self.progress["tripped_s"] = self.elapsed()
+        return exc
 
     def _check(self) -> None:
         self._countdown = self._interval
         if self.cancel is not None and self.cancel.cancelled:
-            raise Cancelled(
+            raise self._tripped(Cancelled(
                 f"mining cancelled: {self.cancel.reason}", reason="cancelled"
-            )
+            ))
         if self._deadline_at is not None and time.monotonic() > self._deadline_at:
-            raise BudgetExceeded(
+            raise self._tripped(BudgetExceeded(
                 f"deadline of {self.budget.deadline}s exceeded "
                 f"(elapsed {self.elapsed():.3f}s)",
                 reason="deadline",
-            )
+            ))
         if self._mem_base is not None:
             used = self.estimated_memory()
             if used > self.budget.memory_budget:
-                raise BudgetExceeded(
+                raise self._tripped(BudgetExceeded(
                     f"estimated memory {used} bytes exceeds the "
                     f"{self.budget.memory_budget} byte budget",
                     reason="memory",
-                )
+                ))
 
     def check_now(self) -> None:
         """Force an immediate real check (drivers call this between phases)."""

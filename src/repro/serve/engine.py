@@ -435,7 +435,7 @@ class PatternEngine(Engine):
         Mining it at ``min_support`` around ``(rank,)`` enumerates exactly
         the frequent itemsets containing the item — bit-for-bit what
         filtering a full mine yields, without ever running one.  A budget
-        trip keeps :func:`~repro.core.conditional.salvage`'s pairs.
+        trip keeps :func:`~repro.core.conditional.salvage`'s cut.
 
         Returns ``((entries, complete, stop_reason), cacheable)`` where
         entries are decoded, canonically ordered (:meth:`_order_key`, read
@@ -461,7 +461,7 @@ class PatternEngine(Engine):
         except MiningInterrupted as exc:
             complete = False
             stop_reason = exc.reason
-            pairs = salvage(pairs, governor)
+            pairs = salvage(exc, pairs, governor)
         labels, positions = self.index.labels, self.index.positions
         keyed = sorted(
             (-sup, len(ranks), sorted([positions[r] for r in ranks])) for ranks, sup in pairs

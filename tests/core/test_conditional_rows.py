@@ -21,6 +21,7 @@ from repro.core.conditional import (
     mine_conditional_flat_range,
     mine_conditional_paths,
     mine_conditional_rows,
+    salvage,
 )
 from repro.core.plt import PLT
 from repro.errors import BudgetExceeded
@@ -132,13 +133,14 @@ class TestCappedPartials:
         top = plt.max_rank()
         governor = ResourceGovernor(MiningBudget(max_itemsets=cap))
         cd, support, _ = conditional_database(plt, top)
-        out = [((top,), support)]
+        out = RankColumns([(np.array([[top]]), np.array([support]))])
         governor.note_itemsets()
         paths = {tuple(np.cumsum(vec).tolist()): freq for vec, freq in cd.items()}
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as info:
             mine_conditional_paths(paths, top, 2, out, governor=governor)
-        assert 0 < len(out) <= cap
-        assert all(full[itemset] == s for itemset, s in out)
+        partial = salvage(info.value, out, governor)
+        assert 0 < len(partial) <= cap
+        assert all(full[itemset] == s for itemset, s in partial)
 
 
 @pytest.fixture

@@ -201,3 +201,28 @@ def test_parallel_workers_match_serial(dense_plt):
     assert sorted(mine_parallel(dense_plt, 12, n_workers=2)) == sorted(serial)
     capped = mine_conditional(dense_plt, 12, max_len=4)
     assert sorted(mine_parallel(dense_plt, 12, n_workers=2, max_len=4)) == sorted(capped)
+
+
+@pytest.mark.parametrize("words", [1, 3, 40])
+def test_byte_table_matches_the_bit_matrix_product(words):
+    """The doubling table equals the 8 x 256 bit-matrix product per byte,
+    and the support lookup equals summing each mask's rows directly, in
+    exact int64 with weights near ``2**62`` (all of them together stay
+    below ``2**63``, as the kernel's row frequencies do)."""
+    import numpy as np
+
+    rng = np.random.default_rng(words)
+    weights = rng.integers(0, 2**40, 64 * words, dtype=np.int64)
+    # two heavy rows in one byte, a third in the last byte
+    weights[[1, 6, 64 * words - 1]] = [2**62 - 12345, 2**61 + 678, 2**60 - 9]
+    bits = (np.arange(256) >> np.arange(8)[:, None]) & 1
+    table = cond._byte_table(weights)
+    assert table.dtype == np.int64
+    assert (table == (weights.reshape(-1, 8) @ bits).T).all()
+    masks = rng.integers(0, 2**63, (50, words), dtype=np.int64).view(np.uint64)
+    masks[0] = ~np.uint64(0)
+    exact = [
+        sum(int(w) for r, w in enumerate(weights.tolist()) if int(mask[r // 64]) >> (r % 64) & 1)
+        for mask in masks
+    ]
+    assert cond._tid_supports(masks, table).tolist() == exact

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.columns import RankColumns
 from repro.core.conditional import mine_conditional
 from repro.core.plt import PLT
 from repro.parallel.partitioner import (
@@ -93,8 +94,8 @@ class TestConditionalTasks:
         db = random_database(seed + 600, max_items=9, max_transactions=35)
         plt = PLT.from_transactions(db, 2)
         serial = sorted(mine_conditional(plt, 2))
-        collected = []
+        collected = RankColumns()
         for task in conditional_tasks(plt, 2):
-            collected.append(((task.rank,), task.support))
+            collected.rows.append(((task.rank,), task.support))
             mine_conditional_paths(task.prefixes, task.rank, 2, collected)
         assert sorted(collected) == serial

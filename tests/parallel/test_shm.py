@@ -78,17 +78,37 @@ class TestDifferential:
 
     @pytest.mark.parametrize("seed", [3, 9])
     def test_sweep_fallback_range_miner(self, seed, monkeypatch):
-        # the driver precomputes no pair matrix past the cap, so the range
-        # workers count their own; in-process, a cap of 0 mines one-rank
-        # strips
+        # a cap of 0 mines one-rank strips, each counting its own rows of
+        # the pair matrix.  The range workers' pool keeps its own cap, so
+        # the ranges are mined in-process here, highest first, before any
+        # driver precomputes the matrix
         import repro.core.conditional as cond
 
         monkeypatch.setattr(cond, "_PAIR_MATRIX_MAX_CELLS", 0)
+        strips = []
+        count = cond._pair_support_matrix
+
+        def spy(arrays, width, lo=None, hi=None):
+            strips.append((lo, hi))
+            return count(arrays, width, lo, hi)
+
+        monkeypatch.setattr(cond, "_pair_support_matrix", spy)
         db = random_database(seed + 1200, max_items=10, max_transactions=50)
         plt = PLT.from_transactions(db, 2)
-        serial = sorted(mine_conditional(plt, 2))
+        serial = mine_conditional(plt, 2).pairs()
+        flat = plt.flat
+        ranges = plan_rank_ranges(flat, 2, 3)
+        assert flat.pair_support_matrix() is None
+        strips.clear()
+        parts = []
+        for lo, hi in reversed(ranges):
+            part = RankColumns()
+            mine_conditional_flat_range(flat, lo, hi, 2, part)
+            parts += part.pairs()
+        assert parts == serial
+        assert strips == [(r, r + 1) for r in range(ranges[-1][1] - 1, ranges[0][0] - 1, -1)]
         shm_r = sorted(mine_parallel(plt, 2, n_workers=2))
-        assert shm_r == serial
+        assert shm_r == sorted(serial)
 
     def test_lattice_ranks_straddle_the_range_boundary(self):
         # dense enough that the lowest ranks take the lattice leaves and

@@ -1,8 +1,10 @@
 """B16 — top-k mining vs threshold mining.
 
-Top-k discovers its own threshold with a rising floor; the question is
-what that convenience costs against mining at the (post-hoc known)
-equivalent threshold.  ``extra_info`` records the discovered cutoff.
+Top-k discovers its own threshold: it mines at a guess (the k-th
+largest item support, or the largest when ``min_len > 1``) and halves
+it until k itemsets reach it.  The question is what that convenience
+costs against mining at the (post-hoc known) equivalent threshold.
+``extra_info`` records the discovered cutoff.
 """
 
 import pytest

@@ -35,9 +35,9 @@ instead of O(k):
   path (no consecutive-position merging arithmetic).
 
 One consume step (:func:`_consume_path_bucket`) serves every sweep that
-still holds path dicts: the out-of-core store, the parallel task
-partitioner, and :func:`iter_conditional`, the visitor the closed,
-maximal, top-k and constraint miners share (the one recursion left).
+still holds path dicts: the out-of-core store and the parallel task
+partitioner.  Nothing here recurses: the closed, maximal, top-k and
+constraint miners filter :func:`mine_conditional`'s array output.
 Delta vectors appear only at the edges where the paper puts them:
 :func:`conditional_database` returns Figure 5's delta view, and
 :func:`mine_conditional_block` converts the delta-keyed conditional
@@ -77,7 +77,6 @@ ever contains items that are frequent *together with* the current suffix.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Callable
 from itertools import accumulate, chain
 
@@ -106,7 +105,6 @@ __all__ = [
     "salvage",
     "mine_conditional_flat_range",
     "conditional_database",
-    "iter_conditional",
 ]
 
 PathBuckets = dict[int, dict[RankPath, int]]
@@ -117,43 +115,6 @@ def _check_min_support(min_support: int) -> None:
         raise InvalidSupportError(
             f"absolute min_support must be >= 1, got {min_support}"
         )
-
-
-def _build_path_buckets(
-    prefixes: dict[RankPath, int], min_support: int
-) -> tuple[PathBuckets, list[int]]:
-    """Build a conditional structure; also return its bucket *schedule*.
-
-    The schedule is the locally-frequent ranks in descending order.  It is
-    exact: every frequent rank's bucket exists by the time the mining loop
-    reaches it (paths containing the rank survive the projection, and
-    prefix migration deposits them at that key), and migration can never
-    create a key outside the frequent set.  Iterating the schedule instead
-    of counting down through every integer rank removes the dominant waste
-    of the counter formulation — one dict probe per *possible* rank per
-    structure — which profiling showed outnumbered real buckets ~6:1 on
-    sparse data.
-    """
-    supports: dict[int, int] = defaultdict(int)
-    for path, freq in prefixes.items():
-        for r in path:
-            supports[r] += freq
-    min_s = min_support
-    frequent = {r for r, s in supports.items() if s >= min_s}
-    if not frequent:
-        return {}, []
-    buckets: PathBuckets = defaultdict(dict)
-    if len(frequent) == len(supports):
-        # nothing to filter: re-bucket the distinct paths as-is
-        for path, freq in prefixes.items():
-            buckets[path[-1]][path] = freq
-    else:
-        for path, freq in prefixes.items():
-            kept = tuple([r for r in path if r in frequent])
-            if kept:
-                bucket = buckets[kept[-1]]
-                bucket[kept] = bucket.get(kept, 0) + freq
-    return dict(buckets), sorted(frequent, reverse=True)
 
 
 def _consume_path_bucket(
@@ -257,38 +218,6 @@ def mine_conditional_block(
     finally:
         for itemset, support in out:
             report(itemset, support)
-
-
-def iter_conditional(
-    buckets: PathBuckets,
-    order: "range | list[int]",
-    suffix: tuple[int, ...],
-    floor: Callable[[], int],
-    visit: Callable[[tuple[int, ...], int, PathBuckets], bool],
-) -> None:
-    """Algorithm 3 as a visitor, for miners that judge every pattern.
-
-    Walks ``order`` (descending ranks) over ``buckets``, consuming each
-    bucket with :func:`_consume_path_bucket`.  Every pattern
-    ``(j,) + suffix`` whose support reaches ``floor()`` gets its
-    conditional structure built at ``floor()`` and is passed to
-    ``visit(itemset, support, sub_buckets)``; an empty ``sub_buckets``
-    means the pattern has no frequent extension.  Returning False prunes
-    the descent below the pattern.  ``floor`` is re-read at every bucket,
-    so a threshold that rises while mining (top-k) prunes immediately.
-    The closed, maximal, top-k and constraint miners are visits.
-    """
-    for j in order:
-        bucket = buckets.pop(j, None)
-        if bucket is None:
-            continue
-        cd, support = _consume_path_bucket(bucket, buckets)
-        if support < floor():
-            continue
-        itemset = (j,) + suffix
-        sub, sub_order = _build_path_buckets(cd, floor()) if cd else ({}, [])
-        if visit(itemset, support, sub) and sub:
-            iter_conditional(sub, sub_order, itemset, floor, visit)
 
 
 #: Lattice-leaf switch (:func:`_lattice_leaves`): a top-level conditional

@@ -3,8 +3,8 @@
 Real deployments rarely want *all* frequent itemsets: the analyst asks
 for "sets containing diapers", "sets without tobacco", "sets of at most
 four items under $50 total" (the constrained-mining line of Ng,
-Lakshmanan, Han & Pang, SIGMOD 1998).  Pushing constraints *into* the
-search beats post-filtering whenever they prune:
+Lakshmanan, Han & Pang, SIGMOD 1998).  Pushing item constraints *into*
+the mined rows beats post-filtering whenever they prune:
 
 * **excluded items** are projected out of the structure before mining
   (cheapest possible: they simply don't exist);
@@ -14,7 +14,10 @@ search beats post-filtering whenever they prune:
   far smaller — and results are filtered to supersets of ``R``;
 * an **anti-monotone predicate** (``True`` keeps the itemset; once an
   itemset fails, every superset must fail — e.g. ``len(X) <= 4``, total
-  price caps) prunes recursion branches wholesale.
+  price caps) is applied level by level to the mined itemsets, and only
+  to those whose one-item-smaller subsets all passed: a failing itemset
+  is never reported and its supersets are never asked about.  It does
+  not prune the mining itself; ``max_len`` does.
 
 The predicate's anti-monotonicity is the caller's promise; a monotone or
 arbitrary predicate must go through plain post-filtering instead (the
@@ -26,7 +29,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable
 
-from repro.core.conditional import iter_conditional
+import numpy as np
+
+from repro.core.columns import drop_one_index
+from repro.core.conditional import mine_conditional
 from repro.core.plt import PLT
 from repro.core.rank import sort_key
 from repro.data.transaction_db import (
@@ -84,7 +90,8 @@ def mine_constrained(
         Items no reported itemset may contain (removed before mining).
     predicate:
         **Anti-monotone** itemset predicate over item tuples.  It is
-        applied inside the recursion: a failing itemset is neither
+        applied level by level, and only to itemsets whose
+        one-item-smaller subsets all passed: a failing itemset is neither
         reported nor extended.  Passing a non-anti-monotone predicate
         silently loses results — post-filter instead if unsure.
     max_len:
@@ -131,25 +138,26 @@ def mine_constrained(
         except UnknownItemError:  # pragma: no cover - guarded above
             return []
 
-    def decode(ranks: tuple[int, ...]) -> tuple:
+    def decode(ranks: list[int]) -> tuple:
         return tuple(sorted(table.decode_ranks(ranks), key=sort_key))
 
     results: list[tuple[tuple, int]] = []
-
-    def visit(itemset_ranks: tuple[int, ...], support: int, sub) -> bool:
-        items = decode(itemset_ranks)
-        if predicate is not None and not predicate(items):
-            return False  # anti-monotone: no superset can pass either
-        if required_ranks <= set(itemset_ranks):
-            results.append((items, support))
-        return max_len is None or len(itemset_ranks) < max_len
-
-    iter_conditional(
-        plt.rank_path_index(),
-        range(plt.max_rank(), 0, -1),
-        (),
-        lambda: abs_support,
-        visit,
-    )
+    previous = passed = None
+    for ranks, supports in mine_conditional(plt, abs_support, max_len=max_len).by_length():
+        asked = np.ones(len(supports), bool)
+        if previous is not None:
+            # anti-monotone: ask only where every one-item-smaller subset passed
+            asked = passed[drop_one_index(previous, ranks)].all(axis=1)
+        passed = np.zeros(len(supports), bool)
+        itemsets = ranks.tolist()
+        for i in np.flatnonzero(asked).tolist():
+            items = decode(itemsets[i])
+            if predicate is None or predicate(items):
+                passed[i] = True
+                if required_ranks <= set(itemsets[i]):
+                    results.append((items, int(supports[i])))
+        if not passed.any():
+            break
+        previous = ranks
     results.sort(key=lambda p: (len(p[0]), [sort_key(i) for i in p[0]]))
     return results

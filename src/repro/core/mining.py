@@ -160,8 +160,8 @@ def _decode(found: RankColumns, table) -> "list[FrequentItemset] | ItemsetColumn
     lexicographic table (:meth:`RankTable.from_supports`) hands out ranks
     in ``sort_key`` order, so an ascending rank row already lists its
     labels in order and sorting each length's rank matrix row-wise *is*
-    the canonical sort: per length, the kernel's blocks and rows are
-    concatenated and sorted once (``merge_rows``) into
+    the canonical sort: per length, the kernel's blocks are concatenated
+    and sorted once (``merge_rows``) into
     :class:`ItemsetColumns`, and no ``sort_key`` is computed per itemset.
     Other order policies keep the generic sort over the pairs.
     """
@@ -585,12 +585,12 @@ def _degrade(
 
     n = len(transactions)
     if policy.fallback == "topk":
-        from repro.core.topk import mine_top_k
+        from repro.core.topk import _top_k_columns
 
         plt = PLT.from_transactions(transactions, abs_support, order=order)
-        pairs = mine_top_k(plt, policy.k, max_len=max_len)
+        top = _top_k_columns(plt, policy.k, 1, max_len)
         itemsets = _decode(
-            RankColumns(rows=[pair for pair in pairs if pair[1] >= abs_support]),
+            RankColumns((r[s >= abs_support], s[s >= abs_support]) for r, s in top.blocks),
             plt.rank_table,
         )
         disclaimer = (
@@ -816,7 +816,7 @@ def _mine_condensed(transactions, min_support, order, kind):
     plt = PLT.from_transactions(transactions, abs_support, order=order)
     miner = mine_closed if kind == "closed" else mine_maximal
     return MiningResult._from_canonical(
-        _decode(RankColumns(rows=miner(plt, abs_support)), plt.rank_table),
+        _decode(miner(plt, abs_support), plt.rank_table),
         n_transactions=len(transactions),
         min_support=abs_support,
         method=f"plt-{kind}",
@@ -831,9 +831,10 @@ def mine_closed_itemsets(
 ) -> MiningResult:
     """Mine only the *closed* frequent itemsets (lossless condensed form).
 
-    Equivalent to ``mine_frequent_itemsets(...).closed()`` but computed
-    directly on the conditional PLT with closure pruning, without
-    materialising the full frequent set.
+    Equivalent to ``mine_frequent_itemsets(...).closed()``: Algorithm 3
+    mines every frequent itemset as rank arrays, and an array filter
+    keeps those with no one-item-larger superset of equal support
+    (:func:`~repro.core.closed.mine_closed`), before any label is decoded.
     """
     return _mine_condensed(transactions, min_support, order, "closed")
 

@@ -5,33 +5,62 @@ nothing, too low explodes.  Top-k mining (Han et al.'s TFP line of work)
 inverts the interface: *give me the k most frequent itemsets of at least
 ``min_len`` items*, and the threshold is discovered.
 
-The implementation runs the paper's conditional recursion with a
-**dynamically rising threshold**: a size-``k`` min-heap of the best
-supports seen so far; once the heap is full, its minimum becomes the
-effective ``min_support``, pruning exactly like a user-supplied value
-(support is anti-monotone, so a branch whose extension support is below
-the floor can never contribute).  The heap is seeded with the exact item
-supports and top-level branches are explored in descending support order,
-so the floor is tight almost immediately.  Output is exact (tests compare
-against mining at the discovered threshold).
+The threshold is found by mining at a guess and halving it.  The first
+guess is the k-th largest item support when single items count
+(``min_len == 1``) and the PLT holds k items, so that one mine already
+finds k itemsets; otherwise it is the largest item support.  Algorithm 3
+(:func:`~repro.core.conditional.mine_conditional`) mines at the guess
+``t``; while fewer than k itemsets of at least ``min_len`` items reach
+``t`` (and ``t > 1``), ``t`` halves.  The answer is every mined itemset
+at or above the k-th largest support found.  It is exact: once k
+itemsets reach ``t``, the k-th largest support overall is at least
+``t``, so every itemset that reaches it was mined.  The guess may fall
+below the PLT's own ``min_support``; the items the PLT dropped stay out.
 
-Practical limit: while fewer than ``k`` itemsets have been observed the
-floor is 1, so very large ``k`` (beyond the count of clearly-frequent
-itemsets) degenerates towards support-1 mining.  ``k`` up to a few
-thousand is the intended regime — beyond that, mine at an explicit low
-threshold instead.
+Practical limit: while fewer than ``k`` itemsets exist at all, the
+threshold halves down to 1, so very large ``k`` (beyond the count of
+clearly-frequent itemsets) degenerates towards support-1 mining.  ``k``
+up to a few thousand is the intended regime — beyond that, mine at an
+explicit low threshold instead.
 """
 
 from __future__ import annotations
 
-import heapq
+import numpy as np
 
-from repro.core.conditional import _build_path_buckets, iter_conditional
+from repro.core.columns import RankColumns
+from repro.core.conditional import mine_conditional
 from repro.core.plt import PLT
 from repro.data.transaction_db import check_max_len
 from repro.errors import InvalidSupportError
 
 __all__ = ["mine_top_k"]
+
+
+def _top_k_columns(
+    plt: PLT, k: int, min_len: int, max_len: int | None
+) -> RankColumns:
+    """:func:`mine_top_k`'s itemsets as a
+    :class:`~repro.core.columns.RankColumns`, one block per length."""
+    supports = np.sort(np.asarray(plt.flat.rank_supports()[1:], np.int64))[::-1]
+    if not len(supports):
+        return RankColumns()
+    t = int(supports[k - 1] if min_len == 1 and len(supports) >= k else supports[0])
+    while True:
+        levels = [
+            (ranks, sups)
+            for ranks, sups in mine_conditional(plt, t, max_len=max_len).by_length()
+            if ranks.shape[1] >= min_len
+        ]
+        found = sum(len(sups) for _, sups in levels)
+        if found >= k or t == 1:
+            break
+        t //= 2
+    cutoff = 1
+    if found >= k:
+        every = np.concatenate([sups for _, sups in levels])
+        cutoff = np.partition(every, found - k)[found - k]
+    return RankColumns((ranks[sups >= cutoff], sups[sups >= cutoff]) for ranks, sups in levels)
 
 
 def mine_top_k(
@@ -46,7 +75,8 @@ def mine_top_k(
     Ties at the cut-off support are all included, so the result may
     exceed ``k`` (the standard convention: the result is exactly every
     itemset with support >= the k-th best support).  Returns
-    ``(sorted_ranks, support)`` pairs, highest support first.
+    ``(sorted_ranks, support)`` pairs, highest support first, then
+    shortest, then by ranks.
     """
     if k < 1:
         raise InvalidSupportError(f"k must be >= 1, got {k}")
@@ -55,54 +85,5 @@ def mine_top_k(
     check_max_len(max_len)
     if max_len is not None and max_len < min_len:
         raise InvalidSupportError("max_len must be >= min_len")
-
-    heap: list[int] = []  # min-heap of the best k supports seen
-
-    def floor() -> int:
-        return heap[0] if len(heap) >= k else 1
-
-    def observe(support: int) -> None:
-        if len(heap) < k:
-            heapq.heappush(heap, support)
-        elif support > heap[0]:
-            heapq.heapreplace(heap, support)
-
-    # The top level is decoupled from the rank-descending migration order
-    # by running the sweep first (conditional_tasks): every item's exact
-    # support and complete conditional database, independent tasks.  Two
-    # TFP-style accelerations follow:
-    #
-    # * with min_len == 1, item supports seed the heap so the floor starts
-    #   high instead of at 1 (the seeds account for every size-1 itemset
-    #   exactly once — the recursion must not observe them again);
-    # * tasks are processed in *descending support* order, so the heap
-    #   fills from the heaviest branches first and low-support subtrees
-    #   are pruned wholesale by the risen floor.
-    from repro.parallel.partitioner import conditional_tasks
-
-    tasks = conditional_tasks(plt, 1)
-    seeded = min_len == 1
-    if seeded:
-        for task in tasks:
-            observe(task.support)
-
-    collected: list[tuple[tuple[int, ...], int]] = []
-
-    def visit(itemset, support, sub) -> bool:
-        if len(itemset) >= min_len:
-            observe(support)
-            collected.append((itemset, support))
-        return max_len is None or len(itemset) < max_len
-
-    for task in sorted(tasks, key=lambda t: -t.support):
-        if task.support < floor():
-            continue  # no itemset below this task can reach the cut
-        if min_len <= 1:
-            collected.append(((task.rank,), task.support))
-        if task.prefixes and (max_len is None or max_len > 1):
-            sub, order = _build_path_buckets(task.prefixes, floor())
-            iter_conditional(sub, order, (task.rank,), floor, visit)
-    cutoff = floor() if len(heap) >= k else 1
-    result = [(ranks, s) for ranks, s in collected if s >= cutoff]
-    result.sort(key=lambda pair: (-pair[1], len(pair[0]), pair[0]))
-    return result
+    pairs = _top_k_columns(plt, k, min_len, max_len).pairs()
+    return sorted(pairs, key=lambda pair: (-pair[1], len(pair[0]), pair[0]))

@@ -47,6 +47,8 @@ import threading
 import time
 from typing import NoReturn
 
+import numpy as np
+
 from repro.apps.classifier import first_matching_rule
 from repro.compress.index import ItemIndex
 from repro.core.columns import RankColumns
@@ -453,11 +455,15 @@ class PatternEngine(Engine):
             if support >= min_support:
                 if governor is not None:
                     governor.note_itemsets()
-                pairs.rows.append(((rank,), support))
-                mine_conditional_rows(
-                    *postings.conditional_paths(rank, governor=governor),
-                    rank, min_support, pairs, governor=governor,
-                )
+                try:
+                    mine_conditional_rows(
+                        *postings.conditional_paths(rank, governor=governor),
+                        rank, min_support, pairs, governor=governor,
+                    )
+                finally:
+                    # the single goes in last, so in pairs() order (and in
+                    # every cut) it follows the other itemsets topped by rank
+                    pairs.add(np.array([[rank]]), np.array([support]))
         except MiningInterrupted as exc:
             complete = False
             stop_reason = exc.reason

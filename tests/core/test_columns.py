@@ -31,7 +31,8 @@ SUPPORT = 5
 
 
 def _random_columns(seed):
-    """Blocks of random lengths and maximal ranks, plus a few rows."""
+    """Blocks of random lengths and maximal ranks, plus a few one-row
+    blocks (a served item's single is one)."""
     rng = np.random.default_rng(seed)
     cols = RankColumns()
     for _ in range(rng.integers(0, 6)):
@@ -41,27 +42,26 @@ def _random_columns(seed):
         cols.add(ranks.astype(np.int64), rng.integers(1, 100, n, dtype=np.int64))
     for _ in range(rng.integers(0, 8)):
         length = int(rng.integers(1, 5))
-        itemset = tuple(sorted(rng.choice(np.arange(1, 40), length, replace=False).tolist()))
-        cols.rows.append((itemset, int(rng.integers(1, 100))))
+        itemset = np.sort(rng.choice(np.arange(1, 40), (1, length), replace=False), axis=1)
+        cols.add(itemset.astype(np.int64), rng.integers(1, 100, 1, dtype=np.int64))
     return cols
 
 
 def _reference(cols, low):
     """What a trip kept before the cut existed: every itemset as a pair
-    (blocks in order, then rows), maximal rank descending (stable), those
-    below ``low`` dropped."""
+    (blocks in order), maximal rank descending (stable), those below
+    ``low`` dropped."""
     pairs = [
         (tuple(row), support)
         for ranks, supports in cols.blocks
         for row, support in zip(ranks.tolist(), supports.tolist())
     ]
-    pairs += cols.rows
     return sorted((p for p in pairs if p[0][-1] >= low), key=lambda p: -p[0][-1])
 
 
 def _is_cut_of(part, whole):
-    """``part``'s blocks are row subsets of ``whole``'s blocks, in order,
-    and its rows are ``whole``'s own row objects: nothing was rebuilt."""
+    """``part``'s blocks are row subsets of ``whole``'s blocks, in order:
+    nothing was rebuilt."""
     sources = iter(whole.blocks)
     for ranks, supports in part.blocks:
         for source_ranks, source_supports in sources:
@@ -72,7 +72,7 @@ def _is_cut_of(part, whole):
                 break
         else:
             return False
-    return all(any(row is kept for kept in whole.rows) for row in part.rows)
+    return True
 
 
 class TestCut:
@@ -92,7 +92,8 @@ class TestCut:
                 assert _is_cut_of(cut, cols)
 
     def test_tops_follow_blocks_then_rows(self):
-        cols = RankColumns([(np.array([[1, 4], [2, 3]]), np.array([5, 6]))], [((7,), 2)])
+        cols = RankColumns([(np.array([[1, 4], [2, 3]]), np.array([5, 6]))])
+        cols.add(np.array([[7]]), np.array([2]))
         assert cols.tops().tolist() == [4, 3, 7]
         assert RankColumns().tops().tolist() == []
 
@@ -137,10 +138,10 @@ def _trip(miner, *args, **kwargs):
 
 
 def _check_partial(exc, full):
-    """A block-only cut whose pairs are exact."""
+    """A cut of int64 blocks whose pairs are exact."""
     partial = exc.partial
     assert isinstance(partial, RankColumns)
-    assert partial.rows == []
+    assert all(isinstance(ranks, np.ndarray) for ranks, _ in partial.blocks)
     supports = dict(full)
     assert all(supports[itemset] == support for itemset, support in partial)
 
@@ -213,7 +214,7 @@ class TestEveryTripPath:
             executor.close()
         assert (status, reason) == ("partial", "max_itemsets")
         (out, cut), = cuts
-        assert isinstance(cut, RankColumns) and cut.rows == []
+        assert isinstance(cut, RankColumns)
         assert _is_cut_of(cut, out)
         assert sum(len(supports) for _, supports in blocks) == len(cut) == 50
         assert cut.pairs() == full.pairs()[:50]
@@ -251,3 +252,7 @@ class TestEveryTripPath:
         (out, cut), = cuts
         assert isinstance(cut, RankColumns) and len(cut) == 3
         assert _is_cut_of(cut, out)
+        # the item's single is the last block: in pairs() order it follows
+        # every other itemset its rank tops
+        ranks, supports = out.blocks[-1]
+        assert ranks.tolist() == [[engine.index.rank_table.rank(item)]]

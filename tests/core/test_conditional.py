@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.conditional import (
-    _build_path_buckets,
     conditional_database,
     mine_conditional,
     mine_conditional_block,
@@ -13,34 +12,6 @@ from repro.core.position import encode
 from repro.errors import BudgetExceeded, InvalidSupportError
 from repro.robustness.governor import MiningBudget, ResourceGovernor
 from tests.conftest import random_database
-
-
-class TestBuildConditionalBuckets:
-    def test_no_filtering_needed(self):
-        prefixes = {(1,): 3, (1, 2): 3}
-        buckets, schedule = _build_path_buckets(prefixes, 2)
-        assert buckets == {1: {(1,): 3}, 2: {(1, 2): 3}}
-        assert schedule == [2, 1]
-
-    def test_infrequent_rank_removed_by_projection(self):
-        # rank 2 appears once (below min_support 2) and must vanish
-        prefixes = {(1, 2): 1, (1,): 2}
-        buckets, schedule = _build_path_buckets(prefixes, 2)
-        assert buckets == {1: {(1,): 3}}
-        assert schedule == [1]
-
-    def test_projection_merges_identical_results(self):
-        # {1,3} and {3}: if rank 1 is infrequent both become {3}
-        prefixes = {(1, 3): 1, (3,): 1}
-        buckets, schedule = _build_path_buckets(prefixes, 2)
-        assert buckets == {3: {(3,): 2}}
-        assert schedule == [3]
-
-    def test_everything_infrequent(self):
-        assert _build_path_buckets({(1,): 1, (2,): 1}, 5) == ({}, [])
-
-    def test_empty_input(self):
-        assert _build_path_buckets({}, 2) == ({}, [])
 
 
 class TestConditionalDatabase:

@@ -1,5 +1,6 @@
 """Unit tests for parallel task partitioning."""
 
+import numpy as np
 import pytest
 
 from repro.core.columns import RankColumns
@@ -96,6 +97,6 @@ class TestConditionalTasks:
         serial = sorted(mine_conditional(plt, 2))
         collected = RankColumns()
         for task in conditional_tasks(plt, 2):
-            collected.rows.append(((task.rank,), task.support))
+            collected.add(np.array([[task.rank]]), np.array([task.support]))
             mine_conditional_paths(task.prefixes, task.rank, 2, collected)
         assert sorted(collected) == serial

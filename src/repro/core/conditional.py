@@ -49,14 +49,17 @@ Frequent-itemset mining runs as array code on two entries.  The top
 level (:func:`mine_conditional_flat_range`, the serial miner and every
 shared-memory worker) runs on the pairwise support matrix
 (:func:`_matrix_mine`); a rank space too wide for the dense matrix is
-mined in rank strips, highest first, each with its own strip of the
-matrix (:data:`_PAIR_MATRIX_MAX_CELLS` bounds it).  Every conditional
-database that arrives on its own — a serve ``topk`` miss, a distributed
-block, a store bucket, a parallel task — goes in as rows
-(:func:`mine_conditional_rows`).
+mined in rank strips, highest first (:data:`_PAIR_MATRIX_MAX_CELLS`).
+Every conditional database that arrives on its own — a serve ``topk``
+miss, a distributed block, a store bucket, a parallel task — goes in as
+rows (:func:`mine_conditional_rows`).
 
-At the top level each rank's ``CD_j`` is mined one of two ways.  The paper
-suits Algorithm 2 (every subset of every transaction) to short
+The top level builds every stored path's pair codes once
+(:func:`_pair_codes`) and counts them into the matrix.  By Lemma 4.1.1
+``CD_j``'s rows are the stored paths cut at ``j``, so the same codes,
+looked up in a table of the frequent cells' local indices, also give
+every ``CD_j`` row's locally frequent ranks (:func:`_cd_rows`).  The
+paper suits Algorithm 2 (every subset of every transaction) to short
 transactions; once ``CD_j`` is projected onto its locally frequent
 ranks, a small one is cheapest to enumerate whole:
 :func:`_lattice_leaves` keys each of its distinct rows by one ``uint64``
@@ -66,10 +69,9 @@ in one batch.  The switch compares the lattice's subsets with a lower
 bound on the tidsets' work, scaled by a measured cost ratio
 (:data:`_LATTICE_COST_RATIO`); there is no option to set.  Every other
 rank is mined on the vertical layout the paper cites for this job
-(dEclat's tidsets): :func:`_tidset_rows` gathers its rows from the path
-matrices and :func:`_tidset_mine` grows its itemsets level by level, one
-AND of packed tidsets per candidate.  The rows entry has no lattice
-leaves: it hands its rows to the same tidset kernel.
+(dEclat's tidsets): :func:`_tidset_mine` grows its itemsets level by
+level, one AND of packed tidsets per candidate.  The rows entry has no
+lattice leaves: it hands its rows to the same tidset kernel.
 
 Anti-monotone pruning is fully exploited: a conditional structure only
 ever contains items that are frequent *together with* the current suffix.
@@ -78,6 +80,7 @@ ever contains items that are frequent *together with* the current suffix.
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import cache
 from itertools import accumulate, chain
 
 import numpy as _np
@@ -230,108 +233,122 @@ def mine_conditional_block(
 #: workload can price the lattice against the tidsets.
 _LATTICE_COST_RATIO = 30
 
-#: Cell ceiling for one strip of the pairwise support matrix: a strip of
-#: ``h`` ranks holds ``h * (max_rank + 1)`` int64 counts, as does the
-#: lattice leaves' ``onebit`` table (~16 MB at the cap).  A rank space
-#: whose whole matrix fits is mined in one strip; a wider one in strips of
-#: ``_PAIR_MATRIX_MAX_CELLS // (max_rank + 1)`` ranks.
+#: Cell ceiling for one strip of the pair matrix: ``h`` ranks hold ``h *
+#: (max_rank + 1)`` int64 counts (~16 MB at the cap), and :func:`_cd_rows`'
+#: table as many small ints.  A rank space whose matrix fits
+#: is one strip; a wider one is mined in strips of ``cap // (max_rank + 1)``.
 _PAIR_MATRIX_MAX_CELLS = 2_000_000
 
 
-def _pair_support_matrix(arrays, width: int, lo: int = 0, hi: int | None = None):
-    """Rows ``[lo, hi)`` of the dense pairwise co-occurrence matrix over
-    length-grouped path matrices (by default, all ``width`` of them).
+@cache
+def _tril(length: int):
+    """``np.tril_indices``: cells ``(i, k <= i)`` column by column, ``k`` ascending."""
+    return _np.tril_indices(length)
+
+
+def _pair_codes(arrays, width: int):
+    """Every stored path's pair codes, built once per top-level call.
+
+    A path ``mat[p]``'s cell ``(i, k)`` (:func:`_tril`) is coded ``mat[p,
+    i] * width + mat[p, k]``, the pair matrix's cell ``[j, k]`` for ``j =
+    mat[p, i]``.  Returns ``(column, codes)``: every code in one int64
+    column, and ``{length: block}``, its ``(n, L(L+1)/2)`` view of each
+    length's paths.
+    """
+    pairs = {length: length * (length + 1) // 2 for length in arrays}
+    column = _np.empty(sum(len(mat) * pairs[n] for n, (mat, _) in arrays.items()), _np.int64)
+    codes = {}
+    start = 0
+    for length, (mat, _) in arrays.items():
+        iidx, kidx = _tril(length)
+        stop = start + len(mat) * pairs[length]
+        block = codes[length] = column[start:stop].reshape(len(mat), pairs[length])
+        _np.add((mat * width)[:, iidx], mat[:, kidx], out=block)
+        start = stop
+    return column, codes
+
+
+def _strip_supports(arrays, column, codes, width: int, lo: int, hi: int):
+    """Rows ``[lo, hi)`` of the dense pairwise co-occurrence matrix.
 
     ``strip[j - lo, k]`` for ``j >= k`` is the exact support of ``{k, j}``
     (and of ``{j}`` at ``k = j``) — the local-frequency table the whole
     vectorised top level runs on.  Range restrictions never change these
-    counts, so the whole matrix can be computed once and shared (the shm
-    driver precomputes it into the segment rather than paying the
-    bincount in every worker).
-
-    Every length's lower-triangle ``(j, k)`` cell codes and row weights
-    are written into one preallocated pair of columns for a single
-    :func:`~repro.core.flat.exact_bincount`, so the int64 result is
-    exact for any summed frequency below ``2**63``.  A strip drops the
-    codes whose ``j`` lies outside it before the count.
+    counts, so the shm driver precomputes the whole matrix into the
+    segment.  One unweighted ``bincount`` counts the strip's
+    :func:`_pair_codes`; the paths stored more than once add their extra
+    frequency by one ``np.add.at`` per length, broadcast along each path,
+    at the cost of a gather of the repeated codes alone.  The int64
+    counts are exact: none exceeds its rank's support, below ``2**63``.
     """
-    if hi is None:
-        hi = width
-    pairs = {length: length * (length + 1) // 2 for length in arrays}
-    size = sum(len(mat) * pairs[length] for length, (mat, _) in arrays.items())
-    # no count exceeds the paths' summed frequency (a float64 sum reads
-    # >= 2**53 exactly when the true one does); below 2**53, float64
-    # weights spare exact_bincount a cast
-    total = sum(ifreqs.sum(dtype=_np.float64) for _, ifreqs in arrays.values())
-    codes = _np.empty(size, dtype=_np.int64)
-    weights = _np.empty(size, dtype=_np.float64 if total < 2**53 else _np.int64)
-    start = 0
-    for length, (mat, ifreqs) in arrays.items():
-        iidx, kidx = _np.tril_indices(length)
-        stop = start + len(mat) * pairs[length]
-        block = codes[start:stop].reshape(len(mat), pairs[length])
-        _np.multiply(mat[:, iidx], width, out=block)
-        block += mat[:, kidx]
-        weights[start:stop].reshape(block.shape)[...] = ifreqs[:, None]
-        start = stop
-    cells = (hi - lo) * width
+    start, cells = lo * width, (hi - lo) * width
     if lo or hi < width:
-        codes -= lo * width
-        keep = (codes >= 0) & (codes < cells)
-        codes, weights = codes[keep], weights[keep]
-    return exact_bincount(codes, weights, cells, total).reshape(hi - lo, width)
+        column = column[(column >= start) & (column < start + cells)] - start
+    counts = _np.bincount(column, minlength=cells)
+    for length, block in codes.items():
+        ifreqs = arrays[length][1]
+        repeated = _np.flatnonzero(ifreqs > 1)
+        more = block[repeated] - start
+        extra = _np.broadcast_to(ifreqs[repeated, None] - 1, more.shape)
+        if lo or hi < width:
+            keep = (more >= 0) & (more < cells)
+            more, extra = more[keep], extra[keep]
+        _np.add.at(counts, more, extra)
+    return counts.reshape(hi - lo, width)
 
 
-def _leaf_rows(arrays, onebit, lo: int, keyable, mask_bits: int, total: int, governor=None):
-    """The distinct rows of every keyable rank's ``CD_j``, as lattice keys.
+def _cd_rows(arrays, codes, table, base: int, lo: int, governor=None):
+    """Every row of a strip's conditional databases, read off the codes.
 
-    Every stored path truncated at column ``c >= 2`` is a row of
-    ``CD_j`` for ``j = mat[:, c]``.  A row is keyed ``(j - lo) << M |
-    mask`` with ``M = mask_bits``: ``onebit[j - lo, k]`` is ``k``'s
-    one-bit mask among the locally frequent ranks of ``CD_j`` and zero
-    for every other ``k``, including every ``k >= j``, so summing it over
-    the *whole* path gives the row's mask with no per-column truncation.
-    Rows with fewer than two locally frequent ranks are left out: they
-    carry only pair supports, which the pair matrix already holds.
-    Returns the sorted distinct keys and their summed frequencies (at
-    most ``total``), aggregated by a :class:`~repro.core.topdown._Lattice`.
+    By Lemma 4.1.1 a stored path cut at its column ``i`` is a row of
+    ``CD_j``, ``j = mat[:, i]``, holding the ranks ``k`` of its
+    contiguous codes ``[j, k]``, ``k < i`` (:func:`_pair_codes`).
+    ``table[code - base]`` is ``k``'s local index in ``CD_j`` plus one
+    where ``{k, j}`` is frequent, else zero, as are its end cells, to
+    which every code beyond it clips.  One gather per length (in chunks
+    of ``_CHUNK_SUBSETS`` codes) finds every row's locally frequent
+    ranks.  Rows with fewer than two, all paths shorter than three among
+    them, are left out: the pair matrix holds all they carry.
+
+    Returns ``(js, freqs, sizes, cells)``: each row's ``j - lo``,
+    frequency and number of locally frequent ranks, then their local
+    indices, ascending, row after row.
     """
-    table = _Lattice((len(onebit) - 1).bit_length() + mask_bits, total)
-    ushift = _np.uint64(mask_bits)
-    width = onebit.shape[1]
-    flatbit = onebit.ravel()
-    keys, freqs = [], []
-    for length, (mat, ifreqs) in arrays.items():
+    none = _np.zeros(0, _np.int64)
+    js, freqs, sizes, cells = [none], [none], [none], [table[:0]]
+    for length, block in codes.items():
         if length < 3:
             continue
-        rows, cols = _np.nonzero(keyable[mat[:, 2:]])
-        step = max(1, _CHUNK_SUBSETS // length)
-        for start in range(0, len(rows), step):
-            r = rows[start : start + step]
+        mat, ifreqs = arrays[length]
+        ith = _tril(length)[0]  # the i of each code's cell (i, k)
+        step = max(1, _CHUNK_SUBSETS // len(ith))
+        for start in range(0, len(mat), step):
+            chunk = block[start : start + step]
             if governor is not None:
-                governor.tick(len(r))
-            j = mat[r, cols[start : start + step] + 2] - lo
-            cells = mat[r]
-            cells += (j * width)[:, None]
-            # distinct one-bit masks: their sum is their union
-            masks = flatbit.take(cells).sum(axis=1, dtype=_np.uint64)
-            two = _np.flatnonzero(masks & (masks - _np.uint64(1)))
-            keys.append((j[two].astype(_np.uint64) << ushift) | masks[two])
-            freqs.append(ifreqs[r[two]])
-    if keys:
-        table.insert(_np.concatenate(keys), _np.concatenate(freqs))
-    return table.table()
+                governor.tick(len(chunk) * length)
+            hits = table.take(chunk - base, mode="clip").ravel()
+            flat = _np.flatnonzero(hits != 0)
+            path, cell = _np.divmod(flat, len(ith))
+            # each hit's row: path * length + i within the chunk
+            row = path * length + ith[cell]
+            count = _np.bincount(row, minlength=len(chunk) * length)
+            kept = _np.flatnonzero(count >= 2)
+            js.append(mat[start : start + step].ravel()[kept])
+            freqs.append(ifreqs[start + kept // length])
+            sizes.append(count[kept])
+            cells.append(hits[flat[count[row] >= 2]] - 1)
+    return _np.concatenate(js) - lo, *map(_np.concatenate, (freqs, sizes, cells))
 
 
 def _lattice_leaves(
-    arrays, owner, franks, starts, lo: int, hi: int, width: int,
-    min_support: int, max_len: int | None, governor=None,
+    rows, franks, starts, lo: int, hi: int, width: int, total: int,
+    min_support: int, max_len: int | None, governor=None, held: int = 0,
 ):
     """Enumerate the cheap top-level conditional databases as subset lattices.
 
-    ``franks[starts[j - lo] : starts[j - lo + 1]]`` are the locally
-    frequent ranks of ``CD_j``, ascending, and ``owner`` is each entry's
-    ``j - lo``.  A rank whose locally frequent ranks fit the key (at most
+    ``rows`` are the strip's (:func:`_cd_rows`), and ``franks[starts[j -
+    lo] : starts[j - lo + 1]]`` the locally frequent ranks of ``CD_j``,
+    ascending.  A rank whose locally frequent ranks fit the key (at most
     ``64 - bit_length(width - 1)`` of them) takes the lattice when its
     distinct rows' subsets number at most :data:`_LATTICE_COST_RATIO`
     times their locally frequent ranks (``sum(2^K - 1) <= ratio *
@@ -341,11 +358,13 @@ def _lattice_leaves(
     support of ``S + {j}`` is the summed frequency of the rows whose mask
     contains ``S``, so the kept keys are exact.
 
-    A key is ``(j - lo) << M | mask``, where ``M`` is the largest local
-    count of the keyable ranks (for the rows) or of the chosen ranks (for
-    the lattice).  The key fits one word, and with the summed path
-    frequency below it usually the packed layout of
-    :class:`~repro.core.topdown._Lattice`.
+    A key is ``(j - lo) << M | mask``, the mask one bit per local index
+    (one ``np.add.reduceat``), where ``M`` is the largest local count of
+    the keyable ranks (for the rows) or of the chosen ranks (for the
+    lattice).  The key fits one word, and with ``total`` (the summed path
+    frequency) below it usually the packed layout of
+    :class:`~repro.core.topdown._Lattice`.  Each figure declared to the
+    governor adds ``held``, the bytes the caller keeps meanwhile.
 
     Returns ``(ranks, blocks)``: a bool array over ranks marking the
     lattice ranks, and one ``(itemsets, supports)`` block per itemset
@@ -353,29 +372,27 @@ def _lattice_leaves(
     (maximal) rank, and the matching supports.
     """
     counts = _np.diff(starts)
-    keyable = _np.zeros(width, bool)
-    keyable[lo:hi] = (counts >= 2) & (counts <= 64 - (width - 1).bit_length())
-    if not keyable.any():
-        return keyable, []
-    # bit b of rank j's mask is its b-th locally frequent rank (clipped to
-    # the word: ranks with that many of them are not keyable)
-    local = _np.arange(len(franks)) - starts[owner]
-    onebit = _np.zeros((hi - lo, width), _np.uint64)
-    onebit[owner, franks] = _np.uint64(1) << _np.minimum(local, 63).astype(_np.uint64)
-    if governor is not None:
-        governor.hold(onebit.nbytes)
-    # no key's summed frequency exceeds the stored paths' total
-    total = sum(int(ifreqs.sum()) for _, ifreqs in arrays.values())
-    mask_bits = int(counts[keyable[lo:hi]].max())
-    keys, freqs = _leaf_rows(arrays, onebit, lo, keyable, mask_bits, total, governor)
+    keyable = (counts >= 2) & (counts <= 64 - (width - 1).bit_length())
+    ranks = _np.zeros(width, bool)
+    js, freqs, sizes, cells = rows
+    take = keyable[js]
+    if not take.any():
+        return ranks, []
+    # bit b of a row's mask is CD_j's b-th locally frequent rank
+    bits = _np.left_shift(_np.uint64(1), cells[_np.repeat(take, sizes)].astype(_np.uint64))
+    sizes = sizes[take]
+    masks = _np.add.reduceat(bits, _np.cumsum(sizes) - sizes)
+    mask_bits = int(counts[keyable].max())
     ushift = _np.uint64(mask_bits)
+    table = _Lattice((hi - lo - 1).bit_length() + mask_bits, total)
+    table.insert((js[take].astype(_np.uint64) << ushift) | masks, freqs[take])
+    keys, freqs = table.table()
     js = (keys >> ushift).astype(_np.int64)
     masks = keys & ((_np.uint64(1) << ushift) - _np.uint64(1))
     sizes = _popcount(masks[:, None])
     subsets = _np.bincount(js, weights=_np.exp2(sizes) - 1, minlength=hi - lo)
     first = _np.bincount(js, weights=sizes, minlength=hi - lo)
     chosen = (first > 0) & (subsets <= _LATTICE_COST_RATIO * first)
-    ranks = _np.zeros(width, bool)
     ranks[lo:hi] = chosen
     take = chosen[js]
     if not take.any():
@@ -393,7 +410,7 @@ def _lattice_leaves(
             bits[:, b, 0] = lowest
             rest ^= lowest
         base = js[rows].astype(_np.uint64) << ushift
-        _expand(bits, freqs[rows], lattice, governor, base=base[:, None])
+        _expand(bits, freqs[rows], lattice, governor, base=base[:, None], held=held)
     keys, supports = lattice.table(min_support)
     masks = keys & ((_np.uint64(1) << ushift) - _np.uint64(1))
     js = (keys >> ushift).astype(_np.int64)
@@ -413,6 +430,7 @@ def _lattice_leaves(
 
 def _matrix_mine(
     arrays,
+    codes,
     width: int,
     lo: int,
     hi: int,
@@ -424,28 +442,23 @@ def _matrix_mine(
 ) -> None:
     """The vectorised top level of Algorithm 3 over length-grouped paths.
 
-    The local rank supports the top-level loop needs are, by Lemma 4.1.1,
-    exactly the pairwise co-occurrence counts: when bucket ``j`` is
-    consumed it holds every stored path truncated at ``j``, so the local
-    support of rank ``k`` in ``CD_j`` is ``support({j, k})``.  That whole
-    matrix is a single ``bincount`` (:func:`_pair_support_matrix`), which
-    replaces both the top-level migration cascade and the per-bucket
-    Python supports scan — the two quadratic costs of sparse mining.
-    Each frequent rank's conditional database is then either enumerated
-    as a subset lattice (:func:`_lattice_leaves`, where that is cheaper)
-    or gathered straight from the path matrices (:func:`_tidset_rows`)
-    and mined level by level on its tidsets (:func:`_tidset_mine`).
+    By Lemma 4.1.1 the local support of rank ``k`` in ``CD_j`` is
+    ``support({j, k})``, read off the pair matrix in place of the
+    migration cascade.  The pair codes give every ``CD_j``'s rows
+    (:func:`_cd_rows`), each then enumerated as a subset lattice
+    (:func:`_lattice_leaves`, where that is cheaper) or mined on its
+    tidsets (:func:`_tidset_rows`, :func:`_tidset_mine`).
 
-    ``arrays`` maps path length -> ``(mat, ifreqs)`` where ``mat`` is an
-    int64 ``(n, length)`` matrix of stored rank paths and ``ifreqs`` the
-    matching frequency column (:meth:`FlatPLT.paths_by_length`), over
-    ranks ``< width``.  Mines every frequent itemset whose *maximal* rank
-    lies in ``[lo, hi)`` — itemsets partition exactly by maximal rank, so
+    ``arrays`` is :meth:`FlatPLT.paths_by_length`'s ``{length: (mat,
+    ifreqs)}`` over ranks ``< width``, and ``codes`` its
+    :func:`_pair_codes`, which every figure declared to the governor
+    includes.  Mines every frequent itemset whose *maximal* rank lies in
+    ``[lo, hi)`` — itemsets partition exactly by maximal rank, so
     disjoint ranges concatenate into the full answer (the shared-memory
     workers' decomposition, and the strips of a wide rank space).
-    ``strip`` is rows ``[lo, hi)`` of :func:`_pair_support_matrix`: a
-    slice of the whole matrix (the shm workers read it straight off the
-    shared segment) or a strip computed on its own.
+    ``strip`` is rows ``[lo, hi)`` of the pair matrix: a slice of the
+    whole matrix (the shm workers read it straight off the shared
+    segment) or a strip counted on its own.
 
     The output goes into ``out`` as array blocks only: the frequent
     singles (the matrix diagonal), the frequent pairs (the matrix below
@@ -470,6 +483,7 @@ def _matrix_mine(
     frequent = strip >= min_support
     frequent[here, here + lo] = False
     frequent_cells = _np.flatnonzero(frequent)
+    del frequent
     owner, franks = _np.divmod(frequent_cells, width)
     starts = _np.searchsorted(owner, _np.arange(hi - lo + 1))
     blocks = [(singles[:, None], diag[singles - lo])]
@@ -478,20 +492,31 @@ def _matrix_mine(
         blocks.append((_np.column_stack((franks, owner + lo)), strip[owner, franks]))
     leaf_ranks = _np.zeros(width, bool)
     cds: dict = {}
+    held = sum(block.nbytes for block in codes.values())
     if max_len is None or max_len >= 3:
+        counts = _np.diff(starts)
+        # each frequent cell's local index plus one, over the codes from
+        # the one below the strip's first on
+        table = _np.zeros((hi - lo) * width + 2, _np.int16 if counts.max() < 2**15 else _np.int32)
+        table[frequent_cells + 1] = _np.arange(1, len(franks) + 1) - starts[owner]
+        if governor is not None:
+            governor.hold(held + table.nbytes)
+        rows = _cd_rows(arrays, codes, table, lo * width - 1, lo, governor)
+        del table
+        held += sum(column.nbytes for column in rows)
+        total = sum(int(ifreqs.sum()) for _, ifreqs in arrays.values())
         leaf_ranks, leaves = _lattice_leaves(
-            arrays, owner, franks, starts, lo, hi, width, min_support, max_len,
-            governor,
+            rows, franks, starts, lo, hi, width, total, min_support, max_len, governor, held,
         )
         blocks += leaves
+        # the lattice tables are released; the output blocks are arrays,
+        # which the allocator sample does not see
+        held += sum(ranks.nbytes + sups.nbytes for ranks, sups in blocks)
         if governor is not None:
-            # the lattice tables are released; the output blocks are
-            # arrays, which the allocator sample does not see
-            governor.hold(sum(ranks.nbytes + sups.nbytes for ranks, sups in blocks))
-        tidset = _np.zeros(width, bool)
-        tidset[lo:hi] = (_np.diff(starts) >= 2) & ~leaf_ranks[lo:hi]
+            governor.hold(held)
+        tidset = (counts >= 2) & ~leaf_ranks[lo:hi]
         if tidset.any():
-            cds = _tidset_rows(arrays, frequent, frequent_cells, starts, lo, tidset, governor)
+            cds = _tidset_rows(rows, starts, lo, tidset)
     if counters.enabled:
         counters.add("cond_buckets_touched", int((~leaf_ranks[singles]).sum()))
 
@@ -513,82 +538,51 @@ def _matrix_mine(
             if counters.enabled:
                 counters.add("cond_structures_built")
             local = franks[bounds[j - lo] : bounds[j - lo + 1]]
-            _tidset_mine(*cd, local, j, min_support, max_len, out, governor)
+            _tidset_mine(*cd, local, j, min_support, max_len, out, governor, held)
 
 
-def _tidset_rows(arrays, frequent, frequent_cells, starts, lo: int, ranks, governor=None) -> dict:
-    """The rows of ``CD_j`` for every rank ``j`` marked in ``ranks``.
+def _tidset_rows(rows, starts, lo: int, ranks) -> dict:
+    """The rows of ``CD_j`` (:func:`_cd_rows`) for every ``j - lo`` marked
+    in ``ranks``, numbered rank by rank; ``starts`` as for
+    :func:`_lattice_leaves`.
 
-    Every stored path through ``j`` at a column ``c >= 2`` is a row of
-    ``CD_j``.  The whole-row gather ``frequent[j - lo, path]`` keeps
-    exactly the row's locally frequent ranks: it is False at and after
-    ``j``'s column.  Rows with fewer than two of them are left out, as
-    they carry only pair supports, which the pair matrix already holds.
-    A kept rank becomes its local index, its place among ``CD_j``'s
-    ascending locally frequent ranks (``frequent_cells`` are the flat
-    indices of ``frequent``'s true cells, ascending, and ``starts`` each
-    rank's first one).
-
-    Returns ``{j: (rows, locals, freqs, pairs)}``: the kept cells as
+    Returns ``{j: (rows, locals, freqs, pairs)}``: the rows' cells as
     local row and rank indices, the rows' frequencies, and the local pair
     supports, ``pairs[a, b]`` (``a < b``) the exact support of
     ``{a, b, j}``, summed for every rank at once by :func:`_pair_counts`.
     """
-    width = frequent.shape[1]
-    hit_j, hit_freq, cell_hit, cell_rank = [], [], [], []
-    n_hits = 0
-    for length, (mat, ifreqs) in arrays.items():
-        if length < 3:
-            continue
-        rows, cols = _np.nonzero(ranks[mat[:, 2:]])
-        step = max(1, _CHUNK_SUBSETS // length)
-        for start in range(0, len(rows), step):
-            r = rows[start : start + step]
-            if governor is not None:
-                governor.tick(len(r))
-            j = mat[r, cols[start : start + step] + 2] - lo
-            paths = mat[r]
-            flags = frequent[j[:, None], paths]
-            keep = _np.flatnonzero(_np.count_nonzero(flags, axis=1) >= 2)
-            hit, col = _np.nonzero(flags[keep])
-            hit_j.append(j[keep])
-            hit_freq.append(ifreqs[r[keep]])
-            cell_hit.append(hit + n_hits)
-            cell_rank.append(paths[keep[hit], col])
-            n_hits += len(keep)
+    js, freqs, sizes, cells = rows
+    take = ranks[js]
+    n_rows = int(_np.count_nonzero(take))
     if _COUNTERS.enabled:
-        _COUNTERS.add("cond_work_items_merged", n_hits)
-    if not n_hits:
+        _COUNTERS.add("cond_work_items_merged", n_rows)
+    if not n_rows:
         return {}
-    # number the rows rank by rank, and order the cells to match
-    hit_j = _np.concatenate(hit_j)
-    order = _np.argsort(hit_j, kind="stable")
-    hit_j, hit_freq = hit_j[order], _np.concatenate(hit_freq)[order]
-    renumber = _np.empty(n_hits, _np.int64)
-    renumber[order] = _np.arange(n_hits)
-    cell_hit = renumber[_np.concatenate(cell_hit)]
-    order = _np.argsort(cell_hit, kind="stable")
-    cell_hit = cell_hit[order]
-    cell_j = hit_j[cell_hit]
-    flat = cell_j * width + _np.concatenate(cell_rank)[order]
-    local = _np.searchsorted(frequent_cells, flat) - starts[cell_j]
+    # number the taken rows rank by rank, and move their cells to match
+    order = _np.flatnonzero(take)[_np.argsort(js[take], kind="stable")]
+    first = (_np.cumsum(sizes) - sizes)[order]
+    js, freqs, sizes = js[order], freqs[order], sizes[order]
+    moved = first - (_np.cumsum(sizes) - sizes)
+    local = cells[_np.repeat(moved, sizes) + _np.arange(sizes.sum())].astype(_np.int64)
+    cell_row = _np.repeat(_np.arange(n_rows), sizes)
+    cell_j = js[cell_row]
     counts = _np.diff(starts)
-    js = _np.flatnonzero(_np.bincount(hit_j, minlength=len(counts)))
-    squares = counts[js] ** 2
+    ranked = _np.flatnonzero(_np.bincount(js, minlength=len(counts)))
+    squares = counts[ranked] ** 2
     offset = _np.zeros(len(counts), _np.int64)
-    offset[js] = _np.cumsum(squares) - squares
+    offset[ranked] = _np.cumsum(squares) - squares
     base = offset[cell_j] + local * counts[cell_j]
-    pairs = _pair_counts(cell_hit, local, base, hit_freq, int(squares.sum()))
-    hit_bounds = _np.searchsorted(hit_j, _np.append(js, len(counts))).tolist()
-    cell_bounds = _np.searchsorted(cell_hit, hit_bounds).tolist()
+    pairs = _pair_counts(cell_row, local, base, freqs, int(squares.sum()))
+    row_bounds = _np.searchsorted(js, _np.append(ranked, len(counts))).tolist()
+    cell_bounds = _np.searchsorted(cell_row, row_bounds).tolist()
     cds = {}
-    for i, j in enumerate(js.tolist()):
-        h0, c0, c1 = hit_bounds[i], cell_bounds[i], cell_bounds[i + 1]
+    for i, j in enumerate(ranked.tolist()):
+        r0, c0, c1 = row_bounds[i], cell_bounds[i], cell_bounds[i + 1]
         k = int(counts[j])
         cds[j + lo] = (
-            cell_hit[c0:c1] - h0,
+            cell_row[c0:c1] - r0,
             local[c0:c1],
-            hit_freq[h0 : hit_bounds[i + 1]],
+            freqs[r0 : row_bounds[i + 1]],
             pairs[offset[j] : offset[j] + k * k].reshape(k, k),
         )
     return cds
@@ -634,14 +628,15 @@ def _byte_table(weights):
 
 def _tidset_mine(
     rows, cols, freqs, pairs, local, j: int, min_support: int,
-    max_len: int | None, out: RankColumns, governor=None,
+    max_len: int | None, out: RankColumns, governor=None, held: int = 0,
 ) -> None:
     """Mine the itemsets of length three and up whose maximal rank is ``j``.
 
     The vertical layout (dEclat's tidsets): ``CD_j``'s rows
     (:func:`_tidset_rows`) become one bitset per locally frequent rank
-    ``local[a]``, ``tids[a]`` marking the rows that hold it, packed 64
-    rows to a word (:data:`_TID_WORD`).  The support of a set is the summed
+    ``local[a]``, ``tids[a]`` marking the rows that hold it: a row of
+    flags, packed 64 rows to a word (:data:`_TID_WORD`) by one
+    ``np.packbits``.  The support of a set is the summed
     frequency of the rows in the AND of its members' tidsets, read one
     byte (8 rows) at a time from a table of every byte's frequency sum
     (:func:`_tid_supports`), in exact int64.
@@ -653,7 +648,8 @@ def _tidset_mine(
     pair with ``c``.  Each level goes into ``out`` as one block of
     ascending rank rows (``local`` ranks, then ``j``, sorted when some
     local rank lies above ``j``) until it is empty or ``max_len`` is
-    reached, then its rows are charged to the governor's itemset cap.
+    reached, then its rows are charged to the governor's itemset cap
+    (its buffers declared to it on top of the caller's ``held`` bytes).
     """
     adj = pairs >= min_support
     first, second = _np.nonzero(adj)
@@ -661,8 +657,10 @@ def _tidset_mine(
         return
     n_rows = len(freqs)
     words = -(-n_rows // 64)
-    tids = _np.zeros((len(local), words), _TID_WORD)
-    _np.bitwise_or.at(tids, (cols, rows >> 6), _np.uint64(1) << (rows & 63).astype(_np.uint64))
+    bits = _np.zeros((len(local), 64 * words), bool)
+    bits[cols, rows] = True
+    tids = _np.packbits(bits, axis=1, bitorder="little").view(_TID_WORD)
+    del bits
     weights = _np.zeros(64 * words, _np.int64)
     weights[:n_rows] = freqs
     table = _byte_table(weights)
@@ -678,10 +676,10 @@ def _tidset_mine(
             governor.note_itemsets(len(level))
         if top is not None and level.shape[1] >= top:
             return
-        level, supports = _tidset_level(level, adj, tids, table, min_support, governor)
+        level, supports = _tidset_level(level, adj, tids, table, min_support, governor, held)
 
 
-def _tidset_level(level, adj, tids, table, min_support: int, governor=None):
+def _tidset_level(level, adj, tids, table, min_support: int, governor=None, held: int = 0):
     """The frequent one-rank extensions of ``level``'s sets, in order.
 
     The candidates are the ranks ``c`` with ``adj[s, c]`` for every member
@@ -693,7 +691,7 @@ def _tidset_level(level, adj, tids, table, min_support: int, governor=None):
     n_local, mask_bytes = adj.shape[0], 8 * tids.shape[1]
     step = max(1, _CHUNK_SUBSETS // (n_local + mask_bytes))
     cstep = max(1, _CHUNK_SUBSETS // mask_bytes)
-    held = tids.nbytes + table.nbytes + adj.nbytes + level.nbytes
+    held += tids.nbytes + table.nbytes + adj.nbytes + level.nbytes
     found, found_supports = [], []
     for start in range(0, len(level), step):
         sets = level[start : start + step]
@@ -821,7 +819,9 @@ def mine_conditional_flat_range(
     :func:`_matrix_mine`: one strip while the whole pair matrix fits
     :data:`_PAIR_MATRIX_MAX_CELLS` (read off the segment when the shm
     driver precomputed it), else strips of ``_PAIR_MATRIX_MAX_CELLS //
-    (max_rank + 1)`` ranks, each with its own strip of the matrix.
+    (max_rank + 1)`` ranks, each counting its own strip of the matrix;
+    the :func:`_pair_codes` are built once for all of them, and declared
+    to the governor throughout.
     The rank being mined is kept in ``governor.progress["mining_rank"]``:
     each top-level rank's itemsets complete before the next starts, so on
     a budget trip every rank above the marker is complete, and
@@ -837,15 +837,20 @@ def mine_conditional_flat_range(
     arrays = flat.paths_by_length()
     height = max(1, _PAIR_MATRIX_MAX_CELLS // width)
     full = flat.pair_support_matrix()
+    if full is None or max_len is None or max_len >= 3:
+        column, codes = _pair_codes(arrays, width)
+    else:  # the matrix is read off the segment, and no row is read
+        column, codes = _np.zeros(0, _np.int64), {}
     if full is None and height >= width:
-        full = _pair_support_matrix(arrays, width)
+        full = _strip_supports(arrays, column, codes, width, 0, width)
     for top in range(hi, lo, -height):
         bottom = max(lo, top - height)
         if full is None:
-            strip = _pair_support_matrix(arrays, width, bottom, top)
+            strip = _strip_supports(arrays, column, codes, width, bottom, top)
         else:
             strip = full[bottom:top]
-        _matrix_mine(arrays, width, bottom, top, strip, min_support, out, max_len, governor)
+        _matrix_mine(arrays, codes, width, bottom, top, strip, min_support, out, max_len, governor)
+        del strip  # one strip at a time
 
 
 def salvage(exc: MiningInterrupted, out: RankColumns, governor) -> RankColumns:

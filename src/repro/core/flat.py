@@ -383,20 +383,18 @@ class FlatPLT:
         spaces that wide are mined in rank strips, each counting its own
         strip of the matrix).
         """
+        from repro.core import conditional
+
         if self.pair_support is not None or self.n_paths == 0:
             return self.pair_support is not None
-        if max_cells is None:
-            from repro.core.conditional import _PAIR_MATRIX_MAX_CELLS
-
-            max_cells = _PAIR_MATRIX_MAX_CELLS
         width = self.max_rank + 1
+        if max_cells is None:
+            max_cells = conditional._PAIR_MATRIX_MAX_CELLS
         if width * width > max_cells:
             return False
-        from repro.core.conditional import _pair_support_matrix
-
-        self.pair_support = _pair_support_matrix(
-            self.paths_by_length(), width
-        ).ravel()
+        arrays = self.paths_by_length()
+        column, codes = conditional._pair_codes(arrays, width)
+        self.pair_support = conditional._strip_supports(arrays, column, codes, width, 0, width).ravel()
         return True
 
     def pair_support_matrix(self):

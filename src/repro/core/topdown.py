@@ -393,7 +393,7 @@ def _sweep(groups, lattice: _Lattice, governor=None) -> _Lattice:
     return lattice
 
 
-def _expand(bits, freqs, lattice: _Lattice, governor=None, base=None) -> None:
+def _expand(bits, freqs, lattice: _Lattice, governor=None, base=None, held: int = 0) -> None:
     """Add every subset of every row of ``bits`` to ``lattice`` by doubling.
 
     ``bits`` is an ``(n, L, W)`` ``uint64`` array holding each row's ``L``
@@ -405,7 +405,7 @@ def _expand(bits, freqs, lattice: _Lattice, governor=None, base=None) -> None:
     copy into every subset.  Rows go through in chunks of
     ``_CHUNK_SUBSETS`` generated subsets; each chunk charges its
     ``n (2^L - 1)`` non-empty subsets to the governor and to the
-    ``topdown_work_items`` counter.
+    ``topdown_work_items`` counter (its buffers declared on top of ``held``).
     """
     counters = _COUNTERS
     n, length, words = bits.shape
@@ -419,7 +419,7 @@ def _expand(bits, freqs, lattice: _Lattice, governor=None, base=None) -> None:
         stop = min(start + step, n)
         work = (stop - start) * (span - 1)
         if governor is not None:
-            governor.hold(lattice.nbytes + buf.nbytes + bits.nbytes)
+            governor.hold(held + lattice.nbytes + buf.nbytes + bits.nbytes)
             governor.tick(work)
         sub = buf[: stop - start]
         sub[:, 0] = heads[start:stop]

@@ -81,10 +81,13 @@ def reserve_port(host: str = "127.0.0.1") -> int:
 class Incarnation:
     """One worker process in the supervised lineage."""
 
-    def __init__(self, number: int, proc: subprocess.Popen):
+    def __init__(self, number: int, proc: subprocess.Popen, pump):
         self.number = number
         self.proc = proc
         self.pid = proc.pid
+        self.pump = threading.Thread(  # runs pump(self) over proc.stdout
+            target=pump, args=(self,), name=f"plt-serve-pump-{number}", daemon=True
+        )
         self.ready_event = threading.Event()
         self.ready_fields: dict[str, str] = {}
         self.lines: list[str] = []
@@ -206,7 +209,7 @@ class Supervisor:
                 inc.proc.wait(timeout)
             except subprocess.TimeoutExpired:
                 inc.proc.kill()
-                inc.proc.wait()
+            self._reap(inc)
         if self._monitor is not None:
             self._monitor.join(timeout)
             self._monitor = None
@@ -329,31 +332,34 @@ class Supervisor:
             text=True,
             env=env,
         )
-        inc = Incarnation(number, proc)
+        inc = Incarnation(number, proc, self._pump)
         with self._lock:
             self.incarnations.append(inc)
-        threading.Thread(
-            target=self._pump, args=(inc,), name=f"plt-serve-pump-{number}", daemon=True
-        ).start()
+        inc.pump.start()
         self._event(f"incarnation {number} launched (pid {proc.pid})")
         return inc
 
     def _pump(self, inc: Incarnation) -> None:
-        """Drain one incarnation's stdout; parse its READY line."""
-        assert inc.proc.stdout is not None
-        for line in inc.proc.stdout:
-            line = line.rstrip("\n")
-            if len(inc.lines) < _MAX_LINES:
-                inc.lines.append(line)
-            if self.echo:
-                print(f"[worker {inc.number}] {line}", flush=True)
-            if line.startswith("READY "):
-                fields = {}
-                for token in line.split()[1:]:
-                    key, _, value = token.partition("=")
-                    fields[key] = value
-                inc.ready_fields = fields
-                inc.ready_event.set()
+        """Drain one incarnation's stdout, closed at EOF; parse its READY line."""
+        with inc.proc.stdout:
+            for line in inc.proc.stdout:
+                line = line.rstrip("\n")
+                if len(inc.lines) < _MAX_LINES:
+                    inc.lines.append(line)
+                if self.echo:
+                    print(f"[worker {inc.number}] {line}", flush=True)
+                if line.startswith("READY "):
+                    fields = {}
+                    for token in line.split()[1:]:
+                        key, _, value = token.partition("=")
+                        fields[key] = value
+                    inc.ready_fields = fields
+                    inc.ready_event.set()
+
+    def _reap(self, inc: Incarnation) -> None:
+        """Collect an exited or killed incarnation and its pump."""
+        inc.exit_code = inc.proc.wait()
+        inc.pump.join(1.0)  # a child of the worker may hold the pipe open
 
     def _await_ready(self, inc: Incarnation) -> bool:
         """Wait for READY; a worker that exits or stalls instead fails."""
@@ -362,13 +368,12 @@ class Supervisor:
             if inc.ready_event.wait(0.05):
                 return True
             if inc.proc.poll() is not None:
-                inc.exit_code = inc.proc.returncode
+                self._reap(inc)
                 return False
         if inc.proc.poll() is None and not inc.ready_event.is_set():
             # startup wedged (not crashed): put it down and restart
             inc.proc.kill()
-            inc.proc.wait()
-            inc.exit_code = inc.proc.returncode
+            self._reap(inc)
         return inc.ready_event.is_set()
 
     def _watch(self, inc: Incarnation) -> str:
@@ -377,9 +382,8 @@ class Supervisor:
         while True:
             if self._stopping.wait(self.probe_interval):
                 return "stopped"
-            code = inc.proc.poll()
-            if code is not None:
-                inc.exit_code = code
+            if inc.proc.poll() is not None:
+                self._reap(inc)
                 return "crashed"
             if self._probe():
                 inc.healthy = True
@@ -394,8 +398,7 @@ class Supervisor:
                         f"(deadline {self.probe_deadline}s) — killing"
                     )
                     inc.proc.kill()
-                    inc.proc.wait()
-                    inc.exit_code = inc.proc.returncode
+                    self._reap(inc)
                     return "hung"
 
     def _probe(self) -> bool:

@@ -1,8 +1,8 @@
 """The tidset kernel in Algorithm 3's top level.
 
 A top-level conditional database ``CD_j`` that the lattice rule rejects
-is gathered from the path matrices and mined level by level on packed
-tidsets (``_tidset_rows``, ``_tidset_mine``).  These tests pin its
+is read off the pair codes and mined level by level on packed tidsets
+(``_cd_rows``, ``_tidset_rows``, ``_tidset_mine``).  These tests pin its
 answers against FP-growth, its chunking against an unchunked run, and
 its budget trips (itemset cap, memory) against the partial-result
 contract: exact supports, a prefix of the full run's pairs, and
@@ -159,8 +159,10 @@ def test_memory_trip_inside_a_tidset_rank(wide_plt):
     """The tidsets, their byte table and the candidate masks are NumPy
     buffers the allocator sample does not see; the kernel declares them,
     so a memory budget between what the earlier phases hold and what a
-    tidset level holds trips inside the level."""
-    holds = []
+    tidset level holds trips inside the level.  Every figure declared
+    also counts the pair codes, which live until the last level: the
+    budget trips only with them counted."""
+    holds, codes = [], []
 
     class Recording(ResourceGovernor):
         def hold(self, nbytes):
@@ -168,7 +170,12 @@ def test_memory_trip_inside_a_tidset_rank(wide_plt):
             super().hold(nbytes)
 
     in_tidset = False
-    mine = cond._tidset_mine
+    build, mine = cond._pair_codes, cond._tidset_mine
+
+    def recorded(*args):
+        column, blocks = build(*args)
+        codes.append(column.nbytes)
+        return column, blocks
 
     def flagged(*args, **kwargs):
         nonlocal in_tidset
@@ -176,6 +183,7 @@ def test_memory_trip_inside_a_tidset_rank(wide_plt):
         return mine(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cond, "_pair_codes", recorded)
         mp.setattr(cond, "_tidset_mine", flagged)
         mine_conditional(wide_plt, 100, governor=Recording())
     before = max(nbytes for nbytes, tidset in holds if not tidset)
@@ -183,6 +191,7 @@ def test_memory_trip_inside_a_tidset_rank(wide_plt):
     # room on both sides for the allocator sample's share of the estimate
     assert during > before + (1 << 18)
     budget = (before + during) // 2
+    assert during - codes[0] + (1 << 18) < budget
     full = list(mine_conditional(wide_plt, 100))
     governor = ResourceGovernor(MiningBudget(memory_budget=budget, check_interval=1))
     with pytest.raises(BudgetExceeded) as info:

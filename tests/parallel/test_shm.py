@@ -87,13 +87,13 @@ class TestDifferential:
 
         monkeypatch.setattr(cond, "_PAIR_MATRIX_MAX_CELLS", 0)
         strips = []
-        count = cond._pair_support_matrix
+        count = cond._strip_supports
 
-        def spy(arrays, width, lo=None, hi=None):
-            strips.append((lo, hi))
-            return count(arrays, width, lo, hi)
+        def spy(*args):
+            strips.append(args[-2:])
+            return count(*args)
 
-        monkeypatch.setattr(cond, "_pair_support_matrix", spy)
+        monkeypatch.setattr(cond, "_strip_supports", spy)
         db = random_database(seed + 1200, max_items=10, max_transactions=50)
         plt = PLT.from_transactions(db, 2)
         serial = mine_conditional(plt, 2).pairs()

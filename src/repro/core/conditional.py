@@ -274,7 +274,7 @@ def _strip_supports(arrays, column, codes, width: int, lo: int, hi: int):
     ``strip[j - lo, k]`` for ``j >= k`` is the exact support of ``{k, j}``
     (and of ``{j}`` at ``k = j``) — the local-frequency table the whole
     vectorised top level runs on.  Range restrictions never change these
-    counts, so the shm driver precomputes the whole matrix into the
+    counts, so the parallel executor precomputes the whole matrix into the
     segment.  One unweighted ``bincount`` counts the strip's
     :func:`_pair_codes`; the paths stored more than once add their extra
     frequency by one ``np.add.at`` per length, broadcast along each path,

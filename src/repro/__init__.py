@@ -18,28 +18,34 @@ See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
 paper-vs-measured record.
 """
 
-from repro.core import (
-    PLT,
-    ApproximateResult,
-    FrequentItemset,
-    IncrementalPLT,
-    MiningResult,
-    PartialResult,
-    RankTable,
-    build_plt,
-    mine_closed_itemsets,
-    mine_conditional,
-    mine_top_k,
-    mine_frequent_itemsets,
-    mine_maximal_itemsets,
-    mine_topdown,
-)
-from repro.data import TransactionDatabase
-from repro.errors import BudgetExceeded, Cancelled, MiningInterrupted, ReproError
-from repro.robustness.governor import (
-    CancellationToken,
-    DegradationPolicy,
-    MiningBudget,
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "PLT": "core.plt",
+        "build_plt": "core.plt",
+        "RankTable": "core.rank",
+        "IncrementalPLT": "core.incremental",
+        "FrequentItemset": "core.mining",
+        "MiningResult": "core.mining",
+        "PartialResult": "core.mining",
+        "ApproximateResult": "core.mining",
+        "mine_frequent_itemsets": "core.mining",
+        "mine_closed_itemsets": "core.mining",
+        "mine_maximal_itemsets": "core.mining",
+        "mine_conditional": "core.conditional",
+        "mine_topdown": "core.topdown",
+        "mine_top_k": "core.topk",
+        "TransactionDatabase": "data.transaction_db",
+        "ReproError": "errors",
+        "MiningInterrupted": "errors",
+        "BudgetExceeded": "errors",
+        "Cancelled": "errors",
+        "MiningBudget": "robustness.governor",
+        "CancellationToken": "robustness.governor",
+        "DegradationPolicy": "robustness.governor",
+    },
 )
 
 __version__ = "1.0.0"

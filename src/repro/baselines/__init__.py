@@ -7,16 +7,28 @@ reduction), FP-growth (pattern growth on a prefix tree), Eclat/dEclat
 for testing.
 """
 
-from repro.baselines.apriori import mine_apriori
-from repro.baselines.aprioritid import mine_aprioritid
-from repro.baselines.bruteforce import mine_bruteforce, support_counts_bruteforce
-from repro.baselines.dic import mine_dic
-from repro.baselines.eclat import mine_declat, mine_eclat
-from repro.baselines.fpgrowth import fpgrowth_from_tree, mine_fpgrowth
-from repro.baselines.fptree import FPNode, FPTree
-from repro.baselines.hmine import mine_hmine
-from repro.baselines.partition import mine_partition
-from repro.baselines.sampling import mine_sampling, negative_border
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "mine_apriori": "apriori",
+        "mine_aprioritid": "aprioritid",
+        "mine_bruteforce": "bruteforce",
+        "support_counts_bruteforce": "bruteforce",
+        "mine_dic": "dic",
+        "mine_eclat": "eclat",
+        "mine_declat": "eclat",
+        "mine_fpgrowth": "fpgrowth",
+        "fpgrowth_from_tree": "fpgrowth",
+        "FPTree": "fptree",
+        "FPNode": "fptree",
+        "mine_hmine": "hmine",
+        "mine_partition": "partition",
+        "mine_sampling": "sampling",
+        "negative_border": "sampling",
+    },
+)
 
 __all__ = [
     "mine_apriori",

@@ -1,15 +1,25 @@
 """Benchmark harness utilities (timing, sweeps, canonical grids, figures)."""
 
-from repro.bench.harness import (
-    Measurement,
-    SweepResult,
-    format_table,
-    run_support_sweep,
-    time_call,
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "Measurement": "harness",
+        "SweepResult": "harness",
+        "format_table": "harness",
+        "run_support_sweep": "harness",
+        "time_call": "harness",
+        "render_line_chart": "plotting",
+        "sweep_to_svg": "plotting",
+        "load_benchmark_json": "report",
+        "render_groups": "report",
+        "GRIDS": "workloads",
+        "ExperimentGrid": "workloads",
+        "grid": "workloads",
+        "scaled_db": "workloads",
+    },
 )
-from repro.bench.plotting import render_line_chart, sweep_to_svg
-from repro.bench.report import load_benchmark_json, render_groups
-from repro.bench.workloads import GRIDS, ExperimentGrid, grid, scaled_db
 
 __all__ = [
     "Measurement",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -473,7 +474,6 @@ def _cmd_mine(args) -> int:
         mine_maximal_itemsets,
     )
     from repro.data.io import read_dat
-    from repro.robustness.governor import DegradationPolicy
     from repro.viz import render_itemsets
 
     # None means "not given": --kind closed|maximal rejects an explicit one
@@ -526,6 +526,8 @@ def _cmd_mine(args) -> int:
                 memory_budget=args.memory_budget,
             )
             if args.degrade:
+                from repro.robustness.governor import DegradationPolicy
+
                 kwargs["degradation"] = DegradationPolicy(fallback=args.degrade)
         elif args.degrade:
             raise ReproError(
@@ -827,6 +829,10 @@ _SUPERVISOR_ONLY_FLAGS = {
     "--incarnation": 1,
 }
 
+#: :data:`repro.serve.faults.FAULTS_ENV`, read here so that a daemon with
+#: no fault plan armed never imports the fault-injection module.
+_SERVE_FAULTS_ENV = "REPRO_SERVE_FAULTS"
+
 
 def _strip_supervisor_flags(argv: list[str]) -> list[str]:
     out: list[str] = []
@@ -910,18 +916,21 @@ def _cmd_serve(args) -> int:
     if args.supervise:
         return _serve_supervised(args)
 
-    from repro.robustness.checkpoint import CheckpointStore
-    from repro.serve import PatternEngine, PatternServer, ServingIndex, SketchEngine
-    from repro.serve.faults import ServeFaultPlan, WorkerFaultInjector
-    from repro.serve.snapshot import SNAPSHOT_KEY, load_snapshot, save_snapshot
-    from repro.stream import SlidingWindowSketch, StreamSummary
+    from repro.serve.engine import PatternEngine, ServingIndex
+    from repro.serve.server import PatternServer
 
     # -- warm restore: a usable snapshot beats rebuilding from the input
-    store = CheckpointStore(args.snapshot) if args.snapshot else None
+    store = None
     restored_state = None
-    if store is not None:
+    if args.snapshot:
+        from repro.robustness.checkpoint import CheckpointStore
+        from repro.serve.snapshot import SNAPSHOT_KEY, load_snapshot, save_snapshot
+
+        store = CheckpointStore(args.snapshot)
         loaded = load_snapshot(store)
         if loaded is not None:
+            from repro.stream import SlidingWindowSketch, StreamSummary
+
             state, _digest = loaded
             wants_sketch = isinstance(state, (StreamSummary, SlidingWindowSketch))
             if wants_sketch == bool(args.sketch):
@@ -935,10 +944,13 @@ def _cmd_serve(args) -> int:
             )
         if args.input is None:
             raise ReproError("--sketch requires --db/--input")
+        from repro.serve.sketch import SketchEngine
+
         if restored:
             summary = restored_state
         else:
             from repro.data.io import ParseReport, iter_dat_lines
+            from repro.stream.summary import StreamSummary
 
             summary = StreamSummary(
                 epsilon=args.epsilon, delta=args.delta, capacity=args.hh_capacity
@@ -988,11 +1000,14 @@ def _cmd_serve(args) -> int:
         )
 
     # -- fault injection (chaos runs): armed via REPRO_SERVE_FAULTS
-    fault_plan = ServeFaultPlan.from_env()
     injector = None
     handler = engine
-    if fault_plan is not None:
-        injector = WorkerFaultInjector(fault_plan, engine, incarnation=args.incarnation)
+    if os.environ.get(_SERVE_FAULTS_ENV):
+        from repro.serve.faults import ServeFaultPlan, WorkerFaultInjector
+
+        injector = WorkerFaultInjector(
+            ServeFaultPlan.from_env(), engine, incarnation=args.incarnation
+        )
         handler = injector
 
     snapshot_lock = threading.Lock()

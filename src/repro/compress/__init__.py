@@ -1,20 +1,24 @@
 """Compression and indexing of PLT structures (paper §1/§6 claims)."""
 
-from repro.compress.index import LengthIndex, SumIndex
-from repro.compress.plt_codec import (
-    decode_label,
-    deserialize_plt,
-    encode_label,
-    encoded_size_report,
-    serialize_plt,
-)
-from repro.compress.store import PLTStore
-from repro.compress.varint import (
-    decode_uvarint,
-    decode_uvarints,
-    encode_uvarint,
-    encode_uvarints,
-    uvarint_len,
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "LengthIndex": "index",
+        "SumIndex": "index",
+        "PLTStore": "store",
+        "serialize_plt": "plt_codec",
+        "deserialize_plt": "plt_codec",
+        "encoded_size_report": "plt_codec",
+        "encode_label": "plt_codec",
+        "decode_label": "plt_codec",
+        "encode_uvarint": "varint",
+        "decode_uvarint": "varint",
+        "encode_uvarints": "varint",
+        "decode_uvarints": "varint",
+        "uvarint_len": "varint",
+    },
 )
 
 __all__ = [

@@ -11,24 +11,34 @@
 * :mod:`repro.core.mining` — the user-facing facade
 """
 
-from repro.core.closed import mine_closed, mine_maximal
-from repro.core.constraints import mine_constrained, verify_antimonotone
-from repro.core.conditional import mine_conditional
-from repro.core.incremental import IncrementalPLT
-from repro.core.mining import (
-    ApproximateResult,
-    FrequentItemset,
-    MiningResult,
-    PartialResult,
-    mine_closed_itemsets,
-    mine_frequent_itemsets,
-    mine_maximal_itemsets,
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "PLT": "plt",
+        "PLTStats": "plt",
+        "build_plt": "plt",
+        "RankTable": "rank",
+        "IncrementalPLT": "incremental",
+        "SlidingWindowPLT": "window",
+        "mine_top_k": "topk",
+        "mine_constrained": "constraints",
+        "verify_antimonotone": "constraints",
+        "mine_conditional": "conditional",
+        "mine_topdown": "topdown",
+        "topdown_subset_frequencies": "topdown",
+        "mine_closed": "closed",
+        "mine_maximal": "closed",
+        "FrequentItemset": "mining",
+        "MiningResult": "mining",
+        "PartialResult": "mining",
+        "ApproximateResult": "mining",
+        "mine_frequent_itemsets": "mining",
+        "mine_closed_itemsets": "mining",
+        "mine_maximal_itemsets": "mining",
+    },
 )
-from repro.core.plt import PLT, PLTStats, build_plt
-from repro.core.topk import mine_top_k
-from repro.core.window import SlidingWindowPLT
-from repro.core.rank import RankTable
-from repro.core.topdown import mine_topdown, topdown_subset_frequencies
 
 __all__ = [
     "PLT",

@@ -10,7 +10,10 @@ dict conversion).
 The two PLT miners are the paper's contribution; the rest are the
 literature baselines implemented in :mod:`repro.baselines`.  All methods
 produce *identical* itemset/support sets on the same input — the test
-suite enforces this property.
+suite enforces this property.  Each runner imports its miner when it
+runs, and the governor loads only for a governed call, so importing this
+module for its result types (as :mod:`repro.stream` does) loads no
+kernel.
 """
 
 from __future__ import annotations
@@ -18,16 +21,11 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Hashable
+from typing import TYPE_CHECKING, Callable, Hashable
 
 import numpy as np
 
-from repro.core.columns import RankColumns
-from repro.core.conditional import mine_conditional
-from repro.core.flat import merge_rows
-from repro.core.plt import PLT
 from repro.core.rank import sort_key
-from repro.core.topdown import mine_topdown
 from repro.data.transaction_db import (
     TransactionDatabase,
     check_max_len,
@@ -39,12 +37,15 @@ from repro.errors import (
     MiningInterrupted,
     ReproError,
 )
-from repro.robustness.governor import (
-    CancellationToken,
-    DegradationPolicy,
-    MiningBudget,
-    ResourceGovernor,
-)
+
+if TYPE_CHECKING:
+    from repro.core.columns import RankColumns
+    from repro.core.plt import PLT
+    from repro.robustness.governor import (
+        CancellationToken,
+        DegradationPolicy,
+        MiningBudget,
+    )
 
 __all__ = [
     "FrequentItemset",
@@ -170,6 +171,8 @@ def _decode(found: RankColumns, table) -> "list[FrequentItemset] | ItemsetColumn
             FrequentItemset(tuple(sorted(table.decode_ranks(ranks), key=sort_key)), sup)
             for ranks, sup in found
         )
+    from repro.core.flat import merge_rows
+
     blocks = [merge_rows(ranks, supports) for ranks, supports in found.by_length()]
     return ItemsetColumns((None,) + table.items(), blocks)
 
@@ -320,9 +323,16 @@ class PartialResult(MiningResult):
     maximal rank is >= the marker was fully enumerated) or
     ``complete_min_len`` (top-down: counts for subset lengths >= the
     marker are final).
+
+    A governed PLT run's partial holds the miner's rank columns and rank
+    table as they were at the trip and decodes them on first read, so
+    the time from the trip to the return does not grow with the salvaged
+    count; ``len()`` needs no decode.
     """
 
     complete = False
+    #: ``(RankColumns, RankTable)`` not yet decoded, or None.
+    _ranks = None
 
     def __init__(
         self,
@@ -344,6 +354,42 @@ class PartialResult(MiningResult):
         self.stop_reason = stop_reason
         self.elapsed = elapsed
         self.progress = dict(progress or {})
+
+    @classmethod
+    def _from_ranks(cls, found: RankColumns, table, **meta) -> "PartialResult":
+        """Wrap a trip's rank columns, to be decoded on first read.  With
+        no ``table`` (a trip outside the rank-space miners) there is
+        nothing to decode and the result is empty."""
+        result = cls._from_canonical([], **meta)
+        if table is not None:
+            result._list, result._ranks = None, (found, table)
+        return result
+
+    def _read(self) -> None:
+        if self._ranks is not None:
+            # cleared last: a concurrent reader decodes again, or finds
+            # the decoded itemsets in place, never neither
+            decoded = _decode(*self._ranks)
+            if isinstance(decoded, ItemsetColumns):
+                self._columns = decoded
+            else:
+                self._list = decoded
+            self._ranks = None
+
+    @property
+    def _itemsets(self) -> list[FrequentItemset]:
+        self._read()
+        return super()._itemsets
+
+    def columns(self) -> ItemsetColumns | None:
+        self._read()
+        return super().columns()
+
+    def __len__(self) -> int:
+        ranks = self._ranks
+        if ranks is not None:
+            return len(ranks[0])
+        return super().__len__()
 
     @property
     def complete_from_rank(self) -> int | None:
@@ -398,6 +444,9 @@ class ApproximateResult(MiningResult):
 # method registry
 # ---------------------------------------------------------------------------
 def _mine_plt(transactions, abs_support, order, max_len, **kwargs):
+    from repro.core.conditional import mine_conditional
+    from repro.core.plt import PLT
+
     governor = kwargs.get("governor")
     plt = PLT.from_transactions(transactions, abs_support, order=order)
     if governor is not None:
@@ -406,7 +455,8 @@ def _mine_plt(transactions, abs_support, order, max_len, **kwargs):
 
 
 def _mine_plt_topdown(transactions, abs_support, order, max_len, **kwargs):
-    from repro.core.topdown import DEFAULT_WORK_LIMIT
+    from repro.core.plt import PLT
+    from repro.core.topdown import DEFAULT_WORK_LIMIT, mine_topdown
 
     governor = kwargs.get("governor")
     plt = PLT.from_transactions(transactions, abs_support, order=order)
@@ -425,14 +475,15 @@ def _mine_plt_topdown(transactions, abs_support, order, max_len, **kwargs):
 def _decoded(miner, plt: PLT, *args, **kwargs) -> "list[FrequentItemset] | ItemsetColumns":
     """Run a rank-space PLT miner on ``plt`` and decode its columns once.
 
-    A budget trip's ``partial`` (the :class:`RankColumns` the miner cut)
-    is decoded the same way into ``partial_items`` before the
-    interruption propagates.
+    A budget trip propagates undecoded: its ``partial`` (the
+    :class:`RankColumns` the miner cut) leaves with ``rank_table``
+    attached, and the :class:`PartialResult` made from them decodes on
+    first read.
     """
     try:
         found = miner(plt, *args, **kwargs)
     except MiningInterrupted as exc:
-        exc.partial_items = _decode(exc.partial, plt.rank_table)
+        exc.rank_table = plt.rank_table
         raise
     return _decode(found, plt.rank_table)
 
@@ -516,6 +567,7 @@ def _mine_count_distribution(transactions, abs_support, order, max_len, **kwargs
 def _mine_plt_parallel(
     transactions, abs_support, order, max_len, *, governor=None, **options
 ):
+    from repro.core.plt import PLT
     from repro.parallel.executor import mine_parallel
 
     plt = PLT.from_transactions(transactions, abs_support, order=order)
@@ -585,6 +637,8 @@ def _degrade(
 
     n = len(transactions)
     if policy.fallback == "topk":
+        from repro.core.columns import RankColumns
+        from repro.core.plt import PLT
         from repro.core.topk import _top_k_columns
 
         plt = PLT.from_transactions(transactions, abs_support, order=order)
@@ -747,6 +801,8 @@ def mine_frequent_itemsets(
             "shorthand kwargs, not both"
         )
     if budget is None and any(v is not None for v in shorthand):
+        from repro.robustness.governor import MiningBudget
+
         budget = MiningBudget(
             deadline=deadline,
             max_itemsets=max_itemsets,
@@ -759,6 +815,8 @@ def mine_frequent_itemsets(
                 f"method {method!r} does not support resource governance; "
                 f"governed methods: {', '.join(sorted(GOVERNED_METHODS))}"
             )
+        from repro.robustness.governor import ResourceGovernor
+
         governor = ResourceGovernor(budget, cancel).start()
         kwargs["governor"] = governor
     elif degradation is not None:
@@ -779,9 +837,7 @@ def mine_frequent_itemsets(
             "admission",
         )
     except MiningInterrupted as exc:
-        if on_budget == "raise":
-            raise
-        if degradation is not None:
+        if on_budget == "partial" and degradation is not None:
             return _degrade(
                 transactions, abs_support, order, max_len, degradation, method,
                 exc.reason,
@@ -789,8 +845,9 @@ def mine_frequent_itemsets(
         progress = dict(governor.progress) if governor is not None else {}
         progress.update(exc.progress)
         progress = {k: v for k, v in progress.items() if not k.startswith("_")}
-        return PartialResult._from_canonical(
-            getattr(exc, "partial_items", []),
+        partial = PartialResult._from_ranks(
+            exc.partial,
+            getattr(exc, "rank_table", None),
             n_transactions=len(transactions),
             min_support=abs_support,
             method=method,
@@ -798,6 +855,10 @@ def mine_frequent_itemsets(
             elapsed=governor.elapsed() if governor is not None else 0.0,
             progress=progress,
         )
+        if on_budget == "raise":
+            exc.partial_items = partial
+            raise
+        return partial
     meta = dict(n_transactions=len(transactions), min_support=abs_support, method=method)
     if isinstance(found, (list, ItemsetColumns)):  # PLT miners: canonical order
         return MiningResult._from_canonical(found, **meta)
@@ -809,6 +870,7 @@ def mine_frequent_itemsets(
 
 def _mine_condensed(transactions, min_support, order, kind):
     from repro.core.closed import mine_closed, mine_maximal
+    from repro.core.plt import PLT
 
     if not isinstance(transactions, TransactionDatabase):
         transactions = TransactionDatabase(transactions)

@@ -42,8 +42,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Hashable, TextIO
 
-import numpy as np
-
 from repro.data.transaction_db import TransactionDatabase
 from repro.errors import DatasetError
 
@@ -314,6 +312,8 @@ def _read_integer_dat(path: str | Path, report: ParseReport):
     break), blank lines are not transactions, and a transaction's
     duplicate ids collapse.
     """
+    import numpy as np
+
     try:
         data = Path(path).read_bytes()
     except OSError as exc:

@@ -20,8 +20,6 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from typing import Hashable
 
-import numpy as np
-
 from repro.core.rank import sort_key
 from repro.errors import InvalidSupportError
 
@@ -192,7 +190,8 @@ class TransactionDatabase:
 
     def max_transaction_length(self) -> int:
         if self._sets is None:
-            return int(np.diff(self._columns[1]).max(initial=0))
+            offsets = self._columns[1]
+            return int((offsets[1:] - offsets[:-1]).max(initial=0))
         return max((len(t) for t in self._sets), default=0)
 
     def density(self) -> float:

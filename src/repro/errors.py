@@ -170,7 +170,9 @@ class MiningInterrupted(ReproError, RuntimeError):
     Facade callers normally never see this exception —
     :func:`repro.core.mining.mine_frequent_itemsets` converts it into a
     :class:`~repro.core.mining.PartialResult` (or degrades per a
-    :class:`~repro.robustness.governor.DegradationPolicy`).
+    :class:`~repro.robustness.governor.DegradationPolicy`).  With
+    ``on_budget="raise"`` it re-raises it with that result, still
+    undecoded, as ``partial_items``.
     """
 
     def __init__(

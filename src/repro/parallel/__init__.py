@@ -1,20 +1,31 @@
 """Parallel PLT mining (the paper's §6 partitioning claim, ICPP venue)."""
 
-from repro.parallel.backend import BACKENDS, DONE, ClusterBackend, create_backend
-from repro.parallel.count_distribution import (
-    mine_count_distribution,
-    node_level_counts,
-)
-from repro.parallel.distributed import mine_distributed, owner_of_rank
-from repro.parallel.executor import default_workers, mine_parallel, topdown_parallel
-from repro.parallel.faults import FaultPlan
-from repro.parallel.shm import SharedMemoryExecutor
-from repro.parallel.processcluster import ProcessCluster
-from repro.parallel.simcluster import ClusterStats, NodeContext, SimCluster
-from repro.parallel.partitioner import (
-    ConditionalTask,
-    conditional_tasks,
-    lpt_partition,
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "default_workers": "executor",
+        "mine_parallel": "executor",
+        "topdown_parallel": "executor",
+        "mine_count_distribution": "count_distribution",
+        "node_level_counts": "count_distribution",
+        "mine_distributed": "distributed",
+        "owner_of_rank": "distributed",
+        "FaultPlan": "faults",
+        "SharedMemoryExecutor": "shm",
+        "SimCluster": "simcluster",
+        "ProcessCluster": "processcluster",
+        "ClusterBackend": "backend",
+        "create_backend": "backend",
+        "BACKENDS": "backend",
+        "DONE": "backend",
+        "NodeContext": "simcluster",
+        "ClusterStats": "simcluster",
+        "ConditionalTask": "partitioner",
+        "conditional_tasks": "partitioner",
+        "lpt_partition": "partitioner",
+    },
 )
 
 __all__ = [

@@ -33,25 +33,28 @@ for governance — every miner behind the
 model itself is injected by :mod:`repro.parallel.faults`.
 """
 
-from repro.robustness.channel import ReliableChannel
-from repro.robustness.checkpoint import CheckpointStore
-from repro.robustness.framing import (
-    ACK,
-    DATA,
-    Frame,
-    decode_frame,
-    encode_ack,
-    encode_data,
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "RetryPolicy": "retry",
+        "Frame": "framing",
+        "DATA": "framing",
+        "ACK": "framing",
+        "encode_data": "framing",
+        "encode_ack": "framing",
+        "decode_frame": "framing",
+        "ReliableChannel": "channel",
+        "CheckpointStore": "checkpoint",
+        "MiningBudget": "governor",
+        "CancellationToken": "governor",
+        "ResourceGovernor": "governor",
+        "DegradationPolicy": "governor",
+        "estimate_conditional_memory": "governor",
+        "estimate_topdown_memory": "governor",
+    },
 )
-from repro.robustness.governor import (
-    CancellationToken,
-    DegradationPolicy,
-    MiningBudget,
-    ResourceGovernor,
-    estimate_conditional_memory,
-    estimate_topdown_memory,
-)
-from repro.robustness.retry import RetryPolicy
 
 __all__ = [
     "RetryPolicy",

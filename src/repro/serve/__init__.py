@@ -30,17 +30,35 @@ Start one from the command line with ``python -m repro serve`` (add
 whole loop with ``python -m repro chaos --serve``.
 """
 
-from repro.serve.admission import AdmissionController, budget_from_request, budget_signature
-from repro.serve.cache import CacheStats, ServingCache
-from repro.serve.client import ServeClient
-from repro.serve.engine import PatternEngine, ServingIndex, serialize_rule
-from repro.serve.faults import ServeFaultPlan, WorkerFaultInjector
-from repro.serve.protocol import MAX_FRAME, encode_message, decode_message
-from repro.serve.resilient import ResilientClient
-from repro.serve.server import PatternServer
-from repro.serve.sketch import SketchEngine
-from repro.serve.snapshot import load_snapshot, save_snapshot
-from repro.serve.supervisor import Supervisor, reserve_port, worker_command
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "AdmissionController": "admission",
+        "budget_from_request": "admission",
+        "budget_signature": "admission",
+        "CacheStats": "cache",
+        "ServingCache": "cache",
+        "ServeClient": "client",
+        "PatternEngine": "engine",
+        "ServingIndex": "engine",
+        "serialize_rule": "engine",
+        "MAX_FRAME": "protocol",
+        "encode_message": "protocol",
+        "decode_message": "protocol",
+        "PatternServer": "server",
+        "SketchEngine": "sketch",
+        "ServeFaultPlan": "faults",
+        "WorkerFaultInjector": "faults",
+        "ResilientClient": "resilient",
+        "Supervisor": "supervisor",
+        "reserve_port": "supervisor",
+        "worker_command": "supervisor",
+        "load_snapshot": "snapshot",
+        "save_snapshot": "snapshot",
+    },
+)
 
 __all__ = [
     "AdmissionController",

@@ -20,20 +20,28 @@ One-pass, fixed-memory frequency summaries over transaction streams:
 See ``docs/STREAMING.md`` for guarantees and the memory model.
 """
 
-from repro.stream.cms import CountMinSketch, pack_pair, unpack_pair
-from repro.stream.ingest import (
-    SKETCH_KEY,
-    SKETCH_NODE,
-    StreamIngestor,
-    load_sketch,
-    save_sketch,
-    sketch_digest,
-    sketch_from_blob,
-    sketch_to_blob,
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "CountMinSketch": "cms",
+        "pack_pair": "cms",
+        "unpack_pair": "cms",
+        "SpaceSaving": "spacesaving",
+        "RankRegistry": "summary",
+        "StreamSummary": "summary",
+        "SlidingWindowSketch": "window",
+        "StreamIngestor": "ingest",
+        "save_sketch": "ingest",
+        "load_sketch": "ingest",
+        "sketch_digest": "ingest",
+        "sketch_to_blob": "ingest",
+        "sketch_from_blob": "ingest",
+        "SKETCH_NODE": "ingest",
+        "SKETCH_KEY": "ingest",
+    },
 )
-from repro.stream.spacesaving import SpaceSaving
-from repro.stream.summary import RankRegistry, StreamSummary
-from repro.stream.window import SlidingWindowSketch
 
 __all__ = [
     "CountMinSketch",

@@ -9,10 +9,12 @@ aligned tables.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from typing import TYPE_CHECKING
 
-from repro.core.lextree import LexNode
-from repro.core.plt import PLT
-from repro.core.position import PositionVector, decode
+if TYPE_CHECKING:
+    from repro.core.lextree import LexNode
+    from repro.core.plt import PLT
+    from repro.core.position import PositionVector
 
 __all__ = [
     "render_tree",
@@ -66,6 +68,8 @@ def render_matrix(plt: PLT, *, decode_items: bool = True) -> str:
     One section per partition ``D_k``, each row a stored vector with its
     sum and frequency (and the decoded itemset when ``decode_items``).
     """
+    from repro.core.position import decode
+
     sections = []
     for length in sorted(plt.partitions):
         rows = []
@@ -98,6 +102,8 @@ def render_subset_table(
     ``min_support`` are marked with ``*`` rather than hidden, matching the
     figure (which shows all subset frequencies).
     """
+    from repro.core.position import decode
+
     sections = []
     for length in sorted(counts):
         rows = []

@@ -188,6 +188,32 @@ class TestCaps:
         assert exc.reason == "max_itemsets"
         assert 0 < len(exc.partial_items) <= 15
 
+    def test_partial_decodes_on_first_read(self, small_db, monkeypatch):
+        """A trip returns its cut undecoded: ``len()`` reads the rank
+        columns, and the decode runs once, when the itemsets are read."""
+        from repro.core import mining
+
+        decoded = []
+        decode = mining._decode
+
+        def spy(found, table):
+            decoded.append(len(found))
+            return decode(found, table)
+
+        monkeypatch.setattr(mining, "_decode", spy)
+        result = mine_frequent_itemsets(small_db, 3, max_itemsets=15)
+        assert isinstance(result, PartialResult)
+        n = len(result)
+        assert 0 < n <= 15
+        assert decoded == []
+        itemsets = list(result)
+        assert decoded == [n]
+        assert len(itemsets) == n and result.columns() is not None
+        assert result[0] == itemsets[0] and decoded == [n]
+        db_sets = [frozenset(t) for t in small_db]
+        for fi in itemsets:
+            assert fi.support == _support_of(fi.items, db_sets)
+
 
 class TestCancellation:
     def test_token_cancels_mining(self, dense_db):

@@ -64,7 +64,7 @@ transactions; once ``CD_j`` is projected onto its locally frequent
 ranks, a small one is cheapest to enumerate whole:
 :func:`_lattice_leaves` keys each of its distinct rows by one ``uint64``
 (``j`` in the high bits, a local bit mask below) and runs the top-down
-subset kernel (:func:`repro.core.topdown._expand`) over every such rank
+subset kernel (:func:`repro.core.lattice._expand`) over every such rank
 in one batch.  The switch compares the lattice's subsets with a lower
 bound on the tidsets' work, scaled by a measured cost ratio
 (:data:`_LATTICE_COST_RATIO`); there is no option to set.  Every other
@@ -87,15 +87,9 @@ import numpy as _np
 
 from repro.core.columns import RankColumns
 from repro.core.flat import FlatPLT, exact_bincount
+from repro.core.lattice import _CHUNK_SUBSETS, _expand, _Lattice, _popcount, _rank_matrix
 from repro.core.plt import PLT
 from repro.core.position import PositionVector, RankPath, path_to_vector
-from repro.core.topdown import (
-    _CHUNK_SUBSETS,
-    _Lattice,
-    _expand,
-    _popcount,
-    _rank_matrix,
-)
 from repro.data.transaction_db import check_max_len
 from repro.errors import InvalidSupportError, MiningInterrupted
 from repro.perf.counters import COUNTERS as _COUNTERS
@@ -354,7 +348,7 @@ def _lattice_leaves(
     times their locally frequent ranks (``sum(2^K - 1) <= ratio *
     sum(K)``): ``sum(K)`` is a lower bound on any other way's work, so
     the lattice is only chosen where it is cheaper.  Every chosen rank's
-    rows go through one batched :func:`~repro.core.topdown._expand`; the
+    rows go through one batched :func:`~repro.core.lattice._expand`; the
     support of ``S + {j}`` is the summed frequency of the rows whose mask
     contains ``S``, so the kept keys are exact.
 
@@ -363,7 +357,7 @@ def _lattice_leaves(
     the keyable ranks (for the rows) or of the chosen ranks (for the
     lattice).  The key fits one word, and with ``total`` (the summed path
     frequency) below it usually the packed layout of
-    :class:`~repro.core.topdown._Lattice`.  Each figure declared to the
+    :class:`~repro.core.lattice._Lattice`.  Each figure declared to the
     governor adds ``held``, the bytes the caller keeps meanwhile.
 
     Returns ``(ranks, blocks)``: a bool array over ranks marking the

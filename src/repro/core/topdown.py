@@ -27,26 +27,33 @@ decomposition.  Index 0, the empty set, is dropped.
 
 Paths are processed by length in descending order, in chunks of at most
 ``_CHUNK_SUBSETS`` generated subsets written into one preallocated
-``(rows, 2^L, W)`` array.  How a chunk is aggregated depends on the key
-layout, which :class:`_Lattice` picks once from ``top`` and the summed
-path frequency ``T``.  With ``c = bit_length(T)``:
+buffer.  The table the chunks merge into has one key layout, which
+:class:`~repro.core.lattice._Lattice` picks once from ``top`` and the
+summed path frequency ``T``: packed ``mask << c | count`` in one
+``uint64`` when ``top + c <= 64`` (``c = bit_length(T)``), ``(keys,
+counts)`` records otherwise.  Each chunk is aggregated in a layout of its
+own:
 
-* **Packed** (``top + c <= 64``): a subset is one ``uint64``,
-  ``mask << c | count``.  The one-bit masks are pre-shifted by ``c`` and
-  each row's first cell holds its frequency, so the doubling's ORs copy
-  the count into every subset without touching it.  A chunk is one
-  ``np.sort`` of that column, then a sum of the low ``c`` bits over each
-  run of equal high bits.  No key's count exceeds ``T < 2^c``, so a sum
-  never carries into the key.
+* **Packed** (``top + w <= 64``, ``w`` the bit length of the chunk's own
+  summed row frequency, at most ``c``): a subset is ``mask << w |
+  count``, one ``uint32`` when ``top + w <= 32`` and one ``uint64``
+  otherwise.  The one-bit masks are pre-shifted by ``w`` and each row's
+  first cell holds its frequency, so the doubling's ORs copy the count
+  into every subset without touching it.  A chunk is one ``np.sort`` of
+  that column, then a sum of the low ``w`` bits over each run of equal
+  high bits.  No key in the chunk sums past the chunk's total, which is
+  below ``2^w``, so a sum never carries into the key.  The collapsed
+  chunk is re-spaced to the table's ``c`` count bits (or split into
+  records) before it is queued.
 * **Record** (wider keys): an ``argsort`` of the masks (``uint64`` when
   ``W == 1``, ``8 W``-byte ``np.void`` records otherwise) and an
   ``np.add.reduceat`` of the gathered ``int64`` counts.
 
-Either way chunk tables are merged into the lattice only once the
-unmerged entries outnumber the merged table, so merging stays
-``O(N log N)`` overall.  Only keys that survive the support (and
-``max_len``) filter are unpacked and decoded back to rank tuples,
-vectorised per length.
+Queued chunk tables are merged into the lattice once they outnumber both
+the merged table and ``_MERGE_FLOOR`` entries, or when it is read, so
+merging stays ``O(N log N)`` overall and a small lattice merges once.
+Only keys that survive the support (and ``max_len``) filter are unpacked
+and decoded back to rank tuples, vectorised per length.
 
 A path of length ``L`` has no subset longer than ``L``: once every path
 longer than ``L`` has been swept, all subset counts of length ``> L`` are
@@ -56,9 +63,10 @@ final.  That is the governed-partial guarantee (``sweep_length``,
 Shared-memory workers run the same kernel over a
 :class:`~repro.core.flat.FlatPLT` path slice
 (:func:`topdown_flat_slice`).  Every worker and the merging driver
-derive the same layout from the same FlatPLT (:func:`_flat_lattice`), so
-the slices' tables merge by the same aggregation.  The doubling itself
-is one function, :func:`_expand`, which Algorithm 3's lattice leaves
+derive the same table layout from the same FlatPLT (:func:`_flat_lattice`),
+so the slices' tables merge by the same aggregation.  The kernel lives in
+:mod:`repro.core.lattice`: the doubling is one function,
+:func:`~repro.core.lattice._expand`, which Algorithm 3's lattice leaves
 (:func:`repro.core.conditional._lattice_leaves`) call too, on keys that
 carry the conditional database's rank above the mask.
 """
@@ -69,12 +77,12 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from repro.core.columns import RankColumns, _tuples
+from repro.core.columns import RankColumns
+from repro.core.lattice import _expand, _Lattice
 from repro.core.plt import PLT
 from repro.core.position import PositionVector, RankPath
 from repro.data.transaction_db import check_max_len
 from repro.errors import InvalidSupportError, MiningInterrupted, TopDownExplosionError
-from repro.perf.counters import COUNTERS as _COUNTERS
 
 __all__ = [
     "topdown_subset_frequencies",
@@ -94,17 +102,6 @@ DEFAULT_WORK_LIMIT = 20_000_000
 #: capped estimate always trips the guard; callers must treat the value as
 #: "at least this much", never as an exact count.
 WORK_ESTIMATE_CAP = 1 << 62
-
-#: Subsets generated per chunk: a chunk of length-``L`` paths holds
-#: ``max(1, _CHUNK_SUBSETS >> L)`` rows, which bounds the kernel's
-#: temporaries independently of the input size.
-_CHUNK_SUBSETS = 1 << 16
-
-#: SWAR popcount constants (see :func:`_popcount`).
-_M1, _M2, _M4, _H01 = map(
-    np.uint64,
-    (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101),
-)
 
 
 def estimate_topdown_work(plt: PLT) -> int:
@@ -144,193 +141,6 @@ def _check_work_limit(plt: PLT, work_limit: int | None) -> None:
         )
 
 
-def _aggregate(keys, counts, words: int, kind: str = "quicksort"):
-    """Sum ``counts`` per distinct key: ``(sorted unique keys, int64 sums)``."""
-    if len(keys) == 0:
-        return keys, counts
-    order = keys.argsort(kind=kind)
-    keys = keys[order]
-    masks = keys.view(np.uint64).reshape(-1, words)
-    first = np.ones(len(keys), bool)
-    first[1:] = (masks[1:] != masks[:-1]).any(axis=1)
-    starts = np.flatnonzero(first)
-    return keys[starts], np.add.reduceat(counts[order], starts)
-
-
-def _collapse(col: np.ndarray, shift: int, kind: str = "quicksort") -> np.ndarray:
-    """Sort a packed column in place and collapse it: one ``key << shift |
-    count`` entry per run of equal keys, its count the run's summed low
-    ``shift`` bits.
-
-    The caller guarantees that no key's summed count reaches
-    ``2^shift``, so the sums never carry into the key bits.
-    """
-    if len(col) == 0:
-        return col
-    col.sort(kind=kind)
-    low = np.uint64((1 << shift) - 1)
-    first = np.empty(len(col), bool)
-    first[0] = True
-    # the high bits differ exactly where the XOR exceeds the count mask
-    np.greater(col[1:] ^ col[:-1], low, out=first[1:])
-    starts = np.flatnonzero(first)
-    return (col[starts] & ~low) | np.add.reduceat(col & low, starts)
-
-
-class _Lattice:
-    """A subset table fed chunk by chunk, in one of two key layouts.
-
-    ``key_bits`` is the widest key the table will see and ``total`` a
-    bound on any key's summed count (the summed path frequency).  With
-    ``shift = bit_length(total)``:
-
-    * **packed** (``key_bits + shift <= 64``): each entry is one
-      ``uint64``, ``key << shift | count``.  A table is a sorted column,
-      aggregated by ``np.sort`` and a sum over runs of equal high bits
-      (:func:`_collapse`); a sum is at most ``total < 2^shift``, so it
-      never carries into the key.
-    * **record** (wider keys): a ``(keys, counts)`` pair.  Keys are
-      ``uint64`` masks when ``W == 1``, otherwise ``8 W``-byte ``np.void``
-      records, aggregated by one ``argsort`` (:func:`_aggregate`).
-
-    A *part* — what :meth:`add` takes and :meth:`column` returns — is a
-    packed column or a ``(keys, counts)`` pair, by layout.
-    """
-
-    def __init__(self, key_bits: int, total: int) -> None:
-        self.words = max(1, -(-key_bits // 64))
-        self.shift = int(total).bit_length()
-        self.packed = key_bits + self.shift <= 64
-        self.dtype = np.dtype(np.uint64 if self.words == 1 else (np.void, 8 * self.words))
-        self._table = self._part(np.empty(0, self.dtype), np.empty(0, np.int64))
-        self._pending: list = []
-        self._pending_n = 0
-
-    def _part(self, keys: np.ndarray, counts: np.ndarray):
-        """The aggregated part of raw ``keys`` (1-D, repeats allowed) and
-        their ``int64`` ``counts``."""
-        if not self.packed:
-            return _aggregate(keys, counts, self.words)
-        col = keys << np.uint64(self.shift)
-        col |= counts.astype(np.uint64)
-        return _collapse(col, self.shift)
-
-    def insert(self, keys: np.ndarray, counts: np.ndarray) -> None:
-        """Add raw ``keys`` with their ``counts``; equal keys sum."""
-        self.add(self._part(keys, counts))
-
-    def heads(self, freqs: np.ndarray, base=None) -> np.ndarray:
-        """The ``(n, W)`` first cell of each of :func:`_expand`'s rows: the
-        ``base`` tag (zero without one), and in the packed layout the
-        row's frequency below it."""
-        if not self.packed:
-            return np.zeros((len(freqs), self.words), np.uint64) if base is None else base
-        head = freqs.astype(np.uint64)[:, None]
-        if base is not None:
-            head |= base << np.uint64(self.shift)
-        return head
-
-    def chunk(self, sub: np.ndarray, freqs: np.ndarray, drop_empty: bool):
-        """The aggregated part of one contiguous ``(rows, 2^L, W)`` chunk of
-        :func:`_expand`'s subsets (``freqs``: the rows' frequencies).
-        ``drop_empty`` drops the all-zero key, the empty set, which then
-        sorts first."""
-        if self.packed:
-            part = _collapse(sub.ravel(), self.shift)
-            return part[1:] if drop_empty else part
-        keys, counts = _aggregate(
-            sub.reshape(-1, self.words).view(self.dtype).ravel(),
-            np.repeat(freqs, sub.shape[1]),
-            self.words,
-        )
-        return (keys[1:], counts[1:]) if drop_empty else (keys, counts)
-
-    def add(self, part) -> None:
-        """Queue one part; merge once the queue outgrows the merged table."""
-        self._pending.append(part)
-        self._pending_n += _length(part)
-        if self._pending_n > _length(self._table):
-            self._merge()
-
-    def _merge(self) -> None:
-        if self._pending:
-            parts = [self._table, *self._pending]
-            # concatenated sorted runs: a stable (merging) sort is cheapest
-            if self.packed:
-                self._table = _collapse(np.concatenate(parts), self.shift, "stable")
-            else:
-                self._table = _aggregate(
-                    np.concatenate([k for k, _ in parts]),
-                    np.concatenate([c for _, c in parts]),
-                    self.words,
-                    kind="stable",
-                )
-            self._pending, self._pending_n = [], 0
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held in the merged and queued tables."""
-        parts = [self._table, *self._pending]
-        if self.packed:
-            return sum(col.nbytes for col in parts)
-        return sum(keys.nbytes + counts.nbytes for keys, counts in parts)
-
-    def column(self):
-        """The merged table as one part, to ship to another lattice."""
-        self._merge()
-        return self._table
-
-    def table(self, min_support: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """The merged ``(keys, counts)`` arrays (sorted keys, int64 counts)
-        of every key with ``count >= min_support``; a packed table
-        unpacks only these survivors."""
-        self._merge()
-        if self.packed:
-            keys = self._table
-            counts = keys & np.uint64((1 << self.shift) - 1)
-        else:
-            keys, counts = self._table
-        if min_support > 1:
-            keep = counts >= min_support
-            keys, counts = keys[keep], counts[keep]
-        if self.packed:
-            return keys >> np.uint64(self.shift), counts.astype(np.int64)
-        return keys, counts
-
-    def blocks(self, min_support=1, *, min_len=1, max_len=None):
-        """Yield ``(rank matrix, supports)`` for every key with
-        ``count >= min_support`` and ``min_len <= length <= max_len``,
-        decoded one length at a time by :func:`_rank_matrix`."""
-        keys, counts = self.table(min_support)
-        masks = keys.view(np.uint64).reshape(-1, self.words)
-        lengths = _popcount(masks)
-        for length in np.flatnonzero(np.bincount(lengths)).tolist():
-            if length < min_len or (max_len is not None and length > max_len):
-                continue
-            rows = lengths == length
-            yield _rank_matrix(masks[rows], length), counts[rows]
-
-    def paths(self) -> dict[int, dict[RankPath, int]]:
-        """The whole lattice as ``length -> {rank path -> frequency}``."""
-        return {
-            ranks.shape[1]: dict(zip(_tuples(ranks), supports.tolist()))
-            for ranks, supports in self.blocks()
-        }
-
-    def vectors(self) -> dict[int, dict[PositionVector, int]]:
-        """The whole lattice in the delta-vector shape: each rank path's
-        first differences, taken on the rank matrix."""
-        return {
-            ranks.shape[1]: dict(zip(_tuples(np.diff(ranks, axis=1, prepend=0)), sups.tolist()))
-            for ranks, sups in self.blocks()
-        }
-
-
-def _length(part) -> int:
-    """Entries in a :class:`_Lattice` part of either layout."""
-    return len(part) if isinstance(part, np.ndarray) else len(part[0])
-
-
 def _flat_lattice(flat) -> _Lattice:
     """An empty lattice for the subsets of ``flat``'s stored paths.
 
@@ -340,34 +150,6 @@ def _flat_lattice(flat) -> _Lattice:
     """
     # an exact Python sum: a uint64 sum would wrap on huge weights
     return _Lattice(flat.max_rank, sum(flat.freqs))
-
-
-def _popcount(masks: np.ndarray) -> np.ndarray:
-    """Set bits per row of a ``(rows, W)`` ``uint64`` mask matrix."""
-    x = masks - ((masks >> 1) & _M1)
-    x = (x & _M2) + ((x >> 2) & _M2)
-    x = (x + (x >> 4)) & _M4
-    return ((x * _H01) >> 56).sum(axis=1, dtype=np.int64)
-
-
-def _rank_matrix(masks: np.ndarray, length: int) -> np.ndarray:
-    """The ``(rows, length)`` ascending rank matrix of masks that all have
-    ``length`` bits set.
-
-    Vectorised over the rows: step ``k`` isolates every row's lowest set
-    bit (``x & -x``), clears it, and turns it into rank
-    ``64 * word + exponent`` (``frexp(2^b)`` has exponent ``b + 1``), which
-    fills column ``k``.  ``masks`` is consumed.
-    """
-    rows = np.arange(len(masks))
-    ranks = np.empty((len(masks), length), np.int64)
-    for k in range(length):
-        word = (masks != 0).argmax(axis=1)
-        low = masks[rows, word]
-        low &= -low
-        masks[rows, word] ^= low
-        ranks[:, k] = np.frexp(low.astype(np.float64))[1] + 64 * word
-    return ranks
 
 
 def _plt_lattice(plt: PLT, governor=None) -> _Lattice:
@@ -391,46 +173,6 @@ def _sweep(groups, lattice: _Lattice, governor=None) -> _Lattice:
         bits[rows, cols, pos >> 6] = np.uint64(1) << (pos & 63).astype(np.uint64)
         _expand(bits, freqs, lattice, governor)
     return lattice
-
-
-def _expand(bits, freqs, lattice: _Lattice, governor=None, base=None, held: int = 0) -> None:
-    """Add every subset of every row of ``bits`` to ``lattice`` by doubling.
-
-    ``bits`` is an ``(n, L, W)`` ``uint64`` array holding each row's ``L``
-    items as one-bit masks, and ``freqs`` the rows' frequencies.  Every
-    subset mask is ORed onto ``base`` (``(n, W)``, a per-row tag) when it
-    is given; without it the all-zero key, the empty set, is dropped.
-    In the packed layout the masks are shifted above the count bits and
-    each row's first cell carries its frequency, which the doubling's ORs
-    copy into every subset.  Rows go through in chunks of
-    ``_CHUNK_SUBSETS`` generated subsets; each chunk charges its
-    ``n (2^L - 1)`` non-empty subsets to the governor and to the
-    ``topdown_work_items`` counter (its buffers declared on top of ``held``).
-    """
-    counters = _COUNTERS
-    n, length, words = bits.shape
-    span = 1 << length
-    step = max(1, _CHUNK_SUBSETS >> length)
-    heads = lattice.heads(freqs, base)
-    if lattice.packed:
-        bits = bits << np.uint64(lattice.shift)
-    buf = np.empty((min(step, n), span, words), np.uint64)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        work = (stop - start) * (span - 1)
-        if governor is not None:
-            governor.hold(held + lattice.nbytes + buf.nbytes + bits.nbytes)
-            governor.tick(work)
-        sub = buf[: stop - start]
-        sub[:, 0] = heads[start:stop]
-        for j in range(length):
-            half = 1 << j
-            np.bitwise_or(
-                sub[:, :half], bits[start:stop, j, None, :], out=sub[:, half : 2 * half]
-            )
-        lattice.add(lattice.chunk(sub, freqs[start:stop], drop_empty=base is None))
-        if counters.enabled:
-            counters.add("topdown_work_items", work)
 
 
 def topdown_flat_slice(flat, start: int, end: int):

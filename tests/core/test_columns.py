@@ -172,7 +172,7 @@ class TestEveryTripPath:
             assert exc.partial.pairs() == pairs[:cap]
 
     def test_topdown_sweep_and_cap(self, quest, monkeypatch):
-        import repro.core.topdown as topdown
+        import repro.core.lattice as lattice
 
         _, plt = quest
         full = mine_topdown(plt, SUPPORT)
@@ -181,7 +181,7 @@ class TestEveryTripPath:
             exc = _trip(mine_topdown, plt, SUPPORT, governor=governor)
             _check_partial(exc, full)
             assert exc.partial.pairs() == full.pairs()[:cap]
-        monkeypatch.setattr(topdown, "_CHUNK_SUBSETS", 1)
+        monkeypatch.setattr(lattice, "_CHUNK_SUBSETS", 1)
         for polls in (0, 40, 120):
             governor = ResourceGovernor(
                 MiningBudget(check_interval=1), cancel=_CancelAfter(polls)

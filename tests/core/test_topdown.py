@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.core.lattice as lattice_kernel
 import repro.core.topdown as topdown
 from repro.baselines.bruteforce import support_counts_bruteforce
 from repro.baselines.fpgrowth import mine_fpgrowth
@@ -148,7 +149,7 @@ class TestAgainstConditional:
 # -- subset-lattice kernel differentials ------------------------------------
 #: Chunk sizes under test: one subset (one row per chunk), an odd size
 #: that splits short-path groups mid-way, and the module default.
-CHUNKS = [1, 7, topdown._CHUNK_SUBSETS]
+CHUNKS = [1, 7, lattice_kernel._CHUNK_SUBSETS]
 
 
 def _databases(max_items=130, max_len=6, max_tx=40):
@@ -188,7 +189,7 @@ class TestLatticeKernel:
         plt = PLT.from_transactions(db, 1)
         truth = _bruteforce_paths(plt)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(topdown, "_CHUNK_SUBSETS", chunk)
+            mp.setattr(lattice_kernel, "_CHUNK_SUBSETS", chunk)
             paths = topdown_subset_path_frequencies(plt)
             vectors = topdown_subset_frequencies(plt)
         assert {p: f for bucket in paths.values() for p, f in bucket.items()} == truth
@@ -210,7 +211,7 @@ class TestLatticeKernel:
     def test_mine_topdown_matches_fpgrowth(self, chunk, db, min_support, max_len):
         plt = PLT.from_transactions(db, min_support)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(topdown, "_CHUNK_SUBSETS", chunk)
+            mp.setattr(lattice_kernel, "_CHUNK_SUBSETS", chunk)
             pairs = mine_topdown(plt, min_support, max_len=max_len)
         decode_ranks = plt.rank_table.decode_ranks
         got = {frozenset(decode_ranks(ranks)): sup for ranks, sup in pairs}

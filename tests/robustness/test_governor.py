@@ -378,6 +378,7 @@ class TestOtherMiners:
 
     @staticmethod
     def _check_topdown_partials(small_db, monkeypatch, weight):
+        import repro.core.lattice as lattice
         import repro.core.topdown as topdown
 
         # paths of lengths 2..8, so the sweep crosses several length groups
@@ -386,7 +387,7 @@ class TestOtherMiners:
         assert topdown._flat_lattice(plt.flat).packed == (weight == 1)
         full = dict(mine_topdown(plt, 3 * weight))
         # one subset per chunk: the sweep polls the token once per path
-        monkeypatch.setattr(topdown, "_CHUNK_SUBSETS", 1)
+        monkeypatch.setattr(lattice, "_CHUNK_SUBSETS", 1)
         db_sets = [frozenset(t) for t in db]
         decode = plt.rank_table.decode_ranks
         markers, salvaged = [], 0

@@ -113,6 +113,17 @@ class TestCommands:
         ]
         assert _under(modules, unused) == []
 
+    @pytest.mark.parametrize("method, topdown", [(None, False), ("plt-topdown", True)])
+    def test_only_topdown_mine_loads_the_topdown_miner(self, tiny_dat, tmp_path, method, topdown):
+        """The conditional miner shares the subset-lattice kernel through
+        ``core.lattice``, so only Algorithm 2's own runs load ``core.topdown``."""
+        argv = ["mine", "--input", tiny_dat, "--min-support", "2", "--output", str(tmp_path / "out.txt")]
+        if method is not None:
+            argv += ["--method", method]
+        modules = _loaded(_CLI, *argv)
+        assert "repro.core.lattice" in modules
+        assert ("repro.core.topdown" in modules) == topdown
+
     def test_deadline_loads_the_governor(self, tiny_dat, tmp_path):
         modules = _loaded(_CLI, "mine", "--input", tiny_dat, "--min-support", "2",
                           "--deadline", "60", "--output", str(tmp_path / "out.txt"))
@@ -135,7 +146,7 @@ assert set(sys.modules) == before, sorted(set(sys.modules) - before)
 """
         modules = _loaded(code)
         kernel = [
-            "repro.core.conditional", "repro.core.topdown", "repro.core.plt",
+            "repro.core.conditional", "repro.core.topdown", "repro.core.lattice", "repro.core.plt",
             "repro.core.flat", "repro.robustness",
         ]
         assert _under(modules, kernel) == []
